@@ -3,7 +3,6 @@ abstraction for point clouds, with hand-written gradients, a synthetic
 training pipeline, brute-force oracles, and an ablation CLI."""
 
 from . import (  # noqa: F401
-    cli,
     dataio,
     errors,
     geometry,

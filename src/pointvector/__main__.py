@@ -1,0 +1,8 @@
+"""`python -m pointvector`: the same command line as the `pointvector` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,17 @@ All distance computations run in double precision so that tie-breaking is
 stable regardless of the training precision. Everything here is a pure
 function of its inputs; no op is differentiated (neighbor selection is a
 discrete choice).
+
+There is one distance definition: the squared distance between q and r is
+(qx-rx)^2 + (qy-ry)^2 + (qz-rz)^2, summed in that order in float64, the
+formula `oracle.naive_knn` uses. Neighbors are ordered by (d^2, index), so
+exact ties, duplicate points included, resolve to the lower index. kNN
+picks its candidates from one of two sources by problem size: up to
+`_DENSE_MAX_PAIRS` query-reference pairs per batch entry it scans the dense
+[M,N] distance block; above that it asks a k-d tree (`scipy.spatial`,
+imported only then) for k+1 candidates, re-scores them exactly, and re-solves
+densely any row whose k-th and (k+1)-th distances are too close to separate.
+Both sources return the same indices.
 """
 
 from __future__ import annotations
@@ -103,14 +114,19 @@ class NeighborIndex:
 def _pairwise_sq_dist(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Squared distances [B,M,N] between query [B,M,3] and ref [B,N,3], float64.
 
-    Uses |q|^2 + |r|^2 - 2 q.r so the [B,M,N,3] difference tensor is never
-    materialized; tiny negative rounding residues are clamped to zero.
+    Per-coordinate differences, (dx*dx + dy*dy) + dz*dz, so that identical
+    points get bit-identical distances wherever they sit in the block.
     """
     q = query.astype(np.float64)
     r = ref.astype(np.float64)
-    d2 = (q ** 2).sum(-1)[:, :, None] + (r ** 2).sum(-1)[:, None, :]
-    d2 -= 2.0 * (q @ r.transpose(0, 2, 1))
-    return np.maximum(d2, 0.0)
+    d2 = np.subtract(q[:, :, None, 0], r[:, None, :, 0])
+    np.multiply(d2, d2, out=d2)
+    buf = np.empty_like(d2)
+    for j in (1, 2):
+        np.subtract(q[:, :, None, j], r[:, None, :, j], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.add(d2, buf, out=d2)
+    return d2
 
 
 def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
@@ -130,6 +146,7 @@ def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     starts = np.broadcast_to(np.asarray(start, dtype=np.int64), (b,)).copy()
     if starts.min() < 0 or starts.max() >= n:
         raise SizeError(f"start index outside [0, {n})")
+    x, y, z = (np.ascontiguousarray(pos[..., j]) for j in range(3))
     chosen = np.zeros((b, m), dtype=np.int64)
     chosen[:, 0] = starts
     batch = np.arange(b)
@@ -137,10 +154,18 @@ def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     # so they can never be selected again even when duplicates exist
     min_d = np.full((b, n), np.inf)
     min_d[batch, starts] = -1.0
+    d = np.empty((b, n))
+    buf = np.empty((b, n))
     for i in range(1, m):
-        last = pos[batch, chosen[:, i - 1]]
-        d = ((pos - last[:, None, :]) ** 2).sum(axis=-1)
-        min_d = np.minimum(min_d, d)
+        last = chosen[:, i - 1]
+        # (dx*dx + dy*dy) + dz*dz, the oracle's sum, into preallocated buffers
+        np.subtract(x, x[batch, last][:, None], out=d)
+        np.multiply(d, d, out=d)
+        for c in (y, z):
+            np.subtract(c, c[batch, last][:, None], out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.add(d, buf, out=d)
+        np.minimum(min_d, d, out=min_d)
         nxt = np.argmax(min_d, axis=1)
         chosen[:, i] = nxt
         min_d[batch, nxt] = -1.0
@@ -201,20 +226,44 @@ def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
     return NeighborIndex(indices=idx, pad_mask=pad, centers=centers)
 
 
+# Largest M*N per batch entry whose kNN scans the dense distance block: 4M
+# pairs, a 32 MB float64 block. Importing scipy.spatial for the k-d tree
+# costs about 38 MB of resident memory, so smaller problems never load it.
+_DENSE_MAX_PAIRS = 1 << 22
+# relative gap between the k-th and (k+1)-th exact distances above which the
+# tree's k+1 candidates hold every point as close as the k-th: the tree's own
+# distances and pruning bounds differ from the exact ones by a few ulps
+_TREE_MARGIN = 1e-12
+
+
 def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarray:
     """Indices [B,M,K] of the k nearest cloud points to each query position.
 
-    Sorted by distance; exact ties resolve to the lower index. Uses a partial
-    selection with a full stable sort fallback for rows where an exact-distance
-    tie straddles the k-th position, so tie-breaking is always by index.
+    Each row holds the k smallest keys (d^2, index) in increasing order, with
+    d^2 the per-coordinate float64 squared distance of the module docstring:
+    nearest first, exact ties to the lower index. The result equals
+    `oracle.naive_knn`. Up to `_DENSE_MAX_PAIRS` pairs M*N per batch entry it
+    comes from the dense distance block, above that from a k-d tree; the
+    choice changes the cost, never the indices.
     """
     n = cloud.num_points
     if k > n:
         raise SizeError(f"k={k} exceeds cloud size {n}")
     if k < 1:
         raise ConfigError(f"knn k must be >= 1, got {k}")
-    d2 = _pairwise_sq_dist(query_xyz, cloud.positions)
-    if k == n:
+    if query_xyz.shape[1] * n <= _DENSE_MAX_PAIRS:
+        return _knn_dense(query_xyz, cloud.positions, k)
+    return _knn_tree(query_xyz, cloud.positions, k)
+
+
+def _knn_dense(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
+    """kNN [B,M,K] by partial selection over the full [B,M,N] distance block.
+
+    Rows where an exact-distance tie straddles the k-th position fall back to
+    a full stable sort, so ties always go to the lower index.
+    """
+    d2 = _pairwise_sq_dist(query, ref)
+    if k == ref.shape[1]:
         return np.argsort(d2, axis=-1, kind="stable")
     cand = np.argpartition(d2, k - 1, axis=-1)[..., :k]
     cand_d = np.take_along_axis(d2, cand, axis=-1)
@@ -231,6 +280,42 @@ def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarra
         full = np.argsort(d2[ties], axis=-1, kind="stable")[:, :k]
         cand[ties] = full
     return cand
+
+
+def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
+    """kNN [B,M,K] from k+1 k-d tree candidates, re-scored exactly.
+
+    Candidates are sorted by their exact (d^2, index) keys. A row whose k-th
+    and (k+1)-th distances lie within `_TREE_MARGIN` of each other may have
+    lost a tied or nearly tied point to the tree's rounding; those rows are
+    re-solved densely, a bounded block of rows at a time.
+    """
+    from scipy.spatial import cKDTree
+
+    q = query.astype(np.float64)
+    r = ref.astype(np.float64)
+    b, m, _ = q.shape
+    n = r.shape[1]
+    kk = min(k + 1, n)
+    rows = max(1, _DENSE_MAX_PAIRS // n)
+    out = np.empty((b, m, k), dtype=np.int64)
+    for bi in range(b):
+        _, cand = cKDTree(r[bi]).query(q[bi], k=kk)
+        cand = cand.reshape(m, kk)
+        diff = r[bi][cand] - q[bi][:, None, :]
+        d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] \
+            + diff[..., 2] * diff[..., 2]
+        order = np.lexsort((cand, d2), axis=-1)
+        cand = np.take_along_axis(cand, order, axis=-1)
+        out[bi] = cand[:, :k]
+        if kk == k:
+            continue  # every point is a candidate
+        d2 = np.take_along_axis(d2, order, axis=-1)
+        unsure = np.flatnonzero(d2[:, k] - d2[:, k - 1] <= _TREE_MARGIN * d2[:, k])
+        for lo in range(0, unsure.size, rows):
+            sel = unsure[lo:lo + rows]
+            out[bi, sel] = _knn_dense(q[bi:bi + 1, sel], r[bi:bi + 1], k)[0]
+    return out
 
 
 def knn(centers: np.ndarray, cloud: PointSetBatch, k: int) -> NeighborIndex:

@@ -17,6 +17,7 @@ import zlib
 import numpy as np
 
 from . import nnops, oracle, setabs, train, vecenc
+from .errors import ContractError
 from .geometry import PointSetBatch
 from .nnops import GradTape, Tensor
 from .setabs import BlockConfig
@@ -35,6 +36,9 @@ def relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     """
     analytic = np.asarray(analytic, dtype=np.float64)
     fd = np.asarray(fd, dtype=np.float64)
+    if analytic.shape != fd.shape:
+        raise ContractError(
+            f"analytic gradient shape {analytic.shape} differs from {fd.shape}")
     diff = float(np.abs(analytic - fd).max(initial=0.0))
     scale = max(np.abs(analytic).max(initial=0.0), np.abs(fd).max(initial=0.0))
     if scale < 1e-6:
@@ -324,18 +328,22 @@ def _case_slot_projection(rng):
             lambda: _loss_of(setabs.slot_projection(v, p), probe))
 
 
-def _case_sum_groupconv_fused(rng):
+def _case_sum_groupconv_fused(rng, padded=True):
     v = Tensor(rng.standard_normal((2, 3, 4, 5, 3)), requires_grad=True)
     block = setabs.VPSABlockParams(
         pos=nnops.linear_params(rng, 3, 5), encoder=None,
         res=nnops.linear_params(rng, 5, 5),
         post_norm=nnops.attach_norm(nnops.LayerParams(), 5),
         proj=nnops.grouped_params(rng, 5, 3))
-    pad = _pad_mask(rng, (2, 3, 4))
+    pad = _pad_mask(rng, (2, 3, 4)) if padded else None
     probe = rng.standard_normal((2, 3, 5))
     return ([("v", v), ("w", block.proj.weight), ("b", block.proj.bias)],
             lambda: _loss_of(setabs.aggregation_variant(v, "sum_groupconv", block, pad),
                              probe))
+
+
+def _case_sum_groupconv_fused_unpadded(rng):
+    return _case_sum_groupconv_fused(rng, padded=False)
 
 
 def _case_softmax_ce(rng):
@@ -454,6 +462,7 @@ CASES = {
     "encode_direction": _case_encode_direction,
     "slot_projection": _case_slot_projection,
     "sum_groupconv_fused": _case_sum_groupconv_fused,
+    "sum_groupconv_fused_unpadded": _case_sum_groupconv_fused_unpadded,
     "softmax_cross_entropy": _case_softmax_ce,
     "sa_block": _case_sa_block,
     "vpsa_block": _case_vpsa_block,

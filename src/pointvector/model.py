@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, nnops, setabs
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, SizeError
 from .geometry import PointSetBatch
 from .nnops import LayerParams, Tensor
 from .setabs import BlockConfig, FPParams, SABlockParams, VPSABlockParams
@@ -229,6 +229,20 @@ class Model:
             return height
         return np.concatenate([pos, height], axis=-1)
 
+    def min_points(self) -> int:
+        """Smallest cloud size every block accepts.
+
+        Walks the blocks backwards: a block needs at least k input points to
+        group, and a stride-s block must leave as many points as the blocks
+        after it need, so its input needs s*(need - 1) + 1.
+        """
+        need = 1
+        for blocks in reversed(self.stages):
+            for block in reversed(blocks):
+                need = max(block.cfg.k_neighbors,
+                           block.cfg.stride * (need - 1) + 1)
+        return need
+
     def _fps_start(self, cloud: PointSetBatch):
         if self.cfg.stable_fps:
             return geometry.geometric_start(cloud)
@@ -236,6 +250,12 @@ class Model:
 
     def _run_encoder(self, batch: PointSetBatch, mode: str):
         """Embedding plus all stages; returns per-resolution outputs."""
+        need = self.min_points()
+        if batch.num_points < need:
+            raise SizeError(
+                f"clouds of {batch.num_points} points are too small for this "
+                f"model: its strides {self.cfg.strides} and neighborhood sizes "
+                f"need at least {need} points")
         feats = nnops.input_tensor(self._input_features(batch))
         embedded = nnops.dense(feats, self.embed, mode)
         current = PointSetBatch(positions=batch.positions, features=embedded)

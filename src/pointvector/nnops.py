@@ -175,6 +175,10 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         for t, gt in zip(inputs, grads):
             if gt is None or not _tracked(t):
                 continue
+            if np.shape(gt) != t.data.shape:
+                raise ContractError(
+                    f"gradient of shape {np.shape(gt)} for a tensor of shape "
+                    f"{t.data.shape}")
             if t.grad is None:
                 touched.append(t)
             _accumulate(t, gt)

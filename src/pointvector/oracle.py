@@ -57,6 +57,33 @@ def naive_knn(query_xyz: np.ndarray, ref_xyz: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def naive_fps(positions: np.ndarray, m: int, start=0) -> np.ndarray:
+    """Farthest point sampling [B, m], one vectorized distance pass per pick.
+
+    min_d holds each point's squared distance to the chosen set, with chosen
+    points flagged -1; the next pick is the first argmax, so ties go to the
+    lowest unchosen index.
+    """
+    pos = positions.astype(np.float64)
+    b, n, _ = pos.shape
+    if not 1 <= m <= n:
+        raise OracleError(f"requested {m} samples from {n} points")
+    starts = np.broadcast_to(np.asarray(start, dtype=np.int64), (b,)).copy()
+    chosen = np.zeros((b, m), dtype=np.int64)
+    chosen[:, 0] = starts
+    batch = np.arange(b)
+    min_d = np.full((b, n), np.inf)
+    min_d[batch, starts] = -1.0
+    for i in range(1, m):
+        last = pos[batch, chosen[:, i - 1]]
+        d = ((pos - last[:, None, :]) ** 2).sum(axis=-1)
+        min_d = np.minimum(min_d, d)
+        nxt = np.argmax(min_d, axis=1)
+        chosen[:, i] = nxt
+        min_d[batch, nxt] = -1.0
+    return chosen
+
+
 def naive_interpolate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
                       fine_xyz: np.ndarray, num: int = 3,
                       eps: float = 1e-8) -> np.ndarray:

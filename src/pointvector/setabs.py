@@ -147,7 +147,9 @@ def _fused_sum_groupconv(v: Tensor, p: LayerParams, pad: np.ndarray | None) -> T
 
     def grad_fn(g):
         gv = g[:, :, None, :, None] * w_data
-        if keep is not None:
+        if keep is None:
+            gv = np.broadcast_to(gv, data.shape)  # same value for every neighbor
+        else:
             gv = gv * keep[..., None, None]
         gw = np.einsum("bikcd,bic->cd", data, g)
         if p.bias is None:

@@ -433,6 +433,10 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
     The best checkpoint (val mIoU for segmentation, val OA for classification)
     is written to run_dir/best.ckpt when run_dir is given. Fully deterministic
     for a fixed train_cfg.seed.
+
+    An epoch that would end with a batch of one cloud folds that cloud into
+    the batch before it, since batch statistics over one sample are
+    undefined for the pooled classification head.
     """
     model_cfg = apply_ablation_switches(model_cfg, train_cfg)
     seq = np.random.SeedSequence([train_cfg.seed, 0x7e57])
@@ -457,8 +461,11 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
         order = order_rng.permutation(train_idx)
         epoch_losses, epoch_weights = [], []
         confusion = np.zeros((k, k), dtype=np.int64)
-        for lo in range(0, len(order), train_cfg.batch_size):
-            idx = order[lo:lo + train_cfg.batch_size]
+        bounds = list(range(0, len(order), train_cfg.batch_size)) + [len(order)]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            idx = order[lo:hi]
             batch = _make_batch(dataset, idx)
             if train_cfg.augment:
                 batch = augment(batch, _sample_augment(train_cfg, aug_rng))

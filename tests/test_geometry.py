@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointvector import geometry, oracle
 from pointvector.errors import (
@@ -158,6 +165,96 @@ class TestKnn:
     def test_k_too_large(self):
         with pytest.raises(SizeError):
             knn(np.array([[0]]), line_cloud(), 5)
+
+
+def _cloud_pair(seed: int, kind: str, b: int, n: int, m: int):
+    """(query [b,m,3], ref [b,n,3]) of one of three kinds of cloud.
+
+    random: uniform reals; lattice: small integer coordinates, so many exact
+    distance ties; duplicates: a few distinct points each repeated many
+    times. Half the seeds draw queries from the cloud itself.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        ref = rng.uniform(-1, 1, (b, n, 3))
+    elif kind == "lattice":
+        ref = rng.integers(-2, 3, (b, n, 3)).astype(np.float64)
+    else:
+        base = rng.uniform(-1, 1, (b, max(1, n // 10), 3))
+        ref = base[:, rng.integers(0, base.shape[1], n)]
+    if seed % 2:
+        query = ref[:, rng.integers(0, n, m)]
+    else:
+        query = rng.uniform(-2, 2, (b, m, 3))
+        if kind == "lattice":
+            query = np.round(query)
+    return query, ref
+
+
+CLOUD_KINDS = st.sampled_from(["random", "lattice", "duplicates"])
+
+
+class TestKnnExactContract:
+    """Both candidate sources equal oracle.naive_knn index for index."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 120),
+           m=st.integers(1, 40), k=st.integers(1, 20), b=st.integers(1, 2))
+    def test_dense_and_tree_equal_oracle(self, seed, kind, n, m, k, b):
+        k = min(k, n)
+        query, ref = _cloud_pair(seed, kind, b, n, m)
+        want = oracle.naive_knn(query, ref, k)
+        assert np.array_equal(geometry._knn_dense(query, ref, k), want)
+        assert np.array_equal(geometry._knn_tree(query, ref, k), want)
+
+    def test_duplicate_heavy_case(self):
+        # the size at which the former |q|^2+|r|^2-2q.r expansion gave
+        # identical points different distances
+        for seed in range(2):
+            query, ref = _cloud_pair(seed, "duplicates", 2, 205, 190)
+            want = oracle.naive_knn(query, ref, 15)
+            assert np.array_equal(geometry._knn_dense(query, ref, 15), want)
+            assert np.array_equal(geometry._knn_tree(query, ref, 15), want)
+
+    def test_large_problem_takes_tree_path_and_agrees(self):
+        rng = np.random.default_rng(8)
+        cloud = PointSetBatch(positions=rng.uniform(-1, 1, (1, 4100, 3)))
+        query = cloud.positions[:, :1024]
+        assert 1024 * 4100 > geometry._DENSE_MAX_PAIRS
+        got = geometry.knn_points(query, cloud, 8)
+        assert np.array_equal(got, geometry._knn_dense(query, cloud.positions, 8))
+        rows = rng.choice(1024, size=4, replace=False)
+        want = oracle.naive_knn(query[:, rows], cloud.positions, 8)
+        assert np.array_equal(got[:, rows], want)
+
+    def test_small_knn_does_not_import_scipy_spatial(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from pointvector import geometry\n"
+            "c = geometry.PointSetBatch(positions=np.random.default_rng(0)"
+            ".uniform(size=(2, 2048, 3)))\n"
+            "geometry.knn_points(c.positions, c, 8)\n"
+            "assert 2048 * 2048 <= geometry._DENSE_MAX_PAIRS\n"
+            "print('scipy.spatial' in sys.modules)\n")
+        src = str(Path(geometry.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
+
+
+class TestFpsExactContract:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 150),
+           frac=st.floats(0.01, 1.0), b=st.integers(1, 3))
+    def test_equals_oracle_bit_for_bit(self, seed, kind, n, frac, b):
+        _, ref = _cloud_pair(seed, kind, b, n, 1)
+        m = max(1, int(frac * n))
+        starts = np.random.default_rng(seed).integers(0, n, b)
+        got = farthest_point_sample(PointSetBatch(positions=ref), m, starts)
+        assert np.array_equal(got, oracle.naive_fps(ref, m, starts))
+        for row in got:
+            assert len(set(row.tolist())) == m
 
 
 class TestGroupRelative:

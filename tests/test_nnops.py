@@ -258,3 +258,26 @@ class TestPrecision:
     def test_float_arrays_keep_dtype(self):
         arr = np.zeros(3, dtype=np.float32)
         assert Tensor(arr).data.dtype == np.float32
+
+
+class TestGradientShapeContract:
+    def test_backward_rejects_wrongly_shaped_gradient(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+
+        def forward():
+            y = nnops.custom_op(x.data * 2.0, (x,), lambda g: (g[:1] * 2.0,))
+            return nnops.sum_all(y)
+
+        with pytest.raises(ContractError, match="shape"):
+            run_loss(forward)
+
+    def test_relative_error_rejects_shape_mismatch(self):
+        from pointvector import gradcheck
+
+        with pytest.raises(ContractError):
+            gradcheck.relative_error(np.ones((2, 1, 3)), np.ones((2, 4, 3)))
+
+    def test_fused_sum_groupconv_without_pad_mask(self):
+        from pointvector import gradcheck
+
+        assert gradcheck.run_case("sum_groupconv_fused_unpadded", 0) < 1e-5
