@@ -361,28 +361,45 @@ def cmd_gen_data(args) -> int:
 # parser
 
 
+def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
+    """The flags accepted on either side of the subcommand.
+
+    The subcommand's copies default to SUPPRESS, so they set an attribute only
+    when given and never overwrite a value given before the subcommand.
+    """
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--seed", type=int, default=default(None),
+                        help="override the training seed")
+    parser.add_argument("--jobs", type=int, default=default(1),
+                        help="parallel workers for ablation cells")
+    parser.add_argument("--overwrite", action="store_true", default=default(False),
+                        help="allow reuse of an existing run directory")
+    parser.add_argument("--precision", choices=("single", "double"),
+                        default=default("double"), help="float precision for training")
+    parser.add_argument("--quiet", action="store_true", default=default(False),
+                        help="suppress stdout logs")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointvector",
         description="Vector-encoding point-cloud networks at desk scale")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the training seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for ablation cells")
-    parser.add_argument("--overwrite", action="store_true",
-                        help="allow reuse of an existing run directory")
-    parser.add_argument("--precision", choices=("single", "double"),
-                        default="double", help="float precision for training")
-    parser.add_argument("--quiet", action="store_true", help="suppress stdout logs")
+    _add_global_flags(parser, suppress=False)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model from a JSON config")
+    p = sub.add_parser("train", parents=[common],
+                       help="train a model from a JSON config")
     p.add_argument("config")
     p.add_argument("--run-dir", default=None)
     p.add_argument("--name", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint, optionally perturbed")
+    p = sub.add_parser("eval", parents=[common],
+                       help="evaluate a checkpoint, optionally perturbed")
     p.add_argument("checkpoint")
     p.add_argument("config")
     p.add_argument("--split", default="val")
@@ -392,25 +409,29 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="sweep aggregation/encoder/vector-dim cells")
+    p = sub.add_parser("ablate", parents=[common],
+                       help="sweep aggregation/encoder/vector-dim cells")
     p.add_argument("config")
     p.add_argument("--run-dir", default=None)
     p.add_argument("--name", default=None)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every op")
+    p = sub.add_parser("gradcheck", parents=[common],
+                       help="finite-difference check of every op")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("bench", help="time core operations")
+    p = sub.add_parser("bench", parents=[common],
+                       help="time core operations")
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--channels", type=int, default=32)
     p.add_argument("--repeat", type=int, default=3)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gen-data", help="write synthetic scenes and a manifest")
+    p = sub.add_parser("gen-data", parents=[common],
+                       help="write synthetic scenes and a manifest")
     p.add_argument("config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)

@@ -230,6 +230,9 @@ def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
 # pairs, a 32 MB float64 block. Importing scipy.spatial for the k-d tree
 # costs about 38 MB of resident memory, so smaller problems never load it.
 _DENSE_MAX_PAIRS = 1 << 22
+# query-reference pairs per row block of the dense kNN scan: a 1 MB float64
+# block, which stays in cache through the eight passes of the selection
+_KNN_BLOCK_PAIRS = 1 << 17
 # relative gap between the k-th and (k+1)-th exact distances above which the
 # tree's k+1 candidates hold every point as close as the k-th: the tree's own
 # distances and pruning bounds differ from the exact ones by a few ulps
@@ -257,6 +260,26 @@ def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarra
 
 
 def _knn_dense(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
+    """kNN [B,M,K] by partial selection over the dense distance block.
+
+    The block is scanned in row blocks of about `_KNN_BLOCK_PAIRS` pairs, so
+    its passes stay in cache; rows are independent, so the indices do not
+    depend on the blocking.
+    """
+    b, m, _ = query.shape
+    n = ref.shape[1]
+    if b * m * n <= _KNN_BLOCK_PAIRS:
+        return _knn_rows(query, ref, k)
+    rows = max(1, _KNN_BLOCK_PAIRS // n)
+    out = np.empty((b, m, k), dtype=np.int64)
+    for bi in range(b):
+        for lo in range(0, m, rows):
+            out[bi, lo:lo + rows] = _knn_rows(query[bi:bi + 1, lo:lo + rows],
+                                              ref[bi:bi + 1], k)[0]
+    return out
+
+
+def _knn_rows(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     """kNN [B,M,K] by partial selection over the full [B,M,N] distance block.
 
     Rows where an exact-distance tie straddles the k-th position fall back to
@@ -288,7 +311,7 @@ def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     Candidates are sorted by their exact (d^2, index) keys. A row whose k-th
     and (k+1)-th distances lie within `_TREE_MARGIN` of each other may have
     lost a tied or nearly tied point to the tree's rounding; those rows are
-    re-solved densely, a bounded block of rows at a time.
+    re-solved densely.
     """
     from scipy.spatial import cKDTree
 
@@ -297,7 +320,6 @@ def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     b, m, _ = q.shape
     n = r.shape[1]
     kk = min(k + 1, n)
-    rows = max(1, _DENSE_MAX_PAIRS // n)
     out = np.empty((b, m, k), dtype=np.int64)
     for bi in range(b):
         _, cand = cKDTree(r[bi]).query(q[bi], k=kk)
@@ -312,9 +334,8 @@ def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
             continue  # every point is a candidate
         d2 = np.take_along_axis(d2, order, axis=-1)
         unsure = np.flatnonzero(d2[:, k] - d2[:, k - 1] <= _TREE_MARGIN * d2[:, k])
-        for lo in range(0, unsure.size, rows):
-            sel = unsure[lo:lo + rows]
-            out[bi, sel] = _knn_dense(q[bi:bi + 1, sel], r[bi:bi + 1], k)[0]
+        if unsure.size:
+            out[bi, unsure] = _knn_dense(q[bi:bi + 1, unsure], r[bi:bi + 1], k)[0]
     return out
 
 

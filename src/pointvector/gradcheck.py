@@ -328,22 +328,18 @@ def _case_slot_projection(rng):
             lambda: _loss_of(setabs.slot_projection(v, p), probe))
 
 
-def _case_sum_groupconv_fused(rng, padded=True):
-    v = Tensor(rng.standard_normal((2, 3, 4, 5, 3)), requires_grad=True)
-    block = setabs.VPSABlockParams(
-        pos=nnops.linear_params(rng, 3, 5), encoder=None,
-        res=nnops.linear_params(rng, 5, 5),
-        post_norm=nnops.attach_norm(nnops.LayerParams(), 5),
-        proj=nnops.grouped_params(rng, 5, 3))
+def _case_rotate_project3(rng, padded=True):
+    zx = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+    ang = Tensor(rng.uniform(0, 2 * np.pi, size=(2, 3, 4, 10)), requires_grad=True)
+    p = nnops.grouped_params(rng, 5, 3)
     pad = _pad_mask(rng, (2, 3, 4)) if padded else None
     probe = rng.standard_normal((2, 3, 5))
-    return ([("v", v), ("w", block.proj.weight), ("b", block.proj.bias)],
-            lambda: _loss_of(setabs.aggregation_variant(v, "sum_groupconv", block, pad),
-                             probe))
+    return ([("zx", zx), ("ang", ang), ("w", p.weight), ("b", p.bias)],
+            lambda: _loss_of(vecenc.rotate_project3(zx, ang, p, pad), probe))
 
 
-def _case_sum_groupconv_fused_unpadded(rng):
-    return _case_sum_groupconv_fused(rng, padded=False)
+def _case_rotate_project3_unpadded(rng):
+    return _case_rotate_project3(rng, padded=False)
 
 
 def _case_softmax_ce(rng):
@@ -461,8 +457,8 @@ CASES = {
     "encode_mlp": _case_encode_mlp,
     "encode_direction": _case_encode_direction,
     "slot_projection": _case_slot_projection,
-    "sum_groupconv_fused": _case_sum_groupconv_fused,
-    "sum_groupconv_fused_unpadded": _case_sum_groupconv_fused_unpadded,
+    "rotate_project3": _case_rotate_project3,
+    "rotate_project3_unpadded": _case_rotate_project3_unpadded,
     "softmax_cross_entropy": _case_softmax_ce,
     "sa_block": _case_sa_block,
     "vpsa_block": _case_vpsa_block,

@@ -413,7 +413,11 @@ def save_checkpoint(model: Model, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Rebuild the model from a checkpoint; returns (model, extra metadata)."""
+    """Rebuild the model from a checkpoint; returns (model, extra metadata).
+
+    Parameters and running statistics take the current default dtype
+    (`nnops.precision`), whatever dtype they were saved in.
+    """
     try:
         data = np.load(path, allow_pickle=False)
     except Exception as exc:
@@ -432,6 +436,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"invalid config in checkpoint: {exc}") from exc
     model = Model(cfg, seed=0)
+    dtype = nnops.default_dtype()
     for name, t in model.named_params().items():
         key = f"param/{name}"
         if key not in data:
@@ -440,7 +445,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         if arr.shape != t.data.shape:
             raise CheckpointError(
                 f"shape mismatch for {name}: checkpoint {arr.shape}, model {t.data.shape}")
-        t.data = arr
+        t.data = arr.astype(dtype, copy=False)
     layers = model.layer_map()
     for path_name, layer in layers.items():
         if layer.running_mean is None:
@@ -452,5 +457,5 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             arr = data[key]
             if arr.shape != getattr(layer, stat).shape:
                 raise CheckpointError(f"shape mismatch for {key}")
-            setattr(layer, stat, arr)
+            setattr(layer, stat, arr.astype(dtype, copy=False))
     return model, meta.get("extra", {})

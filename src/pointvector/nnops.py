@@ -393,20 +393,23 @@ def batchnorm(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
             raise DegenerateStatisticsError(
                 f"batchnorm train mode needs >=2 samples per channel, got {n}")
         mu = x.data.mean(axis=axes)
-        centered = x.data - mu
-        c2 = centered.reshape(-1, c)
-        var = np.einsum("nc,nc->c", c2, c2) / n
+        xhat = x.data - mu
+        x2 = xhat.reshape(-1, c)
+        var = np.einsum("nc,nc->c", x2, x2) / n
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = centered * inv
+        xhat *= inv
         p.running_mean = (1.0 - BN_MOMENTUM) * p.running_mean + BN_MOMENTUM * mu
         p.running_var = (1.0 - BN_MOMENTUM) * p.running_var + BN_MOMENTUM * var * n / (n - 1)
 
         def grad_fn(g):
-            dgamma = (g * xhat).sum(axis=axes)
             dbeta = g.sum(axis=axes)
-            dxhat = g * gamma.data
-            dx = inv * (dxhat - dxhat.mean(axis=axes)
-                        - xhat * (dxhat * xhat).mean(axis=axes))
+            dgamma = np.einsum("nc,nc->c", g.reshape(-1, c), x2)
+            # dx = gamma inv (g - mean(g) - xhat mean(g xhat)), both means
+            # taken from dbeta and dgamma, in one output buffer
+            dx = xhat * (dgamma / n)
+            dx += dbeta / n
+            np.subtract(g, dx, out=dx)
+            dx *= gamma.data * inv
             return dx, dgamma, dbeta
 
     else:
@@ -418,7 +421,8 @@ def batchnorm(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
             dbeta = g.sum(axis=axes)
             return g * (gamma.data * inv), dgamma, dbeta
 
-    y = gamma.data * xhat + beta.data
+    y = xhat * gamma.data
+    y += beta.data
     return custom_op(y, (x, gamma, beta), grad_fn)
 
 
@@ -426,7 +430,7 @@ def activation(x: Tensor, kind: str = "relu", slope: float = 0.01) -> Tensor:
     """Elementwise relu or leakyrelu(slope); gradient at 0 is 0 (resp. slope)."""
     if kind == "relu":
         mask = x.data > 0
-        out = np.where(mask, x.data, 0.0)
+        out = np.maximum(x.data, 0)  # NaN stays NaN, so check_finite still sees it
 
         def grad_fn(g):
             return (g * mask,)
@@ -466,6 +470,16 @@ def _pad_broadcast(pad: np.ndarray, ndim: int) -> np.ndarray:
     return pad.reshape(pad.shape + (1,) * (ndim - pad.ndim))
 
 
+def _check_pad(pad: np.ndarray | None, shape: tuple) -> None:
+    """A pad mask must be [B,M,K] and leave every neighborhood one real entry."""
+    if pad is None:
+        return
+    if pad.shape != shape[:3]:
+        raise SizeError(f"pad mask shape {pad.shape} != neighbor shape {shape[:3]}")
+    if np.any(pad.all(axis=2)):
+        raise InvalidNeighborhoodError("a neighborhood contains only padded entries")
+
+
 def neighbor_reduce(v: Tensor, mode: str, pad: np.ndarray | None = None) -> Tensor:
     """Reduce [B, M, K, ...] over the neighbor axis K (axis 2).
 
@@ -474,11 +488,7 @@ def neighbor_reduce(v: Tensor, mode: str, pad: np.ndarray | None = None) -> Tens
     """
     if v.data.ndim < 4:
         raise SizeError(f"neighbor_reduce expects [B,M,K,...], got shape {v.data.shape}")
-    if pad is not None:
-        if pad.shape != v.data.shape[:3]:
-            raise SizeError(f"pad mask shape {pad.shape} != neighbor shape {v.data.shape[:3]}")
-        if np.any(pad.all(axis=2)):
-            raise InvalidNeighborhoodError("a neighborhood contains only padded entries")
+    _check_pad(pad, v.data.shape)
     shape = v.data.shape
     if mode == "sum":
         if pad is None:
@@ -549,15 +559,22 @@ def residual_fuse(main: Tensor, skip: Tensor) -> Tensor:
         gm = g * mask
         return gm, gm.copy()
 
-    return custom_op(np.where(mask, s, 0.0), (main, skip), grad_fn)
+    return custom_op(np.maximum(s, 0, out=s), (main, skip), grad_fn)
 
 
 # ---------------------------------------------------------------------------
 # gather / scatter
 
 
-def _scatter_add_rows(target2d: np.ndarray, flat_idx: np.ndarray, rows: np.ndarray) -> None:
-    np.add.at(target2d, flat_idx, rows)
+def _scatter_add_rows(flat_idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of rows[j] over j with flat_idx[j] == i; out is [n, C] in rows' dtype.
+
+    One np.bincount over the flat element keys flat_idx * C + c.
+    """
+    c = rows.shape[1]
+    keys = (flat_idx[:, None] * c + np.arange(c)).reshape(-1)
+    out = np.bincount(keys, weights=rows.reshape(-1), minlength=n * c)
+    return out.reshape(n, c).astype(rows.dtype, copy=False)
 
 
 def gather_neighbors(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -570,9 +587,7 @@ def gather_neighbors(x: Tensor, idx: np.ndarray) -> Tensor:
     flat = (batch * n + idx).reshape(-1)
 
     def grad_fn(g):
-        gx = np.zeros((b * n, c), dtype=g.dtype)
-        _scatter_add_rows(gx, flat, g.reshape(-1, c))
-        return (gx.reshape(b, n, c),)
+        return (_scatter_add_rows(flat, g.reshape(-1, c), b * n).reshape(b, n, c),)
 
     return custom_op(out, (x,), grad_fn)
 
@@ -587,9 +602,7 @@ def gather_points(x: Tensor, idx: np.ndarray) -> Tensor:
     flat = (batch * n + idx).reshape(-1)
 
     def grad_fn(g):
-        gx = np.zeros((b * n, c), dtype=g.dtype)
-        _scatter_add_rows(gx, flat, g.reshape(-1, c))
-        return (gx.reshape(b, n, c),)
+        return (_scatter_add_rows(flat, g.reshape(-1, c), b * n).reshape(b, n, c),)
 
     return custom_op(out, (x,), grad_fn)
 
@@ -610,9 +623,7 @@ def weighted_gather(x: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
 
     def grad_fn(g):
         contrib = np.expand_dims(g, 2) * weights[..., None]
-        gx = np.zeros((b * n, c), dtype=g.dtype)
-        _scatter_add_rows(gx, flat, contrib.reshape(-1, c))
-        return (gx.reshape(b, n, c),)
+        return (_scatter_add_rows(flat, contrib.reshape(-1, c), b * n).reshape(b, n, c),)
 
     return custom_op(out, (x,), grad_fn)
 

@@ -3,7 +3,10 @@
 Everything here is implemented with plain loops over scalars or per-point
 slices, never by calling the production modules it checks. Oracles always run
 in double precision and are deliberately slow; size guards keep them inside
-their supported regime.
+their supported regime. The one exception is `unfused_rotate_project`, the
+reference for a fused op: it composes the separate ops the fused one
+replaces, each checked on its own by `gradcheck`, so that the fused op can
+be compared with it in every gradient as well as in value.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import nnops, vecenc
 from .errors import OracleError
 
 MAX_ORACLE_WORK = 10_000
@@ -276,6 +280,20 @@ def brute_force_vpsa(positions: np.ndarray, features: np.ndarray,
             skip = lin(feat[bi, centers[bi, i]], "res_w", "res_b")
             out[bi, i] = np.maximum(main + skip, 0.0)
     return out
+
+
+def unfused_rotate_project(zx, ang, proj, pad: np.ndarray | None = None):
+    """What `vecenc.rotate_project3` fuses, op by op on the tape.
+
+    zx [B,M,K,C] and ang [B,M,K,2C] (alpha | beta) are Tensors: the angles
+    are sliced, rotate_field3 lifts each channel to a 3-vector, the vectors
+    are summed over the non-pad neighbors and grouped_projection with `proj`
+    maps them back to channel scalars [B,M,C].
+    """
+    c = zx.shape[-1]
+    field = vecenc.rotate_field3(zx, nnops.slice_last(ang, 0, c),
+                                 nnops.slice_last(ang, c, 2 * c))
+    return nnops.grouped_projection(nnops.neighbor_reduce(field, "sum", pad), proj)
 
 
 def coeff_constraint_residual(w1: float, w2: float, w3: float, w4: float) -> float:

@@ -129,36 +129,6 @@ def _mask_padded(v: Tensor, pad: np.ndarray | None) -> Tensor:
     return nnops.mul(v, Tensor(keep))
 
 
-def _fused_sum_groupconv(v: Tensor, p: LayerParams, pad: np.ndarray | None) -> Tensor:
-    """Single einsum over neighbors and vector components with a shared kernel."""
-    w = p.weight
-    c, m = w.data.shape
-    if v.data.shape[-2:] != (c, m):
-        raise SizeError(f"expected trailing dims ({c},{m}), got {v.data.shape}")
-    data = v.data
-    if pad is not None and pad.any():
-        data = data * (~pad).astype(data.dtype).reshape(pad.shape + (1, 1))
-    out = np.einsum("bikcd,cd->bic", data, w.data)
-    if p.bias is not None:
-        out = out + p.bias.data
-    inputs = (v, w) if p.bias is None else (v, w, p.bias)
-    w_data = w.data
-    keep = None if pad is None else (~pad).astype(data.dtype)
-
-    def grad_fn(g):
-        gv = g[:, :, None, :, None] * w_data
-        if keep is None:
-            gv = np.broadcast_to(gv, data.shape)  # same value for every neighbor
-        else:
-            gv = gv * keep[..., None, None]
-        gw = np.einsum("bikcd,bic->cd", data, g)
-        if p.bias is None:
-            return gv, gw
-        return gv, gw, g.sum(axis=(0, 1))
-
-    return custom_op(out, inputs, grad_fn)
-
-
 def slot_projection(v: Tensor, p: LayerParams, pad: np.ndarray | None = None) -> Tensor:
     """Independent kernel per neighbor slot: out[..,c] = sum_kd v[..,k,c,d] W[c,k,d] + b[c]."""
     w = p.weight
@@ -199,10 +169,9 @@ def aggregation_variant(v, mode: str, p: VPSABlockParams,
         raise ConfigError(
             f"aggregation must be one of {AGGREGATION_MODES}, got {mode!r}")
     b, mm, k, c, m = v.data.shape
-    if mode == "sum_groupconv":
-        return _fused_sum_groupconv(v, p.proj, pad)
-    if mode == "max_groupconv":
-        return nnops.grouped_projection(nnops.neighbor_reduce(v, "max", pad), p.proj)
+    if mode in ("sum_groupconv", "max_groupconv"):
+        return nnops.grouped_projection(
+            nnops.neighbor_reduce(v, mode.split("_")[0], pad), p.proj)
     if mode == "groupconv":
         return slot_projection(v, p.slot, pad)
     if mode in ("sum_fc", "max_fc"):
@@ -265,7 +234,10 @@ def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
     Mixed relative features are lifted to per-channel m-vectors, aggregated
     over the neighborhood, projected back to channel scalars, mixed across
     channels, normalized, and fused with a linear residual of the center
-    feature through a ReLU.
+    feature through a ReLU. The default cell (rotation encoder, m=3,
+    sum_groupconv) runs encoding, sum and projection as one fused op,
+    `vecenc.rotate_project3`; every other cell composes `vecenc.encode` and
+    `aggregation_variant`.
     """
     centers = _select_centers(x, cfg.stride, fps_start)
     nbr = _group(x, centers, cfg)
@@ -283,9 +255,12 @@ def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
     rel_pos = nnops.input_tensor(geometry.relative_positions(x.positions, nbr))
     fp = vecenc.mix_features(rel_feat, rel_pos, p.pos)
 
-    field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
     pad = nbr.pad_mask if nbr.pad_mask.any() else None
-    main = aggregation_variant(field, cfg.aggregation, p, pad)
+    if (cfg.encoder, cfg.vector_dim, cfg.aggregation) == ("rotation", 3, "sum_groupconv"):
+        main = vecenc.encode_rotation_projected(fp, p.encoder, p.proj, pad, mode)
+    else:
+        field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
+        main = aggregation_variant(field, cfg.aggregation, p, pad)
     if p.mix is not None:
         main = nnops.linear(main, p.mix)
     main = nnops.batchnorm(main, p.post_norm, mode)

@@ -166,16 +166,19 @@ class AdamWState:
 
 
 def adamw_step(params: dict, grads: dict, state: AdamWState, hyper: AdamWHyper) -> None:
-    """One decoupled-weight-decay Adam update, in place on the parameter tensors.
+    """One decoupled-weight-decay Adam update of the parameter tensors.
 
     params maps name -> Tensor; grads maps Tensor -> gradient array (the map
     returned by backward). Parameters without a gradient this step are skipped.
+    The moments are updated in place; each updated parameter gets a fresh
+    array, so an array a caller still holds keeps its values.
     """
     state.step += 1
     t = state.step
     b1, b2 = hyper.beta1, hyper.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
+    decay = hyper.lr * hyper.weight_decay
     for name, p in params.items():
         g = grads.get(p)
         if g is None:
@@ -184,19 +187,27 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, hyper: AdamWHyper) 
             raise NumericFaultError(f"non-finite gradient for {name}")
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
+            m = state.m[name] = np.zeros_like(p.data)
+            v = state.v[name] = np.zeros_like(p.data)
         else:
             v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data = (p.data
-                  - hyper.lr * hyper.weight_decay * p.data
-                  - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps))
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2
+        step = (1.0 - b1) * g
+        m *= b1
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        v *= b2
+        v += step
+        # p (1 - lr wd) - lr (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=step)
+        np.sqrt(step, out=step)
+        step += hyper.eps
+        np.divide(m, step, out=step)
+        step *= hyper.lr / bias1
+        new = p.data * (1.0 - decay)
+        new -= step
+        p.data = new
 
 
 def cosine_lr(step: int, total: int, lr0: float) -> float:

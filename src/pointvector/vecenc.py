@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnops
-from .errors import ConfigError
+from .errors import ConfigError, SizeError
 from .nnops import LayerParams, Tensor, custom_op
 
 
@@ -121,9 +121,78 @@ def rotate_field2(zx: Tensor, alpha: Tensor) -> Tensor:
     return custom_op(out, (zx, alpha), grad_fn)
 
 
+def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
+                    pad: np.ndarray | None = None) -> Tensor:
+    """rotate_field3, summed over non-pad neighbors, then grouped_projection, as one op.
+
+    zx is [B,M,K,C], ang the angle tensor [B,M,K,2C] holding alpha | beta,
+    p the [C,3] grouped kernel w with bias b; returns [B,M,C]:
+
+        out[b,i,c] = sum_k keep * zx * (sin(beta) (w1 cos(alpha) - w0 sin(alpha))
+                                        + w2 cos(beta)) + b[c]
+
+    The [B,M,K,C,3] vector field is never built.
+    """
+    w = p.weight
+    c = w.data.shape[0]
+    z = zx.data
+    if (w.data.shape != (c, 3) or z.ndim != 4 or z.shape[-1] != c
+            or ang.data.shape != z.shape[:-1] + (2 * c,)):
+        raise SizeError(
+            f"rotate_project3 expects zx [B,M,K,{c}] and angles [B,M,K,{2 * c}], "
+            f"got {z.shape} and {ang.data.shape}")
+    nnops._check_pad(pad, z.shape)
+    keep = None
+    if pad is not None:
+        keep = (~pad).astype(z.dtype)[..., None]
+        z = z * keep
+    w0, w1, w2 = w.data[:, 0], w.data[:, 1], w.data[:, 2]
+    alpha, beta = ang.data[..., :c], ang.data[..., c:]
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    # t = w1 cos(alpha) - w0 sin(alpha); u = sin(beta) t + w2 cos(beta) = d out / d zx
+    t = ca * w1
+    t -= sa * w0
+    u = sb * t
+    u += cb * w2
+    out = np.einsum("bikc,bikc->bic", z, u)
+    if p.bias is not None:
+        out += p.bias.data
+    inputs = (zx, ang, w) if p.bias is None else (zx, ang, w, p.bias)
+
+    def grad_fn(g):
+        g4 = g[:, :, None, :]
+        dz = u * g4
+        if keep is not None:
+            dz *= keep
+        gz = z * g4                      # keep is already folded into z
+        gzsb = gz * sb
+        dang = np.empty(ang.data.shape, dtype=dz.dtype)
+        # d alpha = -g zx sin(beta) (w0 cos(alpha) + w1 sin(alpha))
+        da = ca * -w0
+        da -= sa * w1
+        np.multiply(da, gzsb, out=dang[..., :c])
+        # d beta = g zx (cos(beta) t - w2 sin(beta))
+        db = cb * t
+        db -= sb * w2
+        np.multiply(db, gz, out=dang[..., c:])
+        gw = np.stack([-np.einsum("bikc,bikc->c", gzsb, sa),
+                       np.einsum("bikc,bikc->c", gzsb, ca),
+                       np.einsum("bikc,bikc->c", gz, cb)], axis=-1)
+        if p.bias is None:
+            return dz, dang, gw
+        return dz, dang, gw, g.sum(axis=(0, 1))
+
+    return custom_op(out, inputs, grad_fn)
+
+
 def mix_features(rel_feat: Tensor, rel_pos: Tensor, p: LayerParams) -> Tensor:
     """Mixed relative feature: relu(rel_feat + linear(rel_pos))."""
     return nnops.relu(nnops.add(rel_feat, nnops.linear(rel_pos, p)))
+
+
+def _angles(fp: Tensor, p: RotationEncoderParams, mode: str) -> Tensor:
+    """All m-1 angles per channel, [..., (m-1)C]: relu(bn(linear(fp)))."""
+    return nnops.relu(nnops.batchnorm(nnops.linear(fp, p.angles), p.angles, mode))
 
 
 def rotation_inputs(fp: Tensor, p: RotationEncoderParams, m: int,
@@ -133,7 +202,7 @@ def rotation_inputs(fp: Tensor, p: RotationEncoderParams, m: int,
     zx = nnops.linear(fp, p.zx)
     if m == 1:
         return RotationInputs(zx=zx)
-    ang = nnops.relu(nnops.batchnorm(nnops.linear(fp, p.angles), p.angles, mode))
+    ang = _angles(fp, p, mode)
     if m == 2:
         return RotationInputs(zx=zx, alpha=ang)
     alpha = nnops.slice_last(ang, 0, c)
@@ -158,6 +227,18 @@ def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
     else:
         values = rotate_field3(inputs.zx, inputs.alpha, inputs.beta)
     return VectorField(values=values, m=m)
+
+
+def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerParams,
+                              pad: np.ndarray | None = None, mode: str = "train") -> Tensor:
+    """The default VPSA cell: rotation encoding with m=3, summed over the
+    neighbors and projected per channel by `proj`, through rotate_project3.
+
+    Equals grouped_projection(neighbor_reduce(encode_rotation(fp, p, 3).values,
+    "sum", pad), proj) without building the vector field.
+    """
+    zx = nnops.linear(fp, p.zx)
+    return rotate_project3(zx, _angles(fp, p, mode), proj, pad)
 
 
 def encode_mlp(fp: Tensor, p: MLPEncoderParams, m: int, mode: str = "train") -> VectorField:

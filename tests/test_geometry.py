@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,13 +200,24 @@ class TestKnnExactContract:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 120),
-           m=st.integers(1, 40), k=st.integers(1, 20), b=st.integers(1, 2))
-    def test_dense_and_tree_equal_oracle(self, seed, kind, n, m, k, b):
+           m=st.integers(1, 40), k=st.integers(1, 20), b=st.integers(1, 2),
+           block=st.sampled_from([geometry._KNN_BLOCK_PAIRS, 1, 60, 700]))
+    def test_dense_and_tree_equal_oracle(self, seed, kind, n, m, k, b, block):
+        # small row blocks make the dense scan span many blocks at these sizes
         k = min(k, n)
         query, ref = _cloud_pair(seed, kind, b, n, m)
         want = oracle.naive_knn(query, ref, k)
-        assert np.array_equal(geometry._knn_dense(query, ref, k), want)
-        assert np.array_equal(geometry._knn_tree(query, ref, k), want)
+        with mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", block):
+            assert np.array_equal(geometry._knn_dense(query, ref, k), want)
+            assert np.array_equal(geometry._knn_tree(query, ref, k), want)
+
+    def test_row_blocks_at_full_size_equal_one_block(self):
+        query, ref = _cloud_pair(3, "duplicates", 2, 1500, 300)
+        assert 300 * 1500 > 3 * geometry._KNN_BLOCK_PAIRS
+        got = geometry._knn_dense(query, ref, 16)
+        assert np.array_equal(got, geometry._knn_rows(query, ref, 16))
+        rows = [0, 87, 88, 299]
+        assert np.array_equal(got[:, rows], oracle.naive_knn(query[:, rows], ref, 16))
 
     def test_duplicate_heavy_case(self):
         # the size at which the former |q|^2+|r|^2-2q.r expansion gave

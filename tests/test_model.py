@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pointvector import nnops
-from pointvector.errors import SizeError
+from pointvector.errors import NumericFaultError, SizeError
 from pointvector.geometry import PointSetBatch
-from pointvector.model import build_model, preset_config
+from pointvector.model import build_model, load_checkpoint, preset_config, save_checkpoint
 from pointvector.nnops import GradTape
 
 
@@ -49,3 +49,51 @@ class TestAblationCellsTrain:
         for t, g in grads.items():
             assert g.shape == t.data.shape
         assert set(map(id, grads)) <= set(map(id, params.values()))
+
+
+class TestNonFinite:
+    def test_nan_weight_is_reported_not_hidden(self):
+        # batchnorm spreads the NaN over its channel; a relu that maps NaN to
+        # 0 used to zero all of it and return finite logits
+        mdl = build_model(preset_config("toy-seg", num_classes=3))
+        mdl.embed.weight.data[0, 0] = np.nan
+        with pytest.raises(NumericFaultError):
+            mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "train")
+
+
+class TestSinglePrecision:
+    def test_every_gradient_of_a_step_stays_float32(self):
+        with nnops.precision("single"):
+            mdl = build_model(preset_config("toy-seg", num_classes=3))
+            with GradTape() as tape:
+                logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
+                grads = nnops.backward(tape, nnops.mean_all(logits))
+        assert logits.data.dtype == np.float32
+        assert len(grads) == len(mdl.named_params())
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
+class TestCheckpointPrecision:
+    def test_load_follows_the_current_precision(self, tmp_path):
+        mdl = build_model(preset_config("toy-seg", num_classes=3), seed=1)
+        path = tmp_path / "m.npz"
+        save_checkpoint(mdl, path)
+        with nnops.precision("single"):
+            single, _ = load_checkpoint(path)
+        for t in single.named_params().values():
+            assert t.data.dtype == np.float32
+        for arr in single.named_running().values():
+            assert arr.dtype == np.float32
+
+    def test_double_round_trip_is_bit_exact(self, tmp_path):
+        mdl = build_model(preset_config("toy-seg", num_classes=3), seed=2)
+        path = tmp_path / "m.npz"
+        save_checkpoint(mdl, path)
+        loaded, _ = load_checkpoint(path)
+        pairs = [(t.data, loaded.named_params()[name].data)
+                 for name, t in mdl.named_params().items()]
+        pairs += [(arr, loaded.named_running()[name])
+                  for name, arr in mdl.named_running().items()]
+        for want, got in pairs:
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
-from pointvector import dataio
+from pointvector import dataio, nnops
+from pointvector.errors import NumericFaultError
 from pointvector.model import preset_config
-from pointvector.train import TrainConfig, train_loop
+from pointvector.train import AdamWHyper, AdamWState, TrainConfig, adamw_step, train_loop
 
 
 def test_remainder_of_one_cloud_joins_previous_batch():
@@ -14,3 +16,37 @@ def test_remainder_of_one_cloud_joins_previous_batch():
                         cfg, data)
     assert [r.split for r in report.rows] == ["train", "val"]
     assert all(np.isfinite(r.loss) for r in report.rows)
+
+
+def _adamw_formula(p, g, m, v, t, h):
+    """The textbook update with bias-corrected moments."""
+    m = h.beta1 * m + (1.0 - h.beta1) * g
+    v = h.beta2 * v + (1.0 - h.beta2) * g * g
+    m_hat = m / (1.0 - h.beta1 ** t)
+    v_hat = v / (1.0 - h.beta2 ** t)
+    return p - h.lr * h.weight_decay * p - h.lr * m_hat / (np.sqrt(v_hat) + h.eps), m, v
+
+
+class TestAdamW:
+    def test_equals_formula_over_steps(self):
+        rng = np.random.default_rng(0)
+        w = nnops.parameter(rng.standard_normal((4, 3)))
+        params, state = {"w": w}, AdamWState()
+        hyper = AdamWHyper(lr=0.05, weight_decay=0.01)
+        p, m, v = w.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        for t in range(1, 6):
+            g = rng.standard_normal((4, 3))
+            held = w.data
+            before = held.copy()
+            adamw_step(params, {w: g}, state, hyper)
+            p, m, v = _adamw_formula(p, g, m, v, t, hyper)
+            assert np.array_equal(held, before)  # the caller's array is untouched
+            assert np.abs(w.data - p).max() <= 1e-14 * np.abs(p).max()
+            assert np.abs(state.m["w"] - m).max() <= 1e-14 * np.abs(m).max()
+            assert np.abs(state.v["w"] - v).max() <= 1e-14 * np.abs(v).max()
+
+    def test_non_finite_gradient_rejected(self):
+        w = nnops.parameter(np.ones(3))
+        with pytest.raises(NumericFaultError, match="w"):
+            adamw_step({"w": w}, {w: np.array([0.0, np.inf, 1.0])}, AdamWState(),
+                       AdamWHyper())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointvector import nnops, vecenc
+from pointvector import nnops, oracle, vecenc
 from pointvector.errors import ConfigError
 from pointvector.nnops import GradTape, Tensor
 
@@ -203,3 +203,79 @@ class TestEncoderGradients:
         for case in ("encode_rotation", "encode_rotation_2d", "encode_mlp",
                      "encode_direction"):
             assert gradcheck.run_case(case, 1) < 1e-5
+
+
+def _values_and_grads(forward, leaves, probe):
+    with GradTape() as tape:
+        out = forward()
+        grads = nnops.backward(tape, nnops.sum_all(nnops.mul(out, Tensor(probe))))
+    return out.data, [grads.get(t) for t in leaves]
+
+
+def _assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def _pad(rng, shape):
+    pad = rng.random(shape) < 0.3
+    pad[..., 0] = False
+    return pad
+
+
+class TestRotateProject3:
+    """The fused op equals oracle.unfused_rotate_project in value and gradient."""
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_equals_unfused_composition(self, padded):
+        rng = np.random.default_rng(20)
+        b, m, k, c = 2, 5, 6, 7
+        zx = Tensor(rng.standard_normal((b, m, k, c)), requires_grad=True)
+        ang = Tensor(rng.uniform(0, 3, (b, m, k, 2 * c)), requires_grad=True)
+        proj = nnops.grouped_params(rng, c, 3)
+        proj.bias.data = rng.standard_normal(c)
+        pad = _pad(rng, (b, m, k)) if padded else None
+        probe = rng.standard_normal((b, m, c))
+        leaves = [zx, ang, proj.weight, proj.bias]
+        out, grads = _values_and_grads(
+            lambda: vecenc.rotate_project3(zx, ang, proj, pad), leaves, probe)
+        want, want_grads = _values_and_grads(
+            lambda: oracle.unfused_rotate_project(zx, ang, proj, pad), leaves, probe)
+        _assert_close(out, want)
+        for g, w in zip(grads, want_grads):
+            _assert_close(g, w)
+        if padded:
+            assert not grads[0][pad].any() and not grads[1][pad].any()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_encoder_path_equals_unfused(self, mode, padded):
+        rng = np.random.default_rng(21)
+        c = 6
+        fp = Tensor(np.abs(rng.standard_normal((2, 4, 5, c))), requires_grad=True)
+        enc = vecenc.rotation_encoder_params(rng, c, 3)
+        enc.angles.running_mean = rng.standard_normal(2 * c)
+        enc.angles.running_var = rng.uniform(0.5, 2.0, 2 * c)
+        proj = nnops.grouped_params(rng, c, 3)
+        pad = _pad(rng, (2, 4, 5)) if padded else None
+        probe = rng.standard_normal((2, 4, c))
+        leaves = [fp, proj.weight, proj.bias] + [
+            t for layer in (enc.zx, enc.angles) for _, t in layer.tensors()]
+
+        def unfused():
+            inputs = vecenc.rotation_inputs(fp, enc, 3, mode)
+            ang = nnops.concat_last([inputs.alpha, inputs.beta])
+            return oracle.unfused_rotate_project(inputs.zx, ang, proj, pad)
+
+        out, grads = _values_and_grads(
+            lambda: vecenc.encode_rotation_projected(fp, enc, proj, pad, mode),
+            leaves, probe)
+        want, want_grads = _values_and_grads(unfused, leaves, probe)
+        _assert_close(out, want)
+        for g, w in zip(grads, want_grads):
+            _assert_close(g, w)
+
+    def test_gradcheck_padded(self):
+        # the unpadded case runs in test_nnops.TestGradientShapeContract
+        from pointvector import gradcheck
+        assert gradcheck.run_case("rotate_project3", 0) < 1e-5
