@@ -261,14 +261,20 @@ class Model:
         current = PointSetBatch(positions=batch.positions, features=embedded)
         skips = [current]
         for i, blocks in enumerate(self.stages):
+            # the stride-1 VPSA blocks of a stage run on the same points with
+            # the same k and radius, so they share one neighborhood
+            shared = None
             for j, block in enumerate(blocks):
                 start = self._fps_start(current) if block.cfg.stride > 1 else 0
                 if block.kind == "sa":
                     current = setabs.sa_block(current, block.cfg, block.params,
                                               mode, fps_start=start)
                 else:
+                    if block.cfg.stride == 1 and shared is None:
+                        shared = setabs.group(current, block.cfg)
+                    nbr = shared if block.cfg.stride == 1 else None
                     current = setabs.vpsa_block(current, block.cfg, block.params,
-                                                mode, fps_start=start)
+                                                mode, fps_start=start, nbr=nbr)
                 nnops.check_finite(current.features, f"stage{i}.{block.kind}{j}")
             skips.append(current)
         return skips
@@ -323,16 +329,6 @@ def _collect_layers(prefix: str, obj, out: dict) -> None:
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
     return Model(cfg, seed)
-
-
-def forward_seg(model: Model, batch: PointSetBatch, mode: str = "train") -> Tensor:
-    """Per-point logits [B, N, num_classes]."""
-    return model.forward_seg(batch, mode)
-
-
-def forward_cls(model: Model, batch: PointSetBatch, mode: str = "train") -> Tensor:
-    """Per-cloud logits [B, num_classes]."""
-    return model.forward_cls(batch, mode)
 
 
 def param_count(obj) -> int:

@@ -3,15 +3,16 @@
 Everything here is implemented with plain loops over scalars or per-point
 slices, never by calling the production modules it checks. Oracles always run
 in double precision and are deliberately slow; size guards keep them inside
-their supported regime. The one exception is `unfused_rotate_project`, the
-reference for a fused op: it composes the separate ops the fused one
-replaces, each checked on its own by `gradcheck`, so that the fused op can
-be compared with it in every gradient as well as in value.
+their supported regime. The rotation formulas (`rotate3d`, `rotate2d`,
+`rotation_matrix`) are closed forms in np.sin/np.cos, independent of the
+half-angle sine and cosine the production ops use. The one exception is
+`unfused_rotate_project`, the reference for a fused op: it composes the
+separate ops the fused one replaces, each checked on its own by `gradcheck`,
+so that the fused op can be compared with it in every gradient as well as in
+value.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -115,6 +116,44 @@ def naive_interpolate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
                 acc += (w / total) * coarse_feat[bi, ci].astype(np.float64)
             out[bi, fi] = acc
     return out
+
+
+def rotation_matrix(alpha, beta) -> np.ndarray:
+    """Composite matrix Rot_z(alpha) @ Rot_x applied to the vector lift.
+
+    The x-rotation uses the sin/cos arrangement whose action on (0, zx, 0)
+    yields (-zx sin(a) sin(b), zx cos(a) sin(b), zx cos(b)). Shapes broadcast;
+    output is [..., 3, 3].
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    zero = np.zeros_like(sa * sb)
+    one = np.ones_like(zero)
+    rows = [
+        np.stack([ca * one, -sa * sb, sa * cb], axis=-1),
+        np.stack([sa * one, ca * sb, -ca * cb], axis=-1),
+        np.stack([zero, cb * one, sb * one], axis=-1),
+    ]
+    return np.stack(rows, axis=-2)
+
+
+def rotate3d(zx, alpha, beta) -> np.ndarray:
+    """Closed-form rotation of the axis-aligned lift (0, zx, 0), shape [..., 3]."""
+    zx = np.asarray(zx, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    return np.stack([-zx * sa * sb, zx * ca * sb, zx * cb], axis=-1)
+
+
+def rotate2d(zx, alpha) -> np.ndarray:
+    """Single-angle analogue of rotate3d: (-zx sin(a), zx cos(a))."""
+    zx = np.asarray(zx, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return np.stack([-zx * np.sin(alpha), zx * np.cos(alpha)], axis=-1)
 
 
 def _bn_scalar(value, mean, var, gamma, beta, eps=1e-5):
@@ -294,35 +333,3 @@ def unfused_rotate_project(zx, ang, proj, pad: np.ndarray | None = None):
     field = vecenc.rotate_field3(zx, nnops.slice_last(ang, 0, c),
                                  nnops.slice_last(ang, c, 2 * c))
     return nnops.grouped_projection(nnops.neighbor_reduce(field, "sum", pad), proj)
-
-
-def coeff_constraint_residual(w1: float, w2: float, w3: float, w4: float) -> float:
-    """a1*a4 - a2*a3 for coefficients factored as a weighted sum then a projection.
-
-    With a1 = w3*w1, a2 = w3*w2, a3 = w4*w1, a4 = w4*w2 the residual is zero
-    as an algebraic identity. Evaluated in exact rational arithmetic so the
-    identity is not obscured by floating-point rounding of the two product
-    orders.
-    """
-    f1, f2, f3, f4 = (Fraction(float(w)) for w in (w1, w2, w3, w4))
-    a1, a2, a3, a4 = f3 * f1, f3 * f2, f4 * f1, f4 * f2
-    return float(a1 * a4 - a2 * a3)
-
-
-def general_coeff_residual(a1: float, a2: float, a3: float, a4: float) -> float:
-    """a1*a4 - a2*a3 for independently chosen coefficients (general slot kernels)."""
-    f1, f2, f3, f4 = (Fraction(float(a)) for a in (a1, a2, a3, a4))
-    return float(f1 * f4 - f2 * f3)
-
-
-def constraint_violation_fraction(draws: int = 10_000, threshold: float = 1e-3,
-                                  seed: int = 0) -> float:
-    """Fraction of independent uniform(-1,1) coefficient draws violating the
-    factored-form constraint by more than `threshold`."""
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(draws):
-        a1, a2, a3, a4 = rng.uniform(-1.0, 1.0, size=4)
-        if abs(general_coeff_residual(a1, a2, a3, a4)) > threshold:
-            hits += 1
-    return hits / draws

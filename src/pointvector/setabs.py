@@ -194,10 +194,13 @@ def _select_centers(x: PointSetBatch, stride: int, fps_start) -> np.ndarray:
     return geometry.farthest_point_sample(x, m, fps_start)
 
 
-def _group(x: PointSetBatch, centers: np.ndarray, cfg: BlockConfig) -> NeighborIndex:
+def group(x: PointSetBatch, cfg: BlockConfig, fps_start=0) -> NeighborIndex:
+    """A block's centers (every point at stride 1, else FPS) and their
+    neighborhoods: knn, or ball query when cfg.radius is set."""
     if cfg.k_neighbors > x.num_points:
         raise SizeError(
             f"k={cfg.k_neighbors} exceeds cloud size {x.num_points}")
+    centers = _select_centers(x, cfg.stride, fps_start)
     if cfg.radius is None:
         return geometry.knn(centers, x, cfg.k_neighbors)
     return geometry.ball_query(centers, x, cfg.radius, cfg.k_neighbors)
@@ -213,8 +216,8 @@ def _as_feature_tensor(x: PointSetBatch) -> Tensor:
 def sa_block(x: PointSetBatch, cfg: BlockConfig, p: SABlockParams,
              mode: str = "train", fps_start=0) -> PointSetBatch:
     """Set abstraction: subsample, group, shared MLP on [f_j, p_j - p_i], max-reduce."""
-    centers = _select_centers(x, cfg.stride, fps_start)
-    nbr = _group(x, centers, cfg)
+    nbr = group(x, cfg, fps_start)
+    centers = nbr.centers
     f = _as_feature_tensor(x)
     nbr_feat = nnops.gather_neighbors(f, nbr.indices)
     rel_pos = nnops.input_tensor(geometry.relative_positions(x.positions, nbr))
@@ -228,7 +231,8 @@ def sa_block(x: PointSetBatch, cfg: BlockConfig, p: SABlockParams,
 
 
 def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
-               mode: str = "train", fps_start=0) -> PointSetBatch:
+               mode: str = "train", fps_start=0,
+               nbr: NeighborIndex | None = None) -> PointSetBatch:
     """Vector-oriented set abstraction.
 
     Mixed relative features are lifted to per-channel m-vectors, aggregated
@@ -238,9 +242,16 @@ def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
     sum_groupconv) runs encoding, sum and projection as one fused op,
     `vecenc.rotate_project3`; every other cell composes `vecenc.encode` and
     `aggregation_variant`.
+
+    `nbr` is `group(x, cfg)` when the caller already holds it: stride-1
+    blocks with the same k and radius on the same points share it.
     """
-    centers = _select_centers(x, cfg.stride, fps_start)
-    nbr = _group(x, centers, cfg)
+    if nbr is None:
+        nbr = group(x, cfg, fps_start)
+    elif cfg.stride != 1 or nbr.centers.shape != (x.batch_size, x.num_points):
+        raise ConfigError("a given neighborhood needs a stride-1 block and one "
+                          "center per point")
+    centers = nbr.centers
     if cfg.aggregation in _ORDERED_MODES:
         nbr = geometry.sort_neighbors_by_distance(x.positions, nbr)
     f = _as_feature_tensor(x)

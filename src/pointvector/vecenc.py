@@ -4,6 +4,14 @@ Each channel of a mixed relative feature is lifted to an m-dimensional vector
 (m in {1, 2, 3}). The rotation encoder predicts a modulus and up to two
 independent angles and applies the closed-form composition of an x-axis and a
 z-axis rotation; the mlp and direction encoders are the ablation variants.
+
+The rotation ops take sine and cosine from the half-angle identity
+
+    sin x = 2h / (1 + h^2),  cos x = (1 - h^2) / (1 + h^2),  h = tan(x/2),
+
+so one tangent pass replaces a sine and a cosine pass (`_sincos`); numpy
+vectorizes float64 tan, but not sin and cos, on CPUs with AVX-512.
+`oracle.rotate3d` and `oracle.rotate2d` keep the direct sin/cos formulas.
 """
 
 from __future__ import annotations
@@ -53,49 +61,32 @@ class DirectionEncoderParams:
     dir_out: LayerParams
 
 
-def rotation_matrix(alpha, beta) -> np.ndarray:
-    """Composite matrix Rot_z(alpha) @ Rot_x applied to the vector lift.
+def _sincos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin x, cos x) as C-ordered arrays in the dtype of x, from h = tan(x/2)
+    and q = 2/(1+h^2).
 
-    The x-rotation uses the sin/cos arrangement whose action on (0, zx, 0)
-    yields (-zx sin(a) sin(b), zx cos(a) sin(b), zx cos(b)). Shapes broadcast;
-    output is [..., 3, 3].
+    sin x = h q and cos x = q - 1, each within a few eps of the direct
+    functions; NaN and +-inf give NaN in both.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    zero = np.zeros_like(sa * sb)
-    one = np.ones_like(zero)
-    rows = [
-        np.stack([ca * one, -sa * sb, sa * cb], axis=-1),
-        np.stack([sa * one, ca * sb, -ca * cb], axis=-1),
-        np.stack([zero, cb * one, sb * one], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
-
-
-def rotate3d(zx, alpha, beta) -> np.ndarray:
-    """Closed-form rotation of the axis-aligned lift (0, zx, 0), shape [..., 3]."""
-    zx = np.asarray(zx, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    return np.stack([-zx * sa * sb, zx * ca * sb, zx * cb], axis=-1)
-
-
-def rotate2d(zx, alpha) -> np.ndarray:
-    """Single-angle analogue of rotate3d: (-zx sin(a), zx cos(a))."""
-    zx = np.asarray(zx, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return np.stack([-zx * np.sin(alpha), zx * np.cos(alpha)], axis=-1)
+    h = np.multiply(x, 0.5, order="C")
+    np.tan(h, out=h)
+    q = np.square(h)
+    q += 1
+    np.divide(2, q, out=q)
+    h *= q
+    q -= 1
+    return h, q
 
 
 def rotate_field3(zx: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
-    """Differentiable rotate3d over channel arrays: [..., C] -> [..., C, 3]."""
-    z, a, b = zx.data, alpha.data, beta.data
-    sa, ca = np.sin(a), np.cos(a)
-    sb, cb = np.sin(b), np.cos(b)
+    """Rotate the lift (0, zx, 0) by alpha and beta: [..., C] -> [..., C, 3].
+
+    out = (-zx sin(a) sin(b), zx cos(a) sin(b), zx cos(b)); `oracle.rotate3d`
+    is the reference.
+    """
+    z = zx.data
+    sa, ca = _sincos(alpha.data)
+    sb, cb = _sincos(beta.data)
     out = np.stack([-z * sa * sb, z * ca * sb, z * cb], axis=-1)
 
     def grad_fn(g):
@@ -109,9 +100,9 @@ def rotate_field3(zx: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
 
 
 def rotate_field2(zx: Tensor, alpha: Tensor) -> Tensor:
-    """Differentiable rotate2d over channel arrays: [..., C] -> [..., C, 2]."""
-    z, a = zx.data, alpha.data
-    sa, ca = np.sin(a), np.cos(a)
+    """Single-angle rotation (-zx sin(a), zx cos(a)): [..., C] -> [..., C, 2]."""
+    z = zx.data
+    sa, ca = _sincos(alpha.data)
     out = np.stack([-z * sa, z * ca], axis=-1)
 
     def grad_fn(g):
@@ -147,8 +138,10 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
         keep = (~pad).astype(z.dtype)[..., None]
         z = z * keep
     w0, w1, w2 = w.data[:, 0], w.data[:, 1], w.data[:, 2]
-    alpha, beta = ang.data[..., :c], ang.data[..., c:]
-    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    # one pass over alpha | beta as a [2,B,M,K,C] view, so that the four
+    # factors come out as contiguous [B,M,K,C] arrays
+    halves = np.moveaxis(ang.data.reshape(z.shape[:-1] + (2, c)), -2, 0)
+    (sa, sb), (ca, cb) = _sincos(halves)
     # t = w1 cos(alpha) - w0 sin(alpha); u = sin(beta) t + w2 cos(beta) = d out / d zx
     t = ca * w1
     t -= sa * w0

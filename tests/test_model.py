@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pointvector import nnops
-from pointvector.errors import NumericFaultError, SizeError
+from pointvector import geometry, nnops, setabs
+from pointvector.errors import ConfigError, NumericFaultError, SizeError
 from pointvector.geometry import PointSetBatch
 from pointvector.model import build_model, load_checkpoint, preset_config, save_checkpoint
 from pointvector.nnops import GradTape
@@ -97,3 +99,40 @@ class TestCheckpointPrecision:
         for want, got in pairs:
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
+
+
+class TestSharedNeighborhoods:
+    """Stride-1 VPSA blocks of a stage group once and share the neighborhood."""
+
+    @pytest.mark.parametrize("preset,search", [("toy-seg", "knn"),
+                                               ("toy-seg-ball", "ball_query")])
+    def test_one_grouping_per_stage(self, preset, search, monkeypatch):
+        # two stages of [SA stride 2, VPSA, VPSA]
+        mdl = build_model(preset_config(preset, num_classes=4, vpsa_per_stage=[2, 2]))
+        batch = cloud(np.random.default_rng(6), 2, 64)
+        calls = []
+        original = getattr(geometry, search)
+        monkeypatch.setattr(geometry, search,
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        shared = mdl.forward_seg(batch, "train").data
+        assert len(calls) == 4  # 2 SA + 2 VPSA groupings
+
+        # every block grouping on its own gives the same logits
+        vpsa_block = setabs.vpsa_block
+        monkeypatch.setattr(setabs, "vpsa_block",
+                            lambda *a, nbr=None, **kw: vpsa_block(*a, **kw))
+        calls.clear()
+        own = mdl.forward_seg(batch, "train").data
+        assert len(calls) == 2 + 6  # the model's shared groupings go unused
+        assert np.array_equal(own, shared)
+
+    def test_given_neighborhood_needs_stride_one(self):
+        rng = np.random.default_rng(7)
+        mdl = build_model(preset_config("toy-seg", num_classes=4))
+        block = mdl.stages[0][1]
+        x = PointSetBatch(positions=rng.uniform(-1, 1, (1, 20, 3)),
+                          features=rng.standard_normal((1, 20, 16)))
+        nbr = setabs.group(x, block.cfg)
+        strided = dataclasses.replace(block.cfg, stride=2)
+        with pytest.raises(ConfigError, match="stride-1"):
+            setabs.vpsa_block(x, strided, block.params, "eval", nbr=nbr)

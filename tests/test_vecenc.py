@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from pointvector import nnops, oracle, vecenc
-from pointvector.errors import ConfigError
+from pointvector.errors import ConfigError, NumericFaultError
 from pointvector.nnops import GradTape, Tensor
 
 
 class TestRotate3d:
     def test_zero_angles_point_up(self):
-        assert np.allclose(vecenc.rotate3d(1.0, 0.0, 0.0), [0.0, 0.0, 1.0])
+        assert np.allclose(oracle.rotate3d(1.0, 0.0, 0.0), [0.0, 0.0, 1.0])
 
     def test_beta_quarter_turn(self):
-        assert np.allclose(vecenc.rotate3d(1.0, 0.0, np.pi / 2), [0.0, 1.0, 0.0],
+        assert np.allclose(oracle.rotate3d(1.0, 0.0, np.pi / 2), [0.0, 1.0, 0.0],
                            atol=1e-15)
 
     def test_both_quarter_turns(self):
-        assert np.allclose(vecenc.rotate3d(2.0, np.pi / 2, np.pi / 2),
+        assert np.allclose(oracle.rotate3d(2.0, np.pi / 2, np.pi / 2),
                            [-2.0, 0.0, 0.0], atol=1e-15)
 
     def test_norm_is_abs_zx(self):
@@ -23,7 +23,7 @@ class TestRotate3d:
         zx = rng.standard_normal(100000)
         a = rng.uniform(0, 2 * np.pi, 100000)
         b = rng.uniform(0, 2 * np.pi, 100000)
-        out = vecenc.rotate3d(zx, a, b)
+        out = oracle.rotate3d(zx, a, b)
         norms = np.linalg.norm(out, axis=-1)
         assert np.abs(norms - np.abs(zx)).max() < 1e-12
 
@@ -32,11 +32,11 @@ class TestRotate3d:
         zx = rng.standard_normal(50)
         a = rng.uniform(-5, 5, 50)
         b = rng.uniform(-5, 5, 50)
-        rot = vecenc.rotation_matrix(a, b)
+        rot = oracle.rotation_matrix(a, b)
         lifted = np.zeros((50, 3))
         lifted[:, 1] = zx
         expected = np.einsum("nij,nj->ni", rot, lifted)
-        assert np.abs(vecenc.rotate3d(zx, a, b) - expected).max() < 1e-12
+        assert np.abs(oracle.rotate3d(zx, a, b) - expected).max() < 1e-12
 
 
 class TestRotationMatrix:
@@ -44,7 +44,7 @@ class TestRotationMatrix:
         rng = np.random.default_rng(2)
         a = rng.uniform(-7, 7, 200)
         b = rng.uniform(-7, 7, 200)
-        rot = vecenc.rotation_matrix(a, b)
+        rot = oracle.rotation_matrix(a, b)
         eye = np.einsum("nij,nik->njk", rot, rot)
         assert np.abs(eye - np.eye(3)).max() < 1e-12
         det = np.linalg.det(rot)
@@ -53,16 +53,16 @@ class TestRotationMatrix:
 
 class TestRotate2d:
     def test_zero_angle(self):
-        assert np.allclose(vecenc.rotate2d(1.0, 0.0), [0.0, 1.0])
+        assert np.allclose(oracle.rotate2d(1.0, 0.0), [0.0, 1.0])
 
     def test_quarter_turn(self):
-        assert np.allclose(vecenc.rotate2d(1.0, np.pi / 2), [-1.0, 0.0], atol=1e-15)
+        assert np.allclose(oracle.rotate2d(1.0, np.pi / 2), [-1.0, 0.0], atol=1e-15)
 
     def test_isometry(self):
         rng = np.random.default_rng(3)
         zx = rng.standard_normal(100000)
         a = rng.uniform(0, 2 * np.pi, 100000)
-        norms = np.linalg.norm(vecenc.rotate2d(zx, a), axis=-1)
+        norms = np.linalg.norm(oracle.rotate2d(zx, a), axis=-1)
         assert np.abs(norms - np.abs(zx)).max() < 1e-12
 
 
@@ -279,3 +279,95 @@ class TestRotateProject3:
         # the unpadded case runs in test_nnops.TestGradientShapeContract
         from pointvector import gradcheck
         assert gradcheck.run_case("rotate_project3", 0) < 1e-5
+
+
+EPS64 = np.finfo(np.float64).eps
+EPS32 = np.finfo(np.float32).eps
+
+
+def _assert_sincos(x, tol):
+    s, c = vecenc._sincos(x)
+    assert s.dtype == c.dtype == x.dtype and s.shape == c.shape == x.shape
+    ref = x.astype(np.float64)
+    assert np.abs(s - np.sin(ref)).max() <= tol
+    assert np.abs(c - np.cos(ref)).max() <= tol
+
+
+class TestSinCos:
+    """vecenc._sincos, the half-angle sine and cosine, against np.sin/np.cos."""
+
+    def test_uniform_and_negative(self):
+        x = np.random.default_rng(30).uniform(0, 1e3, 200_000)
+        _assert_sincos(x, 4 * EPS64)
+        _assert_sincos(-x, 4 * EPS64)
+
+    @pytest.mark.parametrize("step", [np.pi, np.pi / 2])
+    def test_near_odd_multiples(self, step):
+        # odd multiples of pi are the poles of tan(x/2)
+        rng = np.random.default_rng(31)
+        n = np.arange(-201, 202, 2)[:, None]
+        x = n * step + rng.uniform(-1e-9, 1e-9, (n.size, 40))
+        _assert_sincos(np.concatenate([x.ravel(), n.ravel() * step]), 4 * EPS64)
+
+    def test_exact_at_zero(self):
+        s, c = vecenc._sincos(np.array([0.0, -0.0]))
+        assert np.array_equal(s, [0.0, 0.0]) and np.array_equal(c, [1.0, 1.0])
+
+    def test_single_precision(self):
+        x = np.random.default_rng(32).uniform(-50, 50, 50_000).astype(np.float32)
+        _assert_sincos(x, 4 * EPS32)
+
+    def test_non_finite_gives_nan(self):
+        with np.errstate(invalid="ignore"):
+            s, c = vecenc._sincos(np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(s).all() and np.isnan(c).all()
+
+    def test_non_finite_angle_reaches_check_finite(self):
+        rng = np.random.default_rng(33)
+        ang = rng.uniform(0, 3, (1, 2, 3, 8))
+        ang[0, 1, 2, 5] = np.inf
+        proj = nnops.grouped_params(rng, 4, 3)
+        with np.errstate(invalid="ignore"):
+            out = vecenc.rotate_project3(Tensor(rng.standard_normal((1, 2, 3, 4))),
+                                         Tensor(ang), proj)
+        with pytest.raises(NumericFaultError):
+            nnops.check_finite(out, "rotate_project3")
+
+
+class TestRotationOpsMatchOracle:
+    """The rotation ops against the sin/cos formulas of oracle.rotate3d/rotate2d,
+    with angles drawn near pi, where tan(x/2) has its pole."""
+
+    @staticmethod
+    def _inputs(seed, c=5):
+        rng = np.random.default_rng(seed)
+        zx = rng.standard_normal((2, 3, 4, c))
+        ang = np.pi + rng.uniform(-1e-3, 1e-3, (2, 3, 4, 2 * c))
+        ang[..., ::3] = np.pi  # the float nearest pi, too
+        return rng, zx, ang
+
+    def test_rotate_field3(self):
+        _, zx, ang = self._inputs(40)
+        c = zx.shape[-1]
+        a, b = ang[..., :c], ang[..., c:]
+        out = vecenc.rotate_field3(Tensor(zx), Tensor(a), Tensor(b))
+        _assert_close(out.data, oracle.rotate3d(zx, a, b))
+
+    def test_rotate_field2(self):
+        _, zx, ang = self._inputs(41)
+        a = ang[..., :zx.shape[-1]]
+        _assert_close(vecenc.rotate_field2(Tensor(zx), Tensor(a)).data,
+                      oracle.rotate2d(zx, a))
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_rotate_project3(self, padded):
+        rng, zx, ang = self._inputs(42)
+        c = zx.shape[-1]
+        proj = nnops.grouped_params(rng, c, 3)
+        proj.bias.data = rng.standard_normal(c)
+        pad = _pad(rng, zx.shape[:-1]) if padded else None
+        keep = 1.0 if pad is None else (~pad)[..., None, None]
+        field = oracle.rotate3d(zx, ang[..., :c], ang[..., c:]) * keep
+        want = np.einsum("bikcd,cd->bic", field, proj.weight.data) + proj.bias.data
+        out = vecenc.rotate_project3(Tensor(zx), Tensor(ang), proj, pad)
+        _assert_close(out.data, want)
