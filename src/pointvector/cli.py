@@ -1,9 +1,10 @@
-"""Command-line entry point: train, eval, ablate, gradcheck, bench, gen-data.
+"""Command-line entry point: train, eval, ablate, gradcheck, gen-data.
 
 Configuration is one JSON document with sections `model`, `train`, `data`,
 and optionally `ablate`; unknown keys anywhere are hard errors. Run artifacts
 live under the run directory: config.json, metrics.csv, best.ckpt.npz,
-log.txt.
+log.txt. Timings come from the benchmark in a source checkout,
+`bench/run.py`, not from this CLI.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric fault, 4 gradient
 check failure, 5 checkpoint error.
@@ -16,12 +17,9 @@ import dataclasses
 import itertools
 import json
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import dataio, gradcheck, model as model_mod, nnops, setabs, train as train_mod
 from .errors import (
@@ -30,7 +28,6 @@ from .errors import (
     NumericFaultError,
     PointVectorError,
 )
-from .geometry import PointSetBatch
 from .model import ModelConfig, build_model, param_count, preset_config
 from .train import TrainConfig
 
@@ -299,52 +296,6 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from . import geometry
-
-    rng = np.random.default_rng(0)
-    b, n, c = args.batch, args.points, args.channels
-    cloud = PointSetBatch(positions=rng.uniform(-1, 1, size=(b, n, 3)),
-                          features=rng.standard_normal((b, n, c)))
-
-    def timeit(fn, repeat=args.repeat):
-        fn()  # warm up
-        t0 = time.perf_counter()
-        for _ in range(repeat):
-            fn()
-        return (time.perf_counter() - t0) / repeat * 1000.0
-
-    rows = []
-    rows.append(("farthest_point_sample",
-                 timeit(lambda: geometry.farthest_point_sample(cloud, n // 4))))
-    centers = geometry.farthest_point_sample(cloud, n // 4)
-    rows.append(("knn", timeit(lambda: geometry.knn(centers, cloud, 16))))
-    rows.append(("ball_query",
-                 timeit(lambda: geometry.ball_query(centers, cloud, 0.5, 16))))
-
-    cfg = setabs.BlockConfig(in_channels=c, out_channels=2 * c, k_neighbors=16,
-                             stride=4)
-    p = setabs.sa_block_params(rng, cfg)
-    rows.append(("sa_block fwd", timeit(lambda: setabs.sa_block(cloud, cfg, p))))
-
-    vcfg = setabs.BlockConfig(in_channels=c, out_channels=c, k_neighbors=8)
-    vp = setabs.vpsa_block_params(rng, vcfg)
-    rows.append(("vpsa_block fwd", timeit(lambda: setabs.vpsa_block(cloud, vcfg, vp))))
-
-    def vpsa_fwd_bwd():
-        with nnops.GradTape() as tape:
-            out = setabs.vpsa_block(cloud, vcfg, vp)
-            loss = nnops.mean_all(out.features)
-            nnops.backward(tape, loss)
-
-    rows.append(("vpsa_block fwd+bwd", timeit(vpsa_fwd_bwd)))
-    print(f"{'operation':25s} {'ms/call':>10s}   "
-          f"(B={b}, N={n}, C={c}, {args.precision})")
-    for name, ms in rows:
-        print(f"{name:25s} {ms:10.2f}")
-    return EXIT_OK
-
-
 def cmd_gen_data(args) -> int:
     doc = load_config(args.config)
     data_cfg = DataConfig.from_dict(doc.get("data", {}))
@@ -421,14 +372,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="time core operations")
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--channels", type=int, default=32)
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-data", parents=[common],
                        help="write synthetic scenes and a manifest")

@@ -24,28 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ConfigError, EmptyNeighborhoodError, SizeError
-
-
-def _feature_shape(features) -> tuple:
-    """Shape of a feature container: plain ndarray or a Tensor-like with .data."""
-    if isinstance(features, np.ndarray):
-        return features.shape
-    if hasattr(features, "data") and isinstance(features.data, np.ndarray):
-        return features.data.shape
-    return np.asarray(features).shape
+from .nnops import Tensor
 
 
 @dataclass
 class PointSetBatch:
     """A batch of point clouds: positions [B,N,3], features [B,N,C], labels [B,N].
 
-    Features and labels are optional; when only positions exist the model
-    derives input features at its entry point. During model execution the
-    features slot holds an autodiff Tensor instead of an ndarray.
+    Features and labels are optional arrays; when only positions exist the
+    model derives input features at its entry point. The blocks take their
+    autodiff features as a separate Tensor argument, never in this slot.
     """
 
     positions: np.ndarray
-    features: object | None = None
+    features: np.ndarray | None = None
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -57,12 +49,13 @@ class PointSetBatch:
         if not np.all(np.isfinite(self.positions)):
             raise DataError("positions contain non-finite values")
         if self.features is not None:
-            if isinstance(self.features, (list, tuple)):
-                self.features = np.asarray(self.features)
-            shape = _feature_shape(self.features)
-            if len(shape) != 3 or shape[:2] != self.positions.shape[:2]:
+            if isinstance(self.features, Tensor):
+                raise DataError("features must be an array, not a Tensor; blocks "
+                                "take autodiff features as a separate argument")
+            self.features = np.asarray(self.features)
+            if self.features.ndim != 3 or self.features.shape[:2] != self.positions.shape[:2]:
                 raise SizeError(
-                    f"features shape {shape} does not match positions "
+                    f"features shape {self.features.shape} does not match positions "
                     f"{self.positions.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
@@ -77,14 +70,6 @@ class PointSetBatch:
     @property
     def num_points(self) -> int:
         return self.positions.shape[1]
-
-    def features_array(self) -> np.ndarray:
-        """Features as a plain ndarray (unwraps an autodiff Tensor)."""
-        if self.features is None:
-            raise DataError("point cloud carries no features")
-        if isinstance(self.features, np.ndarray):
-            return self.features
-        return self.features.data
 
     def check_labels(self, num_classes: int) -> None:
         if self.labels is None:
@@ -347,28 +332,6 @@ def knn(centers: np.ndarray, cloud: PointSetBatch, k: int) -> NeighborIndex:
     idx = knn_points(query_xyz, cloud, k)
     pad = np.zeros(idx.shape, dtype=bool)
     return NeighborIndex(indices=idx, pad_mask=pad, centers=centers)
-
-
-def group_relative(cloud: PointSetBatch, nbr: NeighborIndex):
-    """Per-neighbor offsets from each center.
-
-    Returns (rel_feat [B,M,K,C], rel_pos [B,M,K,3]) with
-    rel_feat[b,i,j] = f_neighbor - f_center and rel_pos likewise for
-    positions. Padded entries repeat the values of their duplicated source.
-    """
-    if cloud.features is None:
-        raise DataError("group_relative needs per-point features")
-    features = cloud.features_array()
-    b, n, _ = cloud.positions.shape
-    if nbr.indices.min() < 0 or nbr.indices.max() >= n:
-        raise SizeError("neighbor indices outside the source cloud")
-    rel_pos = relative_positions(cloud.positions, nbr)
-    batch3 = np.arange(b)[:, None, None]
-    batch2 = np.arange(b)[:, None]
-    nbr_feat = features[batch3, nbr.indices]
-    ctr_feat = features[batch2, nbr.centers]
-    rel_feat = nbr_feat - ctr_feat[:, :, None, :]
-    return rel_feat, rel_pos
 
 
 def relative_positions(positions: np.ndarray, nbr: NeighborIndex) -> np.ndarray:

@@ -202,27 +202,27 @@ def _case_residual_fuse(rng):
             lambda: _loss_of(nnops.residual_fuse(main, skip), probe))
 
 
-def _case_gather_neighbors(rng):
-    x = Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
-    idx = rng.integers(0, 6, size=(2, 4, 3))
-    probe = rng.standard_normal((2, 4, 3, 3))
-    return [("x", x)], lambda: _loss_of(nnops.gather_neighbors(x, idx), probe)
-
-
-def _case_gather_points(rng):
+def _case_gather_2d(rng):
     x = Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
     idx = rng.integers(0, 6, size=(2, 4))
     probe = rng.standard_normal((2, 4, 3))
-    return [("x", x)], lambda: _loss_of(nnops.gather_points(x, idx), probe)
+    return [("x", x)], lambda: _loss_of(nnops.gather(x, idx), probe)
 
 
-def _case_weighted_gather(rng):
+def _case_gather_3d(rng):
+    x = Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
+    idx = rng.integers(0, 6, size=(2, 4, 3))
+    probe = rng.standard_normal((2, 4, 3, 3))
+    return [("x", x)], lambda: _loss_of(nnops.gather(x, idx), probe)
+
+
+def _case_gather_weighted(rng):
     x = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
     idx = rng.integers(0, 5, size=(2, 4, 3))
     w = rng.uniform(0.1, 1.0, size=(2, 4, 3))
     w /= w.sum(axis=2, keepdims=True)
     probe = rng.standard_normal((2, 4, 3))
-    return [("x", x)], lambda: _loss_of(nnops.weighted_gather(x, idx, w), probe)
+    return [("x", x)], lambda: _loss_of(nnops.gather(x, idx, w), probe)
 
 
 def _case_unit_normalize(rng):
@@ -276,8 +276,7 @@ def _encoder_case(rng, name, m):
 
     def forward():
         restore()
-        field = vecenc.encode(name, fp, params, m, "train")
-        return _loss_of(field.values, probe)
+        return _loss_of(vecenc.encode(name, fp, params, m, "train"), probe)
 
     named = [("fp", fp)]
     for lname, layer in _walk_layers(params):
@@ -366,9 +365,8 @@ def _case_sa_block(rng):
 
     def forward():
         restore()
-        cloud = PointSetBatch(positions=pos, features=f)
-        out = setabs.sa_block(cloud, cfg, p, "train")
-        return _loss_of(out.features, probe)
+        _, out = setabs.sa_block(PointSetBatch(positions=pos), f, cfg, p, "train")
+        return _loss_of(out, probe)
 
     named = [("features", f)]
     for lname, layer in _walk_layers(p):
@@ -395,9 +393,8 @@ def _case_vpsa_block(rng):
 
     def forward():
         restore()
-        cloud = PointSetBatch(positions=pos, features=f)
-        out = setabs.vpsa_block(cloud, cfg, p, "train")
-        return _loss_of(out.features, probe)
+        _, out = setabs.vpsa_block(PointSetBatch(positions=pos), f, cfg, p, "train")
+        return _loss_of(out, probe)
 
     named = [("features", f)]
     for lname, layer in _walk_layers(p):
@@ -418,8 +415,8 @@ def _case_feature_propagate(rng):
 
     def forward():
         restore()
-        coarse = PointSetBatch(positions=coarse_pos, features=cf)
-        out = setabs.feature_propagate(coarse, fine_pos, sf, p, "train")
+        coarse = PointSetBatch(positions=coarse_pos)
+        out = setabs.feature_propagate(coarse, cf, fine_pos, sf, p, "train")
         return _loss_of(out, probe)
 
     named = [("coarse_f", cf), ("skip_f", sf)]
@@ -444,9 +441,9 @@ CASES = {
     "neighbor_reduce_max_padded": _case_neighbor_reduce_max_padded,
     "grouped_projection": _case_grouped_projection,
     "residual_fuse": _case_residual_fuse,
-    "gather_neighbors": _case_gather_neighbors,
-    "gather_points": _case_gather_points,
-    "weighted_gather": _case_weighted_gather,
+    "gather_2d": _case_gather_2d,
+    "gather_3d": _case_gather_3d,
+    "gather_weighted": _case_gather_weighted,
     "unit_normalize": _case_unit_normalize,
     "mean_sum": _case_mean_sum,
     "rotate_field3": _case_rotate_field3,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, nnops, setabs
-from .errors import CheckpointError, ConfigError, SizeError
+from .errors import CheckpointError, ConfigError, DataError, SizeError
 from .geometry import PointSetBatch
 from .nnops import LayerParams, Tensor
 from .setabs import BlockConfig, FPParams, SABlockParams, VPSABlockParams
@@ -222,7 +222,9 @@ class Model:
     def _input_features(self, batch: PointSetBatch) -> np.ndarray:
         cfg = self.cfg
         if cfg.input_features == "given":
-            return batch.features_array()
+            if batch.features is None:
+                raise DataError("point cloud carries no features")
+            return batch.features
         pos = batch.positions
         height = pos[..., cfg.gravity_dim:cfg.gravity_dim + 1]
         if cfg.input_features == "height":
@@ -249,7 +251,8 @@ class Model:
         return 0
 
     def _run_encoder(self, batch: PointSetBatch, mode: str):
-        """Embedding plus all stages; returns per-resolution outputs."""
+        """Embedding plus all stages; returns a (cloud, features) pair per
+        resolution, the cloud holding positions only."""
         need = self.min_points()
         if batch.num_points < need:
             raise SizeError(
@@ -257,53 +260,50 @@ class Model:
                 f"model: its strides {self.cfg.strides} and neighborhood sizes "
                 f"need at least {need} points")
         feats = nnops.input_tensor(self._input_features(batch))
-        embedded = nnops.dense(feats, self.embed, mode)
-        current = PointSetBatch(positions=batch.positions, features=embedded)
-        skips = [current]
+        f = nnops.dense(feats, self.embed, mode)
+        cloud = PointSetBatch(positions=batch.positions)
+        skips = [(cloud, f)]
         for i, blocks in enumerate(self.stages):
             # the stride-1 VPSA blocks of a stage run on the same points with
             # the same k and radius, so they share one neighborhood
             shared = None
             for j, block in enumerate(blocks):
-                start = self._fps_start(current) if block.cfg.stride > 1 else 0
+                start = self._fps_start(cloud) if block.cfg.stride > 1 else 0
                 if block.kind == "sa":
-                    current = setabs.sa_block(current, block.cfg, block.params,
-                                              mode, fps_start=start)
+                    cloud, f = setabs.sa_block(cloud, f, block.cfg, block.params,
+                                               mode, fps_start=start)
                 else:
                     if block.cfg.stride == 1 and shared is None:
-                        shared = setabs.group(current, block.cfg)
+                        shared = setabs.group(cloud, block.cfg)
                     nbr = shared if block.cfg.stride == 1 else None
-                    current = setabs.vpsa_block(current, block.cfg, block.params,
-                                                mode, fps_start=start, nbr=nbr)
-                nnops.check_finite(current.features, f"stage{i}.{block.kind}{j}")
-            skips.append(current)
+                    cloud, f = setabs.vpsa_block(cloud, f, block.cfg, block.params,
+                                                 mode, fps_start=start, nbr=nbr)
+                nnops.check_finite(f, f"stage{i}.{block.kind}{j}")
+            skips.append((cloud, f))
         return skips
 
     def forward_seg(self, batch: PointSetBatch, mode: str = "train") -> Tensor:
         if self.cfg.task != "segmentation":
             raise ConfigError("forward_seg on a classification model")
         skips = self._run_encoder(batch, mode)
-        current = skips[-1]
+        coarse, f = skips[-1]
         for d, fp in enumerate(self.decoder):
-            target = skips[len(skips) - 2 - d]
-            fused = setabs.feature_propagate(
-                current, target.positions, target.features, fp, mode)
-            current = PointSetBatch(positions=target.positions, features=fused)
-            nnops.check_finite(current.features, f"decoder.fp{d}")
-        h = nnops.dense(current.features, self.head_hidden, mode)
+            target, skip_f = skips[len(skips) - 2 - d]
+            f = setabs.feature_propagate(coarse, f, target.positions, skip_f, fp, mode)
+            coarse = target
+            nnops.check_finite(f, f"decoder.fp{d}")
+        h = nnops.dense(f, self.head_hidden, mode)
         logits = nnops.linear(h, self.head_out)
         return nnops.check_finite(logits, "head.out")
 
     def forward_cls(self, batch: PointSetBatch, mode: str = "train") -> Tensor:
         if self.cfg.task != "classification":
             raise ConfigError("forward_cls on a segmentation model")
-        skips = self._run_encoder(batch, mode)
-        current = skips[-1]
-        pos = current.positions
+        cloud, f = self._run_encoder(batch, mode)[-1]
+        pos = cloud.positions
         centroid = pos.mean(axis=1, keepdims=True)
         rel = nnops.input_tensor(pos - centroid)
-        h = nnops.dense(nnops.concat_last([current.features, rel]),
-                        self.global_sa, mode)
+        h = nnops.dense(nnops.concat_last([f, rel]), self.global_sa, mode)
         b, n, c = h.data.shape
         pooled = nnops.neighbor_reduce(nnops.reshape(h, (b, 1, n, c)), "max")
         pooled = nnops.reshape(pooled, (b, c))

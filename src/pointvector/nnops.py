@@ -577,53 +577,32 @@ def _scatter_add_rows(flat_idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndar
     return out.reshape(n, c).astype(rows.dtype, copy=False)
 
 
-def gather_neighbors(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[b,i,j,:] = x[b, idx[b,i,j], :]; backward scatter-adds."""
-    b, n, c = x.data.shape
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise SizeError("neighbor index out of range")
-    batch = np.arange(b)[:, None, None]
-    out = x.data[batch, idx]
-    flat = (batch * n + idx).reshape(-1)
+def gather(x: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """out[b, ...] = x[b, idx[b, ...], :] for x [B,N,C] and idx [B, M, ...].
 
-    def grad_fn(g):
-        return (_scatter_add_rows(flat, g.reshape(-1, c), b * n).reshape(b, n, c),)
-
-    return custom_op(out, (x,), grad_fn)
-
-
-def gather_points(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[b,i,:] = x[b, idx[b,i], :]."""
-    b, n, c = x.data.shape
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise SizeError("point index out of range")
-    batch = np.arange(b)[:, None]
-    out = x.data[batch, idx]
-    flat = (batch * n + idx).reshape(-1)
-
-    def grad_fn(g):
-        return (_scatter_add_rows(flat, g.reshape(-1, c), b * n).reshape(b, n, c),)
-
-    return custom_op(out, (x,), grad_fn)
-
-
-def weighted_gather(x: Tensor, idx: np.ndarray, weights: np.ndarray) -> Tensor:
-    """out[b,i,:] = sum_j weights[b,i,j] * x[b, idx[b,i,j], :].
-
-    Indices and weights are constants (interpolation geometry); gradient flows
-    to x only.
+    With `weights` (the shape of idx) the gathered rows are summed over the
+    last index axis: out[b,...,:] = sum_j weights[b,...,j] x[b, idx[b,...,j], :].
+    Indices and weights are constants; gradient flows to x only, by
+    scatter-add.
     """
     b, n, c = x.data.shape
-    if idx.shape != weights.shape:
+    if idx.ndim < 2 or idx.shape[0] != b:
+        raise SizeError(f"gather index of shape {idx.shape} for a batch of {b}; "
+                        "expected [B, M, ...]")
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise SizeError(f"gather index out of range [0, {n})")
+    if weights is not None and weights.shape != idx.shape:
         raise SizeError(f"idx shape {idx.shape} != weights shape {weights.shape}")
-    batch = np.arange(b)[:, None, None]
-    gathered = x.data[batch, idx]
-    out = (gathered * weights[..., None]).sum(axis=2)
+    batch = np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1))
+    out = x.data[batch, idx]
+    if weights is not None:
+        out = (out * weights[..., None]).sum(axis=-2)
     flat = (batch * n + idx).reshape(-1)
 
     def grad_fn(g):
-        contrib = np.expand_dims(g, 2) * weights[..., None]
-        return (_scatter_add_rows(flat, contrib.reshape(-1, c), b * n).reshape(b, n, c),)
+        if weights is not None:
+            g = np.expand_dims(g, -2) * weights[..., None]
+        return (_scatter_add_rows(flat, g.reshape(-1, c), b * n).reshape(b, n, c),)
 
     return custom_op(out, (x,), grad_fn)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nnops, vecenc
-from .errors import OracleError
+from .errors import DataError, OracleError
 
 MAX_ORACLE_WORK = 10_000
 
@@ -116,6 +116,26 @@ def naive_interpolate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
                 acc += (w / total) * coarse_feat[bi, ci].astype(np.float64)
             out[bi, fi] = acc
     return out
+
+
+def group_relative(cloud, nbr):
+    """Per-neighbor offsets from each center, by direct indexing.
+
+    Returns (rel_feat [B,M,K,C], rel_pos [B,M,K,3]) with
+    rel_feat[b,i,j] = f_neighbor - f_center and rel_pos likewise for
+    positions, for a `PointSetBatch` with features and its `NeighborIndex`.
+    Padded entries repeat the values of their duplicated source.
+    """
+    if cloud.features is None:
+        raise DataError("group_relative needs per-point features")
+    b, n, _ = cloud.positions.shape
+    if nbr.indices.min() < 0 or nbr.indices.max() >= n:
+        raise OracleError("neighbor indices outside the source cloud")
+    batch = np.arange(b)[:, None, None]
+    centers = nbr.centers[:, :, None]
+    rel_feat = cloud.features[batch, nbr.indices] - cloud.features[batch, centers]
+    rel_pos = cloud.positions[batch, nbr.indices] - cloud.positions[batch, centers]
+    return rel_feat, rel_pos
 
 
 def rotation_matrix(alpha, beta) -> np.ndarray:

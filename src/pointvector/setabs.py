@@ -1,8 +1,10 @@
 """Composed point-set blocks: set abstraction, vector-oriented set abstraction,
 feature propagation, and the aggregation-variant matrix.
 
-Blocks are pure functions of (input batch, config, params); batchnorm running
-statistics are the only state they update, and only in train mode.
+Blocks are pure functions of (positions, features, config, params): the
+positions travel in a `PointSetBatch`, the features as an autodiff `Tensor`
+[B,N,C] beside it. Batchnorm running statistics are the only state they
+update, and only in train mode.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def slot_projection(v: Tensor, p: LayerParams, pad: np.ndarray | None = None) ->
     return custom_op(out, inputs, grad_fn)
 
 
-def aggregation_variant(v, mode: str, p: VPSABlockParams,
+def aggregation_variant(v: Tensor, mode: str, p: VPSABlockParams,
                         pad: np.ndarray | None = None) -> Tensor:
     """Aggregate a vector field [B,M,K,C,m] over neighbors.
 
@@ -163,8 +165,6 @@ def aggregation_variant(v, mode: str, p: VPSABlockParams,
     their dense map and return [B,M,Cout]. conv and groupconv consume the
     neighbor slots in the order given, so callers sort them canonically.
     """
-    if isinstance(v, vecenc.VectorField):
-        v = v.values
     if mode not in AGGREGATION_MODES:
         raise ConfigError(
             f"aggregation must be one of {AGGREGATION_MODES}, got {mode!r}")
@@ -206,20 +206,22 @@ def group(x: PointSetBatch, cfg: BlockConfig, fps_start=0) -> NeighborIndex:
     return geometry.ball_query(centers, x, cfg.radius, cfg.k_neighbors)
 
 
-def _as_feature_tensor(x: PointSetBatch) -> Tensor:
-    f = x.features
-    if isinstance(f, Tensor):
-        return f
-    return nnops.input_tensor(x.features_array())
+def _check_features(x: PointSetBatch, f: Tensor) -> None:
+    if f.data.ndim != 3 or f.data.shape[:2] != x.positions.shape[:2]:
+        raise SizeError(f"features {f.data.shape} do not match positions "
+                        f"{x.positions.shape}")
 
 
-def sa_block(x: PointSetBatch, cfg: BlockConfig, p: SABlockParams,
-             mode: str = "train", fps_start=0) -> PointSetBatch:
-    """Set abstraction: subsample, group, shared MLP on [f_j, p_j - p_i], max-reduce."""
+def sa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: SABlockParams,
+             mode: str = "train", fps_start=0) -> tuple[PointSetBatch, Tensor]:
+    """Set abstraction: subsample, group, shared MLP on [f_j, p_j - p_i], max-reduce.
+
+    Returns the centers' positions and their features.
+    """
+    _check_features(x, f)
     nbr = group(x, cfg, fps_start)
     centers = nbr.centers
-    f = _as_feature_tensor(x)
-    nbr_feat = nnops.gather_neighbors(f, nbr.indices)
+    nbr_feat = nnops.gather(f, nbr.indices)
     rel_pos = nnops.input_tensor(geometry.relative_positions(x.positions, nbr))
     h = nnops.concat_last([nbr_feat, rel_pos])
     for layer in p.mlp:
@@ -227,12 +229,12 @@ def sa_block(x: PointSetBatch, cfg: BlockConfig, p: SABlockParams,
     pad = nbr.pad_mask if nbr.pad_mask.any() else None
     reduced = nnops.neighbor_reduce(h, "max", pad)
     batch = np.arange(x.batch_size)[:, None]
-    return PointSetBatch(positions=x.positions[batch, centers], features=reduced)
+    return PointSetBatch(positions=x.positions[batch, centers]), reduced
 
 
-def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
+def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams,
                mode: str = "train", fps_start=0,
-               nbr: NeighborIndex | None = None) -> PointSetBatch:
+               nbr: NeighborIndex | None = None) -> tuple[PointSetBatch, Tensor]:
     """Vector-oriented set abstraction.
 
     Mixed relative features are lifted to per-channel m-vectors, aggregated
@@ -241,11 +243,12 @@ def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
     feature through a ReLU. The default cell (rotation encoder, m=3,
     sum_groupconv) runs encoding, sum and projection as one fused op,
     `vecenc.rotate_project3`; every other cell composes `vecenc.encode` and
-    `aggregation_variant`.
+    `aggregation_variant`. Returns the centers' positions and their features.
 
     `nbr` is `group(x, cfg)` when the caller already holds it: stride-1
     blocks with the same k and radius on the same points share it.
     """
+    _check_features(x, f)
     if nbr is None:
         nbr = group(x, cfg, fps_start)
     elif cfg.stride != 1 or nbr.centers.shape != (x.batch_size, x.num_points):
@@ -254,13 +257,12 @@ def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
     centers = nbr.centers
     if cfg.aggregation in _ORDERED_MODES:
         nbr = geometry.sort_neighbors_by_distance(x.positions, nbr)
-    f = _as_feature_tensor(x)
     b, n, cin = f.data.shape
     if cin != cfg.in_channels:
         raise SizeError(f"expected {cfg.in_channels} input channels, got {cin}")
 
-    ctr_feat = nnops.gather_points(f, centers)
-    nbr_feat = nnops.gather_neighbors(f, nbr.indices)
+    ctr_feat = nnops.gather(f, centers)
+    nbr_feat = nnops.gather(f, nbr.indices)
     m_centers = centers.shape[1]
     rel_feat = nnops.sub(nbr_feat, nnops.reshape(ctr_feat, (b, m_centers, 1, cin)))
     rel_pos = nnops.input_tensor(geometry.relative_positions(x.positions, nbr))
@@ -282,11 +284,11 @@ def vpsa_block(x: PointSetBatch, cfg: BlockConfig, p: VPSABlockParams,
             f"{main.data.shape}")
     out = nnops.residual_fuse(main, skip)
     batch = np.arange(x.batch_size)[:, None]
-    return PointSetBatch(positions=x.positions[batch, centers], features=out)
+    return PointSetBatch(positions=x.positions[batch, centers]), out
 
 
-def feature_propagate(coarse: PointSetBatch, fine_positions: np.ndarray,
-                      skip_features: Tensor, p: FPParams,
+def feature_propagate(coarse: PointSetBatch, coarse_f: Tensor,
+                      fine_positions: np.ndarray, skip_f: Tensor, p: FPParams,
                       mode: str = "train") -> Tensor:
     """Interpolate coarse features to fine positions and fuse with skip features.
 
@@ -294,8 +296,7 @@ def feature_propagate(coarse: PointSetBatch, fine_positions: np.ndarray,
     (eps 1e-8, normalized), concatenated with the skip features, then a
     two-layer shared MLP.
     """
-    if coarse.features is None:
-        raise SizeError("feature_propagate needs coarse features")
+    _check_features(coarse, coarse_f)
     num = min(3, coarse.num_points)
     idx = geometry.knn_points(fine_positions, coarse, num)
     batch = np.arange(coarse.batch_size)[:, None, None]
@@ -304,9 +305,7 @@ def feature_propagate(coarse: PointSetBatch, fine_positions: np.ndarray,
     d2 = np.einsum("bnkc,bnkc->bnk", diff, diff)
     w = 1.0 / (d2 + 1e-8)
     w = w / w.sum(axis=2, keepdims=True)
-    coarse_f = coarse.features if isinstance(coarse.features, Tensor) \
-        else nnops.input_tensor(coarse.features_array())
-    interp = nnops.weighted_gather(coarse_f, idx, w.astype(coarse_f.data.dtype))
-    h = nnops.concat_last([interp, skip_features])
+    interp = nnops.gather(coarse_f, idx, w.astype(coarse_f.data.dtype))
+    h = nnops.concat_last([interp, skip_f])
     h = nnops.dense(h, p.mlp1, mode)
     return nnops.dense(h, p.mlp2, mode)

@@ -6,6 +6,7 @@ and augmentation draws all derive from independent seed-sequence streams.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import time
@@ -349,7 +350,13 @@ def evaluate(mdl: Model, dataset: Dataset, split: str, eps: float,
     if radius_scale != 1.0:
         if mdl.cfg.radii is None:
             raise ConfigError("radius_scale needs a ball-query model")
-        eval_model = _with_scaled_radii(mdl, radius_scale)
+        # a shallow copy sharing the parameters, with scaled ball radii
+        eval_model = copy.copy(mdl)
+        eval_model.cfg = replace(mdl.cfg, radii=[r * radius_scale for r in mdl.cfg.radii])
+        eval_model.stages = [
+            [replace(b, cfg=replace(b.cfg, radius=b.cfg.radius * radius_scale))
+             for b in blocks]
+            for blocks in mdl.stages]
     for lo in range(0, len(indices), batch_size):
         idx = indices[lo:lo + batch_size]
         batch = _make_batch(dataset, idx)
@@ -366,24 +373,6 @@ def evaluate(mdl: Model, dataset: Dataset, split: str, eps: float,
     total = sum(weights)
     mean_loss = sum(l * w for l, w in zip(losses, weights)) / total
     return mean_loss, confusion
-
-
-def _with_scaled_radii(mdl: Model, factor: float) -> Model:
-    """Shallow view of the model whose block configs use scaled ball radii."""
-    clone = Model.__new__(Model)
-    clone.cfg = replace(mdl.cfg, radii=[r * factor for r in mdl.cfg.radii])
-    clone.embed = mdl.embed
-    clone.stages = [
-        [type(b)(b.kind, replace(b.cfg, radius=None if b.cfg.radius is None
-                                  else b.cfg.radius * factor), b.params)
-         for b in blocks]
-        for blocks in mdl.stages
-    ]
-    clone.decoder = mdl.decoder
-    clone.global_sa = mdl.global_sa
-    clone.head_hidden = mdl.head_hidden
-    clone.head_out = mdl.head_out
-    return clone
 
 
 def perturbation_eval(mdl: Model, dataset: Dataset, specs, split: str = "val",

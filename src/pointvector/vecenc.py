@@ -26,14 +26,6 @@ from .nnops import LayerParams, Tensor, custom_op
 
 
 @dataclass
-class VectorField:
-    """Per-neighbor, per-channel m-vectors: values [..., C, m]."""
-
-    values: Tensor
-    m: int
-
-
-@dataclass
 class RotationInputs:
     """Modulus pre-image and rotation angles, each [..., C]; angles are radians."""
 
@@ -204,8 +196,8 @@ def rotation_inputs(fp: Tensor, p: RotationEncoderParams, m: int,
 
 
 def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
-                    mode: str = "train") -> VectorField:
-    """Rotation-based scalar-to-vector expansion.
+                    mode: str = "train") -> Tensor:
+    """Rotation-based scalar-to-vector expansion, [..., C] -> [..., C, m].
 
     m=3 applies rotate_field3, m=2 rotate_field2, and m=1 is the identity
     expansion (the plain scalar path, bit for bit).
@@ -214,12 +206,10 @@ def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
         raise ConfigError(f"vector dimension must be 1, 2, or 3, got {m}")
     inputs = rotation_inputs(fp, p, m, mode)
     if m == 1:
-        values = nnops.reshape(inputs.zx, inputs.zx.shape + (1,))
-    elif m == 2:
-        values = rotate_field2(inputs.zx, inputs.alpha)
-    else:
-        values = rotate_field3(inputs.zx, inputs.alpha, inputs.beta)
-    return VectorField(values=values, m=m)
+        return nnops.reshape(inputs.zx, inputs.zx.shape + (1,))
+    if m == 2:
+        return rotate_field2(inputs.zx, inputs.alpha)
+    return rotate_field3(inputs.zx, inputs.alpha, inputs.beta)
 
 
 def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerParams,
@@ -227,26 +217,24 @@ def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerP
     """The default VPSA cell: rotation encoding with m=3, summed over the
     neighbors and projected per channel by `proj`, through rotate_project3.
 
-    Equals grouped_projection(neighbor_reduce(encode_rotation(fp, p, 3).values,
-    "sum", pad), proj) without building the vector field.
+    Equals grouped_projection(neighbor_reduce(encode_rotation(fp, p, 3), "sum",
+    pad), proj) without building the vector field.
     """
     zx = nnops.linear(fp, p.zx)
     return rotate_project3(zx, _angles(fp, p, mode), proj, pad)
 
 
-def encode_mlp(fp: Tensor, p: MLPEncoderParams, m: int, mode: str = "train") -> VectorField:
+def encode_mlp(fp: Tensor, p: MLPEncoderParams, m: int, mode: str = "train") -> Tensor:
     """Two-layer map C -> C*m, reshaped to per-channel m-vectors."""
     if m not in (1, 2, 3):
         raise ConfigError(f"vector dimension must be 1, 2, or 3, got {m}")
     c = fp.shape[-1]
     h = nnops.relu(nnops.batchnorm(nnops.linear(fp, p.hidden), p.hidden, mode))
-    flat = nnops.linear(h, p.out)
-    values = nnops.reshape(flat, fp.shape[:-1] + (c, m))
-    return VectorField(values=values, m=m)
+    return nnops.reshape(nnops.linear(h, p.out), fp.shape[:-1] + (c, m))
 
 
 def encode_direction(fp: Tensor, p: DirectionEncoderParams, m: int,
-                     mode: str = "train") -> VectorField:
+                     mode: str = "train") -> Tensor:
     """Modulus from a linear map times a unit direction from a small MLP."""
     if m not in (1, 2, 3):
         raise ConfigError(f"vector dimension must be 1, 2, or 3, got {m}")
@@ -255,8 +243,7 @@ def encode_direction(fp: Tensor, p: DirectionEncoderParams, m: int,
     h = nnops.relu(nnops.batchnorm(nnops.linear(fp, p.dir_hidden), p.dir_hidden, mode))
     raw = nnops.reshape(nnops.linear(h, p.dir_out), fp.shape[:-1] + (c, m))
     unit = nnops.unit_normalize(raw, eps=1e-8)
-    values = nnops.mul(nnops.reshape(modulus, modulus.shape + (1,)), unit)
-    return VectorField(values=values, m=m)
+    return nnops.mul(nnops.reshape(modulus, modulus.shape + (1,)), unit)
 
 
 def rotation_encoder_params(rng: np.random.Generator, channels: int,
@@ -296,7 +283,8 @@ def make_encoder_params(name: str, rng: np.random.Generator, channels: int, m: i
     return ENCODERS[name][1](rng, channels, m)
 
 
-def encode(name: str, fp: Tensor, params, m: int, mode: str = "train") -> VectorField:
+def encode(name: str, fp: Tensor, params, m: int, mode: str = "train") -> Tensor:
+    """The vector field [..., C, m] of encoder `name`; m is its last dimension."""
     if name not in ENCODERS:
         raise ConfigError(f"unknown encoder {name!r}; choose from {sorted(ENCODERS)}")
     return ENCODERS[name][0](fp, params, m, mode)

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from pointvector.cli import make_parser
+from pointvector.cli import main, make_parser
 
 GLOBAL = ["--seed", "5", "--jobs", "3", "--overwrite", "--precision", "single", "--quiet"]
 
@@ -18,3 +20,20 @@ class TestGlobalFlags:
             (None, 1, False, "double", False)
         args = make_parser().parse_args(["--seed", "7", "--quiet", "gradcheck", "--jobs", "2"])
         assert (args.seed, args.quiet, args.jobs) == (7, True, 2)
+
+
+def test_train_then_table8_eval(tmp_path):
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({
+        "model": {"preset": "toy-seg-ball"},
+        "data": {"num_scenes": 8, "num_points": 128},
+        "train": {"epochs": 1, "batch_size": 4},
+    }))
+    run = tmp_path / "run"
+    assert main(["train", str(config), "--run-dir", str(run), "--quiet"]) == 0
+    assert (run / "metrics.csv").exists() and (run / "best.ckpt.npz").exists()
+    table = tmp_path / "table8.csv"
+    assert main(["eval", str(run / "best.ckpt.npz"), str(config), "--perturbations",
+                 "table8", "--rescale-radius", "--csv", str(table)]) == 0
+    rows = table.read_text().splitlines()
+    assert rows[0] == "name,loss,oa,macc,miou" and len(rows[1:]) == 9

@@ -22,9 +22,10 @@ from pointvector.geometry import (
     ball_query_points,
     farthest_point_sample,
     geometric_start,
-    group_relative,
     knn,
 )
+from pointvector.nnops import Tensor
+from pointvector.oracle import group_relative
 
 
 def line_cloud():
@@ -317,6 +318,11 @@ class TestPointSetBatch:
         with pytest.raises(SizeError):
             PointSetBatch(positions=np.zeros((1, 2, 3)),
                           features=np.zeros((1, 3, 4)))
+
+    def test_tensor_features_rejected(self):
+        with pytest.raises(DataError, match="not a Tensor"):
+            PointSetBatch(positions=np.zeros((1, 2, 3)),
+                          features=Tensor(np.zeros((1, 2, 4))))
 
     def test_nonfinite_positions_rejected(self):
         pos = np.zeros((1, 2, 3))

@@ -7,7 +7,7 @@ from pointvector import geometry, nnops, setabs
 from pointvector.errors import ConfigError, NumericFaultError, SizeError
 from pointvector.geometry import PointSetBatch
 from pointvector.model import build_model, load_checkpoint, preset_config, save_checkpoint
-from pointvector.nnops import GradTape
+from pointvector.nnops import GradTape, Tensor
 
 
 def cloud(rng, b, n):
@@ -130,9 +130,9 @@ class TestSharedNeighborhoods:
         rng = np.random.default_rng(7)
         mdl = build_model(preset_config("toy-seg", num_classes=4))
         block = mdl.stages[0][1]
-        x = PointSetBatch(positions=rng.uniform(-1, 1, (1, 20, 3)),
-                          features=rng.standard_normal((1, 20, 16)))
+        x = PointSetBatch(positions=rng.uniform(-1, 1, (1, 20, 3)))
+        f = Tensor(rng.standard_normal((1, 20, 16)))
         nbr = setabs.group(x, block.cfg)
         strided = dataclasses.replace(block.cfg, stride=2)
         with pytest.raises(ConfigError, match="stride-1"):
-            setabs.vpsa_block(x, strided, block.params, "eval", nbr=nbr)
+            setabs.vpsa_block(x, f, strided, block.params, "eval", nbr=nbr)

@@ -231,6 +231,41 @@ class TestScatterAdd:
         assert not got[5:].any()
 
 
+class TestGather:
+    """Index checks of nnops.gather: numpy indexing alone would read a
+    negative index from the end of the cloud and broadcast a batch-1 index."""
+
+    def test_negative_weighted_index_rejected(self):
+        x = Tensor(np.arange(10.0).reshape(1, 5, 2))
+        with pytest.raises(SizeError, match="out of range"):
+            nnops.gather(x, np.array([[[0, -1]]]), np.array([[[0.5, 0.5]]]))
+
+    def test_weighted_index_past_end_is_size_error(self):
+        x = Tensor(np.zeros((1, 5, 2)))
+        with pytest.raises(SizeError, match="out of range"):
+            nnops.gather(x, np.array([[[0, 5]]]), np.array([[[0.5, 0.5]]]))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 3, 2)])
+    def test_index_batch_must_match(self, shape):
+        x = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(SizeError, match="batch of 2"):
+            nnops.gather(x, np.zeros(shape, dtype=np.int64))
+
+    def test_weight_shape_must_match(self):
+        x = Tensor(np.zeros((1, 4, 3)))
+        with pytest.raises(SizeError, match="weights shape"):
+            nnops.gather(x, np.zeros((1, 2, 3), dtype=np.int64), np.ones((1, 2, 2)))
+
+    def test_weighted_equals_sum_of_unweighted(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 7, 3)))
+        idx = rng.integers(0, 7, size=(2, 5, 3))
+        w = rng.uniform(size=(2, 5, 3))
+        rows = nnops.gather(x, idx).data
+        assert np.array_equal(nnops.gather(x, idx, w).data,
+                              (rows * w[..., None]).sum(axis=2))
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, 2.0, -3.0]), requires_grad=True)

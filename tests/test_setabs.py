@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pointvector import geometry, nnops, oracle, setabs, vecenc
-from pointvector.errors import ConfigError
+from pointvector.errors import ConfigError, SizeError
 from pointvector.geometry import PointSetBatch
 from pointvector.nnops import GradTape, Tensor
 from pointvector.setabs import (
@@ -51,13 +51,13 @@ class TestSABlock:
         cfg = BlockConfig(in_channels=2, out_channels=5, k_neighbors=1)
         rng = np.random.default_rng(0)
         p = setabs.sa_block_params(rng, cfg)
-        out = sa_block(PointSetBatch(positions=pos, features=feat), cfg, p, "eval")
+        _, out = sa_block(PointSetBatch(positions=pos), Tensor(feat), cfg, p, "eval")
         h = np.concatenate([feat[0, 0], np.zeros(3)])
         pre = h @ p.mlp[0].weight.data
         expected = np.maximum(
             (pre - p.mlp[0].running_mean) / np.sqrt(p.mlp[0].running_var + nnops.BN_EPS),
             0.0)
-        assert np.allclose(out.features.data[0, 0], expected)
+        assert np.allclose(out.data[0, 0], expected)
 
     def test_neighbor_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -65,16 +65,16 @@ class TestSABlock:
             cloud = random_cloud(rng, n=20, c=6)
             cfg = BlockConfig(in_channels=6, out_channels=8, k_neighbors=4)
             p = setabs.sa_block_params(rng, cfg)
-            out = sa_block(cloud, cfg, p, "eval")
+            _, out = sa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
             perm = rng.permutation(20)
             permuted = PointSetBatch(positions=cloud.positions[:, perm],
                                      features=cloud.features[:, perm])
-            out_p = sa_block(permuted, cfg, p, "eval")
+            _, out_p = sa_block(permuted, Tensor(permuted.features), cfg, p, "eval")
             # un-permute centers (stride 1 keeps center order = point order)
             inverse = np.argsort(perm)
-            assert np.abs(out.features.data - out_p.features.data[:, perm.argsort()][
+            assert np.abs(out.data - out_p.data[:, perm.argsort()][
                 :, np.arange(20)]).max() < 1e-9 or np.abs(
-                out.features.data[:, perm] - out_p.features.data).max() < 1e-9
+                out.data[:, perm] - out_p.data).max() < 1e-9
 
     def test_matches_naive_sa(self):
         rng = np.random.default_rng(2)
@@ -82,7 +82,7 @@ class TestSABlock:
             cloud = random_cloud(rng, n=12, c=4)
             cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=3, stride=2)
             p = setabs.sa_block_params(rng, cfg)
-            out = sa_block(cloud, cfg, p, "eval")
+            _, out = sa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
             centers = setabs._select_centers(cloud, 2, 0)
             nbr = geometry.knn(centers, cloud, 3)
             weights = {
@@ -94,14 +94,22 @@ class TestSABlock:
             }
             expected = oracle.naive_sa(cloud.positions, cloud.features, centers,
                                        nbr.indices, weights, mode="eval")
-            assert np.abs(out.features.data - expected).max() < 1e-10
+            assert np.abs(out.data - expected).max() < 1e-10
+
+    def test_feature_points_must_match_positions(self):
+        rng = np.random.default_rng(3)
+        cloud = random_cloud(rng, n=10, c=4)
+        cfg = BlockConfig(in_channels=4, out_channels=4, k_neighbors=2)
+        p = setabs.sa_block_params(rng, cfg)
+        with pytest.raises(SizeError, match="do not match positions"):
+            sa_block(cloud, Tensor(cloud.features[:, :9]), cfg, p, "eval")
 
     def test_stride_halves_points(self):
         rng = np.random.default_rng(3)
         cloud = random_cloud(rng, n=10, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=4, k_neighbors=2, stride=2)
         p = setabs.sa_block_params(rng, cfg)
-        out = sa_block(cloud, cfg, p, "eval")
+        out, _ = sa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
         assert out.num_points == 5
 
 
@@ -114,10 +122,10 @@ class TestVPSABlock:
         p.encoder.zx.weight.data = np.zeros_like(p.encoder.zx.weight.data)
         p.encoder.zx.bias.data = np.zeros_like(p.encoder.zx.bias.data)
         p.post_norm.norm_gamma.data = np.zeros_like(p.post_norm.norm_gamma.data)
-        out = vpsa_block(cloud, cfg, p, "eval")
+        _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
         expected = np.maximum(
             cloud.features @ p.res.weight.data + p.res.bias.data, 0.0)
-        assert np.abs(out.features.data - expected).max() < 1e-12
+        assert np.abs(out.data - expected).max() < 1e-12
 
     @pytest.mark.parametrize("reduction", ["sum", "max"])
     def test_point_permutation_invariance(self, reduction):
@@ -128,12 +136,12 @@ class TestVPSABlock:
             cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=4,
                               reduction=reduction, aggregation=agg)
             p = setabs.vpsa_block_params(rng, cfg)
-            out = vpsa_block(cloud, cfg, p, "eval")
+            _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
             perm = rng.permutation(18)
             permuted = PointSetBatch(positions=cloud.positions[:, perm],
                                      features=cloud.features[:, perm])
-            out_p = vpsa_block(permuted, cfg, p, "eval")
-            assert np.abs(out.features.data[:, perm] - out_p.features.data).max() < 1e-9
+            _, out_p = vpsa_block(permuted, Tensor(permuted.features), cfg, p, "eval")
+            assert np.abs(out.data[:, perm] - out_p.data).max() < 1e-9
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("m_dim,reduction", [(3, "sum"), (3, "max"),
@@ -153,14 +161,14 @@ class TestVPSABlock:
                 layer.norm_beta.data = rng.standard_normal(c) * 0.2
                 layer.running_mean = rng.standard_normal(c) * 0.1
                 layer.running_var = rng.uniform(0.5, 2.0, c)
-            out = vpsa_block(cloud, cfg, p, mode)
+            _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, mode)
             centers = setabs._select_centers(cloud, 1, 0)
             nbr = geometry.knn(centers, cloud, 4)
             expected = oracle.brute_force_vpsa(
                 cloud.positions, cloud.features, centers, nbr.indices, None,
                 vpsa_weights_dict(p, cfg), m_dim=m_dim, reduction=reduction,
                 mode=mode)
-            assert np.abs(out.features.data - expected).max() < 1e-10
+            assert np.abs(out.data - expected).max() < 1e-10
 
     def test_channel_mismatch_config_error(self):
         rng = np.random.default_rng(7)
@@ -168,16 +176,16 @@ class TestVPSABlock:
         cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=2)
         p = setabs.vpsa_block_params(rng, cfg)
         with pytest.raises((ConfigError, Exception)):
-            vpsa_block(cloud, cfg, p, "eval")
+            vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
 
     def test_strided_vpsa_downsamples_and_rewidths(self):
         rng = np.random.default_rng(8)
         cloud = random_cloud(rng, n=12, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=8, k_neighbors=3, stride=3)
         p = setabs.vpsa_block_params(rng, cfg)
-        out = vpsa_block(cloud, cfg, p, "eval")
+        out, f = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
         assert out.num_points == 4
-        assert out.features.data.shape[-1] == 8
+        assert f.data.shape[-1] == 8
 
 
 class TestAggregationVariants:
@@ -307,7 +315,7 @@ class TestFeaturePropagate:
             d2 = np.einsum("bnkc,bnkc->bnk", diff, diff)
             w = 1.0 / (d2 + 1e-8)
             w = w / w.sum(-1, keepdims=True)
-            interp = nnops.weighted_gather(Tensor(coarse.features), idx, w)
+            interp = nnops.gather(Tensor(coarse.features), idx, w)
             expected = oracle.naive_interpolate(coarse.positions, coarse.features,
                                                 fine_pos)
             assert np.abs(interp.data - expected).max() < 1e-10
@@ -318,7 +326,8 @@ class TestFeaturePropagate:
         fine_pos = rng.uniform(-1, 1, (1, 15, 3))
         skip = Tensor(rng.standard_normal((1, 15, 3)))
         p = setabs.fp_params(rng, 4, 3, 8)
-        out = feature_propagate(coarse, fine_pos, skip, p, "train")
+        out = feature_propagate(coarse, Tensor(coarse.features), fine_pos, skip, p,
+                                "train")
         assert out.data.shape == (1, 15, 8)
 
 

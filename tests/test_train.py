@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from pointvector import dataio, nnops
-from pointvector.errors import NumericFaultError
-from pointvector.model import preset_config
-from pointvector.train import AdamWHyper, AdamWState, TrainConfig, adamw_step, train_loop
+from pointvector.errors import ConfigError, NumericFaultError
+from pointvector.model import Model, preset_config
+from pointvector.train import (
+    AdamWHyper,
+    AdamWState,
+    TrainConfig,
+    adamw_step,
+    evaluate,
+    train_loop,
+)
 
 
 def test_remainder_of_one_cloud_joins_previous_batch():
@@ -50,3 +57,22 @@ class TestAdamW:
         with pytest.raises(NumericFaultError, match="w"):
             adamw_step({"w": w}, {w: np.array([0.0, np.inf, 1.0])}, AdamWState(),
                        AdamWHyper())
+
+
+class TestRadiusScale:
+    def test_equals_model_built_with_scaled_radii(self):
+        data = dataio.make_segmentation_dataset(num_scenes=8, num_points=128, seed=0)
+        cfg = preset_config("toy-seg-ball", num_classes=data.num_classes)
+        scaled = preset_config("toy-seg-ball", num_classes=data.num_classes,
+                               radii=[r * 1.2 for r in cfg.radii])
+        loss, confusion = evaluate(Model(cfg, seed=3), data, "val", 0.1, 4,
+                                   radius_scale=1.2)
+        want_loss, want_confusion = evaluate(Model(scaled, seed=3), data, "val", 0.1, 4)
+        assert loss == want_loss
+        assert np.array_equal(confusion, want_confusion)
+
+    def test_knn_model_rejects_radius_scale(self):
+        data = dataio.make_segmentation_dataset(num_scenes=5, num_points=64, seed=0)
+        mdl = Model(preset_config("toy-seg", num_classes=data.num_classes))
+        with pytest.raises(ConfigError, match="ball-query"):
+            evaluate(mdl, data, "val", 0.1, radius_scale=1.2)

@@ -110,7 +110,7 @@ class TestEncodeRotation:
         p = vecenc.rotation_encoder_params(rng, 6, 3)
         p.zx.weight.data = np.zeros_like(p.zx.weight.data)
         field = vecenc.encode_rotation(fp, p, 3)
-        assert np.all(field.values.data == 0.0)
+        assert np.all(field.data == 0.0)
 
     def test_m1_is_bitwise_scalar_path(self):
         rng = np.random.default_rng(8)
@@ -118,8 +118,8 @@ class TestEncodeRotation:
         p = vecenc.rotation_encoder_params(rng, 6, 1)
         field = vecenc.encode_rotation(fp, p, 1)
         zx = nnops.linear(fp, p.zx)
-        assert field.values.data.shape == fp.data.shape + (1,)
-        assert np.array_equal(field.values.data[..., 0], zx.data)
+        assert field.data.shape == fp.data.shape + (1,)
+        assert np.array_equal(field.data[..., 0], zx.data)
 
     def test_norm_equals_abs_zx(self):
         rng = np.random.default_rng(9)
@@ -127,7 +127,7 @@ class TestEncodeRotation:
         p = vecenc.rotation_encoder_params(rng, 6, 3)
         field = vecenc.encode_rotation(fp, p, 3, "train")
         zx = nnops.linear(fp, p.zx)
-        norms = np.linalg.norm(field.values.data, axis=-1)
+        norms = np.linalg.norm(field.data, axis=-1)
         assert np.abs(norms - np.abs(zx.data)).max() < 1e-9
 
     def test_angles_nonnegative(self):
@@ -152,7 +152,7 @@ class TestEncodeMLP:
         p = vecenc.mlp_encoder_params(rng, 6, 3)
         p.out.weight.data = np.zeros_like(p.out.weight.data)
         field = vecenc.encode_mlp(fp, p, 3)
-        assert np.all(field.values.data == 0.0)
+        assert np.all(field.data == 0.0)
 
     def test_matches_loop(self):
         rng = np.random.default_rng(13)
@@ -164,7 +164,7 @@ class TestEncodeMLP:
             / np.sqrt(p.hidden.running_var + nnops.BN_EPS)
             * p.hidden.norm_gamma.data + p.hidden.norm_beta.data, 0.0)
         flat = h @ p.out.weight.data + p.out.bias.data
-        assert np.allclose(field.values.data, flat.reshape(2, 5, 4, 2))
+        assert np.allclose(field.data, flat.reshape(2, 5, 4, 2))
 
 
 class TestEncodeDirection:
@@ -175,7 +175,7 @@ class TestEncodeDirection:
         p.modulus.weight.data = np.zeros_like(p.modulus.weight.data)
         p.modulus.bias.data = np.zeros_like(p.modulus.bias.data)
         field = vecenc.encode_direction(fp, p, 3)
-        assert np.abs(field.values.data).max() == 0.0
+        assert np.abs(field.data).max() == 0.0
 
     def test_unit_normalization(self):
         x = Tensor(np.array([[3.0, 0.0, 0.0]]))
@@ -188,7 +188,7 @@ class TestEncodeDirection:
         p = vecenc.direction_encoder_params(rng, 6, 3)
         field = vecenc.encode_direction(fp, p, 3, "train")
         modulus = nnops.linear(fp, p.modulus)
-        norms = np.linalg.norm(field.values.data, axis=-1)
+        norms = np.linalg.norm(field.data, axis=-1)
         assert np.abs(norms - np.abs(modulus.data)).max() < 1e-6
 
 
