@@ -50,20 +50,6 @@ class Primitive:
     size: float        # sphere/cylinder radius, or plane patch half-extent
     height: float = 0.0
 
-    def surface_distance(self, points: np.ndarray) -> np.ndarray:
-        """Exact distance from points [N,3] to the finite primitive surface."""
-        rel = (points - self.center) @ self.frame.T
-        u, v, w = rel[:, 0], rel[:, 1], rel[:, 2]
-        if self.kind == "plane":
-            du = np.maximum(np.abs(u) - self.size, 0.0)
-            dv = np.maximum(np.abs(v) - self.size, 0.0)
-            return np.sqrt(du ** 2 + dv ** 2 + w ** 2)
-        if self.kind == "sphere":
-            return np.abs(np.sqrt(u ** 2 + v ** 2 + w ** 2) - self.size)
-        rho = np.sqrt(u ** 2 + v ** 2)
-        dh = np.maximum(np.abs(w) - self.height / 2.0, 0.0)
-        return np.sqrt((rho - self.size) ** 2 + dh ** 2)
-
 
 def _random_frame(rng: np.random.Generator) -> np.ndarray:
     """Uniformly random right-handed orthonormal basis (QR of a Gaussian)."""

@@ -183,6 +183,8 @@ def ball_query_points(query_xyz: np.ndarray, cloud: PointSetBatch, radius: float
     if k < 1:
         raise ConfigError(f"ball query k must be >= 1, got {k}")
     b, n, _ = cloud.positions.shape
+    if k > n:
+        raise SizeError(f"k={k} exceeds cloud size {n}")
     d2 = _pairwise_sq_dist(query_xyz, cloud.positions)
     idx = np.broadcast_to(np.arange(n, dtype=np.int64), d2.shape).copy()
     idx[d2 > float(radius) ** 2] = n

@@ -264,7 +264,7 @@ def _case_mix_features(rng):
     probe = rng.standard_normal((2, 3, 4, 5))
     return ([("rel_feat", rel_feat), ("rel_pos", rel_pos), ("w", p.weight),
              ("b", p.bias)],
-            lambda: _loss_of(vecenc.mix_features(rel_feat, rel_pos, p), probe))
+            lambda: _loss_of(oracle.mix_features(rel_feat, rel_pos, p), probe))
 
 
 def _encoder_case(rng, name, m):
@@ -354,12 +354,19 @@ def _toy_cloud(rng, n=8, c=4):
     return pos, feat
 
 
-def _case_sa_block(rng):
-    pos, feat = _toy_cloud(rng)
+def _case_sa_block(rng, negative_gamma=False, radius=None):
+    pos, feat = _toy_cloud(rng, n=10 if radius else 8)
     f = Tensor(feat, requires_grad=True)
-    cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=2, stride=2)
+    cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=4 if radius else 2,
+                      stride=2, radius=radius)
     p = setabs.sa_block_params(rng, cfg)
-    probe = rng.standard_normal((1, 4, 6))
+    if negative_gamma:
+        # half the channels take the min over the neighbors instead of the max
+        layer = p.mlp[0]
+        layer.norm_gamma.data = rng.uniform(0.5, 1.5, 6) * np.repeat([1.0, -1.0], 3)
+        layer.norm_beta.data = rng.uniform(0.2, 0.6, 6)
+    m = -(-pos.shape[1] // 2)
+    probe = rng.standard_normal((1, m, 6))
     layers = [l for _, l in _walk_layers(p)]
     restore = _freeze_running(layers)
 
@@ -373,6 +380,14 @@ def _case_sa_block(rng):
         for slot, t in layer.tensors():
             named.append((f"{lname}.{slot}", t))
     return named, forward
+
+
+def _case_sa_block_negative_gamma(rng):
+    return _case_sa_block(rng, negative_gamma=True)
+
+
+def _case_sa_block_negative_gamma_padded(rng):
+    return _case_sa_block(rng, negative_gamma=True, radius=0.8)
 
 
 def _case_vpsa_block(rng):
@@ -458,6 +473,8 @@ CASES = {
     "rotate_project3_unpadded": _case_rotate_project3_unpadded,
     "softmax_cross_entropy": _case_softmax_ce,
     "sa_block": _case_sa_block,
+    "sa_block_negative_gamma": _case_sa_block_negative_gamma,
+    "sa_block_negative_gamma_padded": _case_sa_block_negative_gamma_padded,
     "vpsa_block": _case_vpsa_block,
     "feature_propagate": _case_feature_propagate,
 }

@@ -5,11 +5,11 @@ slices, never by calling the production modules it checks. Oracles always run
 in double precision and are deliberately slow; size guards keep them inside
 their supported regime. The rotation formulas (`rotate3d`, `rotate2d`,
 `rotation_matrix`) are closed forms in np.sin/np.cos, independent of the
-half-angle sine and cosine the production ops use. The one exception is
-`unfused_rotate_project`, the reference for a fused op: it composes the
-separate ops the fused one replaces, each checked on its own by `gradcheck`,
-so that the fused op can be compared with it in every gradient as well as in
-value.
+half-angle sine and cosine the production ops use. The exceptions are
+`unfused_rotate_project`, the reference for a fused op, and `mix_features`,
+the grouped form of VPSA's per-point mixing: they compose separate ops, each
+checked on its own by `gradcheck`, so that production can be compared with
+them in every gradient as well as in value.
 """
 
 from __future__ import annotations
@@ -197,10 +197,15 @@ def _batch_stats(samples):
 
 def naive_sa(positions: np.ndarray, features: np.ndarray, centers: np.ndarray,
              neighbors: np.ndarray, weights: dict, mode: str = "eval") -> np.ndarray:
-    """Loop reference for the downsampling set-abstraction block.
+    """Loop reference for the one-layer set-abstraction block.
 
-    Per center: relu(bn(linear([f_j, p_j - p_i]))) for each neighbor, then a
-    componentwise max. `weights` carries mlp_w [Cin+3, Cout], mlp_gamma/beta
+    Per center i and neighbor slot k, z = [f_j, p_j - p_i] W with the raw
+    positions, then relu(bn(z)) and a componentwise max over all K slots.
+    Train-mode statistics run over all B*M*K rows, pads included; pads
+    repeat slot 0, so the max over all slots is the max over the real ones.
+    `setabs.pooled_sa` computes the same output as relu(bn(max_k z)) on
+    channels with gamma > 0, relu(bn(min_k z)) with gamma < 0 and relu(beta)
+    with gamma == 0. `weights` carries mlp_w [Cin+3, Cout], mlp_gamma/beta
     and (eval mode) running statistics.
     """
     b, _, cin = features.shape
@@ -339,6 +344,16 @@ def brute_force_vpsa(positions: np.ndarray, features: np.ndarray,
             skip = lin(feat[bi, centers[bi, i]], "res_w", "res_b")
             out[bi, i] = np.maximum(main + skip, 0.0)
     return out
+
+
+def mix_features(rel_feat, rel_pos, p):
+    """The VPSA mixed feature from grouped offsets, relu(rel_feat + linear(rel_pos)),
+    on the tape.
+
+    rel_feat [B,M,K,C] and rel_pos [B,M,K,3] are Tensors, p the position layer;
+    `setabs.vpsa_block` forms the same value from per-point terms instead.
+    """
+    return nnops.relu(nnops.add(rel_feat, nnops.linear(rel_pos, p)))
 
 
 def unfused_rotate_project(zx, ang, proj, pad: np.ndarray | None = None):

@@ -5,6 +5,15 @@ Blocks are pure functions of (positions, features, config, params): the
 positions travel in a `PointSetBatch`, the features as an autodiff `Tensor`
 [B,N,C] beside it. Batchnorm running statistics are the only state they
 update, and only in train mode.
+
+Both blocks do their position algebra per point before grouping. A relative
+term W (p_j - p_i) is W p~_j - W p~_i, with p~ the positions minus the mean
+of their cloud (`_centered_positions`; centering keeps clouds far from the
+origin exact to rounding). A one-layer SA block is then
+relu(bn(max_k a_j - b_i)) with a = [f, p~] W per point and b = [0, p~] W per
+center, the max becoming a min on channels whose batchnorm scale is negative
+(`pooled_sa`), and VPSA mixes relu(u_j - (u_i - b_pos)) with u = f + p~ W_pos
+per point.
 """
 
 from __future__ import annotations
@@ -15,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, nnops, vecenc
-from .errors import ConfigError, SizeError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DegenerateStatisticsError,
+    InvalidNeighborhoodError,
+    SizeError,
+)
 from .geometry import NeighborIndex, PointSetBatch
 from .nnops import LayerParams, Tensor, custom_op
 
@@ -216,20 +231,160 @@ def sa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: SABlockParams,
              mode: str = "train", fps_start=0) -> tuple[PointSetBatch, Tensor]:
     """Set abstraction: subsample, group, shared MLP on [f_j, p_j - p_i], max-reduce.
 
-    Returns the centers' positions and their features.
+    With a one-layer MLP (`sa_layers == 1`) the block is `pooled_sa`: the
+    linear layer runs per point and per center before grouping and the max
+    is taken before the batchnorm. Deeper MLPs compose gather, concat,
+    dense layers and a pad-masked max over the [B,M,K,C] neighbor tensor
+    (`_sa_composed`). Returns the centers' positions and their features.
     """
     _check_features(x, f)
     nbr = group(x, cfg, fps_start)
-    centers = nbr.centers
+    if len(p.mlp) == 1:
+        out = pooled_sa(x.positions, f, nbr, p.mlp[0], mode)
+    else:
+        out = _sa_composed(x.positions, f, nbr, p.mlp, mode)
+    batch = np.arange(x.batch_size)[:, None]
+    return PointSetBatch(positions=x.positions[batch, nbr.centers]), out
+
+
+def _sa_composed(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, layers: list,
+                 mode: str) -> Tensor:
+    """max_k over non-pad slots of mlp([f_j, p_j - p_i]), op by op on the tape."""
     nbr_feat = nnops.gather(f, nbr.indices)
-    rel_pos = nnops.input_tensor(geometry.relative_positions(x.positions, nbr))
+    rel_pos = nnops.input_tensor(geometry.relative_positions(positions, nbr))
     h = nnops.concat_last([nbr_feat, rel_pos])
-    for layer in p.mlp:
+    for layer in layers:
         h = nnops.dense(h, layer, mode)
     pad = nbr.pad_mask if nbr.pad_mask.any() else None
-    reduced = nnops.neighbor_reduce(h, "max", pad)
-    batch = np.arange(x.batch_size)[:, None]
-    return PointSetBatch(positions=x.positions[batch, centers]), reduced
+    return nnops.neighbor_reduce(h, "max", pad)
+
+
+def _centered_positions(positions: np.ndarray) -> np.ndarray:
+    """p - mean of its cloud, [B,N,3] float64: the per-point position term.
+
+    Relative positions p_j - p_i equal differences of centered ones, which
+    stay small when the cloud sits far from the origin.
+    """
+    pos = positions.astype(np.float64)
+    return pos - pos.mean(axis=1, keepdims=True)
+
+
+def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerParams,
+              mode: str = "train") -> Tensor:
+    """One-layer set abstraction relu(bn(max_k z)) as one op, [B,M,C].
+
+    z[i,k] = [f_j, p_j - p_i] W for j = idx[i,k] is split into per-point
+    and per-center terms, a = [f, p~] W over the N points and b = [0, p~_i] W
+    over the M centers (p~ the centered positions), so z[i,k] = a_j - b_i.
+    Batchnorm is monotone per channel, so the block's output
+
+        max_k relu(bn(z[i,k])) = relu(bn(max_k a_j - b_i))   where gamma > 0
+                               = relu(bn(min_k a_j - b_i))   where gamma < 0
+
+    and a channel with gamma == 0 is constant, relu(beta); it takes slot 0.
+    Ties go to the first slot, the rule of `nnops.neighbor_reduce`.
+
+    Pads must repeat slot 0, as `geometry.ball_query` makes them: then the
+    max and min over all K slots equal those over the real ones, and the
+    first extreme slot is never a pad. Train-mode statistics cover all
+    B*M*K rows, pads included, like batchnorm on the grouped tensor: the
+    mean and variance come from a and b through the number of times each
+    point is gathered (`np.bincount`) and the gathered sum of center
+    positions per point, after centering a and b on their means.
+
+    The [B,M,K,C] block of a values is gathered once, channel-major, for
+    the first arg-extreme of each channel and dropped; backward scatters the
+    selected entries plus per-point statistic terms. Gradients flow to f, W,
+    gamma and beta; positions are constants.
+    """
+    if mode not in ("train", "eval"):
+        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
+    w, gamma, beta = p.weight, p.norm_gamma, p.norm_beta
+    data = f.data
+    b, n, cin = data.shape
+    if w.data.shape[0] != cin + 3:
+        raise SizeError(f"expected {w.data.shape[0] - 3} input channels, got {cin}")
+    c = w.data.shape[1]
+    idx, pad = nbr.indices, nbr.pad_mask
+    m, k = idx.shape[1:]
+    if pad[..., 0].any() or np.any(idx[pad] != np.broadcast_to(idx[..., :1], idx.shape)[pad]):
+        raise InvalidNeighborhoodError("padded neighbor slots must repeat a real slot 0")
+    dtype = data.dtype
+    rows = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
+    pt = _centered_positions(positions).astype(dtype).reshape(b * n, 3)
+    q = pt[(nbr.centers + (np.arange(b) * n)[:, None]).reshape(-1)]   # [BM, 3]
+    x2 = np.concatenate([data.reshape(b * n, cin), pt], axis=1)
+    wp = w.data[cin:]
+    a = x2 @ w.data                  # [BN, C]
+    bc = q @ wp                      # [BM, C]
+
+    # first extreme slot per channel: argmax over the slots of sign(gamma) * a,
+    # gathered channel-major so that the K slots are contiguous; gamma == 0
+    # channels see all zeros, so slot 0 wins
+    signed = np.multiply(a.T, np.sign(gamma.data)[:, None], order="C")   # [C, BN]
+    slot = np.take(signed, rows, axis=1).argmax(axis=2)                  # [C, BM]
+    sel = np.take_along_axis(rows, slot.T, axis=1)                       # [BM, C]
+    cols = np.arange(c)
+    s = a[sel, cols] - bc            # selected z, [BM, C]
+
+    r = b * m * k
+    if mode == "train":
+        if r < 2:
+            raise DegenerateStatisticsError(
+                f"batchnorm train mode needs >=2 samples per channel, got {r}")
+        cnt = np.bincount(rows.reshape(-1), minlength=b * n).astype(dtype)[:, None]
+        mu_a = (cnt[:, 0] @ a) / r
+        mu_b = bc.mean(axis=0)
+        ac = a - mu_a
+        bcc = bc - mu_b
+        # per point j: the centered center positions gathered with it, and
+        # t_j = sum over the rows (i, k) that gather j of b_i - mu_b
+        pos_sum = nnops._scatter_add_rows(rows.reshape(-1), np.repeat(q, k, axis=0), b * n)
+        t = pos_sum @ wp
+        t -= cnt * mu_b
+        u = cnt * ac
+        u -= t                        # sum over the rows that gather j of z - mu
+        # r var = sum_i,k (a_j - b_i - mu)^2 = sum_j ac_j (u_j - t_j) + K sum_i bcc_i^2
+        var = (np.einsum("nc,nc->c", ac, u - t) + k * np.einsum("mc,mc->c", bcc, bcc)) / r
+        var = np.maximum(var, 0.0)
+        mu = mu_a - mu_b
+        p.running_mean = (1.0 - nnops.BN_MOMENTUM) * p.running_mean + nnops.BN_MOMENTUM * mu
+        p.running_var = ((1.0 - nnops.BN_MOMENTUM) * p.running_var
+                         + nnops.BN_MOMENTUM * var * r / (r - 1))
+    else:
+        mu, var = p.running_mean, p.running_var
+    inv = 1.0 / np.sqrt(var + nnops.BN_EPS)
+    xs = (s - mu) * inv
+    y = xs * gamma.data
+    y += beta.data
+    mask = y > 0
+    out = np.maximum(y, 0, out=y)  # NaN stays NaN, so check_finite still sees it
+
+    def grad_fn(g):
+        gy = g.reshape(b * m, c) * mask
+        dbeta = gy.sum(axis=0)
+        dgamma = np.einsum("mc,mc->c", gy, xs)
+        scale = gamma.data * inv
+        gs = gy * scale               # d loss / d selected z
+        da = np.bincount((sel * c + cols).reshape(-1), weights=gs.reshape(-1),
+                         minlength=b * n * c).reshape(b * n, c).astype(dtype, copy=False)
+        dwp = q.T @ -gs               # b_i = [0, p~_i] W reaches W's position rows
+        if mode == "train":
+            # each row's share of the mean and variance terms of the batchnorm
+            # backward, summed per point for a and per center for b; b's
+            # neighbor sums of ac are taken per point through pos_sum
+            c0 = scale * dbeta / r
+            c2 = scale * inv * dgamma / r
+            da -= cnt * c0
+            da -= u * c2
+            dwp += k * (q.sum(axis=0)[:, None] * c0 - (q.T @ bcc) * c2)
+            dwp += (pos_sum.T @ ac) * c2
+        dw = x2.T @ da
+        dw[cin:] += dwp
+        df = (da @ w.data[:cin].T).reshape(b, n, cin)
+        return df, dw, dgamma, dbeta
+
+    return custom_op(out.reshape(b, m, c), (f, w, gamma, beta), grad_fn)
 
 
 def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams,
@@ -237,36 +392,45 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
                nbr: NeighborIndex | None = None) -> tuple[PointSetBatch, Tensor]:
     """Vector-oriented set abstraction.
 
-    Mixed relative features are lifted to per-channel m-vectors, aggregated
-    over the neighborhood, projected back to channel scalars, mixed across
-    channels, normalized, and fused with a linear residual of the center
-    feature through a ReLU. The default cell (rotation encoder, m=3,
-    sum_groupconv) runs encoding, sum and projection as one fused op,
-    `vecenc.rotate_project3`; every other cell composes `vecenc.encode` and
-    `aggregation_variant`. Returns the centers' positions and their features.
+    The mixed relative feature relu(f_j - f_i + W_pos (p_j - p_i) + b_pos)
+    is formed from one per-point term, u = f + p~ W_pos with p~ the centered
+    positions, as relu(u_j - (u_i - b_pos)); at stride 1 the centers are
+    every point and u_i is u itself. The mixed features are lifted to
+    per-channel m-vectors, aggregated over the neighborhood, projected back
+    to channel scalars, mixed across channels, normalized, and fused with a
+    linear residual of the center feature through a ReLU. The default cell
+    (rotation encoder, m=3, sum_groupconv) runs encoding, sum and projection
+    as one fused op, `vecenc.rotate_project3`; every other cell composes
+    `vecenc.encode` and `aggregation_variant`. Returns the centers'
+    positions and their features.
 
     `nbr` is `group(x, cfg)` when the caller already holds it: stride-1
     blocks with the same k and radius on the same points share it.
     """
     _check_features(x, f)
+    b, n, cin = f.data.shape
     if nbr is None:
         nbr = group(x, cfg, fps_start)
-    elif cfg.stride != 1 or nbr.centers.shape != (x.batch_size, x.num_points):
+    elif cfg.stride != 1 or not np.array_equal(
+            nbr.centers, np.broadcast_to(np.arange(n), (b, n))):
         raise ConfigError("a given neighborhood needs a stride-1 block and one "
                           "center per point")
+    if cin != cfg.in_channels:
+        raise SizeError(f"expected {cfg.in_channels} input channels, got {cin}")
     centers = nbr.centers
     if cfg.aggregation in _ORDERED_MODES:
         nbr = geometry.sort_neighbors_by_distance(x.positions, nbr)
-    b, n, cin = f.data.shape
-    if cin != cfg.in_channels:
-        raise SizeError(f"expected {cfg.in_channels} input channels, got {cin}")
 
-    ctr_feat = nnops.gather(f, centers)
-    nbr_feat = nnops.gather(f, nbr.indices)
+    pos_term = nnops.linear(nnops.input_tensor(_centered_positions(x.positions)),
+                            LayerParams(weight=p.pos.weight))
+    u = nnops.add(f, pos_term)
+    if cfg.stride == 1:
+        ctr_feat, ctr_u = f, u
+    else:
+        ctr_feat, ctr_u = nnops.gather(f, centers), nnops.gather(u, centers)
     m_centers = centers.shape[1]
-    rel_feat = nnops.sub(nbr_feat, nnops.reshape(ctr_feat, (b, m_centers, 1, cin)))
-    rel_pos = nnops.input_tensor(geometry.relative_positions(x.positions, nbr))
-    fp = vecenc.mix_features(rel_feat, rel_pos, p.pos)
+    ctr_u = nnops.reshape(nnops.sub(ctr_u, p.pos.bias), (b, m_centers, 1, cin))
+    fp = nnops.relu(nnops.sub(nnops.gather(u, nbr.indices), ctr_u))
 
     pad = nbr.pad_mask if nbr.pad_mask.any() else None
     if (cfg.encoder, cfg.vector_dim, cfg.aggregation) == ("rotation", 3, "sum_groupconv"):

@@ -170,11 +170,6 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
     return custom_op(out, inputs, grad_fn)
 
 
-def mix_features(rel_feat: Tensor, rel_pos: Tensor, p: LayerParams) -> Tensor:
-    """Mixed relative feature: relu(rel_feat + linear(rel_pos))."""
-    return nnops.relu(nnops.add(rel_feat, nnops.linear(rel_pos, p)))
-
-
 def _angles(fp: Tensor, p: RotationEncoderParams, mode: str) -> Tensor:
     """All m-1 angles per channel, [..., (m-1)C]: relu(bn(linear(fp)))."""
     return nnops.relu(nnops.batchnorm(nnops.linear(fp, p.angles), p.angles, mode))

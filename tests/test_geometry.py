@@ -115,6 +115,11 @@ class TestBallQuery:
             d = np.linalg.norm(rel, axis=-1)
             assert (d[~nbr.pad_mask] <= 0.4 + 1e-12).all()
 
+    def test_k_too_large(self):
+        # more slots than points would return fewer than k columns
+        with pytest.raises(SizeError, match="exceeds cloud size"):
+            ball_query(np.array([[0]]), line_cloud(), 1.5, 5)
+
     def test_empty_neighborhood_cross_cloud(self):
         cloud = line_cloud()
         far = np.array([[[100.0, 100.0, 100.0]]])
@@ -254,6 +259,45 @@ class TestKnnExactContract:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.strip() == "False"
+
+
+class TestBallQueryContract:
+    """The layout of a ball-query neighborhood, which `setabs.pooled_sa`
+    relies on to take its max over all K slots."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 120),
+           m=st.integers(1, 40), k=st.integers(1, 20), b=st.integers(1, 2),
+           radius=st.floats(0.05, 2.0))
+    def test_hits_in_radius_then_pads_repeating_slot_zero(self, seed, kind, n, m, k,
+                                                          b, radius):
+        k = min(k, n)
+        _, ref = _cloud_pair(seed, kind, b, n, m)
+        centers = np.random.default_rng(seed).integers(0, n, (b, m))
+        nbr = ball_query(centers, PointSetBatch(positions=ref), radius, k)
+        idx, pad = nbr.indices, nbr.pad_mask
+        assert idx.shape == pad.shape == (b, m, k)
+        q = ref[np.arange(b)[:, None], centers]
+        diff = ref[:, None, :, :] - q[:, :, None, :]
+        d2 = (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]) \
+            + diff[..., 2] * diff[..., 2]                              # [b, m, n]
+        within = d2 <= radius * radius
+        hit_d2 = np.take_along_axis(d2, idx, axis=-1)
+        # every real hit is within the radius, distinct and in scan order
+        assert (hit_d2[~pad] <= radius * radius).all()
+        real_idx = np.where(pad, n, idx)
+        assert (np.diff(real_idx, axis=-1)[~pad[..., 1:]] > 0).all()
+        # real hits come before pads, and slot 0 is always real
+        assert not pad[..., 0].any()
+        assert not (pad[..., :-1] & ~pad[..., 1:]).any()
+        # every pad repeats slot 0
+        assert (idx == np.where(pad, idx[..., :1], idx)).all()
+        # pad_mask marks exactly the pads: the real hits are the first
+        # min(k, count) in-radius points
+        count = np.minimum(within.sum(axis=-1), k)
+        assert ((~pad).sum(axis=-1) == count).all()
+        first = np.argsort(~within, axis=-1, kind="stable")[..., :k]
+        assert (np.where(pad, -1, idx) == np.where(pad, -1, first)).all()
 
 
 class TestFpsExactContract:

