@@ -15,7 +15,7 @@ from . import (  # noqa: F401
     vecenc,
 )
 from .geometry import NeighborIndex, PointSetBatch  # noqa: F401
-from .model import ModelConfig, build_model, param_count, preset_config  # noqa: F401
+from .model import Model, ModelConfig, param_count, preset_config  # noqa: F401
 from .nnops import GradTape, LayerParams, Tensor  # noqa: F401
 from .setabs import BlockConfig  # noqa: F401
 from .train import TrainConfig  # noqa: F401

@@ -1,9 +1,14 @@
 """Command-line entry point: train, eval, ablate, gradcheck, gen-data.
 
 Configuration is one JSON document with sections `model`, `train`, `data`,
-and optionally `ablate`; unknown keys anywhere are hard errors. Run artifacts
-live under the run directory: config.json, metrics.csv, best.ckpt.npz,
-log.txt. Timings come from the benchmark in a source checkout,
+and optionally `ablate`; unknown keys anywhere are hard errors. The model
+section (a `preset` name plus `ModelConfig` overrides) is the only place to
+set the ablation switches `aggregation`, `encoder` and `vector_dim`; the
+`ablate` section sweeps them by replacing those fields, and every cell is
+validated before the first one trains. Run artifacts live under the run
+directory: config.json (the resolved sections, which the checkpoint's model
+config equals), metrics.csv, best.ckpt.npz, log.txt; ablate writes
+ablate.csv. Timings come from the benchmark in a source checkout,
 `bench/run.py`, not from this CLI.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric fault, 4 gradient
@@ -21,14 +26,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import dataio, gradcheck, model as model_mod, nnops, setabs, train as train_mod
+from . import dataio, gradcheck, model as model_mod, nnops, train as train_mod
 from .errors import (
     CheckpointError,
     ConfigError,
     NumericFaultError,
     PointVectorError,
 )
-from .model import ModelConfig, build_model, param_count, preset_config
+from .model import ModelConfig, preset_config
 from .train import TrainConfig
 
 EXIT_OK = 0
@@ -204,19 +209,16 @@ def _ablate_cell(payload: dict) -> dict:
         train_cfg = TrainConfig.from_dict(payload["train"])
         data_cfg = DataConfig.from_dict(payload["data"])
         dataset = build_dataset(data_cfg)
-        mdl_for_count = build_model(
-            train_mod.apply_ablation_switches(model_cfg, train_cfg), seed=0)
-        n_params = param_count(mdl_for_count)
         report = train_mod.train_loop(model_cfg, train_cfg, dataset)
         best_rows = [r for r in report.rows
                      if r.split == "val" and r.epoch == report.best_epoch]
         row = best_rows[0]
         return {
-            "aggregation": train_cfg.aggregation or model_cfg.resolved_aggregation(),
-            "encoder": train_cfg.encoder or model_cfg.encoder,
-            "m": train_cfg.vector_dim or model_cfg.vector_dim,
+            "aggregation": model_cfg.resolved_aggregation(),
+            "encoder": model_cfg.encoder,
+            "m": model_cfg.vector_dim,
             "seed": train_cfg.seed,
-            "param_count": n_params,
+            "param_count": report.param_count,
             "best_epoch": report.best_epoch,
             "loss": row.loss,
             "oa": row.oa,
@@ -239,25 +241,18 @@ def cmd_ablate(args) -> int:
     encoders = ablate.get("encoders", [model_cfg.encoder])
     vector_dims = ablate.get("vector_dims", [model_cfg.vector_dim])
     seeds = ablate.get("seeds", [train_cfg.seed])
-    for agg in aggregations:
-        if agg not in setabs.AGGREGATION_MODES:
-            raise ConfigError(f"unknown aggregation {agg!r}")
     epochs = ablate.get("epochs", train_cfg.epochs)
+    # every cell's config is built, and so validated, before any cell runs
+    payloads = [{
+        "model": dataclasses.replace(model_cfg, aggregation=agg, encoder=enc,
+                                     vector_dim=m).to_dict(),
+        "train": dataclasses.replace(train_cfg, seed=seed, epochs=epochs).to_dict(),
+        "data": data_cfg.to_dict(),
+        "precision": args.precision,
+    } for agg, enc, m, seed in itertools.product(aggregations, encoders,
+                                                 vector_dims, seeds)]
     run_dir = _prepare_run_dir(args, args.config)
     log = RunLogger(run_dir / "log.txt", quiet=args.quiet)
-
-    payloads = []
-    for agg, enc, m, seed in itertools.product(aggregations, encoders,
-                                               vector_dims, seeds):
-        cell_train = dataclasses.replace(
-            train_cfg, aggregation=agg, encoder=enc, vector_dim=m, seed=seed,
-            epochs=epochs)
-        payloads.append({
-            "model": model_cfg.to_dict(),
-            "train": cell_train.to_dict(),
-            "data": data_cfg.to_dict(),
-            "precision": args.precision,
-        })
     log(f"{len(payloads)} ablation cells, jobs={args.jobs}")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -71,14 +71,6 @@ class PointSetBatch:
     def num_points(self) -> int:
         return self.positions.shape[1]
 
-    def check_labels(self, num_classes: int) -> None:
-        if self.labels is None:
-            raise DataError("point cloud carries no labels")
-        if self.labels.min() < 0 or self.labels.max() >= num_classes:
-            raise DataError(
-                f"labels outside [0, {num_classes}): "
-                f"min {self.labels.min()}, max {self.labels.max()}")
-
 
 @dataclass
 class NeighborIndex:

@@ -119,14 +119,7 @@ def _case_batchnorm_eval(rng):
 def _case_relu(rng):
     x = Tensor(_away_from_zero(rng, (4, 6)), requires_grad=True)
     probe = rng.standard_normal((4, 6))
-    return [("x", x)], lambda: _loss_of(nnops.activation(x, "relu"), probe)
-
-
-def _case_leakyrelu(rng):
-    x = Tensor(_away_from_zero(rng, (4, 6)), requires_grad=True)
-    probe = rng.standard_normal((4, 6))
-    return ([("x", x)],
-            lambda: _loss_of(nnops.activation(x, "leakyrelu", slope=0.1), probe))
+    return [("x", x)], lambda: _loss_of(nnops.relu(x), probe)
 
 
 def _case_add_sub_mul(rng):
@@ -394,8 +387,7 @@ def _case_vpsa_block(rng):
     pos, feat = _toy_cloud(rng)
     f = Tensor(feat, requires_grad=True)
     cfg = BlockConfig(in_channels=4, out_channels=4, k_neighbors=2,
-                      reduction="sum", vector_dim=3, encoder="rotation",
-                      aggregation="sum_groupconv")
+                      vector_dim=3, encoder="rotation", aggregation="sum_groupconv")
     p = setabs.vpsa_block_params(rng, cfg)
     # fresh blocks have zero biases, which parks the self-neighbor rows of the
     # mixing relu exactly on its kink; randomize so FD probes a smooth point
@@ -447,7 +439,6 @@ CASES = {
     "batchnorm_train": _case_batchnorm_train,
     "batchnorm_eval": _case_batchnorm_eval,
     "relu": _case_relu,
-    "leakyrelu": _case_leakyrelu,
     "add_sub_mul": _case_add_sub_mul,
     "concat_slice_reshape": _case_concat_slice_reshape,
     "neighbor_reduce_sum": _case_neighbor_reduce_sum,

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, nnops, setabs
-from .errors import CheckpointError, ConfigError, DataError, SizeError
+from . import geometry, nnops, setabs, vecenc
+from .errors import CheckpointError, ConfigError, SizeError
 from .geometry import PointSetBatch
 from .nnops import LayerParams, Tensor
-from .setabs import BlockConfig, FPParams, SABlockParams, VPSABlockParams
+from .setabs import BlockConfig, FPParams
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+INPUT_CHANNELS = 4  # [p, p_z]
 
 
 @dataclass
@@ -34,15 +35,11 @@ class ModelConfig:
     sa_layers: int = 1
     task: str = "segmentation"
     num_classes: int = 13
-    reduction: str | None = None      # None -> sum for segmentation, max for classification
-    encoder: str = "rotation"
-    vector_dim: int = 3
-    aggregation: str | None = None    # None -> "<reduction>_groupconv"
+    # the ablation switches; this config is their only home
+    encoder: str = "rotation"         # scalar-to-vector encoder, a key of vecenc.ENCODERS
+    vector_dim: int = 3               # vector dimension m
+    aggregation: str | None = None    # in setabs.AGGREGATION_MODES; None: resolved_aggregation
     radii: list | None = None         # per-stage ball-query radii; None -> knn
-    input_features: str = "pos_height"
-    given_channels: int = 0           # feature width when input_features="given"
-    gravity_dim: int = 2              # z is up: invariant under z-axis rotation
-    stable_fps: bool = True           # geometric FPS start (permutation-stable)
 
     def __post_init__(self):
         if self.embed_channels < 1:
@@ -60,6 +57,12 @@ class ModelConfig:
             raise ConfigError(f"task must be segmentation or classification, got {self.task!r}")
         if self.vector_dim not in (1, 2, 3):
             raise ConfigError(f"vector_dim must be 1, 2, or 3, got {self.vector_dim}")
+        if self.encoder not in vecenc.ENCODERS:
+            raise ConfigError(
+                f"unknown encoder {self.encoder!r}; choose from {sorted(vecenc.ENCODERS)}")
+        if self.aggregation is not None and self.aggregation not in setabs.AGGREGATION_MODES:
+            raise ConfigError(f"aggregation must be one of {setabs.AGGREGATION_MODES}, "
+                              f"got {self.aggregation!r}")
         for i, (s, v) in enumerate(zip(self.sa_per_stage, self.vpsa_per_stage)):
             if s == 0 and v == 0:
                 raise ConfigError(f"stage {i} has neither SA nor VPSA blocks")
@@ -68,27 +71,15 @@ class ModelConfig:
     def num_stages(self) -> int:
         return len(self.sa_per_stage)
 
-    def resolved_reduction(self) -> str:
-        if self.reduction is not None:
-            return self.reduction
-        return "sum" if self.task == "segmentation" else "max"
-
     def resolved_aggregation(self) -> str:
+        """The aggregation; by default sum_groupconv for segmentation and
+        max_groupconv for classification."""
         if self.aggregation is not None:
             return self.aggregation
-        return f"{self.resolved_reduction()}_groupconv"
+        return "sum_groupconv" if self.task == "segmentation" else "max_groupconv"
 
     def stage_width(self, i: int) -> int:
         return self.embed_channels * (2 ** (i + 1))
-
-    def input_channels(self) -> int:
-        if self.input_features == "given":
-            return self.given_channels
-        if self.input_features == "height":
-            return 1
-        if self.input_features == "pos_height":
-            return 4
-        raise ConfigError(f"unknown input_features mode {self.input_features!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -115,14 +106,9 @@ class Model:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9e3779b9]))
-        c_in = cfg.input_channels()
-        if c_in < 1:
-            raise ConfigError(
-                "input_features='given' requires given_channels >= 1 in the config")
-        red = cfg.resolved_reduction()
         agg = cfg.resolved_aggregation()
 
-        self.embed = nnops.linear_params(rng, c_in, cfg.embed_channels,
+        self.embed = nnops.linear_params(rng, INPUT_CHANNELS, cfg.embed_channels,
                                          bias=False, norm=True)
         self.stages: list[list[Block]] = []
         width = cfg.embed_channels
@@ -140,10 +126,6 @@ class Model:
                     k_neighbors=cfg.k_sa,
                     radius=radius,
                     stride=cfg.strides[i] if j == 0 else 1,
-                    reduction="max",
-                    vector_dim=cfg.vector_dim,
-                    encoder=cfg.encoder,
-                    aggregation=agg,
                     sa_layers=cfg.sa_layers)
                 blocks.append(Block("sa", bc, setabs.sa_block_params(rng, bc)))
             for j in range(n_vpsa):
@@ -154,7 +136,6 @@ class Model:
                     k_neighbors=cfg.k_vpsa,
                     radius=radius,
                     stride=cfg.strides[i] if first else 1,
-                    reduction=red,
                     vector_dim=cfg.vector_dim,
                     encoder=cfg.encoder,
                     aggregation=agg)
@@ -219,18 +200,6 @@ class Model:
 
     # -- forward ---------------------------------------------------------------
 
-    def _input_features(self, batch: PointSetBatch) -> np.ndarray:
-        cfg = self.cfg
-        if cfg.input_features == "given":
-            if batch.features is None:
-                raise DataError("point cloud carries no features")
-            return batch.features
-        pos = batch.positions
-        height = pos[..., cfg.gravity_dim:cfg.gravity_dim + 1]
-        if cfg.input_features == "height":
-            return height
-        return np.concatenate([pos, height], axis=-1)
-
     def min_points(self) -> int:
         """Smallest cloud size every block accepts.
 
@@ -245,11 +214,6 @@ class Model:
                            block.cfg.stride * (need - 1) + 1)
         return need
 
-    def _fps_start(self, cloud: PointSetBatch):
-        if self.cfg.stable_fps:
-            return geometry.geometric_start(cloud)
-        return 0
-
     def _run_encoder(self, batch: PointSetBatch, mode: str):
         """Embedding plus all stages; returns a (cloud, features) pair per
         resolution, the cloud holding positions only."""
@@ -259,7 +223,9 @@ class Model:
                 f"clouds of {batch.num_points} points are too small for this "
                 f"model: its strides {self.cfg.strides} and neighborhood sizes "
                 f"need at least {need} points")
-        feats = nnops.input_tensor(self._input_features(batch))
+        pos = batch.positions
+        # [p, p_z]: z is up, so the height is invariant under z-axis rotation
+        feats = nnops.input_tensor(np.concatenate([pos, pos[..., 2:]], axis=-1))
         f = nnops.dense(feats, self.embed, mode)
         cloud = PointSetBatch(positions=batch.positions)
         skips = [(cloud, f)]
@@ -268,7 +234,8 @@ class Model:
             # the same k and radius, so they share one neighborhood
             shared = None
             for j, block in enumerate(blocks):
-                start = self._fps_start(cloud) if block.cfg.stride > 1 else 0
+                # the geometric start keeps downsampling independent of point order
+                start = geometry.geometric_start(cloud) if block.cfg.stride > 1 else 0
                 if block.kind == "sa":
                     cloud, f = setabs.sa_block(cloud, f, block.cfg, block.params,
                                                mode, fps_start=start)
@@ -327,10 +294,6 @@ def _collect_layers(prefix: str, obj, out: dict) -> None:
             _collect_layers(f"{prefix}.{f.name}", getattr(obj, f.name), out)
 
 
-def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
-    return Model(cfg, seed)
-
-
 def param_count(obj) -> int:
     """Number of learnable scalars in a model, params container, or list."""
     if obj is None:
@@ -383,7 +346,7 @@ def preset_config(name: str, num_classes: int = 13, **overrides) -> ModelConfig:
     params = dict(presets[name])
     params["num_classes"] = num_classes
     params.update(overrides)
-    return ModelConfig(**params)
+    return ModelConfig.from_dict(params)
 
 
 # ---------------------------------------------------------------------------

@@ -426,40 +426,23 @@ def batchnorm(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
     return custom_op(y, (x, gamma, beta), grad_fn)
 
 
-def activation(x: Tensor, kind: str = "relu", slope: float = 0.01) -> Tensor:
-    """Elementwise relu or leakyrelu(slope); gradient at 0 is 0 (resp. slope)."""
-    if kind == "relu":
-        mask = x.data > 0
-        out = np.maximum(x.data, 0)  # NaN stays NaN, so check_finite still sees it
+def relu(x: Tensor) -> Tensor:
+    """Elementwise max(x, 0); the gradient at 0 is 0."""
+    mask = x.data > 0
+    out = np.maximum(x.data, 0)  # NaN stays NaN, so check_finite still sees it
 
-        def grad_fn(g):
-            return (g * mask,)
+    def grad_fn(g):
+        return (g * mask,)
 
-    elif kind == "leakyrelu":
-        mask = x.data > 0
-        out = np.where(mask, x.data, slope * x.data)
-
-        def grad_fn(g):
-            return (np.where(mask, g, slope * g),)
-
-    else:
-        raise ContractError(f"unknown activation kind {kind!r}")
     return custom_op(out, (x,), grad_fn)
 
 
-def relu(x: Tensor) -> Tensor:
-    return activation(x, "relu")
-
-
-def dense(x: Tensor, p: LayerParams, mode: str = "train", act: str | None = "relu",
-          slope: float = 0.01) -> Tensor:
-    """linear -> batchnorm (if the layer has norm params) -> activation."""
+def dense(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
+    """linear -> batchnorm (if the layer has norm params) -> relu."""
     y = linear(x, p)
     if p.norm_gamma is not None:
         y = batchnorm(y, p, mode)
-    if act is not None:
-        y = activation(y, act, slope)
-    return y
+    return relu(y)
 
 
 # ---------------------------------------------------------------------------

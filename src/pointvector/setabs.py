@@ -48,7 +48,6 @@ class BlockConfig:
     k_neighbors: int
     radius: float | None = None  # None selects knn grouping
     stride: int = 1
-    reduction: str = "sum"
     vector_dim: int = 3
     encoder: str = "rotation"
     aggregation: str = "sum_groupconv"
@@ -61,8 +60,6 @@ class BlockConfig:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.sa_layers < 1:
             raise ConfigError(f"sa_layers must be >= 1, got {self.sa_layers}")
-        if self.reduction not in ("sum", "max"):
-            raise ConfigError(f"reduction must be sum or max, got {self.reduction!r}")
         if self.aggregation not in AGGREGATION_MODES:
             raise ConfigError(
                 f"aggregation must be one of {AGGREGATION_MODES}, got {self.aggregation!r}")

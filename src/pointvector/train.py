@@ -28,6 +28,11 @@ from .model import Model, ModelConfig
 from .nnops import GradTape, Tensor, custom_op
 
 
+# train-section keys of older configs and the model field that replaces each
+_MOVED_TO_MODEL = {"encoder": "model.encoder", "vector_dim": "model.vector_dim",
+                  "aggregation": "model.aggregation", "reduction": "model.aggregation"}
+
+
 @dataclass
 class TrainConfig:
     lr0: float = 0.002
@@ -36,11 +41,6 @@ class TrainConfig:
     batch_size: int = 16
     label_smoothing: float = 0.1
     seed: int = 0
-    # ablation switches; None leaves the model config untouched
-    reduction: str | None = None
-    encoder: str | None = None
-    vector_dim: int | None = None
-    aggregation: str | None = None
     augment: bool = True
     rotate_mode: str = "discrete"  # discrete {0, pi/2, pi, 3pi/2} | uniform | none
     jitter_sigma: float = 0.01
@@ -72,7 +72,11 @@ class TrainConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+            moved = [f"{k} -> {_MOVED_TO_MODEL[k]}" for k in sorted(unknown)
+                     if k in _MOVED_TO_MODEL]
+            hint = f"; set model switches in the model section: {', '.join(moved)}" \
+                if moved else ""
+            raise ConfigError(f"unknown train config keys: {sorted(unknown)}{hint}")
         if "scale_range" in d:
             d = dict(d, scale_range=tuple(d["scale_range"]))
         return cls(**d)
@@ -97,6 +101,7 @@ class TrainReport:
     best_epoch: int = -1
     best_metric: float = -1.0
     checkpoint_path: str | None = None
+    param_count: int = 0
 
 
 CSV_HEADER = "epoch,split,loss,lr,oa,macc,miou,wall_ms"
@@ -328,10 +333,6 @@ def _make_batch(dataset: Dataset, idx: np.ndarray) -> PointSetBatch:
     return PointSetBatch(positions=dataset.positions[idx])
 
 
-def _batch_labels(dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    return dataset.labels[idx]
-
-
 def _forward(mdl: Model, batch: PointSetBatch, mode: str) -> Tensor:
     if mdl.cfg.task == "segmentation":
         return mdl.forward_seg(batch, mode)
@@ -363,7 +364,7 @@ def evaluate(mdl: Model, dataset: Dataset, split: str, eps: float,
         if spec is not None:
             batch = augment(batch, spec)
         logits = _forward(eval_model, batch, "eval")
-        labels = _batch_labels(dataset, idx)
+        labels = dataset.labels[idx]
         flat = logits.data.reshape(-1, k)
         loss = ce_label_smoothing(Tensor(flat), labels.reshape(-1), eps)
         losses.append(float(loss.data))
@@ -413,32 +414,19 @@ def _sample_augment(cfg: TrainConfig, rng: np.random.Generator) -> AugmentSpec:
     )
 
 
-def apply_ablation_switches(model_cfg: ModelConfig, train_cfg: TrainConfig) -> ModelConfig:
-    updates = {}
-    if train_cfg.reduction is not None:
-        updates["reduction"] = train_cfg.reduction
-    if train_cfg.encoder is not None:
-        updates["encoder"] = train_cfg.encoder
-    if train_cfg.vector_dim is not None:
-        updates["vector_dim"] = train_cfg.vector_dim
-    if train_cfg.aggregation is not None:
-        updates["aggregation"] = train_cfg.aggregation
-    return replace(model_cfg, **updates) if updates else model_cfg
-
-
 def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
                run_dir=None, log=None) -> TrainReport:
     """Train with AdamW under a cosine schedule; evaluate every epoch.
 
     The best checkpoint (val mIoU for segmentation, val OA for classification)
     is written to run_dir/best.ckpt when run_dir is given. Fully deterministic
-    for a fixed train_cfg.seed.
+    for a fixed train_cfg.seed. The report records the trained model's
+    parameter count.
 
     An epoch that would end with a batch of one cloud folds that cloud into
     the batch before it, since batch statistics over one sample are
     undefined for the pooled classification head.
     """
-    model_cfg = apply_ablation_switches(model_cfg, train_cfg)
     seq = np.random.SeedSequence([train_cfg.seed, 0x7e57])
     model_seed, order_seed, aug_seed = seq.generate_state(3)
     mdl = Model(model_cfg, seed=int(model_seed))
@@ -452,7 +440,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
     eps = train_cfg.label_smoothing
     select_by = "miou" if dataset.task == "segmentation" else "oa"
 
-    report = TrainReport()
+    report = TrainReport(param_count=model_mod.param_count(mdl))
     best_metric = -1.0
     for epoch in range(train_cfg.epochs):
         t0 = time.perf_counter()
@@ -469,7 +457,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
             batch = _make_batch(dataset, idx)
             if train_cfg.augment:
                 batch = augment(batch, _sample_augment(train_cfg, aug_rng))
-            labels = _batch_labels(dataset, idx).reshape(-1)
+            labels = dataset.labels[idx].reshape(-1)
             with GradTape() as tape:
                 logits = _forward(mdl, batch, "train")
                 flat = nnops.reshape(logits, (-1, k))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pointvector import dataio
+from pointvector import train as train_mod
 from pointvector.cli import DataConfig, build_dataset, main, make_parser
 from pointvector.geometry import PointSetBatch
+from pointvector.model import Model, load_checkpoint, param_count
 
 GLOBAL = ["--seed", "5", "--jobs", "3", "--overwrite", "--precision", "single", "--quiet"]
 
@@ -87,3 +89,75 @@ def test_ablate_one_cell(tmp_path):
     rows = (run / "ablate.csv").read_text().splitlines()
     assert rows[0] == "aggregation,encoder,m,seed,param_count,best_epoch,loss,oa,macc,miou"
     assert len(rows) == 2 and rows[1].startswith("max_groupconv,rotation,2,0,")
+
+
+def _write_config(tmp_path, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+def test_config_json_records_the_model_that_trained(tmp_path):
+    config = _write_config(tmp_path, {
+        "model": {"preset": "toy-seg", "encoder": "mlp", "vector_dim": 2},
+        "data": {"num_scenes": 6, "num_points": 64},
+        "train": {"epochs": 1, "batch_size": 4},
+    })
+    run = tmp_path / "run"
+    assert main(["train", str(config), "--run-dir", str(run), "--quiet"]) == 0
+    recorded = json.loads((run / "config.json").read_text())["model"]
+    trained = load_checkpoint(run / "best.ckpt.npz")[0].cfg
+    assert recorded == trained.to_dict()
+    assert (trained.encoder, trained.vector_dim) == ("mlp", 2)
+
+
+@pytest.mark.parametrize("key,value,field", [("encoder", "mlp", "model.encoder"),
+                                             ("vector_dim", 2, "model.vector_dim"),
+                                             ("aggregation", "sum_fc", "model.aggregation"),
+                                             ("reduction", "max", "model.aggregation")])
+def test_train_section_model_switch_is_rejected(tmp_path, capsys, key, value, field):
+    config = _write_config(tmp_path, {"model": {"preset": "toy-seg"},
+                                      "train": {"epochs": 1, key: value}})
+    run = tmp_path / "run"
+    assert main(["train", str(config), "--run-dir", str(run), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "model section" in err and f"{key} -> {field}" in err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("sweep", [{"encoders": ["rotation", "bogus"]},
+                                   {"vector_dims": [3, 4]},
+                                   {"aggregations": ["sum_fc", "mean"]}])
+def test_ablate_validates_every_cell_before_any_runs(tmp_path, monkeypatch, sweep):
+    calls = []
+    monkeypatch.setattr(train_mod, "train_loop", lambda *a, **kw: calls.append(a))
+    config = _write_config(tmp_path, {"model": {"preset": "toy-seg"},
+                                      "data": {"num_scenes": 6, "num_points": 64},
+                                      "train": {"epochs": 1}, "ablate": sweep})
+    run = tmp_path / "run"
+    assert main(["ablate", str(config), "--run-dir", str(run), "--quiet"]) == 2
+    assert calls == []
+    assert not (run / "ablate.csv").exists()
+
+
+def test_ablate_counts_the_parameters_of_the_model_it_trains(tmp_path, monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(Model(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(train_mod, "Model", spy)
+    config = _write_config(tmp_path, {
+        "model": {"preset": "toy-seg"},
+        "data": {"num_scenes": 6, "num_points": 64},
+        "train": {"epochs": 1, "batch_size": 4},
+        "ablate": {"encoders": ["direction"], "vector_dims": [1]},
+    })
+    run = tmp_path / "run"
+    assert main(["ablate", str(config), "--run-dir", str(run), "--quiet"]) == 0
+    row = (run / "ablate.csv").read_text().splitlines()[1].split(",")
+    assert len(built) == 1
+    assert (built[0].cfg.encoder, built[0].cfg.vector_dim) == ("direction", 1)
+    assert row[:3] == ["sum_groupconv", "direction", "1"]
+    assert int(row[4]) == param_count(built[0])

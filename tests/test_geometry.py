@@ -314,6 +314,47 @@ class TestFpsExactContract:
             assert len(set(row.tolist())) == m
 
 
+class TestOrderAndRotationProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(3, 120), frac=st.floats(0.05, 1.0),
+           b=st.integers(1, 2))
+    def test_geometric_start_fps_ignores_point_order(self, seed, n, frac, b):
+        # from n = 3 on, a continuous cloud has no distance ties; two points
+        # are always equidistant from their centroid
+        rng = np.random.default_rng(seed)
+        cloud = PointSetBatch(positions=rng.uniform(-1, 1, (b, n, 3)))
+        perm = rng.permutation(n)
+        permuted = PointSetBatch(positions=cloud.positions[:, perm])
+        m = max(1, int(frac * n))
+        rows = np.arange(b)[:, None]
+        picked = cloud.positions[rows, farthest_point_sample(
+            cloud, m, geometric_start(cloud))]
+        picked_p = permuted.positions[rows, farthest_point_sample(
+            permuted, m, geometric_start(permuted))]
+        assert np.array_equal(picked, picked_p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 120), m=st.integers(1, 30),
+           k=st.integers(1, 20), angle=st.floats(0.0, 2 * np.pi))
+    def test_knn_set_invariant_under_z_rotation(self, seed, n, m, k, angle):
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        cloud = PointSetBatch(positions=rng.uniform(-1, 1, (1, n, 3)))
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        rotated = PointSetBatch(positions=cloud.positions @ rot.T)
+        centers = rng.integers(0, n, (1, m))
+        got = knn(centers, cloud, k).indices[0]
+        got_r = knn(centers, rotated, k).indices[0]
+        d2 = np.sort(((cloud.positions[0, centers[0], None] - cloud.positions[0, None])
+                      ** 2).sum(-1), axis=-1)
+        for row in range(m):
+            # a near tie at the k-th place may legitimately flip under rounding
+            if k < n and d2[row, k] - d2[row, k - 1] <= 1e-9 * d2[row, k]:
+                continue
+            assert set(got[row]) == set(got_r[row])
+
+
 class TestGroupRelative:
     def test_self_neighbor_is_zero(self):
         cloud = line_cloud()
@@ -373,9 +414,3 @@ class TestPointSetBatch:
         pos[0, 0, 0] = np.nan
         with pytest.raises(DataError):
             PointSetBatch(positions=pos)
-
-    def test_label_range_check(self):
-        cloud = PointSetBatch(positions=np.zeros((1, 2, 3)),
-                              labels=np.array([[0, 5]]))
-        with pytest.raises(DataError):
-            cloud.check_labels(3)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pointvector import geometry, nnops, setabs
-from pointvector.errors import ConfigError, NumericFaultError, SizeError
+from pointvector import model as model_mod
+from pointvector.errors import CheckpointError, ConfigError, NumericFaultError, SizeError
 from pointvector.geometry import PointSetBatch
 from pointvector.model import (
-    build_model,
+    Model,
+    ModelConfig,
     load_checkpoint,
     param_count,
     preset_config,
@@ -23,20 +25,20 @@ def cloud(rng, b, n):
 class TestCloudSize:
     def test_min_points_is_exact(self):
         rng = np.random.default_rng(0)
-        mdl = build_model(preset_config("toy-seg", num_classes=4))
+        mdl = Model(preset_config("toy-seg", num_classes=4))
         need = mdl.min_points()
         assert mdl.forward_seg(cloud(rng, 1, need), "eval").data.shape == (1, need, 4)
         with pytest.raises(SizeError, match=f"at least {need} points"):
             mdl.forward_seg(cloud(rng, 1, need - 1), "eval")
 
     def test_preset_rejects_small_cloud_at_entry(self):
-        mdl = build_model(preset_config("pointvector-s"))
+        mdl = Model(preset_config("pointvector-s"))
         assert mdl.min_points() == 449  # 449 -> 113 -> 29 -> 8 points, k=8
         with pytest.raises(SizeError, match="at least 449 points"):
             mdl.forward_seg(cloud(np.random.default_rng(1), 1, 256), "eval")
 
     def test_classification_checks_too(self):
-        mdl = build_model(preset_config("toy-cls", num_classes=3))
+        mdl = Model(preset_config("toy-cls", num_classes=3))
         with pytest.raises(SizeError, match=f"at least {mdl.min_points()} points"):
             mdl.forward_cls(cloud(np.random.default_rng(2), 2, mdl.min_points() - 1))
 
@@ -46,8 +48,8 @@ class TestAblationCellsTrain:
     @pytest.mark.parametrize("vector_dim", [1, 2, 3])
     def test_backward_gives_parameter_shaped_gradients(self, encoder, vector_dim):
         rng = np.random.default_rng(3)
-        mdl = build_model(preset_config("toy-seg", num_classes=3, encoder=encoder,
-                                        vector_dim=vector_dim))
+        mdl = Model(preset_config("toy-seg", num_classes=3, encoder=encoder,
+                                  vector_dim=vector_dim))
         with GradTape() as tape:
             logits = mdl.forward_seg(cloud(rng, 2, 40), "train")
             loss = nnops.mean_all(logits)
@@ -63,7 +65,7 @@ class TestNonFinite:
     def test_nan_weight_is_reported_not_hidden(self):
         # batchnorm spreads the NaN over its channel; a relu that maps NaN to
         # 0 used to zero all of it and return finite logits
-        mdl = build_model(preset_config("toy-seg", num_classes=3))
+        mdl = Model(preset_config("toy-seg", num_classes=3))
         mdl.embed.weight.data[0, 0] = np.nan
         with pytest.raises(NumericFaultError):
             mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "train")
@@ -72,7 +74,7 @@ class TestNonFinite:
 class TestSinglePrecision:
     def test_every_gradient_of_a_step_stays_float32(self):
         with nnops.precision("single"):
-            mdl = build_model(preset_config("toy-seg", num_classes=3))
+            mdl = Model(preset_config("toy-seg", num_classes=3))
             with GradTape() as tape:
                 logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
                 grads = nnops.backward(tape, nnops.mean_all(logits))
@@ -83,7 +85,7 @@ class TestSinglePrecision:
 
     def test_pooled_sa_step_stays_float32(self):
         with nnops.precision("single"):
-            mdl = build_model(preset_config("toy-seg", num_classes=3, sa_layers=1))
+            mdl = Model(preset_config("toy-seg", num_classes=3, sa_layers=1))
             with GradTape() as tape:
                 logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
                 grads = nnops.backward(tape, nnops.mean_all(logits))
@@ -94,7 +96,7 @@ class TestSinglePrecision:
 
 class TestCheckpointPrecision:
     def test_load_follows_the_current_precision(self, tmp_path):
-        mdl = build_model(preset_config("toy-seg", num_classes=3), seed=1)
+        mdl = Model(preset_config("toy-seg", num_classes=3), seed=1)
         path = tmp_path / "m.npz"
         save_checkpoint(mdl, path)
         with nnops.precision("single"):
@@ -105,7 +107,7 @@ class TestCheckpointPrecision:
             assert arr.dtype == np.float32
 
     def test_double_round_trip_is_bit_exact(self, tmp_path):
-        mdl = build_model(preset_config("toy-seg", num_classes=3), seed=2)
+        mdl = Model(preset_config("toy-seg", num_classes=3), seed=2)
         path = tmp_path / "m.npz"
         save_checkpoint(mdl, path)
         loaded, _ = load_checkpoint(path)
@@ -125,7 +127,7 @@ class TestSharedNeighborhoods:
                                                ("toy-seg-ball", "ball_query")])
     def test_one_grouping_per_stage(self, preset, search, monkeypatch):
         # two stages of [SA stride 2, VPSA, VPSA]
-        mdl = build_model(preset_config(preset, num_classes=4, vpsa_per_stage=[2, 2]))
+        mdl = Model(preset_config(preset, num_classes=4, vpsa_per_stage=[2, 2]))
         batch = cloud(np.random.default_rng(6), 2, 64)
         calls = []
         original = getattr(geometry, search)
@@ -145,7 +147,7 @@ class TestSharedNeighborhoods:
 
     def test_given_neighborhood_needs_stride_one(self):
         rng = np.random.default_rng(7)
-        mdl = build_model(preset_config("toy-seg", num_classes=4))
+        mdl = Model(preset_config("toy-seg", num_classes=4))
         block = mdl.stages[0][1]
         x = PointSetBatch(positions=rng.uniform(-1, 1, (1, 20, 3)))
         f = Tensor(rng.standard_normal((1, 20, 16)))
@@ -163,10 +165,37 @@ class TestParameterCounts:
                                               ("pointvector-l", 4_210_925),
                                               ("pointvector-xl", 24_084_941)])
     def test_preset_count(self, preset, count):
-        assert param_count(build_model(preset_config(preset))) == count
+        assert param_count(Model(preset_config(preset))) == count
 
     def test_xl_is_58_percent_of_pointnext_xl(self):
         # the abstract's "58% of PointNeXt's parameters"; PointNeXt-XL has
         # 41.6M (Qian et al., PointNeXt, arXiv 2206.04670)
-        count = param_count(build_model(preset_config("pointvector-xl")))
+        count = param_count(Model(preset_config("pointvector-xl")))
         assert abs(count - 0.58 * 41.6e6) <= 0.01 * 0.58 * 41.6e6
+
+
+class TestModelConfigSwitches:
+    def test_default_aggregation_follows_the_task(self):
+        assert preset_config("toy-seg").resolved_aggregation() == "sum_groupconv"
+        assert preset_config("toy-cls").resolved_aggregation() == "max_groupconv"
+
+    @pytest.mark.parametrize("switch", [{"aggregation": "mean"}, {"encoder": "bogus"},
+                                        {"vector_dim": 4}])
+    def test_bad_switch_rejected_without_vpsa_blocks(self, switch):
+        # an SA-only model never reads the switches, yet still rejects a bad one
+        with pytest.raises(ConfigError, match=next(iter(switch))):
+            ModelConfig(sa_per_stage=[1, 1], vpsa_per_stage=[0, 0], strides=[2, 2],
+                        **switch)
+
+    def test_unknown_preset_override_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="reduction"):
+            preset_config("toy-seg", reduction="max")
+
+
+def test_older_checkpoint_version_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "m.npz"
+    monkeypatch.setattr(model_mod, "CHECKPOINT_FORMAT_VERSION", 1)
+    save_checkpoint(Model(preset_config("toy-seg", num_classes=3)), path)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)

@@ -95,16 +95,12 @@ class TestBatchnorm:
 
 class TestActivation:
     def test_relu_values(self):
-        y = nnops.activation(Tensor(np.array([-1.0, 0.0, 2.0])), "relu")
+        y = nnops.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         assert y.data.tolist() == [0.0, 0.0, 2.0]
-
-    def test_leakyrelu_value(self):
-        y = nnops.activation(Tensor(np.array([-2.0])), "leakyrelu", slope=0.1)
-        assert np.allclose(y.data, [-0.2])
 
     def test_relu_gradient_mask(self):
         x = Tensor(np.array([3.0, -3.0]), requires_grad=True)
-        _, grads = run_loss(lambda: nnops.sum_all(nnops.activation(x, "relu")))
+        _, grads = run_loss(lambda: nnops.sum_all(nnops.relu(x)))
         assert grads[x].tolist() == [1.0, 0.0]
 
     def test_relu_keeps_nan(self):

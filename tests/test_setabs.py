@@ -137,7 +137,7 @@ class TestVPSABlock:
         for _ in range(5):
             cloud = random_cloud(rng, n=18, c=6)
             cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=4,
-                              reduction=reduction, aggregation=agg)
+                              aggregation=agg)
             p = setabs.vpsa_block_params(rng, cfg)
             _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
             perm = rng.permutation(18)
@@ -154,8 +154,7 @@ class TestVPSABlock:
         for _ in range(6):
             cloud = random_cloud(rng, b=1, n=16, c=8)
             cfg = BlockConfig(in_channels=8, out_channels=8, k_neighbors=4,
-                              reduction=reduction, vector_dim=m_dim,
-                              aggregation=f"{reduction}_groupconv")
+                              vector_dim=m_dim, aggregation=f"{reduction}_groupconv")
             p = setabs.vpsa_block_params(rng, cfg)
             # nonzero running stats and affine so the eval path is nontrivial
             for layer in [p.post_norm] + ([p.encoder.angles] if m_dim > 1 else []):

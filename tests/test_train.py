@@ -10,6 +10,7 @@ from pointvector.train import (
     TrainConfig,
     adamw_step,
     evaluate,
+    report_to_csv,
     train_loop,
 )
 
@@ -76,3 +77,16 @@ class TestRadiusScale:
         mdl = Model(preset_config("toy-seg", num_classes=data.num_classes))
         with pytest.raises(ConfigError, match="ball-query"):
             evaluate(mdl, data, "val", 0.1, radius_scale=1.2)
+
+
+def test_metrics_csv_is_seed_deterministic():
+    data = dataio.make_segmentation_dataset(num_scenes=6, num_points=64, seed=0)
+    model_cfg = preset_config("toy-seg", num_classes=data.num_classes)
+
+    def csv(seed):
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=seed, deterministic_timing=True)
+        return report_to_csv(train_loop(model_cfg, cfg, data))
+
+    first = csv(1)
+    assert csv(1) == first
+    assert csv(2) != first
