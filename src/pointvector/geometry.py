@@ -153,12 +153,20 @@ def geometric_start(cloud: PointSetBatch) -> np.ndarray:
     """Index of the point farthest from the cloud centroid, per batch entry.
 
     Unlike a fixed start index, this choice does not depend on point order,
-    which makes downsampling stable under input permutations.
+    which makes downsampling stable under input permutations. Points tied
+    at the largest distance resolve to the lexicographically largest
+    position (x, then y, then z).
     """
     pos = cloud.positions.astype(np.float64)
     centroid = pos.mean(axis=1, keepdims=True)
     d = ((pos - centroid) ** 2).sum(axis=-1)
-    return np.argmax(d, axis=1)
+    start = np.argmax(d, axis=1)
+    tied = d == d[np.arange(d.shape[0]), start][:, None]
+    for row in np.flatnonzero(tied.sum(axis=1) > 1):
+        cand = np.flatnonzero(tied[row])
+        p = pos[row, cand]
+        start[row] = cand[np.lexsort((p[:, 2], p[:, 1], p[:, 0]))[-1]]
+    return start
 
 
 

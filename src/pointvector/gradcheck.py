@@ -13,10 +13,11 @@ times before it counts as a failure (a wrong gradient fails for every draw).
 from __future__ import annotations
 
 import zlib
+from functools import partial, reduce
 
 import numpy as np
 
-from . import nnops, oracle, setabs, train, vecenc
+from . import model, nnops, oracle, setabs, train, vecenc
 from .errors import ContractError
 from .geometry import PointSetBatch
 from .nnops import GradTape, Tensor
@@ -69,6 +70,20 @@ def _freeze_running(layers):
                 p.running_var = v.copy()
 
     return restore
+
+
+def _params_case(leaves, params, probe, run):
+    """A case on a params container: the given leaves plus every tensor of
+    `params`, and a forward that restores its running statistics first."""
+    layers = list(model.walk_layers(params))
+    restore = _freeze_running([layer for _, layer in layers])
+
+    def forward():
+        restore()
+        return _loss_of(run(), probe)
+
+    return list(leaves) + [(f"{path}.{slot}", t) for path, layer in layers
+                           for slot, t in layer.tensors()], forward
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +149,13 @@ def _case_add_sub_mul(rng):
     return [("a", a), ("b", b), ("c", c)], forward
 
 
-def _case_concat_slice_reshape(rng):
+def _case_concat_reshape(rng):
     a = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 3))
+    probe = rng.standard_normal((2, 9, 2))
 
     def forward():
-        cat = nnops.concat_last([a, b])
-        sl = nnops.slice_last(cat, 1, 4)
-        return _loss_of(nnops.reshape(sl, (2, 3, 3)), probe)
+        return _loss_of(nnops.reshape(nnops.concat_last([a, b]), (2, 9, 2)), probe)
 
     return [("a", a), ("b", b)], forward
 
@@ -179,12 +192,35 @@ def _case_neighbor_reduce_max_padded(rng):
     return [("v", v)], lambda: _loss_of(nnops.neighbor_reduce(v, "max", pad), probe)
 
 
-def _case_grouped_projection(rng):
-    v = Tensor(rng.standard_normal((2, 4, 5, 3)), requires_grad=True)
-    p = nnops.grouped_params(rng, 5, 3)
-    probe = rng.standard_normal((2, 4, 5))
+def _case_grouped_projection(rng, slots=1):
+    v = Tensor(rng.standard_normal((2, 3, slots, 5, 3)), requires_grad=True)
+    p = nnops.grouped_params(rng, 5, slots * 3)
+    probe = rng.standard_normal((2, 3, 5))
     return ([("v", v), ("w", p.weight), ("b", p.bias)],
             lambda: _loss_of(nnops.grouped_projection(v, p), probe))
+
+
+def _case_aggregation_modes_padded(rng):
+    """Every aggregation mode on one padded field [2,3,4,5,2]."""
+    v = Tensor(rng.standard_normal((2, 3, 4, 5, 2)), requires_grad=True)
+    pad = _pad_mask(rng, (2, 3, 4))
+    named, runs = [("v", v)], []
+    for mode in setabs.AGGREGATION_MODES:
+        cfg = BlockConfig(in_channels=5, out_channels=3, k_neighbors=4, vector_dim=2,
+                          aggregation=mode)
+        p = setabs.vpsa_block_params(rng, cfg)
+        width = 5 if p.proj is not None else 3
+        runs.append((mode, p, rng.standard_normal((2, 3, width))))
+        for name in ("proj", "fc"):
+            layer = getattr(p, name)
+            if layer is not None:
+                named += [(f"{mode}.{name}.{slot}", t) for slot, t in layer.tensors()]
+
+    def forward():
+        return reduce(nnops.add, [_loss_of(setabs.aggregation_variant(v, mode, p, pad), probe)
+                                  for mode, p, probe in runs])
+
+    return named, forward
 
 
 def _case_residual_fuse(rng):
@@ -233,21 +269,12 @@ def _case_mean_sum(rng):
     return [("x", x)], forward
 
 
-def _case_rotate_field3(rng):
+def _case_rotate_field(rng, m):
     zx = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    alpha = Tensor(rng.uniform(0, 2 * np.pi, size=(2, 3, 4)), requires_grad=True)
-    beta = Tensor(rng.uniform(0, 2 * np.pi, size=(2, 3, 4)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 4, 3))
-    return ([("zx", zx), ("alpha", alpha), ("beta", beta)],
-            lambda: _loss_of(vecenc.rotate_field3(zx, alpha, beta), probe))
-
-
-def _case_rotate_field2(rng):
-    zx = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    alpha = Tensor(rng.uniform(0, 2 * np.pi, size=(2, 3, 4)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 4, 2))
-    return ([("zx", zx), ("alpha", alpha)],
-            lambda: _loss_of(vecenc.rotate_field2(zx, alpha), probe))
+    ang = Tensor(rng.uniform(0, 2 * np.pi, size=(2, 3, (m - 1) * 4)), requires_grad=True)
+    probe = rng.standard_normal((2, 3, 4, m))
+    return ([("zx", zx), ("ang", ang)],
+            lambda: _loss_of(vecenc.rotate_field(zx, ang), probe))
 
 
 def _case_mix_features(rng):
@@ -264,60 +291,8 @@ def _encoder_case(rng, name, m):
     fp = Tensor(np.abs(rng.standard_normal((2, 3, 4, 5))) + 0.1, requires_grad=True)
     params = vecenc.make_encoder_params(name, rng, 5, m)
     probe = rng.standard_normal((2, 3, 4, 5, m))
-    layers = [p for _, p in _walk_layers(params)]
-    restore = _freeze_running(layers)
-
-    def forward():
-        restore()
-        return _loss_of(vecenc.encode(name, fp, params, m, "train"), probe)
-
-    named = [("fp", fp)]
-    for lname, layer in _walk_layers(params):
-        for slot, t in layer.tensors():
-            named.append((f"{lname}.{slot}", t))
-    return named, forward
-
-
-def _walk_layers(obj, prefix=""):
-    import dataclasses as dc
-
-    if obj is None:
-        return
-    if isinstance(obj, nnops.LayerParams):
-        yield prefix or "layer", obj
-        return
-    if isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            yield from _walk_layers(item, f"{prefix}.{i}" if prefix else str(i))
-        return
-    if dc.is_dataclass(obj):
-        for f in dc.fields(obj):
-            yield from _walk_layers(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name)
-
-
-def _case_encode_rotation(rng):
-    return _encoder_case(rng, "rotation", 3)
-
-
-def _case_encode_rotation_2d(rng):
-    return _encoder_case(rng, "rotation", 2)
-
-
-def _case_encode_mlp(rng):
-    return _encoder_case(rng, "mlp", 3)
-
-
-def _case_encode_direction(rng):
-    return _encoder_case(rng, "direction", 3)
-
-
-def _case_slot_projection(rng):
-    v = Tensor(rng.standard_normal((2, 3, 4, 5, 3)), requires_grad=True)
-    p = nnops.LayerParams(weight=nnops.parameter(rng.standard_normal((5, 4, 3))),
-                          bias=nnops.parameter(rng.standard_normal(5)))
-    probe = rng.standard_normal((2, 3, 5))
-    return ([("v", v), ("w", p.weight), ("b", p.bias)],
-            lambda: _loss_of(setabs.slot_projection(v, p), probe))
+    return _params_case([("fp", fp)], params, probe,
+                        lambda: vecenc.encode(name, fp, params, m, "train"))
 
 
 def _case_rotate_project3(rng, padded=True):
@@ -328,10 +303,6 @@ def _case_rotate_project3(rng, padded=True):
     probe = rng.standard_normal((2, 3, 5))
     return ([("zx", zx), ("ang", ang), ("w", p.weight), ("b", p.bias)],
             lambda: _loss_of(vecenc.rotate_project3(zx, ang, p, pad), probe))
-
-
-def _case_rotate_project3_unpadded(rng):
-    return _case_rotate_project3(rng, padded=False)
 
 
 def _case_softmax_ce(rng):
@@ -360,27 +331,9 @@ def _case_sa_block(rng, negative_gamma=False, radius=None):
         layer.norm_beta.data = rng.uniform(0.2, 0.6, 6)
     m = -(-pos.shape[1] // 2)
     probe = rng.standard_normal((1, m, 6))
-    layers = [l for _, l in _walk_layers(p)]
-    restore = _freeze_running(layers)
-
-    def forward():
-        restore()
-        _, out = setabs.sa_block(PointSetBatch(positions=pos), f, cfg, p, "train")
-        return _loss_of(out, probe)
-
-    named = [("features", f)]
-    for lname, layer in _walk_layers(p):
-        for slot, t in layer.tensors():
-            named.append((f"{lname}.{slot}", t))
-    return named, forward
-
-
-def _case_sa_block_negative_gamma(rng):
-    return _case_sa_block(rng, negative_gamma=True)
-
-
-def _case_sa_block_negative_gamma_padded(rng):
-    return _case_sa_block(rng, negative_gamma=True, radius=0.8)
+    return _params_case(
+        [("features", f)], p, probe,
+        lambda: setabs.sa_block(PointSetBatch(positions=pos), f, cfg, p, "train")[1])
 
 
 def _case_vpsa_block(rng):
@@ -395,19 +348,9 @@ def _case_vpsa_block(rng):
         if layer.bias is not None:
             layer.bias.data = rng.uniform(0.2, 0.6, size=layer.bias.data.shape)
     probe = rng.standard_normal((1, 8, 4))
-    layers = [l for _, l in _walk_layers(p)]
-    restore = _freeze_running(layers)
-
-    def forward():
-        restore()
-        _, out = setabs.vpsa_block(PointSetBatch(positions=pos), f, cfg, p, "train")
-        return _loss_of(out, probe)
-
-    named = [("features", f)]
-    for lname, layer in _walk_layers(p):
-        for slot, t in layer.tensors():
-            named.append((f"{lname}.{slot}", t))
-    return named, forward
+    return _params_case(
+        [("features", f)], p, probe,
+        lambda: setabs.vpsa_block(PointSetBatch(positions=pos), f, cfg, p, "train")[1])
 
 
 def _case_feature_propagate(rng):
@@ -417,20 +360,10 @@ def _case_feature_propagate(rng):
     sf = Tensor(rng.standard_normal((1, 9, 3)), requires_grad=True)
     p = setabs.fp_params(rng, 4, 3, 6)
     probe = rng.standard_normal((1, 9, 6))
-    layers = [l for _, l in _walk_layers(p)]
-    restore = _freeze_running(layers)
-
-    def forward():
-        restore()
-        coarse = PointSetBatch(positions=coarse_pos)
-        out = setabs.feature_propagate(coarse, cf, fine_pos, sf, p, "train")
-        return _loss_of(out, probe)
-
-    named = [("coarse_f", cf), ("skip_f", sf)]
-    for lname, layer in _walk_layers(p):
-        for slot, t in layer.tensors():
-            named.append((f"{lname}.{slot}", t))
-    return named, forward
+    coarse = PointSetBatch(positions=coarse_pos)
+    return _params_case(
+        [("coarse_f", cf), ("skip_f", sf)], p, probe,
+        lambda: setabs.feature_propagate(coarse, cf, fine_pos, sf, p, "train"))
 
 
 CASES = {
@@ -440,32 +373,34 @@ CASES = {
     "batchnorm_eval": _case_batchnorm_eval,
     "relu": _case_relu,
     "add_sub_mul": _case_add_sub_mul,
-    "concat_slice_reshape": _case_concat_slice_reshape,
+    "concat_reshape": _case_concat_reshape,
     "neighbor_reduce_sum": _case_neighbor_reduce_sum,
     "neighbor_reduce_max": _case_neighbor_reduce_max,
     "neighbor_reduce_sum_padded": _case_neighbor_reduce_sum_padded,
     "neighbor_reduce_max_padded": _case_neighbor_reduce_max_padded,
     "grouped_projection": _case_grouped_projection,
+    "grouped_projection_slots": partial(_case_grouped_projection, slots=4),
+    "aggregation_modes_padded": _case_aggregation_modes_padded,
     "residual_fuse": _case_residual_fuse,
     "gather_2d": _case_gather_2d,
     "gather_3d": _case_gather_3d,
     "gather_weighted": _case_gather_weighted,
     "unit_normalize": _case_unit_normalize,
     "mean_sum": _case_mean_sum,
-    "rotate_field3": _case_rotate_field3,
-    "rotate_field2": _case_rotate_field2,
+    "rotate_field3": partial(_case_rotate_field, m=3),
+    "rotate_field2": partial(_case_rotate_field, m=2),
     "mix_features": _case_mix_features,
-    "encode_rotation": _case_encode_rotation,
-    "encode_rotation_2d": _case_encode_rotation_2d,
-    "encode_mlp": _case_encode_mlp,
-    "encode_direction": _case_encode_direction,
-    "slot_projection": _case_slot_projection,
+    "encode_rotation": partial(_encoder_case, name="rotation", m=3),
+    "encode_rotation_2d": partial(_encoder_case, name="rotation", m=2),
+    "encode_mlp": partial(_encoder_case, name="mlp", m=3),
+    "encode_direction": partial(_encoder_case, name="direction", m=3),
     "rotate_project3": _case_rotate_project3,
-    "rotate_project3_unpadded": _case_rotate_project3_unpadded,
+    "rotate_project3_unpadded": partial(_case_rotate_project3, padded=False),
     "softmax_cross_entropy": _case_softmax_ce,
     "sa_block": _case_sa_block,
-    "sa_block_negative_gamma": _case_sa_block_negative_gamma,
-    "sa_block_negative_gamma_padded": _case_sa_block_negative_gamma_padded,
+    "sa_block_negative_gamma": partial(_case_sa_block, negative_gamma=True),
+    "sa_block_negative_gamma_padded": partial(_case_sa_block, negative_gamma=True,
+                                              radius=0.8),
     "vpsa_block": _case_vpsa_block,
     "feature_propagate": _case_feature_propagate,
 }

@@ -20,7 +20,7 @@ from .geometry import PointSetBatch
 from .nnops import LayerParams, Tensor
 from .setabs import BlockConfig, FPParams
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 INPUT_CHANNELS = 4  # [p, p_z]
 
 
@@ -167,21 +167,17 @@ class Model:
 
     def layer_map(self) -> dict[str, LayerParams]:
         """All LayerParams keyed by their module path."""
-        out: dict[str, LayerParams] = {}
-        _collect_layers("embed", self.embed, out)
+        parts = [("embed", self.embed)]
         for i, blocks in enumerate(self.stages):
             counters = {"sa": 0, "vpsa": 0}
             for block in blocks:
-                j = counters[block.kind]
+                parts.append((f"stage{i}.{block.kind}{counters[block.kind]}", block.params))
                 counters[block.kind] += 1
-                _collect_layers(f"stage{i}.{block.kind}{j}", block.params, out)
-        for i, fp in enumerate(self.decoder):
-            _collect_layers(f"decoder.fp{i}", fp, out)
-        if self.global_sa is not None:
-            _collect_layers("global_sa", self.global_sa, out)
-        _collect_layers("head.hidden", self.head_hidden, out)
-        _collect_layers("head.out", self.head_out, out)
-        return out
+        parts += [(f"decoder.fp{i}", fp) for i, fp in enumerate(self.decoder)]
+        parts += [("global_sa", self.global_sa), ("head.hidden", self.head_hidden),
+                  ("head.out", self.head_out)]
+        return {path: layer for prefix, obj in parts
+                for path, layer in walk_layers(obj, prefix)}
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -279,36 +275,28 @@ class Model:
         return nnops.check_finite(logits, "head.out")
 
 
-def _collect_layers(prefix: str, obj, out: dict) -> None:
-    if obj is None:
-        return
+def walk_layers(obj, prefix: str = ""):
+    """(path, LayerParams) for every layer in a params container: a
+    LayerParams, or a list, tuple or dataclass of containers, walked in
+    order. Paths join the prefix, field names and list indices with dots."""
+    def join(name):
+        return f"{prefix}.{name}" if prefix else str(name)
+
     if isinstance(obj, LayerParams):
-        out[prefix] = obj
-        return
-    if isinstance(obj, (list, tuple)):
+        yield prefix, obj
+    elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            _collect_layers(f"{prefix}.{i}", item, out)
-        return
-    if dataclasses.is_dataclass(obj):
+            yield from walk_layers(item, join(i))
+    elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            _collect_layers(f"{prefix}.{f.name}", getattr(obj, f.name), out)
+            yield from walk_layers(getattr(obj, f.name), join(f.name))
 
 
 def param_count(obj) -> int:
-    """Number of learnable scalars in a model, params container, or list."""
-    if obj is None:
-        return 0
-    if isinstance(obj, Model):
-        return sum(t.data.size for t in obj.named_params().values())
-    if isinstance(obj, Tensor):
-        return obj.data.size
-    if isinstance(obj, LayerParams):
-        return sum(t.data.size for _, t in obj.tensors())
-    if dataclasses.is_dataclass(obj):
-        return sum(param_count(getattr(obj, f.name)) for f in dataclasses.fields(obj))
-    if isinstance(obj, (list, tuple)):
-        return sum(param_count(x) for x in obj)
-    return 0
+    """Number of learnable scalars in a model or a params container."""
+    layers = obj.layer_map().values() if isinstance(obj, Model) else (
+        layer for _, layer in walk_layers(obj))
+    return sum(t.data.size for layer in layers for _, t in layer.tensors())
 
 
 # ---------------------------------------------------------------------------

@@ -245,14 +245,12 @@ def attach_norm(p: LayerParams, channels: int) -> LayerParams:
     return p
 
 
-def grouped_params(rng: np.random.Generator, channels: int, m: int, bias: bool = True) -> LayerParams:
-    """Per-channel [channels, m] projection kernel for grouped_projection."""
-    bound = 1.0 / np.sqrt(m)
-    w = parameter(rng.uniform(-bound, bound, size=(channels, m)).astype(_DTYPE))
-    p = LayerParams(weight=w)
-    if bias:
-        p.bias = parameter(np.zeros(channels, dtype=_DTYPE))
-    return p
+def grouped_params(rng: np.random.Generator, channels: int, width: int) -> LayerParams:
+    """Per-channel [channels, width] kernel for grouped_projection, width = K'·m;
+    weights U(+-1/sqrt(width)), zero bias."""
+    bound = 1.0 / np.sqrt(width)
+    w = parameter(rng.uniform(-bound, bound, size=(channels, width)).astype(_DTYPE))
+    return LayerParams(weight=w, bias=parameter(np.zeros(channels, dtype=_DTYPE)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +312,6 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         return tuple(np.split(g, splits, axis=-1))
 
     return custom_op(out, tuple(parts), grad_fn)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    out = x.data[..., start:stop]
-    shape = x.data.shape
-
-    def grad_fn(g):
-        gx = np.zeros(shape, dtype=g.dtype)
-        gx[..., start:stop] = g
-        return (gx,)
-
-    return custom_op(out, (x,), grad_fn)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -507,25 +493,33 @@ def neighbor_reduce(v: Tensor, mode: str, pad: np.ndarray | None = None) -> Tens
 
 
 def grouped_projection(v: Tensor, p: LayerParams) -> Tensor:
-    """Channel-independent vector-to-scalar map: out[..,c] = sum_d v[..,c,d] w[c,d] + b[c]."""
+    """Channel-independent map of a neighbor field to scalars, [B,M,K',C,m] -> [B,M,C]:
+
+        out[b,i,c] = sum_k,d v[b,i,k,c,d] w[c, k m + d] + bias[c]
+
+    with w [C, K'·m]. A reduced field (K' = 1) has one m-vector kernel per
+    channel; a field that keeps its K neighbor slots has one per channel and
+    slot.
+    """
     w = p.weight
-    c, m = w.data.shape
-    if v.data.ndim < 2 or v.data.shape[-2:] != (c, m):
-        raise SizeError(
-            f"grouped_projection expects trailing dims ({c},{m}), got {v.data.shape}")
-    out = np.einsum("...cd,cd->...c", v.data, w.data)
+    c, km = w.data.shape
+    shape = v.data.shape
+    if v.data.ndim != 5 or shape[3] != c or shape[2] * shape[4] != km:
+        raise SizeError(f"grouped_projection expects [B,M,K',{c},m] with K'·m = {km}, "
+                        f"got {shape}")
+    v_data = v.data
+    w3 = w.data.reshape(c, shape[2], shape[4])
+    out = np.einsum("bikcd,ckd->bic", v_data, w3)
     if p.bias is not None:
         out = out + p.bias.data
     inputs = (v, w) if p.bias is None else (v, w, p.bias)
-    v_data, w_data = v.data, w.data
-    lead_axes = tuple(range(v.data.ndim - 2))
 
     def grad_fn(g):
-        gv = np.expand_dims(g, -1) * w_data
-        gw = (v_data * np.expand_dims(g, -1)).sum(axis=lead_axes)
+        gv = np.einsum("bic,ckd->bikcd", g, w3)
+        gw = np.einsum("bikcd,bic->ckd", v_data, g).reshape(c, km)
         if p.bias is None:
             return gv, gw
-        return gv, gw, g.sum(axis=tuple(range(g.ndim - 1)))
+        return gv, gw, g.sum(axis=(0, 1))
 
     return custom_op(out, inputs, grad_fn)
 

@@ -359,12 +359,12 @@ def mix_features(rel_feat, rel_pos, p):
 def unfused_rotate_project(zx, ang, proj, pad: np.ndarray | None = None):
     """What `vecenc.rotate_project3` fuses, op by op on the tape.
 
-    zx [B,M,K,C] and ang [B,M,K,2C] (alpha | beta) are Tensors: the angles
-    are sliced, rotate_field3 lifts each channel to a 3-vector, the vectors
-    are summed over the non-pad neighbors and grouped_projection with `proj`
-    maps them back to channel scalars [B,M,C].
+    zx [B,M,K,C] and ang [B,M,K,2C] (the packed alpha | beta) are Tensors:
+    `vecenc.rotate_field` lifts each channel to a 3-vector, the vectors are
+    summed over the non-pad neighbors into one slot and
+    `nnops.grouped_projection` with the [C,3] kernel `proj` maps them back
+    to channel scalars [B,M,C].
     """
-    c = zx.shape[-1]
-    field = vecenc.rotate_field3(zx, nnops.slice_last(ang, 0, c),
-                                 nnops.slice_last(ang, c, 2 * c))
-    return nnops.grouped_projection(nnops.neighbor_reduce(field, "sum", pad), proj)
+    field = nnops.neighbor_reduce(vecenc.rotate_field(zx, ang), "sum", pad)
+    b, m, c, d = field.shape
+    return nnops.grouped_projection(nnops.reshape(field, (b, m, 1, c, d)), proj)

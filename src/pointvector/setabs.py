@@ -1,5 +1,5 @@
 """Composed point-set blocks: set abstraction, vector-oriented set abstraction,
-feature propagation, and the aggregation-variant matrix.
+feature propagation, and the aggregation modes.
 
 Blocks are pure functions of (positions, features, config, params): the
 positions travel in a `PointSetBatch`, the features as an autodiff `Tensor`
@@ -14,6 +14,20 @@ relu(bn(max_k a_j - b_i)) with a = [f, p~] W per point and b = [0, p~] W per
 center, the max becoming a min on channels whose batchnorm scale is negative
 (`pooled_sa`), and VPSA mixes relu(u_j - (u_i - b_pos)) with u = f + p~ W_pos
 per point.
+
+VPSA aggregates its vector field [B,M,K,C,m] in two steps, a reduction over
+the K neighbors and a projection back to scalars (`AGGREGATIONS`):
+
+    mode            reduction   projection
+    sum_groupconv   sum         grouped: kernel [C, m], then mixing [C, Cout]
+    max_groupconv   max         grouped: kernel [C, m], then mixing [C, Cout]
+    groupconv       none        grouped: kernel [C, K·m], then mixing [C, Cout]
+    sum_fc          sum         dense: [C·m, Cout]
+    max_fc          max         dense: [C·m, Cout]
+    conv            none        dense: [K·C·m, Cout]
+
+A mode without a reduction keeps the K slots, pads zeroed, and weighs each
+slot on its own, so it sorts the neighbors by distance first.
 """
 
 from __future__ import annotations
@@ -34,11 +48,16 @@ from .errors import (
 from .geometry import NeighborIndex, PointSetBatch
 from .nnops import LayerParams, Tensor, custom_op
 
-AGGREGATION_MODES = (
-    "sum_groupconv", "max_groupconv", "sum_fc", "max_fc", "conv", "groupconv")
-
-# slot-kernel modes need a canonical neighbor order
-_ORDERED_MODES = ("conv", "groupconv")
+# mode -> (reduction over the neighbors, None to keep the K slots; projection)
+AGGREGATIONS = {
+    "sum_groupconv": ("sum", "grouped"),
+    "max_groupconv": ("max", "grouped"),
+    "sum_fc": ("sum", "dense"),
+    "max_fc": ("max", "dense"),
+    "conv": (None, "dense"),
+    "groupconv": (None, "grouped"),
+}
+AGGREGATION_MODES = tuple(AGGREGATIONS)
 
 
 @dataclass
@@ -76,11 +95,9 @@ class VPSABlockParams:
     encoder: object                  # one of the vecenc *EncoderParams
     res: LayerParams                 # [Cin, Cout]
     post_norm: LayerParams           # norm over Cout, applied before the residual
-    proj: LayerParams | None = None  # [Cin, m] grouped kernel
-    mix: LayerParams | None = None   # [Cin, Cout] channel mixing
-    slot: LayerParams | None = None  # [Cin, K, m] per-slot kernels
-    fc: LayerParams | None = None    # [Cin*m, Cout]
-    conv: LayerParams | None = None  # [K*Cin*m, Cout]
+    proj: LayerParams | None = None  # [Cin, K'·m] grouped kernel
+    mix: LayerParams | None = None   # [Cin, Cout] channel mixing after proj
+    fc: LayerParams | None = None    # [K'·Cin·m, Cout] dense projection
 
 
 @dataclass
@@ -104,22 +121,13 @@ def vpsa_block_params(rng: np.random.Generator, cfg: BlockConfig) -> VPSABlockPa
         res=nnops.linear_params(rng, cin, cout, bias=True),
         post_norm=nnops.attach_norm(LayerParams(), cout),
     )
-    mode = cfg.aggregation
-    if mode in ("sum_groupconv", "max_groupconv"):
-        p.proj = nnops.grouped_params(rng, cin, m)
+    reduction, projection = AGGREGATIONS[cfg.aggregation]
+    width = m if reduction else cfg.k_neighbors * m   # K'·m
+    if projection == "grouped":
+        p.proj = nnops.grouped_params(rng, cin, width)
         p.mix = nnops.linear_params(rng, cin, cout, bias=False)
-    elif mode == "groupconv":
-        k = cfg.k_neighbors
-        bound = 1.0 / math.sqrt(k * m)
-        p.slot = LayerParams(
-            weight=nnops.parameter(
-                rng.uniform(-bound, bound, size=(cin, k, m)).astype(nnops.default_dtype())),
-            bias=nnops.parameter(np.zeros(cin, dtype=nnops.default_dtype())))
-        p.mix = nnops.linear_params(rng, cin, cout, bias=False)
-    elif mode in ("sum_fc", "max_fc"):
-        p.fc = nnops.linear_params(rng, cin * m, cout, bias=False)
-    elif mode == "conv":
-        p.conv = nnops.linear_params(rng, cfg.k_neighbors * cin * m, cout, bias=False)
+    else:
+        p.fc = nnops.linear_params(rng, cin * width, cout, bias=False)
     return p
 
 
@@ -143,55 +151,30 @@ def _mask_padded(v: Tensor, pad: np.ndarray | None) -> Tensor:
     return nnops.mul(v, Tensor(keep))
 
 
-def slot_projection(v: Tensor, p: LayerParams, pad: np.ndarray | None = None) -> Tensor:
-    """Independent kernel per neighbor slot: out[..,c] = sum_kd v[..,k,c,d] W[c,k,d] + b[c]."""
-    w = p.weight
-    c, k, m = w.data.shape
-    if v.data.shape[2:] != (k, c, m):
-        raise SizeError(
-            f"slot_projection expects [B,M,{k},{c},{m}], got {v.data.shape}")
-    v = _mask_padded(v, pad)
-    data = v.data
-    out = np.einsum("bikcd,ckd->bic", data, w.data)
-    if p.bias is not None:
-        out = out + p.bias.data
-    inputs = (v, w) if p.bias is None else (v, w, p.bias)
-    w_data = w.data
-
-    def grad_fn(g):
-        gv = np.einsum("bic,ckd->bikcd", g, w_data)
-        gw = np.einsum("bikcd,bic->ckd", data, g)
-        if p.bias is None:
-            return gv, gw
-        return gv, gw, g.sum(axis=(0, 1))
-
-    return custom_op(out, inputs, grad_fn)
-
-
 def aggregation_variant(v: Tensor, mode: str, p: VPSABlockParams,
                         pad: np.ndarray | None = None) -> Tensor:
-    """Aggregate a vector field [B,M,K,C,m] over neighbors.
+    """Aggregate a vector field [B,M,K,C,m] over neighbors, per `AGGREGATIONS`.
 
-    sum/max_groupconv return the per-channel projection [B,M,C] (channel
-    mixing stays outside); fc and conv modes fold the channel mixing into
-    their dense map and return [B,M,Cout]. conv and groupconv consume the
-    neighbor slots in the order given, so callers sort them canonically.
+    First the reduction: sum or max over the non-pad neighbors leaves one
+    slot, K' = 1; without one the pads are zeroed and all K' = K slots stay,
+    in the order given, so callers sort them canonically. Then the
+    projection: grouped modes apply `nnops.grouped_projection` with p.proj
+    [C, K'·m] and return [B,M,C] (the channel mixing p.mix stays outside);
+    dense modes apply `nnops.linear` with p.fc [K'·C·m, Cout] over the
+    flattened slots, channels and components and return [B,M,Cout].
     """
-    if mode not in AGGREGATION_MODES:
+    if mode not in AGGREGATIONS:
         raise ConfigError(
             f"aggregation must be one of {AGGREGATION_MODES}, got {mode!r}")
-    b, mm, k, c, m = v.data.shape
-    if mode in ("sum_groupconv", "max_groupconv"):
-        return nnops.grouped_projection(
-            nnops.neighbor_reduce(v, mode.split("_")[0], pad), p.proj)
-    if mode == "groupconv":
-        return slot_projection(v, p.slot, pad)
-    if mode in ("sum_fc", "max_fc"):
-        reduced = nnops.neighbor_reduce(v, mode.split("_")[0], pad)
-        return nnops.linear(nnops.reshape(reduced, (b, mm, c * m)), p.fc)
-    # conv: dense kernel over neighbor slots and channels
-    flat = nnops.reshape(_mask_padded(v, pad), (b, mm, k * c * m))
-    return nnops.linear(flat, p.conv)
+    reduction, projection = AGGREGATIONS[mode]
+    b, mm, _, c, m = v.data.shape
+    if reduction is None:
+        v = _mask_padded(v, pad)
+    else:
+        v = nnops.reshape(nnops.neighbor_reduce(v, reduction, pad), (b, mm, 1, c, m))
+    if projection == "grouped":
+        return nnops.grouped_projection(v, p.proj)
+    return nnops.linear(nnops.reshape(v, (b, mm, -1)), p.fc)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +398,7 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     if cin != cfg.in_channels:
         raise SizeError(f"expected {cfg.in_channels} input channels, got {cin}")
     centers = nbr.centers
-    if cfg.aggregation in _ORDERED_MODES:
+    if AGGREGATIONS[cfg.aggregation][0] is None:
         nbr = geometry.sort_neighbors_by_distance(x.positions, nbr)
 
     pos_term = nnops.linear(nnops.input_tensor(_centered_positions(x.positions)),

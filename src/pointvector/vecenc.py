@@ -1,9 +1,13 @@
 """Scalar-to-vector feature encoders.
 
 Each channel of a mixed relative feature is lifted to an m-dimensional vector
-(m in {1, 2, 3}). The rotation encoder predicts a modulus and up to two
-independent angles and applies the closed-form composition of an x-axis and a
-z-axis rotation; the mlp and direction encoders are the ablation variants.
+(m in {1, 2, 3}). The rotation encoder predicts a modulus zx [..., C] and m-1
+angles per channel, packed as one tensor [..., (m-1)C] that holds alpha for
+all channels, then beta for all channels (`_angles`). It applies the
+closed-form composition of an x-axis and a z-axis rotation: `rotate_field`
+builds the field, and `rotate_project3`, for the default VPSA cell, sums and
+projects it without building it. The mlp and direction encoders are the
+ablation variants.
 
 The rotation ops take sine and cosine from the half-angle identity
 
@@ -23,15 +27,6 @@ import numpy as np
 from . import nnops
 from .errors import ConfigError, SizeError
 from .nnops import LayerParams, Tensor, custom_op
-
-
-@dataclass
-class RotationInputs:
-    """Modulus pre-image and rotation angles, each [..., C]; angles are radians."""
-
-    zx: Tensor
-    alpha: Tensor | None = None
-    beta: Tensor | None = None
 
 
 @dataclass
@@ -70,45 +65,56 @@ def _sincos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, q
 
 
-def rotate_field3(zx: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
-    """Rotate the lift (0, zx, 0) by alpha and beta: [..., C] -> [..., C, 3].
+def _angle_sincos(ang: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sines and cosines of packed angles [..., (m-1)C] as [m-1, ..., C] arrays.
 
-    out = (-zx sin(a) sin(b), zx cos(a) sin(b), zx cos(b)); `oracle.rotate3d`
-    is the reference.
+    One pass over the angles viewed as [m-1, ..., C], so that each angle's
+    factors come out contiguous: sin alpha = s[0], sin beta = s[1].
+    """
+    return _sincos(np.moveaxis(ang.reshape(ang.shape[:-1] + (-1, c)), -2, 0))
+
+
+def rotate_field(zx: Tensor, ang: Tensor) -> Tensor:
+    """Rotate the lift of zx [..., C] by the packed angles ang [..., (m-1)C]:
+    [..., C] -> [..., C, m], m in {2, 3} read from the width of ang.
+
+    m=2: (-zx sin(a), zx cos(a)); m=3: (-zx sin(a) sin(b), zx cos(a) sin(b),
+    zx cos(b)). `oracle.rotate2d` and `oracle.rotate3d` are the references.
     """
     z = zx.data
-    sa, ca = _sincos(alpha.data)
-    sb, cb = _sincos(beta.data)
-    out = np.stack([-z * sa * sb, z * ca * sb, z * cb], axis=-1)
+    c = z.shape[-1]
+    m = ang.data.shape[-1] // c + 1
+    if m not in (2, 3) or ang.data.shape != z.shape[:-1] + ((m - 1) * c,):
+        raise SizeError(f"rotate_field expects angles [..., C] or [..., 2C] for zx "
+                        f"{z.shape}, got {ang.data.shape}")
+    sines, cosines = _angle_sincos(ang.data, c)
+    sa, ca = sines[0], cosines[0]
+    if m == 2:
+        out = np.stack([-z * sa, z * ca], axis=-1)
+    else:
+        sb, cb = sines[1], cosines[1]
+        out = np.stack([-z * sa * sb, z * ca * sb, z * cb], axis=-1)
 
     def grad_fn(g):
+        if m == 2:
+            g0, g1 = g[..., 0], g[..., 1]
+            return -g0 * sa + g1 * ca, z * (-g0 * ca - g1 * sa)
         g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
         dz = -g0 * sa * sb + g1 * ca * sb + g2 * cb
-        da = z * (-g0 * ca * sb - g1 * sa * sb)
-        db = z * (-g0 * sa * cb + g1 * ca * cb - g2 * sb)
-        return dz, da, db
+        dang = np.empty(ang.data.shape, dtype=dz.dtype)
+        dang[..., :c] = z * (-g0 * ca * sb - g1 * sa * sb)
+        dang[..., c:] = z * (-g0 * sa * cb + g1 * ca * cb - g2 * sb)
+        return dz, dang
 
-    return custom_op(out, (zx, alpha, beta), grad_fn)
-
-
-def rotate_field2(zx: Tensor, alpha: Tensor) -> Tensor:
-    """Single-angle rotation (-zx sin(a), zx cos(a)): [..., C] -> [..., C, 2]."""
-    z = zx.data
-    sa, ca = _sincos(alpha.data)
-    out = np.stack([-z * sa, z * ca], axis=-1)
-
-    def grad_fn(g):
-        g0, g1 = g[..., 0], g[..., 1]
-        return -g0 * sa + g1 * ca, z * (-g0 * ca - g1 * sa)
-
-    return custom_op(out, (zx, alpha), grad_fn)
+    return custom_op(out, (zx, ang), grad_fn)
 
 
 def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
                     pad: np.ndarray | None = None) -> Tensor:
-    """rotate_field3, summed over non-pad neighbors, then grouped_projection, as one op.
+    """rotate_field with m=3, summed over non-pad neighbors, then
+    grouped_projection, as one op.
 
-    zx is [B,M,K,C], ang the angle tensor [B,M,K,2C] holding alpha | beta,
+    zx is [B,M,K,C], ang the packed angles [B,M,K,2C] holding alpha | beta,
     p the [C,3] grouped kernel w with bias b; returns [B,M,C]:
 
         out[b,i,c] = sum_k keep * zx * (sin(beta) (w1 cos(alpha) - w0 sin(alpha))
@@ -130,10 +136,7 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
         keep = (~pad).astype(z.dtype)[..., None]
         z = z * keep
     w0, w1, w2 = w.data[:, 0], w.data[:, 1], w.data[:, 2]
-    # one pass over alpha | beta as a [2,B,M,K,C] view, so that the four
-    # factors come out as contiguous [B,M,K,C] arrays
-    halves = np.moveaxis(ang.data.reshape(z.shape[:-1] + (2, c)), -2, 0)
-    (sa, sb), (ca, cb) = _sincos(halves)
+    (sa, sb), (ca, cb) = _angle_sincos(ang.data, c)
     # t = w1 cos(alpha) - w0 sin(alpha); u = sin(beta) t + w2 cos(beta) = d out / d zx
     t = ca * w1
     t -= sa * w0
@@ -175,36 +178,19 @@ def _angles(fp: Tensor, p: RotationEncoderParams, mode: str) -> Tensor:
     return nnops.relu(nnops.batchnorm(nnops.linear(fp, p.angles), p.angles, mode))
 
 
-def rotation_inputs(fp: Tensor, p: RotationEncoderParams, m: int,
-                    mode: str = "train") -> RotationInputs:
-    """Predict modulus and angles from the mixed feature per the angle pipeline."""
-    c = fp.shape[-1]
-    zx = nnops.linear(fp, p.zx)
-    if m == 1:
-        return RotationInputs(zx=zx)
-    ang = _angles(fp, p, mode)
-    if m == 2:
-        return RotationInputs(zx=zx, alpha=ang)
-    alpha = nnops.slice_last(ang, 0, c)
-    beta = nnops.slice_last(ang, c, 2 * c)
-    return RotationInputs(zx=zx, alpha=alpha, beta=beta)
-
-
 def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
                     mode: str = "train") -> Tensor:
     """Rotation-based scalar-to-vector expansion, [..., C] -> [..., C, m].
 
-    m=3 applies rotate_field3, m=2 rotate_field2, and m=1 is the identity
-    expansion (the plain scalar path, bit for bit).
+    zx = linear(fp); m=1 is the identity expansion of zx (the plain scalar
+    path, bit for bit), m=2 and 3 apply rotate_field with the packed angles.
     """
     if m not in (1, 2, 3):
         raise ConfigError(f"vector dimension must be 1, 2, or 3, got {m}")
-    inputs = rotation_inputs(fp, p, m, mode)
+    zx = nnops.linear(fp, p.zx)
     if m == 1:
-        return nnops.reshape(inputs.zx, inputs.zx.shape + (1,))
-    if m == 2:
-        return rotate_field2(inputs.zx, inputs.alpha)
-    return rotate_field3(inputs.zx, inputs.alpha, inputs.beta)
+        return nnops.reshape(zx, zx.shape + (1,))
+    return rotate_field(zx, _angles(fp, p, mode))
 
 
 def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerParams,
@@ -212,8 +198,8 @@ def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerP
     """The default VPSA cell: rotation encoding with m=3, summed over the
     neighbors and projected per channel by `proj`, through rotate_project3.
 
-    Equals grouped_projection(neighbor_reduce(encode_rotation(fp, p, 3), "sum",
-    pad), proj) without building the vector field.
+    Equals grouped_projection of the neighbor sum of encode_rotation(fp, p, 3)
+    (`oracle.unfused_rotate_project`) without building the vector field.
     """
     zx = nnops.linear(fp, p.zx)
     return rotate_project3(zx, _angles(fp, p, mode), proj, pad)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pointvector import dataio
+from pointvector import dataio, gradcheck
 from pointvector import train as train_mod
 from pointvector.cli import DataConfig, build_dataset, main, make_parser
 from pointvector.geometry import PointSetBatch
@@ -161,3 +161,17 @@ def test_ablate_counts_the_parameters_of_the_model_it_trains(tmp_path, monkeypat
     assert (built[0].cfg.encoder, built[0].cfg.vector_dim) == ("direction", 1)
     assert row[:3] == ["sum_groupconv", "direction", "1"]
     assert int(row[4]) == param_count(built[0])
+
+
+@pytest.mark.parametrize("fault,code", [(False, 0), (True, 4)])
+def test_gradcheck_exit_code_and_report(monkeypatch, capsys, fault, code):
+    few = ("linear", "relu", "grouped_projection_slots")
+    monkeypatch.setattr(gradcheck, "CASES", {name: gradcheck.CASES[name] for name in few})
+    argv = ["gradcheck", "--instances", "1"] + (["--inject-fault"] if fault else [])
+    assert main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    status = {line.split()[0]: line.split()[-1] for line in lines[:len(few)]}
+    assert status == {name: "FAIL" if fault and name == "linear" else "PASS"
+                      for name in few}
+    assert lines[-1] == ("gradient check FAILED for: linear" if fault
+                         else "all gradient checks passed")

@@ -119,6 +119,36 @@ class TestCheckpointPrecision:
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("aggregation", setabs.AGGREGATION_MODES)
+    def test_round_trip_is_bit_exact_for_every_aggregation(self, tmp_path, aggregation):
+        mdl = Model(preset_config("toy-seg", num_classes=3, aggregation=aggregation,
+                                  vector_dim=2), seed=3)
+        rng = np.random.default_rng(4)
+        for layer in mdl.layer_map().values():
+            if layer.running_mean is not None:
+                layer.running_mean = rng.standard_normal(layer.running_mean.shape)
+                layer.running_var = rng.uniform(0.5, 2.0, layer.running_var.shape)
+        path = tmp_path / "m.npz"
+        save_checkpoint(mdl, path)
+        loaded, _ = load_checkpoint(path)
+        params, got_params = mdl.named_params(), loaded.named_params()
+        running, got_running = mdl.named_running(), loaded.named_running()
+        assert list(got_params) == list(params) and list(got_running) == list(running)
+        pairs = [(t.data, got_params[name].data) for name, t in params.items()]
+        pairs += [(arr, got_running[name]) for name, arr in running.items()]
+        for want, got in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # one projection slot per block: proj [C, K'·m] or fc [K'·C·m, Cout]
+        block = loaded.stages[0][1].params
+        k_slots = 8 if aggregation in ("conv", "groupconv") else 1
+        if block.fc is None:
+            assert block.proj.weight.data.shape == (32, k_slots * 2)
+        else:
+            assert block.fc.weight.data.shape == (k_slots * 32 * 2, 32)
+        batch = PointSetBatch(positions=rng.uniform(-1, 1, (1, 64, 3)))
+        assert np.array_equal(loaded.forward_seg(batch, "eval").data,
+                              mdl.forward_seg(batch, "eval").data)
+
 
 class TestSharedNeighborhoods:
     """Stride-1 VPSA blocks of a stage group once and share the neighborhood."""
@@ -193,9 +223,11 @@ class TestModelConfigSwitches:
 
 
 def test_older_checkpoint_version_rejected(tmp_path, monkeypatch):
-    path = tmp_path / "m.npz"
-    monkeypatch.setattr(model_mod, "CHECKPOINT_FORMAT_VERSION", 1)
-    save_checkpoint(Model(preset_config("toy-seg", num_classes=3)), path)
-    monkeypatch.undo()
-    with pytest.raises(CheckpointError, match="version 1"):
-        load_checkpoint(path)
+    # version 2 stored the groupconv kernel as slot [C, K, m] and conv's map as conv
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.npz"
+        monkeypatch.setattr(model_mod, "CHECKPOINT_FORMAT_VERSION", version)
+        save_checkpoint(Model(preset_config("toy-seg", num_classes=3)), path)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            load_checkpoint(path)

@@ -155,35 +155,37 @@ class TestNeighborReduce:
 
 class TestGroupedProjection:
     def test_single_channel_dot(self):
-        v = Tensor(np.array([[[[1.0, 2.0, 3.0]]]]))
+        v = Tensor(np.array([[[[[1.0, 2.0, 3.0]]]]]))
         p = LayerParams(weight=nnops.parameter(np.ones((1, 3))),
                         bias=nnops.parameter(np.zeros(1)))
         out = nnops.grouped_projection(v, p)
         assert out.data.tolist() == [[[6.0]]]
 
     def test_zero_weight_bias_broadcast(self):
-        v = Tensor(np.random.default_rng(6).standard_normal((2, 3, 4, 2)))
+        v = Tensor(np.random.default_rng(6).standard_normal((2, 3, 1, 4, 2)))
         p = LayerParams(weight=nnops.parameter(np.zeros((4, 2))),
                         bias=nnops.parameter(np.arange(4.0)))
         out = nnops.grouped_projection(v, p)
         assert np.allclose(out.data, np.broadcast_to(np.arange(4.0), (2, 3, 4)))
 
     def test_equals_block_diagonal_matmul(self):
+        # the kernel row of channel c holds one m-vector per slot, slot-major
         rng = np.random.default_rng(7)
         c, m = 5, 3
-        v = rng.standard_normal((4, 6, c, m))
-        w = rng.standard_normal((c, m))
-        b = rng.standard_normal(c)
-        p = LayerParams(weight=nnops.parameter(w), bias=nnops.parameter(b))
-        out = nnops.grouped_projection(Tensor(v), p)
-        dense = np.zeros((c * m, c))
-        for ci in range(c):
-            dense[ci * m:(ci + 1) * m, ci] = w[ci]
-        expected = v.reshape(4, 6, c * m) @ dense + b
-        assert np.abs(out.data - expected).max() < 1e-12
+        for slots in (1, 4):
+            v = rng.standard_normal((4, 6, slots, c, m))
+            w = rng.standard_normal((c, slots * m))
+            b = rng.standard_normal(c)
+            p = LayerParams(weight=nnops.parameter(w), bias=nnops.parameter(b))
+            out = nnops.grouped_projection(Tensor(v), p)
+            dense = np.zeros((slots, c, m, c))
+            for ci in range(c):
+                dense[:, ci, :, ci] = w[ci].reshape(slots, m)
+            expected = v.reshape(4, 6, slots * c * m) @ dense.reshape(-1, c) + b
+            assert np.abs(out.data - expected).max() < 1e-12
 
     def test_m_mismatch(self):
-        v = Tensor(np.zeros((1, 2, 4, 3)))
+        v = Tensor(np.zeros((1, 2, 1, 4, 3)))
         p = LayerParams(weight=nnops.parameter(np.zeros((4, 2))))
         with pytest.raises(SizeError):
             nnops.grouped_projection(v, p)

@@ -13,7 +13,6 @@ from pointvector.setabs import (
     aggregation_variant,
     feature_propagate,
     sa_block,
-    slot_projection,
     vpsa_block,
 )
 
@@ -368,11 +367,47 @@ class TestVPSAMixing:
         assert np.abs(mixed[0] - want).max() < 1e-12
 
 
+def numpy_aggregation(v, pad, mode, p):
+    """The six aggregation modes written out in numpy; v [B,M,K,C,m]."""
+    b, mm, k, c, m = v.shape
+    keep = np.ones((b, mm, k, 1, 1), bool) if pad is None else ~pad[..., None, None]
+    if mode.startswith("sum"):
+        agg = (v * keep).sum(axis=2)[:, :, None]               # [B,M,1,C,m]
+    elif mode.startswith("max"):
+        agg = np.where(keep, v, -np.inf).max(axis=2)[:, :, None]
+    else:
+        agg = v * keep                                           # all K slots, pads 0
+    if mode.endswith("groupconv"):
+        # channel c: its slots' m-vectors, slot-major, dotted with row c of proj
+        out = np.empty((b, mm, c))
+        for ci in range(c):
+            out[..., ci] = (agg[:, :, :, ci, :].reshape(b, mm, -1) @ p.proj.weight.data[ci]
+                            + p.proj.bias.data[ci])
+        return out
+    return agg.reshape(b, mm, -1) @ p.fc.weight.data
+
+
 class TestAggregationVariants:
-    def setup_params(self, rng, c=5, m=3, k=4, cout=7):
-        cfg = BlockConfig(in_channels=c, out_channels=cout, k_neighbors=k,
-                          vector_dim=m, aggregation="sum_groupconv")
-        return cfg
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("mode", setabs.AGGREGATION_MODES)
+    def test_matches_numpy_formula(self, mode, padded):
+        rng = np.random.default_rng(19)
+        b, mm, k, c, m = 2, 5, 4, 6, 2
+        cfg = BlockConfig(in_channels=c, out_channels=3, k_neighbors=k, vector_dim=m,
+                          aggregation=mode)
+        for _ in range(3):
+            p = setabs.vpsa_block_params(rng, cfg)
+            if p.proj is not None:
+                p.proj.bias.data = rng.standard_normal(c)
+            v = rng.standard_normal((b, mm, k, c, m))
+            pad = None
+            if padded:
+                pad = rng.random((b, mm, k)) < 0.4
+                pad[..., 0] = False
+            out = aggregation_variant(Tensor(v), mode, p, pad).data
+            want = numpy_aggregation(v, pad, mode, p)
+            assert out.shape == want.shape == (b, mm, 3 if p.fc is not None else c)
+            assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_sum_groupconv_linearity_in_neighbors(self):
         rng = np.random.default_rng(9)
@@ -407,11 +442,14 @@ class TestAggregationVariants:
                               vector_dim=m)
             p = setabs.vpsa_block_params(rng, cfg)
             fused = aggregation_variant(v, "sum_groupconv", p).data
-            slot = nnops.LayerParams(
-                weight=nnops.parameter(
-                    np.repeat(p.proj.weight.data[:, None, :], k, axis=1)),
+            slots = setabs.vpsa_block_params(
+                rng, BlockConfig(in_channels=c, out_channels=c, k_neighbors=k,
+                                 vector_dim=m, aggregation="groupconv"))
+            # the same m-vector kernel in every slot
+            slots.proj = nnops.LayerParams(
+                weight=nnops.parameter(np.tile(p.proj.weight.data, (1, k))),
                 bias=p.proj.bias)
-            general = slot_projection(v, slot).data
+            general = aggregation_variant(v, "groupconv", slots).data
             assert np.abs(fused - general).max() < 1e-10
 
     def test_fused_equals_reduce_then_project(self):
@@ -423,8 +461,9 @@ class TestAggregationVariants:
                               vector_dim=m)
             p = setabs.vpsa_block_params(rng, cfg)
             fused = aggregation_variant(v, "sum_groupconv", p).data
+            summed = nnops.neighbor_reduce(v, "sum")
             factored = nnops.grouped_projection(
-                nnops.neighbor_reduce(v, "sum"), p.proj).data
+                nnops.reshape(summed, (2, 4, 1, c, m)), p.proj).data
             assert np.abs(fused - factored).max() < 1e-12
 
     def test_unknown_mode_rejected(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pointvector import nnops, oracle, vecenc
-from pointvector.errors import ConfigError, NumericFaultError
+from pointvector.errors import ConfigError, NumericFaultError, SizeError
 from pointvector.nnops import GradTape, Tensor
 
 
@@ -134,9 +134,9 @@ class TestEncodeRotation:
         rng = np.random.default_rng(10)
         fp = random_fp(rng)
         p = vecenc.rotation_encoder_params(rng, 6, 3)
-        inputs = vecenc.rotation_inputs(fp, p, 3, "train")
-        assert inputs.alpha.data.min() >= 0.0
-        assert inputs.beta.data.min() >= 0.0
+        ang = vecenc._angles(fp, p, "train")
+        assert ang.data.shape == fp.data.shape[:-1] + (12,)
+        assert ang.data.min() >= 0.0
 
     def test_bad_dimension_rejected(self):
         rng = np.random.default_rng(11)
@@ -263,9 +263,8 @@ class TestRotateProject3:
             t for layer in (enc.zx, enc.angles) for _, t in layer.tensors()]
 
         def unfused():
-            inputs = vecenc.rotation_inputs(fp, enc, 3, mode)
-            ang = nnops.concat_last([inputs.alpha, inputs.beta])
-            return oracle.unfused_rotate_project(inputs.zx, ang, proj, pad)
+            return oracle.unfused_rotate_project(
+                nnops.linear(fp, enc.zx), vecenc._angles(fp, enc, mode), proj, pad)
 
         out, grads = _values_and_grads(
             lambda: vecenc.encode_rotation_projected(fp, enc, proj, pad, mode),
@@ -349,15 +348,20 @@ class TestRotationOpsMatchOracle:
     def test_rotate_field3(self):
         _, zx, ang = self._inputs(40)
         c = zx.shape[-1]
-        a, b = ang[..., :c], ang[..., c:]
-        out = vecenc.rotate_field3(Tensor(zx), Tensor(a), Tensor(b))
-        _assert_close(out.data, oracle.rotate3d(zx, a, b))
+        out = vecenc.rotate_field(Tensor(zx), Tensor(ang))
+        _assert_close(out.data, oracle.rotate3d(zx, ang[..., :c], ang[..., c:]))
 
     def test_rotate_field2(self):
         _, zx, ang = self._inputs(41)
         a = ang[..., :zx.shape[-1]]
-        _assert_close(vecenc.rotate_field2(Tensor(zx), Tensor(a)).data,
+        _assert_close(vecenc.rotate_field(Tensor(zx), Tensor(a)).data,
                       oracle.rotate2d(zx, a))
+
+    @pytest.mark.parametrize("width", [3, 8, 15])
+    def test_rotate_field_rejects_other_angle_widths(self, width):
+        zx = Tensor(np.zeros((2, 3, 5)))
+        with pytest.raises(SizeError, match="rotate_field"):
+            vecenc.rotate_field(zx, Tensor(np.zeros((2, 3, width))))
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_rotate_project3(self, padded):
