@@ -124,7 +124,7 @@ def _allocate(total: int, parts: int) -> list[int]:
     return counts
 
 
-def gen_segmentation_scene(spec: SceneSpec, return_primitives: bool = False):
+def gen_segmentation_scene(spec: SceneSpec) -> PointSetBatch:
     """One scene: points sampled on posed primitives, labeled by primitive kind.
 
     Deterministic per spec.seed. The class id of a point is the index of its
@@ -140,11 +140,7 @@ def gen_segmentation_scene(spec: SceneSpec, return_primitives: bool = False):
     positions = np.concatenate(points, axis=0)
     if spec.noise_sigma > 0:
         positions = positions + rng.normal(0.0, spec.noise_sigma, size=positions.shape)
-    cloud = PointSetBatch(positions=positions[None],
-                          labels=np.concatenate(labels)[None])
-    if return_primitives:
-        return cloud, prims
-    return cloud
+    return PointSetBatch(positions=positions[None], labels=np.concatenate(labels)[None])
 
 
 def gen_classification_set(spec: SceneSpec):

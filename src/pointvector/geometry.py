@@ -24,20 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ConfigError, EmptyNeighborhoodError, SizeError
-from .nnops import Tensor
 
 
 @dataclass
 class PointSetBatch:
-    """A batch of point clouds: positions [B,N,3], features [B,N,C], labels [B,N].
+    """A batch of point clouds: positions [B,N,3] and optional labels [B,N].
 
-    Features and labels are optional arrays; when only positions exist the
-    model derives input features at its entry point. The blocks take their
-    autodiff features as a separate Tensor argument, never in this slot.
+    The model derives its input features from the positions at its entry
+    point; blocks take their features as a separate `Tensor` argument.
     """
 
     positions: np.ndarray
-    features: np.ndarray | None = None
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -48,15 +45,6 @@ class PointSetBatch:
             raise SizeError("point cloud must contain at least one point")
         if not np.all(np.isfinite(self.positions)):
             raise DataError("positions contain non-finite values")
-        if self.features is not None:
-            if isinstance(self.features, Tensor):
-                raise DataError("features must be an array, not a Tensor; blocks "
-                                "take autodiff features as a separate argument")
-            self.features = np.asarray(self.features)
-            if self.features.ndim != 3 or self.features.shape[:2] != self.positions.shape[:2]:
-                raise SizeError(
-                    f"features shape {self.features.shape} does not match positions "
-                    f"{self.positions.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != self.positions.shape[:2]:
@@ -82,10 +70,6 @@ class NeighborIndex:
     indices: np.ndarray
     pad_mask: np.ndarray
     centers: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.indices.shape[2]
 
 
 def _pairwise_sq_dist(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -167,8 +151,6 @@ def geometric_start(cloud: PointSetBatch) -> np.ndarray:
         p = pos[row, cand]
         start[row] = cand[np.lexsort((p[:, 2], p[:, 1], p[:, 0]))[-1]]
     return start
-
-
 
 
 def ball_query_points(query_xyz: np.ndarray, cloud: PointSetBatch, radius: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, nnops, setabs, vecenc
+from . import nnops, setabs, vecenc
 from .errors import CheckpointError, ConfigError, SizeError
 from .geometry import PointSetBatch
 from .nnops import LayerParams, Tensor
@@ -165,14 +165,19 @@ class Model:
 
     # -- parameter bookkeeping ------------------------------------------------
 
+    def _stage_blocks(self, i: int):
+        """(path, block) for each block of stage i; the path is
+        `stage{i}.{kind}{n}`, n counting the blocks of that kind in the stage."""
+        counters = {"sa": 0, "vpsa": 0}
+        for block in self.stages[i]:
+            yield f"stage{i}.{block.kind}{counters[block.kind]}", block
+            counters[block.kind] += 1
+
     def layer_map(self) -> dict[str, LayerParams]:
         """All LayerParams keyed by their module path."""
         parts = [("embed", self.embed)]
-        for i, blocks in enumerate(self.stages):
-            counters = {"sa": 0, "vpsa": 0}
-            for block in blocks:
-                parts.append((f"stage{i}.{block.kind}{counters[block.kind]}", block.params))
-                counters[block.kind] += 1
+        for i in range(len(self.stages)):
+            parts += [(path, block.params) for path, block in self._stage_blocks(i)]
         parts += [(f"decoder.fp{i}", fp) for i, fp in enumerate(self.decoder)]
         parts += [("global_sa", self.global_sa), ("head.hidden", self.head_hidden),
                   ("head.out", self.head_out)]
@@ -225,23 +230,20 @@ class Model:
         f = nnops.dense(feats, self.embed, mode)
         cloud = PointSetBatch(positions=batch.positions)
         skips = [(cloud, f)]
-        for i, blocks in enumerate(self.stages):
+        for i in range(len(self.stages)):
             # the stride-1 VPSA blocks of a stage run on the same points with
             # the same k and radius, so they share one neighborhood
             shared = None
-            for j, block in enumerate(blocks):
-                # the geometric start keeps downsampling independent of point order
-                start = geometry.geometric_start(cloud) if block.cfg.stride > 1 else 0
+            for path, block in self._stage_blocks(i):
                 if block.kind == "sa":
-                    cloud, f = setabs.sa_block(cloud, f, block.cfg, block.params,
-                                               mode, fps_start=start)
+                    cloud, f = setabs.sa_block(cloud, f, block.cfg, block.params, mode)
                 else:
                     if block.cfg.stride == 1 and shared is None:
                         shared = setabs.group(cloud, block.cfg)
                     nbr = shared if block.cfg.stride == 1 else None
                     cloud, f = setabs.vpsa_block(cloud, f, block.cfg, block.params,
-                                                 mode, fps_start=start, nbr=nbr)
-                nnops.check_finite(f, f"stage{i}.{block.kind}{j}")
+                                                 mode, nbr=nbr)
+                nnops.check_finite(f, path)
             skips.append((cloud, f))
         return skips
 

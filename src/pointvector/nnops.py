@@ -1,8 +1,9 @@
 """Differentiable dense-array primitives with hand-written reverse-mode gradients.
 
-A `Tensor` wraps a numpy array; executing ops inside a `GradTape` context
-records backward closures in execution order. `backward(tape, loss)` replays
-them in exact reverse order and returns a {parameter: gradient} map.
+A `Tensor` is a numpy array plus a `requires_grad` flag. Executing ops inside
+a `GradTape` context records backward closures in execution order.
+`backward(tape, loss)` replays them in exact reverse order, dropping each
+gradient once consumed, and returns a {parameter: gradient} map.
 
 Conventions:
     - neighbor-structured arrays are [B, M, K, ...] and reduce over axis 2
@@ -60,13 +61,12 @@ def precision(kind: str):
 
 
 class Tensor:
-    """Dense float array plus gradient slot.
+    """Dense float array; `requires_grad` marks leaf parameters.
 
-    `requires_grad` marks leaf parameters. `_node` is set when the tensor was
-    produced by a recorded op, so gradients flow through it during backward.
+    Gradients never live on a tensor: `backward` returns them in a map.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, np.ndarray) and data.dtype.kind == "f":
@@ -74,9 +74,7 @@ class Tensor:
         else:
             arr = np.asarray(data, dtype=_DTYPE)
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._node = False
 
     @property
     def shape(self):
@@ -107,10 +105,17 @@ _TAPE_STACK: list["GradTape"] = []
 
 
 class GradTape:
-    """Ordered record of executed ops; context manager activates recording."""
+    """Ordered record of executed ops; as a context manager it activates recording.
+
+    Each record holds an op's output, inputs and backward closure. A tensor
+    is tracked when it is a parameter or an output of this tape's records;
+    one produced under another tape is a constant here. The records keep
+    every output alive, so no id in `_produced` is reused while in use.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._produced: set[int] = set()
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -123,36 +128,27 @@ class GradTape:
     def __len__(self):
         return len(self._records)
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable):
-        self._records.append((out, inputs, grad_fn))
-        out._node = True
+    def tracks(self, t: Tensor) -> bool:
+        return t.requires_grad or id(t) in self._produced
 
 
 def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t._node
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad = t.grad + g
-
-
 def custom_op(out_data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable) -> Tensor:
     """Create the output tensor of an op and record its backward closure.
 
+    The op is recorded when a tape is active and tracks any of the inputs.
     `grad_fn(out_grad)` must return one gradient (or None) per entry of
-    `inputs`, aligned positionally.
+    `inputs`, aligned positionally; it must not write into `out_grad`, which
+    may be shared with other gradients.
     """
     out = Tensor(out_data)
     tape = _active_tape()
-    if tape is not None and any(_tracked(t) for t in inputs):
-        tape._record(out, tuple(inputs), grad_fn)
+    if tape is not None and any(tape.tracks(t) for t in inputs):
+        tape._records.append((out, tuple(inputs), grad_fn))
+        tape._produced.add(id(out))
     return out
 
 
@@ -160,39 +156,33 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-replay the tape from a scalar loss.
 
     Returns {tensor: gradient} for every requires_grad tensor that received a
-    gradient. All grad slots touched during the sweep are cleared afterwards,
-    and the tape is emptied, so each forward/backward pair is self-contained.
+    gradient, in the order they first received one. Gradients live in a map
+    keyed by tensor id; each record pops its output's gradient before its
+    closure runs, so an intermediate gradient is dropped once consumed. The
+    tape is emptied, so each forward/backward pair is self-contained.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    touched = [loss]
-    loss.grad = np.ones_like(loss.data)
+    grads = {id(loss): np.ones_like(loss.data)}
+    params = {id(loss): loss} if loss.requires_grad else {}
     for out, inputs, grad_fn in reversed(tape._records):
-        g = out.grad
+        g = grads.pop(id(out), None)
         if g is None:
             continue
-        grads = grad_fn(g)
-        for t, gt in zip(inputs, grads):
-            if gt is None or not _tracked(t):
+        for t, gt in zip(inputs, grad_fn(g)):
+            if gt is None or not tape.tracks(t):
                 continue
             if np.shape(gt) != t.data.shape:
                 raise ContractError(
                     f"gradient of shape {np.shape(gt)} for a tensor of shape "
                     f"{t.data.shape}")
-            if t.grad is None:
-                touched.append(t)
-            _accumulate(t, gt)
-    result = {t: t.grad for t in touched if t.requires_grad and t.grad is not None}
-    for out, _, _ in tape._records:
-        out.grad = None
-        out._node = False
-    for t in touched:
-        if t not in result:
-            t.grad = None
-    for t in result:
-        t.grad = None
+            prev = grads.get(id(t))
+            if prev is None and t.requires_grad:
+                params[id(t)] = t
+            grads[id(t)] = gt if prev is None else prev + gt
     tape._records.clear()
-    return result
+    tape._produced.clear()
+    return {t: grads[key] for key, t in params.items()}
 
 
 def check_finite(t: Tensor, where: str) -> Tensor:
@@ -384,8 +374,7 @@ def batchnorm(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
         var = np.einsum("nc,nc->c", x2, x2) / n
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv
-        p.running_mean = (1.0 - BN_MOMENTUM) * p.running_mean + BN_MOMENTUM * mu
-        p.running_var = (1.0 - BN_MOMENTUM) * p.running_var + BN_MOMENTUM * var * n / (n - 1)
+        _update_running(p, mu, var, n)
 
         def grad_fn(g):
             dbeta = g.sum(axis=axes)
@@ -410,6 +399,13 @@ def batchnorm(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
     y = xhat * gamma.data
     y += beta.data
     return custom_op(y, (x, gamma, beta), grad_fn)
+
+
+def _update_running(p: LayerParams, mu: np.ndarray, var: np.ndarray, n: int) -> None:
+    """Momentum update of p's running statistics from a batch of n samples
+    per channel with mean mu and biased variance var (stored unbiased)."""
+    p.running_mean = (1.0 - BN_MOMENTUM) * p.running_mean + BN_MOMENTUM * mu
+    p.running_var = (1.0 - BN_MOMENTUM) * p.running_var + BN_MOMENTUM * var * n / (n - 1)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -509,19 +505,14 @@ def grouped_projection(v: Tensor, p: LayerParams) -> Tensor:
                         f"got {shape}")
     v_data = v.data
     w3 = w.data.reshape(c, shape[2], shape[4])
-    out = np.einsum("bikcd,ckd->bic", v_data, w3)
-    if p.bias is not None:
-        out = out + p.bias.data
-    inputs = (v, w) if p.bias is None else (v, w, p.bias)
+    out = np.einsum("bikcd,ckd->bic", v_data, w3) + p.bias.data
 
     def grad_fn(g):
         gv = np.einsum("bic,ckd->bikcd", g, w3)
         gw = np.einsum("bikcd,bic->ckd", v_data, g).reshape(c, km)
-        if p.bias is None:
-            return gv, gw
         return gv, gw, g.sum(axis=(0, 1))
 
-    return custom_op(out, inputs, grad_fn)
+    return custom_op(out, (v, w, p.bias), grad_fn)
 
 
 def residual_fuse(main: Tensor, skip: Tensor) -> Tensor:
@@ -534,7 +525,7 @@ def residual_fuse(main: Tensor, skip: Tensor) -> Tensor:
 
     def grad_fn(g):
         gm = g * mask
-        return gm, gm.copy()
+        return gm, gm
 
     return custom_op(np.maximum(s, 0, out=s), (main, skip), grad_fn)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nnops, vecenc
-from .errors import DataError, OracleError
+from .errors import OracleError
 
 MAX_ORACLE_WORK = 10_000
 
@@ -118,23 +118,21 @@ def naive_interpolate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
     return out
 
 
-def group_relative(cloud, nbr):
+def group_relative(positions, features, nbr):
     """Per-neighbor offsets from each center, by direct indexing.
 
     Returns (rel_feat [B,M,K,C], rel_pos [B,M,K,3]) with
     rel_feat[b,i,j] = f_neighbor - f_center and rel_pos likewise for
-    positions, for a `PointSetBatch` with features and its `NeighborIndex`.
-    Padded entries repeat the values of their duplicated source.
+    positions [B,N,3], for features [B,N,C] and a `NeighborIndex`. Padded
+    entries repeat the values of their duplicated source.
     """
-    if cloud.features is None:
-        raise DataError("group_relative needs per-point features")
-    b, n, _ = cloud.positions.shape
+    b, n, _ = positions.shape
     if nbr.indices.min() < 0 or nbr.indices.max() >= n:
         raise OracleError("neighbor indices outside the source cloud")
     batch = np.arange(b)[:, None, None]
     centers = nbr.centers[:, :, None]
-    rel_feat = cloud.features[batch, nbr.indices] - cloud.features[batch, centers]
-    rel_pos = cloud.positions[batch, nbr.indices] - cloud.positions[batch, centers]
+    rel_feat = features[batch, nbr.indices] - features[batch, centers]
+    rel_pos = positions[batch, nbr.indices] - positions[batch, centers]
     return rel_feat, rel_pos
 
 

@@ -4,7 +4,9 @@ feature propagation, and the aggregation modes.
 Blocks are pure functions of (positions, features, config, params): the
 positions travel in a `PointSetBatch`, the features as an autodiff `Tensor`
 [B,N,C] beside it. Batchnorm running statistics are the only state they
-update, and only in train mode.
+update, and only in train mode. A strided block picks its centers by FPS
+from `geometry.geometric_start`, so the set of centers does not depend on
+point order.
 
 Both blocks do their position algebra per point before grouping. A relative
 term W (p_j - p_i) is W p~_j - W p~_i, with p~ the positions minus the mean
@@ -181,21 +183,24 @@ def aggregation_variant(v: Tensor, mode: str, p: VPSABlockParams,
 # blocks
 
 
-def _select_centers(x: PointSetBatch, stride: int, fps_start) -> np.ndarray:
+def _select_centers(x: PointSetBatch, stride: int) -> np.ndarray:
+    """Every point at stride 1; else ceil(N / stride) points by FPS from
+    `geometry.geometric_start`, which does not depend on point order, so
+    neither does the set of centers."""
     b, n = x.batch_size, x.num_points
     if stride == 1:
         return np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
     m = math.ceil(n / stride)
-    return geometry.farthest_point_sample(x, m, fps_start)
+    return geometry.farthest_point_sample(x, m, geometry.geometric_start(x))
 
 
-def group(x: PointSetBatch, cfg: BlockConfig, fps_start=0) -> NeighborIndex:
-    """A block's centers (every point at stride 1, else FPS) and their
-    neighborhoods: knn, or ball query when cfg.radius is set."""
+def group(x: PointSetBatch, cfg: BlockConfig) -> NeighborIndex:
+    """A block's centers (`_select_centers`) and their neighborhoods: knn, or
+    ball query when cfg.radius is set."""
     if cfg.k_neighbors > x.num_points:
         raise SizeError(
             f"k={cfg.k_neighbors} exceeds cloud size {x.num_points}")
-    centers = _select_centers(x, cfg.stride, fps_start)
+    centers = _select_centers(x, cfg.stride)
     if cfg.radius is None:
         return geometry.knn(centers, x, cfg.k_neighbors)
     return geometry.ball_query(centers, x, cfg.radius, cfg.k_neighbors)
@@ -208,7 +213,7 @@ def _check_features(x: PointSetBatch, f: Tensor) -> None:
 
 
 def sa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: SABlockParams,
-             mode: str = "train", fps_start=0) -> tuple[PointSetBatch, Tensor]:
+             mode: str = "train") -> tuple[PointSetBatch, Tensor]:
     """Set abstraction: subsample, group, shared MLP on [f_j, p_j - p_i], max-reduce.
 
     With a one-layer MLP (`sa_layers == 1`) the block is `pooled_sa`: the
@@ -218,7 +223,7 @@ def sa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: SABlockParams,
     (`_sa_composed`). Returns the centers' positions and their features.
     """
     _check_features(x, f)
-    nbr = group(x, cfg, fps_start)
+    nbr = group(x, cfg)
     if len(p.mlp) == 1:
         out = pooled_sa(x.positions, f, nbr, p.mlp[0], mode)
     else:
@@ -328,9 +333,7 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerPara
         var = (np.einsum("nc,nc->c", ac, u - t) + k * np.einsum("mc,mc->c", bcc, bcc)) / r
         var = np.maximum(var, 0.0)
         mu = mu_a - mu_b
-        p.running_mean = (1.0 - nnops.BN_MOMENTUM) * p.running_mean + nnops.BN_MOMENTUM * mu
-        p.running_var = ((1.0 - nnops.BN_MOMENTUM) * p.running_var
-                         + nnops.BN_MOMENTUM * var * r / (r - 1))
+        nnops._update_running(p, mu, var, r)
     else:
         mu, var = p.running_mean, p.running_var
     inv = 1.0 / np.sqrt(var + nnops.BN_EPS)
@@ -368,7 +371,7 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerPara
 
 
 def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams,
-               mode: str = "train", fps_start=0,
+               mode: str = "train",
                nbr: NeighborIndex | None = None) -> tuple[PointSetBatch, Tensor]:
     """Vector-oriented set abstraction.
 
@@ -390,7 +393,7 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     _check_features(x, f)
     b, n, cin = f.data.shape
     if nbr is None:
-        nbr = group(x, cfg, fps_start)
+        nbr = group(x, cfg)
     elif cfg.stride != 1 or not np.array_equal(
             nbr.centers, np.broadcast_to(np.arange(n), (b, n))):
         raise ConfigError("a given neighborhood needs a stride-1 block and one "
@@ -421,12 +424,7 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     if p.mix is not None:
         main = nnops.linear(main, p.mix)
     main = nnops.batchnorm(main, p.post_norm, mode)
-    skip = nnops.linear(ctr_feat, p.res)
-    if skip.data.shape != main.data.shape:
-        raise ConfigError(
-            f"residual width {skip.data.shape} does not match main path "
-            f"{main.data.shape}")
-    out = nnops.residual_fuse(main, skip)
+    out = nnops.residual_fuse(main, nnops.linear(ctr_feat, p.res))
     batch = np.arange(x.batch_size)[:, None]
     return PointSetBatch(positions=x.positions[batch, centers]), out
 

@@ -296,7 +296,7 @@ def augment(cloud: PointSetBatch, spec: AugmentSpec) -> PointSetBatch:
         rng = np.random.default_rng(spec.jitter_seed)
         noise = rng.normal(0.0, spec.jitter_sigma, size=pos.shape)
         pos = pos + np.clip(noise, -spec.jitter_clip, spec.jitter_clip)
-    return PointSetBatch(positions=pos, features=cloud.features, labels=cloud.labels)
+    return PointSetBatch(positions=pos, labels=cloud.labels)
 
 
 def table8_specs(jitter_sigma: float = 0.01, jitter_clip: float = 0.05,

@@ -3,11 +3,11 @@
 Each channel of a mixed relative feature is lifted to an m-dimensional vector
 (m in {1, 2, 3}). The rotation encoder predicts a modulus zx [..., C] and m-1
 angles per channel, packed as one tensor [..., (m-1)C] that holds alpha for
-all channels, then beta for all channels (`_angles`). It applies the
-closed-form composition of an x-axis and a z-axis rotation: `rotate_field`
-builds the field, and `rotate_project3`, for the default VPSA cell, sums and
-projects it without building it. The mlp and direction encoders are the
-ablation variants.
+all channels, then beta for all channels, from one `nnops.dense` layer
+relu(bn(linear(fp))). It applies the closed-form composition of an x-axis
+and a z-axis rotation: `rotate_field` builds the field, and
+`rotate_project3`, for the default VPSA cell, sums and projects it without
+building it. The mlp and direction encoders are the ablation variants.
 
 The rotation ops take sine and cosine from the half-angle identity
 
@@ -143,9 +143,7 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
     u = sb * t
     u += cb * w2
     out = np.einsum("bikc,bikc->bic", z, u)
-    if p.bias is not None:
-        out += p.bias.data
-    inputs = (zx, ang, w) if p.bias is None else (zx, ang, w, p.bias)
+    out += p.bias.data
 
     def grad_fn(g):
         g4 = g[:, :, None, :]
@@ -166,16 +164,9 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
         gw = np.stack([-np.einsum("bikc,bikc->c", gzsb, sa),
                        np.einsum("bikc,bikc->c", gzsb, ca),
                        np.einsum("bikc,bikc->c", gz, cb)], axis=-1)
-        if p.bias is None:
-            return dz, dang, gw
         return dz, dang, gw, g.sum(axis=(0, 1))
 
-    return custom_op(out, inputs, grad_fn)
-
-
-def _angles(fp: Tensor, p: RotationEncoderParams, mode: str) -> Tensor:
-    """All m-1 angles per channel, [..., (m-1)C]: relu(bn(linear(fp)))."""
-    return nnops.relu(nnops.batchnorm(nnops.linear(fp, p.angles), p.angles, mode))
+    return custom_op(out, (zx, ang, w, p.bias), grad_fn)
 
 
 def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
@@ -190,7 +181,7 @@ def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
     zx = nnops.linear(fp, p.zx)
     if m == 1:
         return nnops.reshape(zx, zx.shape + (1,))
-    return rotate_field(zx, _angles(fp, p, mode))
+    return rotate_field(zx, nnops.dense(fp, p.angles, mode))
 
 
 def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerParams,
@@ -202,7 +193,7 @@ def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerP
     (`oracle.unfused_rotate_project`) without building the vector field.
     """
     zx = nnops.linear(fp, p.zx)
-    return rotate_project3(zx, _angles(fp, p, mode), proj, pad)
+    return rotate_project3(zx, nnops.dense(fp, p.angles, mode), proj, pad)
 
 
 def encode_mlp(fp: Tensor, p: MLPEncoderParams, m: int, mode: str = "train") -> Tensor:
@@ -210,7 +201,7 @@ def encode_mlp(fp: Tensor, p: MLPEncoderParams, m: int, mode: str = "train") -> 
     if m not in (1, 2, 3):
         raise ConfigError(f"vector dimension must be 1, 2, or 3, got {m}")
     c = fp.shape[-1]
-    h = nnops.relu(nnops.batchnorm(nnops.linear(fp, p.hidden), p.hidden, mode))
+    h = nnops.dense(fp, p.hidden, mode)
     return nnops.reshape(nnops.linear(h, p.out), fp.shape[:-1] + (c, m))
 
 
@@ -221,7 +212,7 @@ def encode_direction(fp: Tensor, p: DirectionEncoderParams, m: int,
         raise ConfigError(f"vector dimension must be 1, 2, or 3, got {m}")
     c = fp.shape[-1]
     modulus = nnops.linear(fp, p.modulus)
-    h = nnops.relu(nnops.batchnorm(nnops.linear(fp, p.dir_hidden), p.dir_hidden, mode))
+    h = nnops.dense(fp, p.dir_hidden, mode)
     raw = nnops.reshape(nnops.linear(h, p.dir_out), fp.shape[:-1] + (c, m))
     unit = nnops.unit_normalize(raw, eps=1e-8)
     return nnops.mul(nnops.reshape(modulus, modulus.shape + (1,)), unit)

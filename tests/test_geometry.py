@@ -24,18 +24,16 @@ from pointvector.geometry import (
     geometric_start,
     knn,
 )
-from pointvector.nnops import Tensor
 from pointvector.oracle import group_relative
 
 
 def line_cloud():
     pos = np.array([[[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [10, 0, 0]]])
-    return PointSetBatch(positions=pos, features=np.zeros((1, 4, 2)))
+    return PointSetBatch(positions=pos)
 
 
-def random_cloud(rng, b=1, n=100, c=4):
-    return PointSetBatch(positions=rng.uniform(-1, 1, (b, n, 3)),
-                         features=rng.standard_normal((b, n, c)))
+def random_cloud(rng, b=1, n=100):
+    return PointSetBatch(positions=rng.uniform(-1, 1, (b, n, 3)))
 
 
 class TestFarthestPointSample:
@@ -83,8 +81,7 @@ class TestFarthestPointSample:
         rng = np.random.default_rng(2)
         cloud = random_cloud(rng, n=50)
         perm = rng.permutation(50)
-        permuted = PointSetBatch(positions=cloud.positions[:, perm],
-                                 features=cloud.features[:, perm])
+        permuted = PointSetBatch(positions=cloud.positions[:, perm])
         s0 = geometric_start(cloud)[0]
         s1 = geometric_start(permuted)[0]
         assert np.allclose(cloud.positions[0, s0], permuted.positions[0, s1])
@@ -372,55 +369,41 @@ class TestGroupRelative:
     def test_self_neighbor_is_zero(self):
         cloud = line_cloud()
         nbr = knn(np.array([[1]]), cloud, 1)
-        rel_feat, rel_pos = group_relative(cloud, nbr)
+        rel_feat, rel_pos = group_relative(cloud.positions, np.zeros((1, 4, 2)), nbr)
         assert np.all(rel_feat == 0) and np.all(rel_pos == 0)
 
     def test_feature_offset(self):
         pos = np.zeros((1, 2, 3))
         pos[0, 1, 0] = 1.0
         feat = np.array([[[1.0, 2.0], [3.0, 5.0]]])
-        cloud = PointSetBatch(positions=pos, features=feat)
         nbr = NeighborIndex(indices=np.array([[[1]]]),
                             pad_mask=np.zeros((1, 1, 1), bool),
                             centers=np.array([[0]]))
-        rel_feat, rel_pos = group_relative(cloud, nbr)
+        rel_feat, rel_pos = group_relative(pos, feat, nbr)
         assert rel_feat.tolist() == [[[[2.0, 3.0]]]]
         assert rel_pos.tolist() == [[[[1.0, 0.0, 0.0]]]]
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(7)
-        cloud = random_cloud(rng, n=30, c=5)
+        cloud = random_cloud(rng, n=30)
+        feat = rng.standard_normal((1, 30, 5))
         centers = rng.integers(0, 30, size=(1, 6))
         nbr = knn(centers, cloud, 4)
-        rel_feat, rel_pos = group_relative(cloud, nbr)
+        rel_feat, rel_pos = group_relative(cloud.positions, feat, nbr)
         for i in range(6):
             for j in range(4):
                 src = nbr.indices[0, i, j]
                 ctr = centers[0, i]
                 assert np.allclose(rel_feat[0, i, j],
-                                   cloud.features[0, src] - cloud.features[0, ctr])
+                                   feat[0, src] - feat[0, ctr])
                 assert np.allclose(rel_pos[0, i, j],
                                    cloud.positions[0, src] - cloud.positions[0, ctr])
-
-    def test_requires_features(self):
-        cloud = PointSetBatch(positions=np.zeros((1, 3, 3)))
-        nbr = knn(np.array([[0]]), cloud, 2)
-        with pytest.raises(DataError):
-            group_relative(cloud, nbr)
 
 
 class TestPointSetBatch:
     def test_shape_validation(self):
         with pytest.raises(SizeError):
             PointSetBatch(positions=np.zeros((3, 3)))
-        with pytest.raises(SizeError):
-            PointSetBatch(positions=np.zeros((1, 2, 3)),
-                          features=np.zeros((1, 3, 4)))
-
-    def test_tensor_features_rejected(self):
-        with pytest.raises(DataError, match="not a Tensor"):
-            PointSetBatch(positions=np.zeros((1, 2, 3)),
-                          features=Tensor(np.zeros((1, 2, 4))))
 
     def test_nonfinite_positions_rejected(self):
         pos = np.zeros((1, 2, 3))

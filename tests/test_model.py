@@ -70,6 +70,13 @@ class TestNonFinite:
         with pytest.raises(NumericFaultError):
             mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "train")
 
+    def test_fault_names_the_layer_map_path(self):
+        mdl = Model(preset_config("toy-seg", num_classes=3))
+        mdl.named_params()["stage0.vpsa0.res.weight"].data[0, 0] = np.nan
+        with pytest.raises(NumericFaultError, match=r"in stage0\.vpsa0$"):
+            mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "train")
+        assert any(path.startswith("stage0.vpsa0.") for path in mdl.layer_map())
+
 
 class TestSinglePrecision:
     def test_every_gradient_of_a_step_stays_float32(self):

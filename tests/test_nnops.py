@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -289,7 +291,6 @@ class TestBackward:
             loss = nnops.sum_all(nnops.mul(x, x))
             nnops.backward(tape, loss)
         assert len(tape) == 0
-        assert x.grad is None
 
     def test_reuse_accumulates_through_branches(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
@@ -298,6 +299,45 @@ class TestBackward:
             lambda: nnops.add(nnops.sum_all(nnops.mul(x, x)),
                               nnops.sum_all(nnops.mul(x, Tensor(np.array([3.0]))))))
         assert np.allclose(grads[x], [7.0])
+
+    def test_gradient_dropped_once_consumed(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        incoming = []
+
+        def later_grad(g):
+            incoming.append(weakref.ref(g))
+            return (np.full(3, 2.0 * float(g)),)
+
+        def earlier_grad(g):
+            # the later op has run: the gradient it received is gone
+            assert incoming[0]() is None
+            return (g * 3.0,)
+
+        def forward():
+            y = nnops.custom_op(x.data * 3.0, (x,), earlier_grad)
+            return nnops.custom_op(np.asarray(y.data.sum() * 2.0), (y,), later_grad)
+
+        _, grads = run_loss(forward)
+        assert np.allclose(grads[x], 6.0)
+
+    def test_output_of_another_tape_is_a_constant(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape():
+            y = nnops.mul(x, x)
+        with GradTape() as tape:
+            z = nnops.sum_all(y)
+            assert len(tape) == 0
+            loss = nnops.add(z, nnops.sum_all(x))
+            grads = nnops.backward(tape, loss)
+        assert list(grads) == [x]
+        assert np.allclose(grads[x], 1.0)
+
+    def test_parameter_loss(self):
+        w = nnops.parameter(np.array(2.5))
+        with GradTape() as tape:
+            grads = nnops.backward(tape, w)
+        assert list(grads) == [w]
+        assert grads[w] == 1.0
 
 
 class TestPrecision:

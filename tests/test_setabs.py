@@ -18,8 +18,9 @@ from pointvector.setabs import (
 
 
 def random_cloud(rng, b=1, n=16, c=8):
-    return PointSetBatch(positions=rng.uniform(-1, 1, (b, n, 3)),
-                         features=rng.standard_normal((b, n, c)))
+    """A cloud of positions and its per-point features [B,N,C]."""
+    cloud = PointSetBatch(positions=rng.uniform(-1, 1, (b, n, 3)))
+    return cloud, rng.standard_normal((b, n, c))
 
 
 def vpsa_weights_dict(p, cfg):
@@ -64,14 +65,13 @@ class TestSABlock:
     def test_neighbor_permutation_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            cloud = random_cloud(rng, n=20, c=6)
+            cloud, feats = random_cloud(rng, n=20, c=6)
             cfg = BlockConfig(in_channels=6, out_channels=8, k_neighbors=4)
             p = setabs.sa_block_params(rng, cfg)
-            _, out = sa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
+            _, out = sa_block(cloud, Tensor(feats), cfg, p, "eval")
             perm = rng.permutation(20)
-            permuted = PointSetBatch(positions=cloud.positions[:, perm],
-                                     features=cloud.features[:, perm])
-            _, out_p = sa_block(permuted, Tensor(permuted.features), cfg, p, "eval")
+            permuted = PointSetBatch(positions=cloud.positions[:, perm])
+            _, out_p = sa_block(permuted, Tensor(feats[:, perm]), cfg, p, "eval")
             # un-permute centers (stride 1 keeps center order = point order)
             inverse = np.argsort(perm)
             assert np.abs(out.data - out_p.data[:, perm.argsort()][
@@ -81,11 +81,11 @@ class TestSABlock:
     def test_matches_naive_sa(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
-            cloud = random_cloud(rng, n=12, c=4)
+            cloud, feats = random_cloud(rng, n=12, c=4)
             cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=3, stride=2)
             p = setabs.sa_block_params(rng, cfg)
-            _, out = sa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
-            centers = setabs._select_centers(cloud, 2, 0)
+            _, out = sa_block(cloud, Tensor(feats), cfg, p, "eval")
+            centers = setabs._select_centers(cloud, 2)
             nbr = geometry.knn(centers, cloud, 3)
             weights = {
                 "mlp_w": p.mlp[0].weight.data,
@@ -94,39 +94,39 @@ class TestSABlock:
                 "mlp_rmean": p.mlp[0].running_mean,
                 "mlp_rvar": p.mlp[0].running_var,
             }
-            expected = oracle.naive_sa(cloud.positions, cloud.features, centers,
+            expected = oracle.naive_sa(cloud.positions, feats, centers,
                                        nbr.indices, weights, mode="eval")
             assert np.abs(out.data - expected).max() < 1e-10
 
     def test_feature_points_must_match_positions(self):
         rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, n=10, c=4)
+        cloud, feats = random_cloud(rng, n=10, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=4, k_neighbors=2)
         p = setabs.sa_block_params(rng, cfg)
         with pytest.raises(SizeError, match="do not match positions"):
-            sa_block(cloud, Tensor(cloud.features[:, :9]), cfg, p, "eval")
+            sa_block(cloud, Tensor(feats[:, :9]), cfg, p, "eval")
 
     def test_stride_halves_points(self):
         rng = np.random.default_rng(3)
-        cloud = random_cloud(rng, n=10, c=4)
+        cloud, feats = random_cloud(rng, n=10, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=4, k_neighbors=2, stride=2)
         p = setabs.sa_block_params(rng, cfg)
-        out, _ = sa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
+        out, _ = sa_block(cloud, Tensor(feats), cfg, p, "eval")
         assert out.num_points == 5
 
 
 class TestVPSABlock:
     def test_dead_main_path_reduces_to_residual(self):
         rng = np.random.default_rng(4)
-        cloud = random_cloud(rng, n=10, c=4)
+        cloud, feats = random_cloud(rng, n=10, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=4, k_neighbors=3)
         p = setabs.vpsa_block_params(rng, cfg)
         p.encoder.zx.weight.data = np.zeros_like(p.encoder.zx.weight.data)
         p.encoder.zx.bias.data = np.zeros_like(p.encoder.zx.bias.data)
         p.post_norm.norm_gamma.data = np.zeros_like(p.post_norm.norm_gamma.data)
-        _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
+        _, out = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
         expected = np.maximum(
-            cloud.features @ p.res.weight.data + p.res.bias.data, 0.0)
+            feats @ p.res.weight.data + p.res.bias.data, 0.0)
         assert np.abs(out.data - expected).max() < 1e-12
 
     @pytest.mark.parametrize("reduction", ["sum", "max"])
@@ -134,15 +134,14 @@ class TestVPSABlock:
         rng = np.random.default_rng(5)
         agg = f"{reduction}_groupconv"
         for _ in range(5):
-            cloud = random_cloud(rng, n=18, c=6)
+            cloud, feats = random_cloud(rng, n=18, c=6)
             cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=4,
                               aggregation=agg)
             p = setabs.vpsa_block_params(rng, cfg)
-            _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
+            _, out = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
             perm = rng.permutation(18)
-            permuted = PointSetBatch(positions=cloud.positions[:, perm],
-                                     features=cloud.features[:, perm])
-            _, out_p = vpsa_block(permuted, Tensor(permuted.features), cfg, p, "eval")
+            permuted = PointSetBatch(positions=cloud.positions[:, perm])
+            _, out_p = vpsa_block(permuted, Tensor(feats[:, perm]), cfg, p, "eval")
             assert np.abs(out.data[:, perm] - out_p.data).max() < 1e-9
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
@@ -151,7 +150,7 @@ class TestVPSABlock:
     def test_matches_brute_force(self, mode, m_dim, reduction):
         rng = np.random.default_rng(6)
         for _ in range(6):
-            cloud = random_cloud(rng, b=1, n=16, c=8)
+            cloud, feats = random_cloud(rng, b=1, n=16, c=8)
             cfg = BlockConfig(in_channels=8, out_channels=8, k_neighbors=4,
                               vector_dim=m_dim, aggregation=f"{reduction}_groupconv")
             p = setabs.vpsa_block_params(rng, cfg)
@@ -162,29 +161,50 @@ class TestVPSABlock:
                 layer.norm_beta.data = rng.standard_normal(c) * 0.2
                 layer.running_mean = rng.standard_normal(c) * 0.1
                 layer.running_var = rng.uniform(0.5, 2.0, c)
-            _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, mode)
-            centers = setabs._select_centers(cloud, 1, 0)
+            _, out = vpsa_block(cloud, Tensor(feats), cfg, p, mode)
+            centers = setabs._select_centers(cloud, 1)
             nbr = geometry.knn(centers, cloud, 4)
             expected = oracle.brute_force_vpsa(
-                cloud.positions, cloud.features, centers, nbr.indices, None,
+                cloud.positions, feats, centers, nbr.indices, None,
                 vpsa_weights_dict(p, cfg), m_dim=m_dim, reduction=reduction,
                 mode=mode)
             assert np.abs(out.data - expected).max() < 1e-10
 
+    def test_strided_blocks_ignore_point_order(self):
+        # FPS starts from the geometric start, so a permuted cloud gives the
+        # same (center position, feature) rows
+        rng = np.random.default_rng(29)
+        cloud, feats = random_cloud(rng, b=2, n=24, c=4)
+        perm = rng.permutation(24)
+        permuted = PointSetBatch(positions=cloud.positions[:, perm])
+        sa_cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=4, stride=3)
+        vpsa_cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=4, stride=3)
+        for block, cfg, p in [
+                (sa_block, sa_cfg, setabs.sa_block_params(rng, sa_cfg)),
+                (vpsa_block, vpsa_cfg, setabs.vpsa_block_params(rng, vpsa_cfg))]:
+            rows = []
+            for x, f in [(cloud, feats), (permuted, feats[:, perm])]:
+                ctr, out = block(x, Tensor(f), cfg, p, "eval")
+                order = np.lexsort(ctr.positions.transpose(2, 0, 1)[::-1])
+                take = np.arange(2)[:, None], order
+                rows.append((ctr.positions[take], out.data[take]))
+            assert np.array_equal(rows[0][0], rows[1][0])
+            assert np.abs(rows[0][1] - rows[1][1]).max() < 1e-12
+
     def test_channel_mismatch_config_error(self):
         rng = np.random.default_rng(7)
-        cloud = random_cloud(rng, n=8, c=4)
+        cloud, feats = random_cloud(rng, n=8, c=4)
         cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=2)
         p = setabs.vpsa_block_params(rng, cfg)
         with pytest.raises(SizeError, match="input channels"):
-            vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
+            vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
 
     def test_strided_vpsa_downsamples_and_rewidths(self):
         rng = np.random.default_rng(8)
-        cloud = random_cloud(rng, n=12, c=4)
+        cloud, feats = random_cloud(rng, n=12, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=8, k_neighbors=3, stride=3)
         p = setabs.vpsa_block_params(rng, cfg)
-        out, f = vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
+        out, f = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
         assert out.num_points == 4
         assert f.data.shape[-1] == 8
 
@@ -317,12 +337,12 @@ class TestPooledSA:
 
     def test_deeper_mlp_keeps_the_composition(self, monkeypatch):
         rng = np.random.default_rng(26)
-        cloud = random_cloud(rng, n=12, c=4)
+        cloud, feats = random_cloud(rng, n=12, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=3, stride=2,
                           sa_layers=2)
         p = setabs.sa_block_params(rng, cfg)
         monkeypatch.setattr(setabs, "pooled_sa", None)
-        _, out = sa_block(cloud, Tensor(cloud.features), cfg, p, "train")
+        _, out = sa_block(cloud, Tensor(feats), cfg, p, "train")
         assert out.data.shape == (1, 6, 6)
 
 
@@ -334,25 +354,24 @@ class TestVPSAMixing:
     def test_matches_brute_force(self, mode, search, offset, stride):
         rng = np.random.default_rng(27)
         for _ in range(2):
-            cloud = random_cloud(rng, b=2, n=16, c=6)
-            cloud = PointSetBatch(positions=cloud.positions + offset,
-                                  features=cloud.features)
+            cloud, feats = random_cloud(rng, b=2, n=16, c=6)
+            cloud = PointSetBatch(positions=cloud.positions + offset)
             cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5,
                               stride=stride, radius=0.8 if search == "ball" else None)
             p = setabs.vpsa_block_params(rng, cfg)
             p.pos.bias.data = rng.uniform(-0.3, 0.3, 6)
             nbr = setabs.group(cloud, cfg)
             assert nbr.pad_mask.any() == (search == "ball")
-            _, out = vpsa_block(cloud, Tensor(cloud.features), cfg, p, mode,
+            _, out = vpsa_block(cloud, Tensor(feats), cfg, p, mode,
                                 nbr=nbr if stride == 1 else None)
             expected = oracle.brute_force_vpsa(
-                cloud.positions, cloud.features, nbr.centers, nbr.indices,
+                cloud.positions, feats, nbr.centers, nbr.indices,
                 nbr.pad_mask, vpsa_weights_dict(p, cfg), mode=mode)
             assert np.abs(out.data - expected).max() < 1e-10
 
     def test_equals_the_grouped_mixing(self):
         rng = np.random.default_rng(28)
-        cloud = random_cloud(rng, b=2, n=16, c=6)
+        cloud, feats = random_cloud(rng, b=2, n=16, c=6)
         cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5, stride=2)
         p = setabs.vpsa_block_params(rng, cfg)
         p.pos.bias.data = rng.uniform(-0.3, 0.3, 6)
@@ -361,8 +380,8 @@ class TestVPSAMixing:
         original = vecenc.encode_rotation_projected
         with mock.patch.object(vecenc, "encode_rotation_projected",
                                lambda fp, *a: mixed.append(fp.data) or original(fp, *a)):
-            vpsa_block(cloud, Tensor(cloud.features), cfg, p, "eval")
-        rel_feat, rel_pos = oracle.group_relative(cloud, nbr)
+            vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
+        rel_feat, rel_pos = oracle.group_relative(cloud.positions, feats, nbr)
         want = oracle.mix_features(Tensor(rel_feat), Tensor(rel_pos), p.pos).data
         assert np.abs(mixed[0] - want).max() < 1e-12
 
@@ -523,7 +542,7 @@ class TestFeaturePropagate:
     def test_matches_naive_interpolation(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            coarse = random_cloud(rng, n=10, c=6)
+            coarse, coarse_feats = random_cloud(rng, n=10, c=6)
             fine_pos = rng.uniform(-1, 1, (1, 25, 3))
             skip = Tensor(np.zeros((1, 25, 2)))
             p = setabs.fp_params(rng, 6, 2, 4)
@@ -534,18 +553,18 @@ class TestFeaturePropagate:
             d2 = np.einsum("bnkc,bnkc->bnk", diff, diff)
             w = 1.0 / (d2 + 1e-8)
             w = w / w.sum(-1, keepdims=True)
-            interp = nnops.gather(Tensor(coarse.features), idx, w)
-            expected = oracle.naive_interpolate(coarse.positions, coarse.features,
+            interp = nnops.gather(Tensor(coarse_feats), idx, w)
+            expected = oracle.naive_interpolate(coarse.positions, coarse_feats,
                                                 fine_pos)
             assert np.abs(interp.data - expected).max() < 1e-10
 
     def test_full_block_runs(self):
         rng = np.random.default_rng(18)
-        coarse = random_cloud(rng, n=6, c=4)
+        coarse, coarse_feats = random_cloud(rng, n=6, c=4)
         fine_pos = rng.uniform(-1, 1, (1, 15, 3))
         skip = Tensor(rng.standard_normal((1, 15, 3)))
         p = setabs.fp_params(rng, 4, 3, 8)
-        out = feature_propagate(coarse, Tensor(coarse.features), fine_pos, skip, p,
+        out = feature_propagate(coarse, Tensor(coarse_feats), fine_pos, skip, p,
                                 "train")
         assert out.data.shape == (1, 15, 8)
 

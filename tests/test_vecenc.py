@@ -134,7 +134,7 @@ class TestEncodeRotation:
         rng = np.random.default_rng(10)
         fp = random_fp(rng)
         p = vecenc.rotation_encoder_params(rng, 6, 3)
-        ang = vecenc._angles(fp, p, "train")
+        ang = nnops.dense(fp, p.angles, "train")
         assert ang.data.shape == fp.data.shape[:-1] + (12,)
         assert ang.data.min() >= 0.0
 
@@ -264,7 +264,7 @@ class TestRotateProject3:
 
         def unfused():
             return oracle.unfused_rotate_project(
-                nnops.linear(fp, enc.zx), vecenc._angles(fp, enc, mode), proj, pad)
+                nnops.linear(fp, enc.zx), nnops.dense(fp, enc.angles, mode), proj, pad)
 
         out, grads = _values_and_grads(
             lambda: vecenc.encode_rotation_projected(fp, enc, proj, pad, mode),
