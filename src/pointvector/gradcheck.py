@@ -131,6 +131,18 @@ def _case_batchnorm_eval(rng):
             lambda: _loss_of(nnops.batchnorm(x, p, "eval"), probe))
 
 
+def _case_dense_eval(rng):
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    p = nnops.linear_params(rng, 4, 3, bias=False, norm=True)
+    p.norm_gamma.data = rng.uniform(0.5, 1.5, size=3)
+    p.norm_beta.data = rng.standard_normal(3) * 0.3
+    p.running_mean = rng.standard_normal(3)
+    p.running_var = rng.uniform(0.5, 2.0, size=3)
+    probe = rng.standard_normal((5, 3))
+    return ([("x", x), ("w", p.weight), ("gamma", p.norm_gamma), ("beta", p.norm_beta)],
+            lambda: _loss_of(nnops.dense(x, p, "eval"), probe))
+
+
 def _case_relu(rng):
     x = Tensor(_away_from_zero(rng, (4, 6)), requires_grad=True)
     probe = rng.standard_normal((4, 6))
@@ -371,6 +383,7 @@ CASES = {
     "linear_nobias": _case_linear_nobias,
     "batchnorm_train": _case_batchnorm_train,
     "batchnorm_eval": _case_batchnorm_eval,
+    "dense_eval": _case_dense_eval,
     "relu": _case_relu,
     "add_sub_mul": _case_add_sub_mul,
     "concat_reshape": _case_concat_reshape,

@@ -136,17 +136,23 @@ def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _recording(tensors: Sequence[Tensor]) -> bool:
+    """Whether a gradient is requested: an active tape tracks any of `tensors`."""
+    tape = _active_tape()
+    return tape is not None and any(tape.tracks(t) for t in tensors)
+
+
 def custom_op(out_data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable) -> Tensor:
     """Create the output tensor of an op and record its backward closure.
 
-    The op is recorded when a tape is active and tracks any of the inputs.
-    `grad_fn(out_grad)` must return one gradient (or None) per entry of
-    `inputs`, aligned positionally; it must not write into `out_grad`, which
-    may be shared with other gradients.
+    The op is recorded when `_recording(inputs)`. `grad_fn(out_grad)` must
+    return one gradient (or None) per entry of `inputs`, aligned
+    positionally; it must not write into `out_grad`, which may be shared
+    with other gradients.
     """
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None and any(tape.tracks(t) for t in inputs):
+    if _recording(inputs):
+        tape = _active_tape()
         tape._records.append((out, tuple(inputs), grad_fn))
         tape._produced.add(id(out))
     return out
@@ -337,7 +343,7 @@ def linear(x: Tensor, p: LayerParams) -> Tensor:
     x2 = x.data.reshape(-1, cin)
     y2 = x2 @ w.data
     if p.bias is not None:
-        y2 = y2 + p.bias.data
+        y2 += p.bias.data
     inputs = (x, w) if p.bias is None else (x, w, p.bias)
     w_data = w.data
 
@@ -419,12 +425,34 @@ def relu(x: Tensor) -> Tensor:
     return custom_op(out, (x,), grad_fn)
 
 
+def fold_norm(p: LayerParams) -> LayerParams:
+    """The eval-mode batchnorm of layer p folded into its linear map.
+
+    Eval batchnorm is the fixed affine map y s + (beta - mu s) with
+    s = gamma / sqrt(running_var + eps), so linear -> batchnorm is one linear
+    layer with weight W s and bias b s + beta - mu s (b = 0 without a bias).
+    Both are built from the small parameter tensors with tape ops, so a
+    gradient requested in eval mode still reaches W, b, gamma and beta.
+    """
+    s = mul(p.norm_gamma, Tensor(1.0 / np.sqrt(p.running_var + BN_EPS)))
+    bias = sub(p.norm_beta, mul(Tensor(p.running_mean), s))
+    if p.bias is not None:
+        bias = add(mul(p.bias, s), bias)
+    return LayerParams(weight=mul(p.weight, s), bias=bias)
+
+
 def dense(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
-    """linear -> batchnorm (if the layer has norm params) -> relu."""
-    y = linear(x, p)
-    if p.norm_gamma is not None:
-        y = batchnorm(y, p, mode)
-    return relu(y)
+    """linear -> batchnorm (if the layer has norm params) -> relu.
+
+    Train mode runs the three ops. Eval mode, with or without a tape, runs
+    relu(linear(x, fold_norm(p))): one GEMM and no normalized copy of its
+    output.
+    """
+    if p.norm_gamma is None:
+        return relu(linear(x, p))
+    if mode == "eval":
+        return relu(linear(x, fold_norm(p)))
+    return relu(batchnorm(linear(x, p), p, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ the K neighbors and a projection back to scalars (`AGGREGATIONS`):
 
 A mode without a reduction keeps the K slots, pads zeroed, and weighs each
 slot on its own, so it sorts the neighbors by distance first.
+
+Inference has its own path for the default cell (rotation encoder, m=3,
+sum_groupconv): in eval mode with no gradient requested (`nnops._recording`
+false for the features and the block's parameters), mixing, encoding and
+aggregation run as one tiled op, `vecenc.encode_rotation_tiled`, that never
+builds the neighbor tensors. Train mode, eval under a recording tape and
+every other cell compose tape ops.
 """
 
 from __future__ import annotations
@@ -383,7 +390,9 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     to channel scalars, mixed across channels, normalized, and fused with a
     linear residual of the center feature through a ReLU. The default cell
     (rotation encoder, m=3, sum_groupconv) runs encoding, sum and projection
-    as one fused op, `vecenc.rotate_project3`; every other cell composes
+    as one fused op: `vecenc.encode_rotation_tiled`, which also does the
+    mixing, in eval mode when no gradient is requested, and
+    `vecenc.encode_rotation_projected` otherwise. Every other cell composes
     `vecenc.encode` and `aggregation_variant`. Returns the centers'
     positions and their features.
 
@@ -411,16 +420,22 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
         ctr_feat, ctr_u = f, u
     else:
         ctr_feat, ctr_u = nnops.gather(f, centers), nnops.gather(u, centers)
-    m_centers = centers.shape[1]
-    ctr_u = nnops.reshape(nnops.sub(ctr_u, p.pos.bias), (b, m_centers, 1, cin))
-    fp = nnops.relu(nnops.sub(nnops.gather(u, nbr.indices), ctr_u))
-
+    ctr_u = nnops.sub(ctr_u, p.pos.bias)
     pad = nbr.pad_mask if nbr.pad_mask.any() else None
-    if (cfg.encoder, cfg.vector_dim, cfg.aggregation) == ("rotation", 3, "sum_groupconv"):
-        main = vecenc.encode_rotation_projected(fp, p.encoder, p.proj, pad, mode)
+    default_cell = (cfg.encoder, cfg.vector_dim, cfg.aggregation) == (
+        "rotation", 3, "sum_groupconv")
+    if default_cell and mode == "eval" and not nnops._recording(
+            [f] + [t for layer in (p.pos, p.encoder.zx, p.encoder.angles, p.proj)
+                   for _, t in layer.tensors()]):
+        main = vecenc.encode_rotation_tiled(u, ctr_u, nbr.indices, pad, p.encoder, p.proj)
     else:
-        field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
-        main = aggregation_variant(field, cfg.aggregation, p, pad)
+        ctr_u = nnops.reshape(ctr_u, (b, centers.shape[1], 1, cin))
+        fp = nnops.relu(nnops.sub(nnops.gather(u, nbr.indices), ctr_u))
+        if default_cell:
+            main = vecenc.encode_rotation_projected(fp, p.encoder, p.proj, pad, mode)
+        else:
+            field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
+            main = aggregation_variant(field, cfg.aggregation, p, pad)
     if p.mix is not None:
         main = nnops.linear(main, p.mix)
     main = nnops.batchnorm(main, p.post_norm, mode)

@@ -339,10 +339,19 @@ def _forward(mdl: Model, batch: PointSetBatch, mode: str) -> Tensor:
     return mdl.forward_cls(batch, mode)
 
 
+def _check_num_classes(cfg: ModelConfig, dataset: Dataset) -> None:
+    """The logits are read by the dataset's class count, so the model must
+    predict exactly that many classes."""
+    if cfg.num_classes != dataset.num_classes:
+        raise ConfigError(f"the model predicts {cfg.num_classes} classes but the "
+                          f"dataset has {dataset.num_classes}")
+
+
 def evaluate(mdl: Model, dataset: Dataset, split: str, eps: float,
              batch_size: int = 16, spec: AugmentSpec | None = None,
              radius_scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Deterministic eval-mode pass; returns (mean loss, confusion matrix)."""
+    _check_num_classes(mdl.cfg, dataset)
     indices = dataset.split_indices(split)
     k = dataset.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -427,6 +436,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
     the batch before it, since batch statistics over one sample are
     undefined for the pooled classification head.
     """
+    _check_num_classes(model_cfg, dataset)
     seq = np.random.SeedSequence([train_cfg.seed, 0x7e57])
     model_seed, order_seed, aug_seed = seq.generate_state(3)
     mdl = Model(model_cfg, seed=int(model_seed))

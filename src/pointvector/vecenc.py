@@ -9,6 +9,16 @@ and a z-axis rotation: `rotate_field` builds the field, and
 `rotate_project3`, for the default VPSA cell, sums and projects it without
 building it. The mlp and direction encoders are the ablation variants.
 
+The default VPSA cell (rotation, m=3, sum_groupconv) has two paths:
+
+    encode_rotation_projected   training, and eval under a recording tape:
+                                tape ops over the [B,M,K,C] neighbor tensors
+    encode_rotation_tiled       eval with no gradient requested: mixing,
+                                encoding, sum and projection in one op over
+                                cache-sized tiles of centers, no backward
+
+Both take d out / d zx from `_projection_factor`.
+
 The rotation ops take sine and cosine from the half-angle identity
 
     sin x = 2h / (1 + h^2),  cos x = (1 - h^2) / (1 + h^2),  h = tan(x/2),
@@ -25,8 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnops
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, ContractError, SizeError
 from .nnops import LayerParams, Tensor, custom_op
+
+
+# bytes of one tile's [zx | angles] rows in encode_rotation_tiled
+_TILE_BYTES = 1 << 19
 
 
 @dataclass
@@ -109,6 +123,23 @@ def rotate_field(zx: Tensor, ang: Tensor) -> Tensor:
     return custom_op(out, (zx, ang), grad_fn)
 
 
+def _projection_factor(sines: np.ndarray, cosines: np.ndarray,
+                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, u) of the m=3 rotation projected by the [C,3] kernel w, from the
+    [2, ..., C] sines and cosines of alpha and beta:
+
+        t = w1 cos(alpha) - w0 sin(alpha),  u = sin(beta) t + w2 cos(beta),
+
+    so that u = d out / d zx and the projected vector is zx u.
+    """
+    (sa, sb), (ca, cb) = sines, cosines
+    t = ca * w[:, 1]
+    t -= sa * w[:, 0]
+    u = sb * t
+    u += cb * w[:, 2]
+    return t, u
+
+
 def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
                     pad: np.ndarray | None = None) -> Tensor:
     """rotate_field with m=3, summed over non-pad neighbors, then
@@ -136,12 +167,9 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
         keep = (~pad).astype(z.dtype)[..., None]
         z = z * keep
     w0, w1, w2 = w.data[:, 0], w.data[:, 1], w.data[:, 2]
-    (sa, sb), (ca, cb) = _angle_sincos(ang.data, c)
-    # t = w1 cos(alpha) - w0 sin(alpha); u = sin(beta) t + w2 cos(beta) = d out / d zx
-    t = ca * w1
-    t -= sa * w0
-    u = sb * t
-    u += cb * w2
+    sines, cosines = _angle_sincos(ang.data, c)
+    (sa, sb), (ca, cb) = sines, cosines
+    t, u = _projection_factor(sines, cosines, w.data)
     out = np.einsum("bikc,bikc->bic", z, u)
     out += p.bias.data
 
@@ -194,6 +222,63 @@ def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerP
     """
     zx = nnops.linear(fp, p.zx)
     return rotate_project3(zx, nnops.dense(fp, p.angles, mode), proj, pad)
+
+
+def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
+                          p: RotationEncoderParams, proj: LayerParams) -> Tensor:
+    """The default VPSA cell's mixing, encoding, neighbor sum and projection
+    for inference, as one op over tiles of centers; [B,M,C].
+
+    u is the per-point term [B,N,C] and ctr the center term u_i - b_pos
+    [B,M,C], so neighbor k of center i mixes to fp = relu(u_j - ctr_i) with
+    j = idx[b,i,k]. The output equals encode_rotation_projected(fp, p, proj,
+    pad, "eval"). Each tile gathers its centers' K neighbors of u, runs one
+    GEMM against [W_zx | folded angle weight] (`nnops.fold_norm`), takes
+    the angles' relu and their sines and cosines, and sums zx u
+    (`_projection_factor`) over the non-pad neighbors, so no [B,M,K,C]
+    tensor is built. A tile holds _TILE_BYTES / (K 3C itemsize) centers,
+    at least one. The output keeps the dtype of u.
+
+    There is no backward: the op raises ContractError when an active tape
+    would record its inputs.
+    """
+    params = [t for layer in (p.zx, p.angles, proj) for _, t in layer.tensors()]
+    if nnops._recording([u, ctr] + params):
+        raise ContractError("encode_rotation_tiled has no backward; a recording tape "
+                            "needs encode_rotation_projected")
+    b, n, c = u.data.shape
+    m, k = idx.shape[1:]
+    if ctr.data.shape != (b, m, c) or idx.shape[0] != b or proj.weight.data.shape != (c, 3):
+        raise SizeError(f"encode_rotation_tiled expects u [B,N,C], ctr [B,M,C], idx [B,M,K] "
+                        f"and a [C,3] kernel, got {u.data.shape}, {ctr.data.shape}, "
+                        f"{idx.shape} and {proj.weight.data.shape}")
+    nnops._check_pad(pad, idx.shape)
+    ang = nnops.fold_norm(p.angles)
+    w = np.concatenate([p.zx.weight.data, ang.weight.data], axis=1)   # [C, 3C]
+    bias = np.concatenate([p.zx.bias.data, ang.bias.data])
+    points = u.data.reshape(b * n, c)
+    centers = ctr.data.reshape(b * m, c)
+    rows = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
+    keep = None if pad is None else (~pad).reshape(b * m, k, 1)
+    out = np.empty((b * m, c), dtype=u.data.dtype)
+    tile = max(1, _TILE_BYTES // (k * 3 * c * u.data.itemsize))
+    for lo in range(0, b * m, tile):
+        hi = min(lo + tile, b * m)
+        fp = points[rows[lo:hi]]                  # [T, K, C]
+        fp -= centers[lo:hi, None]
+        np.maximum(fp, 0, out=fp)
+        h = fp.reshape(-1, c) @ w
+        h += bias
+        zx, ang_rows = h[:, :c], h[:, c:]
+        np.maximum(ang_rows, 0, out=ang_rows)    # NaN stays NaN, so check_finite sees it
+        _, vec = _projection_factor(*_angle_sincos(ang_rows, c), proj.weight.data)
+        vec *= zx                                 # each neighbor's projected vector
+        vec = vec.reshape(hi - lo, k, c)
+        if keep is not None:
+            vec *= keep[lo:hi]
+        vec.sum(axis=1, out=out[lo:hi])
+    out += proj.bias.data
+    return Tensor(out.reshape(b, m, c))
 
 
 def encode_mlp(fp: Tensor, p: MLPEncoderParams, m: int, mode: str = "train") -> Tensor:

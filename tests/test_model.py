@@ -78,6 +78,34 @@ class TestNonFinite:
         assert any(path.startswith("stage0.vpsa0.") for path in mdl.layer_map())
 
 
+class TestTapeFreeEval:
+    """Eval without a tape runs the folded dense layers and the tiled VPSA
+    encoder; under a tape the same call runs the composed ops."""
+
+    @pytest.mark.parametrize("preset", ["pointvector-s", "pointvector-l", "toy-seg",
+                                        "toy-seg-ball", "pointvector-s-cls", "toy-cls"])
+    def test_equals_eval_under_a_tape(self, preset):
+        rng = np.random.default_rng(9)
+        mdl = Model(preset_config(preset, num_classes=5), seed=1)
+        for layer in mdl.layer_map().values():
+            if layer.running_mean is not None:
+                c = layer.running_mean.shape[0]
+                layer.running_mean = rng.standard_normal(c) * 0.1
+                layer.running_var = rng.uniform(0.5, 2.0, c)
+        batch = cloud(rng, 2 if mdl.min_points() < 500 else 1, max(mdl.min_points(), 40))
+        forward = mdl.forward_seg if mdl.cfg.task == "segmentation" else mdl.forward_cls
+        got = forward(batch, "eval").data
+        with GradTape():
+            want = forward(batch, "eval").data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_nan_angle_weight_names_the_block(self):
+        mdl = Model(preset_config("toy-seg", num_classes=3))
+        mdl.named_params()["stage0.vpsa0.encoder.angles.weight"].data[0, 0] = np.nan
+        with pytest.raises(NumericFaultError, match=r"in stage0\.vpsa0$"):
+            mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "eval")
+
+
 class TestSinglePrecision:
     def test_every_gradient_of_a_step_stays_float32(self):
         with nnops.precision("single"):

@@ -95,6 +95,23 @@ class TestBatchnorm:
         assert np.abs(y.data.std(axis=0) - 1.0).max() < 0.05
 
 
+class TestDense:
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_eval_equals_linear_batchnorm_relu(self, bias):
+        rng = np.random.default_rng(11)
+        p = nnops.linear_params(rng, 5, 4, bias=bias, norm=True)
+        if bias:
+            p.bias.data = rng.standard_normal(4)
+        p.norm_gamma.data = rng.uniform(-1.5, 1.5, 4)
+        p.norm_beta.data = rng.standard_normal(4)
+        p.running_mean = rng.standard_normal(4)
+        p.running_var = rng.uniform(0.5, 2.0, 4)
+        x = Tensor(rng.standard_normal((3, 7, 5)))
+        want = nnops.relu(nnops.batchnorm(nnops.linear(x, p), p, "eval")).data
+        got = nnops.dense(x, p, "eval").data
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestActivation:
     def test_relu_values(self):
         y = nnops.relu(Tensor(np.array([-1.0, 0.0, 2.0])))

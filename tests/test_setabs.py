@@ -1,11 +1,17 @@
 import copy
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from pointvector import geometry, nnops, oracle, setabs, vecenc
-from pointvector.errors import ConfigError, InvalidNeighborhoodError, SizeError
+from pointvector.errors import (
+    ConfigError,
+    ContractError,
+    InvalidNeighborhoodError,
+    SizeError,
+)
 from pointvector.geometry import PointSetBatch
 from pointvector.nnops import GradTape, Tensor
 from pointvector.setabs import (
@@ -370,6 +376,8 @@ class TestVPSAMixing:
             assert np.abs(out.data - expected).max() < 1e-10
 
     def test_equals_the_grouped_mixing(self):
+        # under a tape the block runs the composed path, which hands the mixed
+        # features to encode_rotation_projected
         rng = np.random.default_rng(28)
         cloud, feats = random_cloud(rng, b=2, n=16, c=6)
         cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5, stride=2)
@@ -379,11 +387,99 @@ class TestVPSAMixing:
         mixed = []
         original = vecenc.encode_rotation_projected
         with mock.patch.object(vecenc, "encode_rotation_projected",
-                               lambda fp, *a: mixed.append(fp.data) or original(fp, *a)):
+                               lambda fp, *a: mixed.append(fp.data) or original(fp, *a)), \
+                GradTape():
             vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
         rel_feat, rel_pos = oracle.group_relative(cloud.positions, feats, nbr)
         want = oracle.mix_features(Tensor(rel_feat), Tensor(rel_pos), p.pos).data
         assert np.abs(mixed[0] - want).max() < 1e-12
+
+
+def vpsa_with_statistics(rng, cfg):
+    """Default-cell VPSA params with random biases, norm affines and running
+    statistics, so that every eval-mode term is nontrivial."""
+    p = setabs.vpsa_block_params(rng, cfg)
+    for layer in (p.pos, p.encoder.zx, p.proj, p.res):
+        layer.bias.data = rng.uniform(-0.3, 0.3, layer.bias.data.shape)
+    for layer in (p.encoder.angles, p.post_norm):
+        c = layer.norm_gamma.data.shape[0]
+        layer.norm_gamma.data = rng.uniform(0.5, 1.5, c)
+        layer.norm_beta.data = rng.standard_normal(c) * 0.2
+        layer.running_mean = rng.standard_normal(c) * 0.1
+        layer.running_var = rng.uniform(0.5, 2.0, c)
+    return p
+
+
+def tiled_inputs(rng, b, n, m, k, c):
+    """Arguments of vecenc.encode_rotation_tiled with random neighbor indices."""
+    p = vpsa_with_statistics(rng, BlockConfig(in_channels=c, out_channels=c,
+                                              k_neighbors=k))
+    u = rng.standard_normal((b, n, c))
+    ctr = rng.standard_normal((b, m, c))
+    idx = rng.integers(0, n, (b, m, k))
+    return u, ctr, idx, p.encoder, p.proj
+
+
+class TestTiledInference:
+    """Tape-free eval of the default cell runs vecenc.encode_rotation_tiled;
+    under a tape the same block runs the composed ops."""
+
+    @pytest.mark.parametrize("stride,search,offset,b", [
+        (1, "knn", 0.0, 2), (2, "knn", 0.0, 2), (1, "ball", 0.0, 2),
+        (2, "ball", 1e3, 2), (1, "knn", 1e3, 1), (2, "ball", 0.0, 1)])
+    def test_equals_the_composed_path(self, stride, search, offset, b, monkeypatch):
+        rng = np.random.default_rng(40)
+        cloud, feats = random_cloud(rng, b=b, n=30, c=6)
+        cloud = PointSetBatch(positions=cloud.positions + offset)
+        cfg = BlockConfig(in_channels=6, out_channels=8, k_neighbors=5, stride=stride,
+                          radius=0.8 if search == "ball" else None)
+        p = vpsa_with_statistics(rng, cfg)
+        # 4 centers per tile, so the last tile of 15 or 30 centers is partial
+        monkeypatch.setattr(vecenc, "_TILE_BYTES", 4 * 5 * 18 * 8)
+        with mock.patch.object(vecenc, "encode_rotation_tiled",
+                               wraps=vecenc.encode_rotation_tiled) as tiled:
+            _, got = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
+            with GradTape():
+                _, want = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
+        assert tiled.call_count == 1
+        if search == "ball":
+            assert tiled.call_args.args[3] is not None   # pads reach the op
+        assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+
+    def test_single_precision(self):
+        rng = np.random.default_rng(41)
+        u, ctr, idx, enc, proj = tiled_inputs(rng, 2, 40, 20, 6, 8)
+        want = vecenc.encode_rotation_tiled(Tensor(u), Tensor(ctr), idx, None, enc, proj)
+        enc32, proj32 = copy.deepcopy((enc, proj))
+        for layer in (enc32.zx, enc32.angles, proj32):
+            for _, t in layer.tensors():
+                t.data = t.data.astype(np.float32)
+        enc32.angles.running_mean = enc32.angles.running_mean.astype(np.float32)
+        enc32.angles.running_var = enc32.angles.running_var.astype(np.float32)
+        got = vecenc.encode_rotation_tiled(Tensor(u.astype(np.float32)),
+                                           Tensor(ctr.astype(np.float32)), idx, None,
+                                           enc32, proj32)
+        assert got.data.dtype == np.float32
+        assert np.abs(got.data - want.data).max() <= 1e-4 * np.abs(want.data).max()
+
+    def test_refuses_a_recording_tape(self):
+        rng = np.random.default_rng(42)
+        u, ctr, idx, enc, proj = tiled_inputs(rng, 1, 10, 4, 3, 4)
+        with GradTape(), pytest.raises(ContractError, match="no backward"):
+            vecenc.encode_rotation_tiled(Tensor(u), Tensor(ctr), idx, None, enc, proj)
+
+    def test_builds_no_neighbor_tensor(self):
+        # one [B,M,K,C] float64 array at B=2, M=2048, K=8, C=64 is 16.8 MB
+        rng = np.random.default_rng(43)
+        u, ctr, idx, enc, proj = tiled_inputs(rng, 2, 2048, 2048, 8, 64)
+        u, ctr = Tensor(u), Tensor(ctr)
+        tracemalloc.start()
+        try:
+            vecenc.encode_rotation_tiled(u, ctr, idx, None, enc, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2048 * 8 * 64 * 8
 
 
 def numpy_aggregation(v, pad, mode, p):

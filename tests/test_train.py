@@ -79,6 +79,19 @@ class TestRadiusScale:
             evaluate(mdl, data, "val", 0.1, radius_scale=1.2)
 
 
+@pytest.mark.parametrize("entry", ["evaluate", "train_loop"])
+@pytest.mark.parametrize("model_classes", [8, 6])
+def test_class_count_mismatch_is_a_config_error(entry, model_classes):
+    data = dataio.make_segmentation_dataset(num_scenes=5, num_points=64, seed=0)
+    assert data.num_classes == 3
+    cfg = preset_config("toy-seg", num_classes=model_classes)
+    with pytest.raises(ConfigError, match=f"{model_classes} classes .* has 3"):
+        if entry == "evaluate":
+            evaluate(Model(cfg), data, "val", 0.1)
+        else:
+            train_loop(cfg, TrainConfig(epochs=1, batch_size=4), data)
+
+
 def test_metrics_csv_is_seed_deterministic():
     data = dataio.make_segmentation_dataset(num_scenes=6, num_points=64, seed=0)
     model_cfg = preset_config("toy-seg", num_classes=data.num_classes)
