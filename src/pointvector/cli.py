@@ -284,6 +284,7 @@ def cmd_gradcheck(args) -> int:
 
     gradcheck.run_all(instances=args.instances, seed=args.seed or 0,
                       corrupt_case=corrupt, progress=progress)
+    print("gradients were checked in float64, whatever --precision says")
     if failures:
         print(f"gradient check FAILED for: {', '.join(failures)}")
         return EXIT_GRADCHECK

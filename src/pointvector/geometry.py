@@ -9,16 +9,21 @@ There is one distance definition: the squared distance between q and r is
 (qx-rx)^2 + (qy-ry)^2 + (qz-rz)^2, summed in that order in float64, the
 formula `oracle.naive_knn` uses. Neighbors are ordered by (d^2, index), so
 exact ties, duplicate points included, resolve to the lower index. kNN
-picks its candidates from one of two sources by problem size: up to
-`_DENSE_MAX_PAIRS` query-reference pairs per batch entry it scans the dense
-[M,N] distance block; above that it asks a k-d tree (`scipy.spatial`,
-imported only then) for k+1 candidates, re-scores them exactly, and re-solves
-densely any row whose k-th and (k+1)-th distances are too close to separate.
-Both sources return the same indices.
+picks its candidates from one of two sources: the dense [M,N] distance
+block, or a k-d tree (`scipy.spatial`) asked for k+1 candidates, which are
+re-scored exactly; a row whose k-th and (k+1)-th distances are too close to
+separate is re-solved densely. Both sources return the same indices, so the
+choice changes the cost only. The tree is faster above about
+`_TREE_MIN_PAIRS` query-reference pairs per batch entry, but importing
+`scipy.spatial` costs about 38 MB of resident memory. So the tree answers a
+problem above `_DENSE_MAX_PAIRS` pairs, importing the module if need be, and
+a problem above `_TREE_MIN_PAIRS` pairs only when the process has already
+loaded the module; everything else scans the dense block.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,10 +200,15 @@ def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
     return NeighborIndex(indices=idx, pad_mask=pad, centers=centers)
 
 
-# Largest M*N per batch entry whose kNN scans the dense distance block: 4M
-# pairs, a 32 MB float64 block. Importing scipy.spatial for the k-d tree
-# costs about 38 MB of resident memory, so smaller problems never load it.
+# Largest M*N per batch entry whose kNN scans the dense distance block when
+# scipy.spatial is not loaded: 4M pairs, a 32 MB float64 block. Importing
+# scipy.spatial for the k-d tree costs about 38 MB of resident memory, so
+# smaller problems never load it.
 _DENSE_MAX_PAIRS = 1 << 22
+# Largest M*N per batch entry whose kNN scans the dense block once
+# scipy.spatial is loaded: the crossover measured on scene clouds over
+# 2^12..2^17 pairs with k in {3, 8, 16}
+_TREE_MIN_PAIRS = 1 << 14
 # query-reference pairs per row block of the dense kNN scan: a 1 MB float64
 # block, which stays in cache through the eight passes of the selection
 _KNN_BLOCK_PAIRS = 1 << 17
@@ -214,18 +224,23 @@ def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarra
     Each row holds the k smallest keys (d^2, index) in increasing order, with
     d^2 the per-coordinate float64 squared distance of the module docstring:
     nearest first, exact ties to the lower index. The result equals
-    `oracle.naive_knn`. Up to `_DENSE_MAX_PAIRS` pairs M*N per batch entry it
-    comes from the dense distance block, above that from a k-d tree; the
-    choice changes the cost, never the indices.
+    `oracle.naive_knn`. A k-d tree answers when there are more than
+    `_DENSE_MAX_PAIRS` pairs M*N per batch entry, or more than
+    `_TREE_MIN_PAIRS` and `scipy.spatial` is already loaded; otherwise the
+    dense distance block does. Only problems above `_DENSE_MAX_PAIRS` may
+    import the module, whose import costs about 38 MB of resident memory.
+    The choice changes the cost, never the indices.
     """
     n = cloud.num_points
     if k > n:
         raise SizeError(f"k={k} exceeds cloud size {n}")
     if k < 1:
         raise ConfigError(f"knn k must be >= 1, got {k}")
-    if query_xyz.shape[1] * n <= _DENSE_MAX_PAIRS:
-        return _knn_dense(query_xyz, cloud.positions, k)
-    return _knn_tree(query_xyz, cloud.positions, k)
+    pairs = query_xyz.shape[1] * n
+    if pairs > _DENSE_MAX_PAIRS or (pairs > _TREE_MIN_PAIRS
+                                    and "scipy.spatial" in sys.modules):
+        return _knn_tree(query_xyz, cloud.positions, k)
+    return _knn_dense(query_xyz, cloud.positions, k)
 
 
 def _knn_dense(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:

@@ -5,6 +5,9 @@ gradients through the tape, and compares them against central differences
 from the oracle module. Comparison metric: max-norm difference over the
 max-norm magnitude.
 
+Every instance runs in float64 whatever the default precision: with the
+finite-difference step `FD_STEP`, float32 differences are rounding noise.
+
 Relu kinks and near-tied maxima can put a coordinate within h of a
 non-differentiable point; a failing instance is therefore redrawn a couple of
 times before it counts as a failure (a wrong gradient fails for every draw).
@@ -420,36 +423,37 @@ CASES = {
 
 
 def run_case(name: str, seed: int, corrupt: bool = False) -> float:
-    """One instance of a named case; retries kink-adjacent draws."""
+    """One float64 instance of a named case; retries kink-adjacent draws."""
     last = np.inf
     tag = zlib.crc32(name.encode("utf-8"))
-    for attempt in range(RETRIES):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt, tag]))
-        params, forward = CASES[name](rng)
-        with GradTape() as tape:
-            loss = forward()
-            grads = nnops.backward(tape, loss)
-        worst = 0.0
-        for _, t in params:
-            analytic = grads.get(t)
-            if analytic is None:
-                analytic = np.zeros_like(t.data)
-            if corrupt:
-                analytic = analytic * 1.05 + 0.01
+    with nnops.precision("double"):
+        for attempt in range(RETRIES):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, attempt, tag]))
+            params, forward = CASES[name](rng)
+            with GradTape() as tape:
+                loss = forward()
+                grads = nnops.backward(tape, loss)
+            worst = 0.0
+            for _, t in params:
+                analytic = grads.get(t)
+                if analytic is None:
+                    analytic = np.zeros_like(t.data)
+                if corrupt:
+                    analytic = analytic * 1.05 + 0.01
 
-            def scalar_fn(x, t=t):
-                saved = t.data
-                t.data = x
-                try:
-                    return float(forward().data)
-                finally:
-                    t.data = saved
+                def scalar_fn(x, t=t):
+                    saved = t.data
+                    t.data = x
+                    try:
+                        return float(forward().data)
+                    finally:
+                        t.data = saved
 
-            fd = oracle.fd_gradient(scalar_fn, t.data.copy(), FD_STEP)
-            worst = max(worst, relative_error(analytic, fd))
-        last = worst
-        if worst < TOLERANCE:
-            return worst
+                fd = oracle.fd_gradient(scalar_fn, t.data.copy(), FD_STEP)
+                worst = max(worst, relative_error(analytic, fd))
+            last = worst
+            if worst < TOLERANCE:
+                return worst
     return last
 
 

@@ -69,8 +69,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
+        # floating arrays and numpy scalars, which 0-d arithmetic returns,
+        # keep their dtype; Python numbers take the default dtype
         if isinstance(data, np.ndarray) and data.dtype.kind == "f":
             arr = data
+        elif isinstance(data, np.floating):
+            arr = np.asarray(data)
         else:
             arr = np.asarray(data, dtype=_DTYPE)
         self.data = arr
@@ -578,8 +582,11 @@ def gather(x: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Ten
 
     With `weights` (the shape of idx) the gathered rows are summed over the
     last index axis: out[b,...,:] = sum_j weights[b,...,j] x[b, idx[b,...,j], :].
-    Indices and weights are constants; gradient flows to x only, by
-    scatter-add.
+    The weighted slots are added one at a time, j = 0, 1, ..., into one
+    [B, ..., C] output, so no [B, ..., K, C] array is built. For C > 1 that
+    is the order of numpy's sum over the slot axis, and the result is
+    bit-equal to it. Indices and weights are constants; gradient flows to x
+    only, by scatter-add.
     """
     b, n, c = x.data.shape
     if idx.ndim < 2 or idx.shape[0] != b:
@@ -590,9 +597,19 @@ def gather(x: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Ten
     if weights is not None and weights.shape != idx.shape:
         raise SizeError(f"idx shape {idx.shape} != weights shape {weights.shape}")
     batch = np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1))
-    out = x.data[batch, idx]
-    if weights is not None:
-        out = (out * weights[..., None]).sum(axis=-2)
+    if weights is None:
+        out = x.data[batch, idx]
+    else:
+        rows, dtype = batch[..., 0], np.result_type(x.data, weights)
+
+        def slot(j):
+            term = x.data[rows, idx[..., j]].astype(dtype, copy=False)
+            term *= weights[..., j, None]
+            return term
+
+        out = slot(0)
+        for j in range(1, idx.shape[-1]):
+            out += slot(j)
     flat = (batch * n + idx).reshape(-1)
 
     def grad_fn(g):

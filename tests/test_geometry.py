@@ -255,14 +255,44 @@ class TestKnnExactContract:
         want = oracle.naive_knn(query[:, rows], cloud.positions, 8)
         assert np.array_equal(got[:, rows], want)
 
+    MID_SIZES = [(512, 2048, 32, 1), (2048, 512, 3, 2)]   # m, n, k, seed
+
+    @pytest.mark.parametrize("m, n, k, seed", MID_SIZES)
+    def test_mid_size_takes_tree_once_scipy_spatial_is_loaded(self, m, n, k, seed):
+        import scipy.spatial  # noqa: F401
+
+        query, ref = _cloud_pair(seed, "random", 1, n, m)
+        assert geometry._TREE_MIN_PAIRS < m * n <= geometry._DENSE_MAX_PAIRS
+        with mock.patch.object(geometry, "_knn_tree", wraps=geometry._knn_tree) as tree:
+            got = geometry.knn_points(query, PointSetBatch(positions=ref), k)
+        assert tree.call_count == 1
+        assert np.array_equal(got, geometry._knn_dense(query, ref, k))
+        rows = np.random.default_rng(seed).choice(m, size=4, replace=False)
+        assert np.array_equal(got[:, rows], oracle.naive_knn(query[:, rows], ref, k))
+
+    @pytest.mark.parametrize("m, n, k, seed", MID_SIZES)
+    def test_mid_size_stays_dense_without_scipy_spatial(self, m, n, k, seed):
+        query, ref = _cloud_pair(seed, "random", 1, n, m)
+        with mock.patch.dict(sys.modules), \
+                mock.patch.object(geometry, "_knn_tree", wraps=geometry._knn_tree) as tree:
+            sys.modules.pop("scipy.spatial", None)
+            got = geometry.knn_points(query, PointSetBatch(positions=ref), k)
+        assert tree.call_count == 0
+        assert np.array_equal(got, geometry._knn_rows(query, ref, k))
+
     def test_small_knn_does_not_import_scipy_spatial(self):
+        # every kNN size of a pointvector-l train step at N=2048 and of the
+        # toy-seg-ball decoder at N=512: loading the module would add about
+        # 38 MB to the resident memory of such runs
         code = (
             "import sys, numpy as np\n"
             "from pointvector import geometry\n"
-            "c = geometry.PointSetBatch(positions=np.random.default_rng(0)"
-            ".uniform(size=(2, 2048, 3)))\n"
-            "geometry.knn_points(c.positions, c, 8)\n"
-            "assert 2048 * 2048 <= geometry._DENSE_MAX_PAIRS\n"
+            "rng = np.random.default_rng(0)\n"
+            "for m, n, k in [(2048, 2048, 8), (512, 2048, 32), (2048, 512, 3),\n"
+            "                (512, 512, 8), (512, 256, 3), (256, 128, 3)]:\n"
+            "    c = geometry.PointSetBatch(positions=rng.uniform(size=(2, n, 3)))\n"
+            "    geometry.knn_points(rng.uniform(size=(2, m, 3)), c, k)\n"
+            "    assert m * n <= geometry._DENSE_MAX_PAIRS\n"
             "print('scipy.spatial' in sys.modules)\n")
         src = str(Path(geometry.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -273,14 +274,32 @@ class TestGather:
         with pytest.raises(SizeError, match="weights shape"):
             nnops.gather(x, np.zeros((1, 2, 3), dtype=np.int64), np.ones((1, 2, 2)))
 
-    def test_weighted_equals_sum_of_unweighted(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 7, 3)))
-        idx = rng.integers(0, 7, size=(2, 5, 3))
-        w = rng.uniform(size=(2, 5, 3))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_weighted_equals_sum_of_unweighted(self, slots, b, dtype):
+        # the slot-by-slot sum is bit-equal to numpy's sum over the slot axis
+        rng = np.random.default_rng(slots + 10 * b)
+        x = Tensor(rng.standard_normal((b, 40, 16)).astype(dtype))
+        idx = rng.integers(0, 40, size=(b, 64, slots))
+        w = rng.uniform(size=(b, 64, slots)).astype(dtype)
         rows = nnops.gather(x, idx).data
-        assert np.array_equal(nnops.gather(x, idx, w).data,
-                              (rows * w[..., None]).sum(axis=2))
+        got = nnops.gather(x, idx, w).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, (rows * w[..., None]).sum(axis=-2))
+
+    def test_weighted_builds_no_slot_tensor(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 2048, 64)))
+        idx = rng.integers(0, 2048, size=(2, 8192, 3))
+        w = rng.uniform(size=(2, 8192, 3))
+        tracemalloc.start()
+        try:
+            nnops.gather(x, idx, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8192 * 3 * 64 * 8   # one [B,N,3,C] float64 array, 25 MB
 
 
 class TestBackward:
@@ -368,6 +387,14 @@ class TestPrecision:
     def test_float_arrays_keep_dtype(self):
         arr = np.zeros(3, dtype=np.float32)
         assert Tensor(arr).data.dtype == np.float32
+
+    def test_numpy_scalars_keep_dtype(self):
+        # 0-d arithmetic returns numpy scalars, as `add` of two 0-d arrays does
+        with nnops.precision("single"):
+            assert Tensor(np.float64(1.5)).data.dtype == np.float64
+            a = Tensor(np.array(1.0, dtype=np.float64))
+            assert nnops.add(a, a).data.dtype == np.float64
+            assert Tensor(1.5).data.dtype == np.float32
 
 
 class TestGradientShapeContract:
