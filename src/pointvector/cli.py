@@ -273,7 +273,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    corrupt = "linear" if args.inject_fault else None
     failures = []
 
     def progress(name, worst):
@@ -282,8 +281,7 @@ def cmd_gradcheck(args) -> int:
         if worst >= gradcheck.TOLERANCE:
             failures.append(name)
 
-    gradcheck.run_all(instances=args.instances, seed=args.seed or 0,
-                      corrupt_case=corrupt, progress=progress)
+    gradcheck.run_all(instances=args.instances, seed=args.seed or 0, progress=progress)
     print("gradients were checked in float64, whatever --precision says")
     if failures:
         print(f"gradient check FAILED for: {', '.join(failures)}")
@@ -366,7 +364,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference check of every op")
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("gen-data", parents=[common],

@@ -31,6 +31,8 @@ class SceneSpec:
     max_size: float = 0.5
 
     def __post_init__(self):
+        if self.num_primitives < 1:
+            raise ConfigError(f"num_primitives must be >= 1, got {self.num_primitives}")
         if self.num_points < self.num_primitives:
             raise ConfigError("num_points must be >= num_primitives")
         if self.noise_sigma < 0:
@@ -260,6 +262,8 @@ class Dataset:
 
 
 def _split_indices(n: int, val_fraction: float, rng: np.random.Generator) -> dict:
+    if not 0 <= val_fraction <= 1:
+        raise ConfigError(f"val_fraction must lie in [0, 1], got {val_fraction}")
     order = rng.permutation(n)
     n_val = max(1, int(round(n * val_fraction)))
     return {"val": np.sort(order[:n_val]), "train": np.sort(order[n_val:])}
@@ -270,6 +274,8 @@ def make_segmentation_dataset(num_scenes: int = 200, num_points: int = 512,
                               num_primitives: int = 3, seed: int = 0,
                               val_fraction: float = 0.2) -> Dataset:
     """Seed-fixed synthetic segmentation task; scene i uses seed derived from (seed, i)."""
+    if num_scenes < 1:
+        raise ConfigError(f"num_scenes must be >= 1, got {num_scenes}")
     seq = np.random.SeedSequence([seed, 0x5e60])
     scene_seeds = seq.generate_state(num_scenes)
     positions, labels = [], []
@@ -289,6 +295,8 @@ def make_segmentation_dataset(num_scenes: int = 200, num_points: int = 512,
 def make_classification_dataset(num_clouds: int = 120, num_points: int = 256,
                                 kinds: tuple = KINDS, noise_sigma: float = 0.02,
                                 seed: int = 0, val_fraction: float = 0.2) -> Dataset:
+    if num_clouds < 1:
+        raise ConfigError(f"num_clouds must be >= 1, got {num_clouds}")
     spec = SceneSpec(num_points=num_points, num_primitives=num_clouds,
                      kinds=kinds, noise_sigma=noise_sigma, seed=seed)
     items = gen_classification_set(spec)

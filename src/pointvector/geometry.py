@@ -5,20 +5,22 @@ stable regardless of the training precision. Everything here is a pure
 function of its inputs; no op is differentiated (neighbor selection is a
 discrete choice).
 
-There is one distance definition: the squared distance between q and r is
-(qx-rx)^2 + (qy-ry)^2 + (qz-rz)^2, summed in that order in float64, the
-formula `oracle.naive_knn` uses. Neighbors are ordered by (d^2, index), so
-exact ties, duplicate points included, resolve to the lower index. kNN
-picks its candidates from one of two sources: the dense [M,N] distance
-block, or a k-d tree (`scipy.spatial`) asked for k+1 candidates, which are
-re-scored exactly; a row whose k-th and (k+1)-th distances are too close to
-separate is re-solved densely. Both sources return the same indices, so the
-choice changes the cost only. The tree is faster above about
+One function computes squared distances, `_sq_dist`: (qx-rx)^2 +
+(qy-ry)^2 + (qz-rz)^2, summed in that order in float64, the formula of
+`oracle.naive_knn`. FPS keeps a copy of the sum in its loop, which runs m-1
+times per call over preallocated buffers. One function orders neighbors,
+`_rank`: by (d^2, index), so exact ties, duplicates included, go to the
+lower index. kNN ranks k+1 candidates from one of two sources, the dense
+[M,N] block (`argpartition`) or a k-d tree (`scipy.spatial`, re-scored
+exactly), and ranks a row over all N points when its k-th and (k+1)-th
+distances are within `_TREE_MARGIN`. Both sources return the same indices;
+the choice changes the cost only. The tree is faster above about
 `_TREE_MIN_PAIRS` query-reference pairs per batch entry, but importing
 `scipy.spatial` costs about 38 MB of resident memory. So the tree answers a
 problem above `_DENSE_MAX_PAIRS` pairs, importing the module if need be, and
 a problem above `_TREE_MIN_PAIRS` pairs only when the process has already
-loaded the module; everything else scans the dense block.
+loaded the module; everything else scans the dense block. Ball query keeps
+scan order: the first k in-radius points by index.
 """
 
 from __future__ import annotations
@@ -77,22 +79,33 @@ class NeighborIndex:
     centers: np.ndarray
 
 
-def _pairwise_sq_dist(query: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Squared distances [B,M,N] between query [B,M,3] and ref [B,N,3], float64.
-
-    Per-coordinate differences, (dx*dx + dy*dy) + dz*dz, so that identical
-    points get bit-identical distances wherever they sit in the block.
-    """
-    q = query.astype(np.float64)
-    r = ref.astype(np.float64)
-    d2 = np.subtract(q[:, :, None, 0], r[:, None, :, 0])
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between broadcastable [..., 3] point arrays: both
+    cast to float64, then (dx*dx + dy*dy) + dz*dz through one scratch buffer."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d2 = np.subtract(a[..., 0], b[..., 0])
     np.multiply(d2, d2, out=d2)
     buf = np.empty_like(d2)
     for j in (1, 2):
-        np.subtract(q[:, :, None, j], r[:, None, :, j], out=buf)
+        np.subtract(a[..., j], b[..., j], out=buf)
         np.multiply(buf, buf, out=buf)
         np.add(d2, buf, out=d2)
     return d2
+
+
+def _rank(cand: np.ndarray, d2: np.ndarray, k: int):
+    """The k of candidates cand [..., C] (indices, squared distances d2) with
+    the smallest (d^2, index) keys, in order, and the rows [...] whose k-th
+    and (k+1)-th distances lie within `_TREE_MARGIN` (none when C == k):
+    there a source may have missed a point as close as the k-th.
+    """
+    order = np.lexsort((cand, d2), axis=-1)
+    idx = np.take_along_axis(cand, order[..., :k], axis=-1)
+    if cand.shape[-1] == k:
+        return idx, np.zeros(idx.shape[:-1], dtype=bool)
+    lo, hi = np.moveaxis(np.take_along_axis(d2, order[..., k - 1:k + 1], axis=-1), -1, 0)
+    return idx, hi - lo <= _TREE_MARGIN * hi
 
 
 def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
@@ -101,7 +114,8 @@ def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     The i-th chosen point maximizes the minimum distance to the already
     chosen set; ties and duplicate points resolve to the lowest unchosen
     index, so the output is deterministic and free of repeats. `start` is a
-    single index or one index per batch entry.
+    single index or one index per batch entry. The loop sums `_sq_dist`'s
+    formula into preallocated buffers itself, as it runs m-1 times.
     """
     pos = cloud.positions.astype(np.float64)
     b, n, _ = pos.shape
@@ -147,8 +161,7 @@ def geometric_start(cloud: PointSetBatch) -> np.ndarray:
     position (x, then y, then z).
     """
     pos = cloud.positions.astype(np.float64)
-    centroid = pos.mean(axis=1, keepdims=True)
-    d = ((pos - centroid) ** 2).sum(axis=-1)
+    d = _sq_dist(pos, pos.mean(axis=1, keepdims=True))
     start = np.argmax(d, axis=1)
     tied = d == d[np.arange(d.shape[0]), start][:, None]
     for row in np.flatnonzero(tied.sum(axis=1) > 1):
@@ -169,20 +182,18 @@ def ball_query_points(query_xyz: np.ndarray, cloud: PointSetBatch, radius: float
         raise ConfigError(f"ball query radius must be positive, got {radius}")
     if k < 1:
         raise ConfigError(f"ball query k must be >= 1, got {k}")
-    b, n, _ = cloud.positions.shape
+    n = cloud.num_points
     if k > n:
         raise SizeError(f"k={k} exceeds cloud size {n}")
-    d2 = _pairwise_sq_dist(query_xyz, cloud.positions)
-    idx = np.broadcast_to(np.arange(n, dtype=np.int64), d2.shape).copy()
-    idx[d2 > float(radius) ** 2] = n
-    idx = np.sort(idx, axis=-1)[..., :k]
-    pad_mask = idx == n
+    outside = _sq_dist(query_xyz[:, :, None], cloud.positions[:, None]) > float(radius) ** 2
+    # a stable sort of the mask puts the in-radius points first, by index
+    idx = np.argsort(outside, axis=-1, kind="stable")[..., :k]
+    pad_mask = np.take_along_axis(outside, idx, axis=-1)
     if np.any(pad_mask[..., 0]):
         bad = np.argwhere(pad_mask[..., 0])[0]
         raise EmptyNeighborhoodError(
             f"no point within radius {radius} of query {tuple(bad)}")
-    first = idx[..., :1]
-    idx = np.where(pad_mask, first, idx)
+    idx = np.where(pad_mask, idx[..., :1], idx)
     return idx, pad_mask
 
 
@@ -212,24 +223,21 @@ _TREE_MIN_PAIRS = 1 << 14
 # query-reference pairs per row block of the dense kNN scan: a 1 MB float64
 # block, which stays in cache through the eight passes of the selection
 _KNN_BLOCK_PAIRS = 1 << 17
-# relative gap between the k-th and (k+1)-th exact distances above which the
-# tree's k+1 candidates hold every point as close as the k-th: the tree's own
-# distances and pruning bounds differ from the exact ones by a few ulps
+# relative gap between the k-th and (k+1)-th exact distances above which
+# k+1 candidates hold every point as close as the k-th: the tree's own
+# distances and pruning bounds differ from the exact ones by a few ulps, and
+# `argpartition` picks arbitrarily among exact ties
 _TREE_MARGIN = 1e-12
 
 
 def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarray:
     """Indices [B,M,K] of the k nearest cloud points to each query position.
 
-    Each row holds the k smallest keys (d^2, index) in increasing order, with
-    d^2 the per-coordinate float64 squared distance of the module docstring:
-    nearest first, exact ties to the lower index. The result equals
-    `oracle.naive_knn`. A k-d tree answers when there are more than
-    `_DENSE_MAX_PAIRS` pairs M*N per batch entry, or more than
-    `_TREE_MIN_PAIRS` and `scipy.spatial` is already loaded; otherwise the
-    dense distance block does. Only problems above `_DENSE_MAX_PAIRS` may
-    import the module, whose import costs about 38 MB of resident memory.
-    The choice changes the cost, never the indices.
+    Each row holds the k smallest (d^2, index) keys in increasing order:
+    nearest first, exact ties to the lower index, equal to
+    `oracle.naive_knn`. The k-d tree or the dense block answers by problem
+    size, as the module docstring says; the choice changes the cost, never
+    the indices.
     """
     n = cloud.num_points
     if k > n:
@@ -264,62 +272,32 @@ def _knn_dense(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
 
 
 def _knn_rows(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
-    """kNN [B,M,K] by partial selection over the full [B,M,N] distance block.
-
-    Rows where an exact-distance tie straddles the k-th position fall back to
-    a full stable sort, so ties always go to the lower index.
-    """
-    d2 = _pairwise_sq_dist(query, ref)
-    if k == ref.shape[1]:
-        return np.argsort(d2, axis=-1, kind="stable")
-    cand = np.argpartition(d2, k - 1, axis=-1)[..., :k]
-    cand_d = np.take_along_axis(d2, cand, axis=-1)
-    # candidates in index order, then stable-sorted by distance
-    order = np.argsort(cand, axis=-1)
-    cand = np.take_along_axis(cand, order, axis=-1)
-    cand_d = np.take_along_axis(cand_d, order, axis=-1)
-    order = np.argsort(cand_d, axis=-1, kind="stable")
-    cand = np.take_along_axis(cand, order, axis=-1)
-    cand_d = np.take_along_axis(cand_d, order, axis=-1)
-    boundary = cand_d[..., -1:]
-    ties = (d2 <= boundary).sum(axis=-1) > k
+    """kNN [B,M,K] over the full [B,M,N] distance block: k+1 candidates per
+    row from `argpartition`, ranked; near-tie rows ranked over all N points."""
+    d2 = _sq_dist(query[:, :, None], ref[:, None])
+    every = np.broadcast_to(np.arange(ref.shape[1]), d2.shape)
+    cand = np.argpartition(d2, k, axis=-1)[..., :k + 1] if k < ref.shape[1] else every
+    idx, ties = _rank(cand, np.take_along_axis(d2, cand, axis=-1), k)
     if np.any(ties):
-        full = np.argsort(d2[ties], axis=-1, kind="stable")[:, :k]
-        cand[ties] = full
-    return cand
+        idx[ties] = _rank(every[ties], d2[ties], k)[0]
+    return idx
 
 
 def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
-    """kNN [B,M,K] from k+1 k-d tree candidates, re-scored exactly.
-
-    Candidates are sorted by their exact (d^2, index) keys. A row whose k-th
-    and (k+1)-th distances lie within `_TREE_MARGIN` of each other may have
-    lost a tied or nearly tied point to the tree's rounding; those rows are
-    re-solved densely.
-    """
+    """kNN [B,M,K] from k+1 k-d tree candidates, re-scored exactly and
+    ranked; near-tie rows, where the tree's rounding may have lost a point,
+    are re-solved densely."""
     from scipy.spatial import cKDTree
 
-    q = query.astype(np.float64)
-    r = ref.astype(np.float64)
-    b, m, _ = q.shape
-    n = r.shape[1]
-    kk = min(k + 1, n)
+    b, m, _ = query.shape
+    kk = min(k + 1, ref.shape[1])
     out = np.empty((b, m, k), dtype=np.int64)
     for bi in range(b):
-        _, cand = cKDTree(r[bi]).query(q[bi], k=kk)
-        cand = cand.reshape(m, kk)
-        diff = r[bi][cand] - q[bi][:, None, :]
-        d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] \
-            + diff[..., 2] * diff[..., 2]
-        order = np.lexsort((cand, d2), axis=-1)
-        cand = np.take_along_axis(cand, order, axis=-1)
-        out[bi] = cand[:, :k]
-        if kk == k:
-            continue  # every point is a candidate
-        d2 = np.take_along_axis(d2, order, axis=-1)
-        unsure = np.flatnonzero(d2[:, k] - d2[:, k - 1] <= _TREE_MARGIN * d2[:, k])
-        if unsure.size:
-            out[bi, unsure] = _knn_dense(q[bi:bi + 1, unsure], r[bi:bi + 1], k)[0]
+        cand = cKDTree(ref[bi]).query(query[bi], k=kk)[1].reshape(m, kk)
+        out[bi], unsure = _rank(cand, _sq_dist(query[bi][:, None], ref[bi][cand]), k)
+        rows = np.flatnonzero(unsure)
+        if rows.size:
+            out[bi, rows] = _knn_dense(query[bi:bi + 1, rows], ref[bi:bi + 1], k)[0]
     return out
 
 
@@ -344,17 +322,17 @@ def relative_positions(positions: np.ndarray, nbr: NeighborIndex) -> np.ndarray:
 
 
 def sort_neighbors_by_distance(positions: np.ndarray, nbr: NeighborIndex) -> NeighborIndex:
-    """Reorder each neighborhood by (distance, index).
+    """Reorder each neighborhood by (distance, index) with `_rank`.
 
     Gives slot-kernel aggregation modes a canonical neighbor order on
-    otherwise unordered sets. Padded entries sort like their source values
-    but keep their pad flag count.
+    otherwise unordered sets. Padded entries take an infinite distance, so
+    they move to the end and keep their pad flag count.
     """
-    rel = relative_positions(positions, nbr).astype(np.float64)
-    d2 = (rel ** 2).sum(axis=-1)
-    # push padded duplicates to the end, then sort by distance (stable on index)
-    key = np.where(nbr.pad_mask, np.inf, d2)
-    order = np.argsort(key, axis=-1, kind="stable")
-    idx = np.take_along_axis(nbr.indices, order, axis=-1)
-    pad = np.take_along_axis(nbr.pad_mask, order, axis=-1)
+    batch = np.arange(positions.shape[0])[:, None]
+    d2 = _sq_dist(positions[batch[..., None], nbr.indices],
+                  positions[batch, nbr.centers][:, :, None])
+    d2[nbr.pad_mask] = np.inf
+    k = nbr.indices.shape[-1]
+    idx = _rank(nbr.indices, d2, k)[0]
+    pad = np.arange(k) >= k - nbr.pad_mask.sum(axis=-1, keepdims=True)
     return NeighborIndex(indices=idx, pad_mask=pad, centers=nbr.centers)

@@ -362,49 +362,37 @@ def linear(x: Tensor, p: LayerParams) -> Tensor:
     return custom_op(y2.reshape(lead + (cout,)), inputs, grad_fn)
 
 
-def batchnorm(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
-    """Per-channel normalization over all non-channel axes, then affine.
+def batchnorm(x: Tensor, p: LayerParams) -> Tensor:
+    """Train-mode per-channel normalization over all non-channel axes, then affine.
 
-    Train mode uses batch statistics (eps 1e-5) and updates running stats with
-    momentum 0.1 (unbiased variance); eval mode uses the running stats.
+    Uses batch statistics (eps 1e-5) and updates running stats with momentum
+    0.1 (unbiased variance). Eval mode is folded into a linear: `linear_bn`.
     """
-    if mode not in ("train", "eval"):
-        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
     gamma, beta = p.norm_gamma, p.norm_beta
     c = x.data.shape[-1]
     axes = tuple(range(x.data.ndim - 1))
     n = x.data.size // c
-    if mode == "train":
-        if n < 2:
-            raise DegenerateStatisticsError(
-                f"batchnorm train mode needs >=2 samples per channel, got {n}")
-        mu = x.data.mean(axis=axes)
-        xhat = x.data - mu
-        x2 = xhat.reshape(-1, c)
-        var = np.einsum("nc,nc->c", x2, x2) / n
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv
-        _update_running(p, mu, var, n)
+    if n < 2:
+        raise DegenerateStatisticsError(
+            f"batchnorm train mode needs >=2 samples per channel, got {n}")
+    mu = x.data.mean(axis=axes)
+    xhat = x.data - mu
+    x2 = xhat.reshape(-1, c)
+    var = np.einsum("nc,nc->c", x2, x2) / n
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv
+    _update_running(p, mu, var, n)
 
-        def grad_fn(g):
-            dbeta = g.sum(axis=axes)
-            dgamma = np.einsum("nc,nc->c", g.reshape(-1, c), x2)
-            # dx = gamma inv (g - mean(g) - xhat mean(g xhat)), both means
-            # taken from dbeta and dgamma, in one output buffer
-            dx = xhat * (dgamma / n)
-            dx += dbeta / n
-            np.subtract(g, dx, out=dx)
-            dx *= gamma.data * inv
-            return dx, dgamma, dbeta
-
-    else:
-        inv = 1.0 / np.sqrt(p.running_var + BN_EPS)
-        xhat = (x.data - p.running_mean) * inv
-
-        def grad_fn(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            return g * (gamma.data * inv), dgamma, dbeta
+    def grad_fn(g):
+        dbeta = g.sum(axis=axes)
+        dgamma = np.einsum("nc,nc->c", g.reshape(-1, c), x2)
+        # dx = gamma inv (g - mean(g) - xhat mean(g xhat)), both means
+        # taken from dbeta and dgamma, in one output buffer
+        dx = xhat * (dgamma / n)
+        dx += dbeta / n
+        np.subtract(g, dx, out=dx)
+        dx *= gamma.data * inv
+        return dx, dgamma, dbeta
 
     y = xhat * gamma.data
     y += beta.data
@@ -429,8 +417,9 @@ def relu(x: Tensor) -> Tensor:
     return custom_op(out, (x,), grad_fn)
 
 
-def fold_norm(p: LayerParams) -> LayerParams:
-    """The eval-mode batchnorm of layer p folded into its linear map.
+def fold_norm(lin: LayerParams, norm: LayerParams) -> LayerParams:
+    """The linear layer lin followed by the eval-mode batchnorm of norm, as
+    one linear layer.
 
     Eval batchnorm is the fixed affine map y s + (beta - mu s) with
     s = gamma / sqrt(running_var + eps), so linear -> batchnorm is one linear
@@ -438,25 +427,31 @@ def fold_norm(p: LayerParams) -> LayerParams:
     Both are built from the small parameter tensors with tape ops, so a
     gradient requested in eval mode still reaches W, b, gamma and beta.
     """
-    s = mul(p.norm_gamma, Tensor(1.0 / np.sqrt(p.running_var + BN_EPS)))
-    bias = sub(p.norm_beta, mul(Tensor(p.running_mean), s))
-    if p.bias is not None:
-        bias = add(mul(p.bias, s), bias)
-    return LayerParams(weight=mul(p.weight, s), bias=bias)
+    s = mul(norm.norm_gamma, Tensor(1.0 / np.sqrt(norm.running_var + BN_EPS)))
+    bias = sub(norm.norm_beta, mul(Tensor(norm.running_mean), s))
+    if lin.bias is not None:
+        bias = add(mul(lin.bias, s), bias)
+    return LayerParams(weight=mul(lin.weight, s), bias=bias)
+
+
+def linear_bn(x: Tensor, lin: LayerParams, norm: LayerParams, mode: str) -> Tensor:
+    """linear with lin, then batchnorm with norm's parameters: the two ops in
+    train mode; in eval mode, with or without a tape, the one GEMM of
+    linear(x, fold_norm(lin, norm)), with no normalized copy of its output.
+    """
+    if mode == "train":
+        return batchnorm(linear(x, lin), norm)
+    if mode == "eval":
+        return linear(x, fold_norm(lin, norm))
+    raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
 
 
 def dense(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
-    """linear -> batchnorm (if the layer has norm params) -> relu.
-
-    Train mode runs the three ops. Eval mode, with or without a tape, runs
-    relu(linear(x, fold_norm(p))): one GEMM and no normalized copy of its
-    output.
-    """
+    """relu(linear_bn(x, p, p, mode)), or relu(linear(x, p)) for a layer
+    without norm params."""
     if p.norm_gamma is None:
         return relu(linear(x, p))
-    if mode == "eval":
-        return relu(linear(x, fold_norm(p)))
-    return relu(batchnorm(linear(x, p), p, mode))
+    return relu(linear_bn(x, p, p, mode))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ the K neighbors and a projection back to scalars (`AGGREGATIONS`):
     conv            none        dense: [K·C·m, Cout]
 
 A mode without a reduction keeps the K slots, pads zeroed, and weighs each
-slot on its own, so it sorts the neighbors by distance first.
+slot on its own, so it sorts the neighbors by distance first. The VPSA tail
+is one `nnops.linear_bn`: the mixing or the dense projection, then the
+block's `post_norm`, folded into one linear in eval mode.
 
 Inference has its own path for the default cell (rotation encoder, m=3,
 sum_groupconv): in eval mode with no gradient requested (`nnops._recording`
@@ -166,11 +168,11 @@ def aggregation_variant(v: Tensor, mode: str, p: VPSABlockParams,
 
     First the reduction: sum or max over the non-pad neighbors leaves one
     slot, K' = 1; without one the pads are zeroed and all K' = K slots stay,
-    in the order given, so callers sort them canonically. Then the
-    projection: grouped modes apply `nnops.grouped_projection` with p.proj
-    [C, K'·m] and return [B,M,C] (the channel mixing p.mix stays outside);
-    dense modes apply `nnops.linear` with p.fc [K'·C·m, Cout] over the
-    flattened slots, channels and components and return [B,M,Cout].
+    in the order given, so callers sort them canonically. Then grouped
+    modes apply `nnops.grouped_projection` with p.proj [C, K'·m] and return
+    [B,M,C]; dense modes return the field flattened over slots, channels and
+    components, [B,M,K'·C·m]. The VPSA tail maps either to Cout with p.mix
+    or p.fc, folded with the post norm in eval mode (`nnops.linear_bn`).
     """
     if mode not in AGGREGATIONS:
         raise ConfigError(
@@ -183,7 +185,7 @@ def aggregation_variant(v: Tensor, mode: str, p: VPSABlockParams,
         v = nnops.reshape(nnops.neighbor_reduce(v, reduction, pad), (b, mm, 1, c, m))
     if projection == "grouped":
         return nnops.grouped_projection(v, p.proj)
-    return nnops.linear(nnops.reshape(v, (b, mm, -1)), p.fc)
+    return nnops.reshape(v, (b, mm, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,8 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     every point and u_i is u itself. The mixed features are lifted to
     per-channel m-vectors, aggregated over the neighborhood, projected back
     to channel scalars, mixed across channels, normalized, and fused with a
-    linear residual of the center feature through a ReLU. The default cell
+    linear residual of the center feature through a ReLU; channel mixing
+    and normalization are one `nnops.linear_bn`. The default cell
     (rotation encoder, m=3, sum_groupconv) runs encoding, sum and projection
     as one fused op: `vecenc.encode_rotation_tiled`, which also does the
     mixing, in eval mode when no gradient is requested, and
@@ -436,9 +439,7 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
         else:
             field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
             main = aggregation_variant(field, cfg.aggregation, p, pad)
-    if p.mix is not None:
-        main = nnops.linear(main, p.mix)
-    main = nnops.batchnorm(main, p.post_norm, mode)
+    main = nnops.linear_bn(main, p.mix or p.fc, p.post_norm, mode)
     out = nnops.residual_fuse(main, nnops.linear(ctr_feat, p.res))
     batch = np.arange(x.batch_size)[:, None]
     return PointSetBatch(positions=x.positions[batch, centers]), out
@@ -457,9 +458,7 @@ def feature_propagate(coarse: PointSetBatch, coarse_f: Tensor,
     num = min(3, coarse.num_points)
     idx = geometry.knn_points(fine_positions, coarse, num)
     batch = np.arange(coarse.batch_size)[:, None, None]
-    diff = (fine_positions[:, :, None, :].astype(np.float64)
-            - coarse.positions[batch, idx].astype(np.float64))
-    d2 = np.einsum("bnkc,bnkc->bnk", diff, diff)
+    d2 = geometry._sq_dist(fine_positions[:, :, None], coarse.positions[batch, idx])
     w = 1.0 / (d2 + 1e-8)
     w = w / w.sum(axis=2, keepdims=True)
     interp = nnops.gather(coarse_f, idx, w.astype(coarse_f.data.dtype))

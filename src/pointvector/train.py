@@ -54,6 +54,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr0 < 0:
             raise ConfigError(f"lr0 must be nonnegative, got {self.lr0}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.jitter_sigma < 0:
+            raise ConfigError(f"jitter_sigma must be nonnegative, got {self.jitter_sigma}")
+        if len(self.scale_range) != 2 or not 0 < self.scale_range[0] <= self.scale_range[1]:
+            raise ConfigError(f"scale_range must be [lo, hi] with 0 < lo <= hi, "
+                              f"got {list(self.scale_range)}")
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError("label_smoothing must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -446,6 +453,9 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
     order_rng = np.random.default_rng(int(order_seed))
     aug_rng = np.random.default_rng(int(aug_seed))
     train_idx = dataset.split_indices("train")
+    if len(train_idx) == 0:
+        raise DataError(f"the train split of {dataset.num_scenes} scenes is empty; "
+                        "raise num_scenes or lower val_fraction")
     k = dataset.num_classes
     eps = train_cfg.label_smoothing
     select_by = "miou" if dataset.task == "segmentation" else "oa"

@@ -253,7 +253,7 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
                         f"and a [C,3] kernel, got {u.data.shape}, {ctr.data.shape}, "
                         f"{idx.shape} and {proj.weight.data.shape}")
     nnops._check_pad(pad, idx.shape)
-    ang = nnops.fold_norm(p.angles)
+    ang = nnops.fold_norm(p.angles, p.angles)
     w = np.concatenate([p.zx.weight.data, ang.weight.data], axis=1)   # [C, 3C]
     bias = np.concatenate([p.zx.bias.data, ang.bias.data])
     points = u.data.reshape(b * n, c)

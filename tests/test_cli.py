@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pointvector import dataio, gradcheck
+from pointvector import dataio, gradcheck, nnops
 from pointvector import train as train_mod
 from pointvector.cli import DataConfig, build_dataset, main, make_parser
 from pointvector.geometry import PointSetBatch
@@ -163,15 +163,51 @@ def test_ablate_counts_the_parameters_of_the_model_it_trains(tmp_path, monkeypat
     assert int(row[4]) == param_count(built[0])
 
 
+def _case_wrong_gradient(rng):
+    """y = 2x whose backward claims 2.1."""
+    x = nnops.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    probe = rng.standard_normal((3, 4))
+
+    def forward():
+        y = nnops.custom_op(2.0 * x.data, (x,), lambda g: (2.1 * g,))
+        return nnops.sum_all(nnops.mul(y, nnops.Tensor(probe)))
+
+    return [("x", x)], forward
+
+
 @pytest.mark.parametrize("fault,code", [(False, 0), (True, 4)])
 def test_gradcheck_exit_code_and_report(monkeypatch, capsys, fault, code):
     few = ("linear", "relu", "grouped_projection_slots")
-    monkeypatch.setattr(gradcheck, "CASES", {name: gradcheck.CASES[name] for name in few})
-    argv = ["gradcheck", "--instances", "1"] + (["--inject-fault"] if fault else [])
-    assert main(argv) == code
+    cases = {name: gradcheck.CASES[name] for name in few}
+    if fault:
+        cases["linear"] = _case_wrong_gradient
+    monkeypatch.setattr(gradcheck, "CASES", cases)
+    assert main(["gradcheck", "--instances", "1"]) == code
     lines = capsys.readouterr().out.splitlines()
     status = {line.split()[0]: line.split()[-1] for line in lines[:len(few)]}
     assert status == {name: "FAIL" if fault and name == "linear" else "PASS"
                       for name in few}
     assert lines[-1] == ("gradient check FAILED for: linear" if fault
                          else "all gradient checks passed")
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_without_instances_is_a_config_error(capsys, instances):
+    assert main(["gradcheck", "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert "at least one instance" in captured.err
+    assert "passed" not in captured.out
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "num_scenes", 1), ("data", "val_fraction", 1.5), ("data", "num_scenes", 0),
+    ("data", "num_primitives", 0), ("data", "val_fraction", -0.5),
+    ("train", "weight_decay", -1), ("train", "scale_range", [-1, -0.5]),
+    ("train", "jitter_sigma", -0.1)])
+def test_bad_data_or_train_setting_names_the_field(tmp_path, capsys, section, key, value):
+    doc = {"model": {"preset": "toy-seg"}, "data": {"num_scenes": 4, "num_points": 64},
+           "train": {"epochs": 1, "batch_size": 2}}
+    doc[section][key] = value
+    config = _write_config(tmp_path, doc)
+    assert main(["train", str(config), "--run-dir", str(tmp_path / "run"), "--quiet"]) == 2
+    assert key in capsys.readouterr().err

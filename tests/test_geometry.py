@@ -440,3 +440,43 @@ class TestPointSetBatch:
         pos[0, 0, 0] = np.nan
         with pytest.raises(DataError):
             PointSetBatch(positions=pos)
+
+
+class TestOneDistanceOneOrder:
+    """`_sq_dist` is the oracle's formula; `sort_neighbors_by_distance` ranks
+    by (d^2, index) with pads last."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 5, 1, 3), (2, 1, 7, 3)),
+                                                 ((4, 3), (3,)), ((6, 3), (6, 3))])
+    def test_sq_dist_is_the_oracle_formula_bit_for_bit(self, dtype, a_shape, b_shape):
+        rng = np.random.default_rng(12)
+        a = (rng.standard_normal(a_shape) * 10.0 ** rng.integers(-3, 3, a_shape)).astype(dtype)
+        b = (rng.standard_normal(b_shape) * 10.0 ** rng.integers(-3, 3, b_shape)).astype(dtype)
+        got = geometry._sq_dist(a, b)
+        aa, bb = np.broadcast_arrays(a, b)
+        assert got.dtype == np.float64 and got.shape == aa.shape[:-1]
+        for i in np.ndindex(got.shape):
+            d = bb[i].astype(np.float64) - aa[i].astype(np.float64)
+            assert got[i] == float(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sort_neighbors_ranks_by_distance_then_index_pads_last(self, dtype):
+        rng = np.random.default_rng(13)
+        pos = rng.integers(-2, 3, (2, 40, 3)).astype(dtype)   # many exact ties
+        nbr = ball_query(rng.integers(0, 40, (2, 9)), PointSetBatch(positions=pos), 1.5, 12)
+        assert nbr.pad_mask.any()
+        shuffled = rng.permuted(np.arange(12)[None, None].repeat(9, 1).repeat(2, 0), axis=-1)
+        mixed = NeighborIndex(indices=np.take_along_axis(nbr.indices, shuffled, -1),
+                              pad_mask=np.take_along_axis(nbr.pad_mask, shuffled, -1),
+                              centers=nbr.centers)
+        got = geometry.sort_neighbors_by_distance(pos, mixed)
+        for bi, i in np.ndindex(2, 9):
+            real = nbr.indices[bi, i][~nbr.pad_mask[bi, i]]
+            ctr = pos[bi, nbr.centers[bi, i]].astype(np.float64)
+            keys = sorted((float(((pos[bi, j].astype(np.float64) - ctr) ** 2).sum()), j)
+                          for j in real)
+            assert got.indices[bi, i, :len(real)].tolist() == [j for _, j in keys]
+            assert not got.pad_mask[bi, i, :len(real)].any()
+            assert got.pad_mask[bi, i, len(real):].all()
+            assert (got.indices[bi, i, len(real):] == nbr.indices[bi, i, 0]).all()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from pointvector.nnops import GradTape, Tensor
 
 def cloud(rng, b, n):
     return PointSetBatch(positions=rng.uniform(-1, 1, (b, n, 3)))
+
+
+@functools.lru_cache(maxsize=None)
+def preset_model(name):
+    """One default-built model per preset, shared by tests that leave its
+    parameters and statistics untouched (pointvector-xl takes 0.3 s to build)."""
+    return Model(preset_config(name))
 
 
 class TestCloudSize:
@@ -78,13 +86,22 @@ class TestNonFinite:
         assert any(path.startswith("stage0.vpsa0.") for path in mdl.layer_map())
 
 
+def _spy_on_batchnorm(monkeypatch):
+    """Record every call of nnops.batchnorm in the returned list."""
+    calls = []
+    batchnorm = nnops.batchnorm
+    monkeypatch.setattr(nnops, "batchnorm",
+                        lambda *a, **kw: calls.append(1) or batchnorm(*a, **kw))
+    return calls
+
+
 class TestTapeFreeEval:
     """Eval without a tape runs the folded dense layers and the tiled VPSA
     encoder; under a tape the same call runs the composed ops."""
 
     @pytest.mark.parametrize("preset", ["pointvector-s", "pointvector-l", "toy-seg",
                                         "toy-seg-ball", "pointvector-s-cls", "toy-cls"])
-    def test_equals_eval_under_a_tape(self, preset):
+    def test_equals_eval_under_a_tape(self, preset, monkeypatch):
         rng = np.random.default_rng(9)
         mdl = Model(preset_config(preset, num_classes=5), seed=1)
         for layer in mdl.layer_map().values():
@@ -94,10 +111,19 @@ class TestTapeFreeEval:
                 layer.running_var = rng.uniform(0.5, 2.0, c)
         batch = cloud(rng, 2 if mdl.min_points() < 500 else 1, max(mdl.min_points(), 40))
         forward = mdl.forward_seg if mdl.cfg.task == "segmentation" else mdl.forward_cls
+        calls = _spy_on_batchnorm(monkeypatch)   # eval folds every batchnorm
         got = forward(batch, "eval").data
         with GradTape():
             want = forward(batch, "eval").data
+        assert calls == []
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_xl_eval_folds_every_batchnorm(self, monkeypatch):
+        # the other presets are spied on in test_equals_eval_under_a_tape
+        calls = _spy_on_batchnorm(monkeypatch)
+        mdl = preset_model("pointvector-xl")
+        mdl.forward_seg(cloud(np.random.default_rng(10), 1, mdl.min_points()), "eval")
+        assert calls == []
 
     def test_nan_angle_weight_names_the_block(self):
         mdl = Model(preset_config("toy-seg", num_classes=3))
@@ -230,12 +256,12 @@ class TestParameterCounts:
                                               ("pointvector-l", 4_210_925),
                                               ("pointvector-xl", 24_084_941)])
     def test_preset_count(self, preset, count):
-        assert param_count(Model(preset_config(preset))) == count
+        assert param_count(preset_model(preset)) == count
 
     def test_xl_is_58_percent_of_pointnext_xl(self):
         # the abstract's "58% of PointNeXt's parameters"; PointNeXt-XL has
         # 41.6M (Qian et al., PointNeXt, arXiv 2206.04670)
-        count = param_count(Model(preset_config("pointvector-xl")))
+        count = param_count(preset_model("pointvector-xl"))
         assert abs(count - 0.58 * 41.6e6) <= 0.01 * 0.58 * 41.6e6
 
 

@@ -57,7 +57,7 @@ class TestBatchnorm:
     def test_constant_input_zeros(self):
         x = Tensor(np.full((8, 3), 2.5))
         p = nnops.attach_norm(LayerParams(), 3)
-        y = nnops.batchnorm(x, p, "train")
+        y = nnops.batchnorm(x, p)
         assert np.allclose(y.data, 0.0)
 
     def test_gamma_zero_beta_five(self):
@@ -65,7 +65,7 @@ class TestBatchnorm:
         p = nnops.attach_norm(LayerParams(), 3)
         p.norm_gamma.data = np.zeros(3)
         p.norm_beta.data = np.full(3, 5.0)
-        y = nnops.batchnorm(x, p, "train")
+        y = nnops.batchnorm(x, p)
         assert np.allclose(y.data, 5.0)
 
     def test_normalized_statistics(self):
@@ -73,7 +73,7 @@ class TestBatchnorm:
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((200, 4)) * 5.0 + 3.0)
         p = nnops.attach_norm(LayerParams(), 4)
-        y = nnops.batchnorm(x, p, "train")
+        y = nnops.batchnorm(x, p)
         mean = y.data.mean(axis=0)
         var = y.data.var(axis=0)
         assert np.abs(mean).max() < 1e-10
@@ -83,17 +83,28 @@ class TestBatchnorm:
         x = Tensor(np.ones((1, 3)))
         p = nnops.attach_norm(LayerParams(), 3)
         with pytest.raises(DegenerateStatisticsError):
-            nnops.batchnorm(x, p, "train")
+            nnops.batchnorm(x, p)
 
     def test_running_stats_drive_eval(self):
         rng = np.random.default_rng(4)
         p = nnops.attach_norm(LayerParams(), 2)
-        x = Tensor(rng.standard_normal((64, 2)) * 2.0 + 1.0)
+        p.norm_gamma.data = np.array([1.5, -0.5])
+        p.norm_beta.data = np.array([0.25, 2.0])
+        x = rng.standard_normal((64, 2)) * 2.0 + 1.0
         for _ in range(200):
-            nnops.batchnorm(x, p, "train")
-        y = nnops.batchnorm(x, p, "eval")
-        assert np.abs(y.data.mean(axis=0)).max() < 0.05
-        assert np.abs(y.data.std(axis=0) - 1.0).max() < 0.05
+            nnops.batchnorm(Tensor(x), p)
+        identity = LayerParams(weight=nnops.parameter(np.eye(2)))
+        y = nnops.linear_bn(Tensor(x), identity, p, "eval").data
+        xhat = (x - p.running_mean) / np.sqrt(p.running_var + nnops.BN_EPS)
+        want = xhat * p.norm_gamma.data + p.norm_beta.data
+        assert np.abs(y - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(xhat.mean(axis=0)).max() < 0.05
+        assert np.abs(xhat.std(axis=0) - 1.0).max() < 0.05
+
+    def test_linear_bn_rejects_other_modes(self):
+        p = nnops.linear_params(np.random.default_rng(5), 3, 2, norm=True)
+        with pytest.raises(ContractError, match="train or eval"):
+            nnops.linear_bn(Tensor(np.ones((4, 3))), p, p, "test")
 
 
 class TestDense:
@@ -108,7 +119,9 @@ class TestDense:
         p.running_mean = rng.standard_normal(4)
         p.running_var = rng.uniform(0.5, 2.0, 4)
         x = Tensor(rng.standard_normal((3, 7, 5)))
-        want = nnops.relu(nnops.batchnorm(nnops.linear(x, p), p, "eval")).data
+        y = x.data @ p.weight.data + (p.bias.data if bias else 0.0)
+        y = (y - p.running_mean) / np.sqrt(p.running_var + nnops.BN_EPS)
+        want = np.maximum(y * p.norm_gamma.data + p.norm_beta.data, 0.0)
         got = nnops.dense(x, p, "eval").data
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

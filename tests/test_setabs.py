@@ -499,7 +499,7 @@ def numpy_aggregation(v, pad, mode, p):
             out[..., ci] = (agg[:, :, :, ci, :].reshape(b, mm, -1) @ p.proj.weight.data[ci]
                             + p.proj.bias.data[ci])
         return out
-    return agg.reshape(b, mm, -1) @ p.fc.weight.data
+    return agg.reshape(b, mm, -1)                              # [B,M,K'·C·m]
 
 
 class TestAggregationVariants:
@@ -521,7 +521,8 @@ class TestAggregationVariants:
                 pad[..., 0] = False
             out = aggregation_variant(Tensor(v), mode, p, pad).data
             want = numpy_aggregation(v, pad, mode, p)
-            assert out.shape == want.shape == (b, mm, 3 if p.fc is not None else c)
+            width = c if p.fc is None else (1 if mode.endswith("fc") else k) * c * m
+            assert out.shape == want.shape == (b, mm, width)
             assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_sum_groupconv_linearity_in_neighbors(self):
@@ -545,7 +546,9 @@ class TestAggregationVariants:
         p = setabs.vpsa_block_params(rng, cfg)
         p.fc.weight.data = np.zeros_like(p.fc.weight.data)
         v = Tensor(rng.standard_normal((2, 3, k, c, m)))
-        out = aggregation_variant(v, "max_fc", p)
+        field = aggregation_variant(v, "max_fc", p)
+        assert np.array_equal(field.data, v.data.max(axis=2).reshape(2, 3, c * m))
+        out = nnops.linear(field, p.fc)
         assert np.abs(out.data).max() == 0.0  # bias-free linear before the norm
 
     def test_sum_groupconv_is_special_case_of_groupconv(self):

@@ -3,12 +3,14 @@ import pytest
 
 from pointvector import dataio, nnops
 from pointvector.errors import ConfigError, NumericFaultError
+from pointvector.geometry import PointSetBatch
 from pointvector.model import Model, preset_config
 from pointvector.train import (
     AdamWHyper,
     AdamWState,
     TrainConfig,
     adamw_step,
+    ce_label_smoothing,
     evaluate,
     report_to_csv,
     train_loop,
@@ -103,3 +105,23 @@ def test_metrics_csv_is_seed_deterministic():
     first = csv(1)
     assert csv(1) == first
     assert csv(2) != first
+
+
+def test_toy_seg_overfits_two_scenes():
+    """40 AdamW steps at lr 0.01 on two 64-point scenes, no augmentation and
+    no smoothing, reach a train-mode loss of about 0.009 and 100% accuracy;
+    a sign error in the update or an untrained output layer stays far above
+    the loss bound."""
+    data = dataio.make_segmentation_dataset(num_scenes=2, num_points=64, seed=0)
+    mdl = Model(preset_config("toy-seg", num_classes=data.num_classes), seed=0)
+    batch = PointSetBatch(positions=data.positions, labels=data.labels)
+    labels = data.labels.reshape(-1)
+    params, state, hyper = mdl.named_params(), AdamWState(), AdamWHyper(lr=0.01)
+    for _ in range(40):
+        with nnops.GradTape() as tape:
+            logits = mdl.forward_seg(batch, "train")
+            loss = ce_label_smoothing(nnops.reshape(logits, (-1, data.num_classes)), labels)
+            grads = nnops.backward(tape, loss)
+        adamw_step(params, grads, state, hyper)
+    assert (logits.data.argmax(axis=-1) == data.labels).mean() >= 0.95
+    assert float(loss.data) < 0.03
