@@ -55,6 +55,9 @@ class DataConfig:
     val_fraction: float = 0.2
     manifest: str | None = None
 
+    def __post_init__(self):
+        model_mod.check_field_types(self, "data")
+
     @classmethod
     def from_dict(cls, d: dict) -> "DataConfig":
         known = {f.name for f in dataclasses.fields(cls)}
@@ -85,12 +88,15 @@ def build_dataset(dc: DataConfig) -> dataio.Dataset:
 
 
 def model_config_from_section(section: dict, num_classes: int) -> ModelConfig:
+    """The model section's config; its class count is that of data.kinds."""
     section = dict(section)
+    if "num_classes" in section:
+        raise ConfigError("model.num_classes is not a setting: the class count is "
+                          "the number of data.kinds")
     preset = section.pop("preset", None)
     if preset is not None:
         return preset_config(preset, num_classes=num_classes, **section)
-    section.setdefault("num_classes", num_classes)
-    return ModelConfig.from_dict(section)
+    return ModelConfig.from_dict(dict(section, num_classes=num_classes))
 
 
 def load_config(path) -> dict:
@@ -137,15 +143,21 @@ class RunLogger:
                 fh.write(msg + "\n")
 
 
+def _prepare_out_dir(out, overwrite: bool) -> Path:
+    """Create the output directory out; a path that is not a directory, or
+    one that is not empty without --overwrite, is a ConfigError."""
+    out = Path(out)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output path {out} is not a directory")
+    if out.exists() and any(out.iterdir()) and not overwrite:
+        raise ConfigError(f"{out} already exists; pass --overwrite to reuse it")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _prepare_run_dir(args, config_path) -> Path:
     name = args.name or Path(config_path).stem
-    run_dir = Path(args.run_dir) if args.run_dir else Path("run") / name
-    if run_dir.exists() and any(run_dir.iterdir()):
-        if not args.overwrite:
-            raise ConfigError(
-                f"run directory {run_dir} already exists; pass --overwrite to reuse it")
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+    return _prepare_out_dir(args.run_dir or Path("run") / name, args.overwrite)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +306,8 @@ def cmd_gen_data(args) -> int:
     doc = load_config(args.config)
     data_cfg = DataConfig.from_dict(doc.get("data", {}))
     dataset = build_dataset(data_cfg)
-    out = Path(args.out)
-    if out.exists() and any(out.iterdir()) and not args.overwrite:
-        raise ConfigError(f"{out} already exists; pass --overwrite to reuse it")
-    manifest = dataio.save_dataset_scenes(dataset, out)
+    manifest = dataio.save_dataset_scenes(
+        dataset, _prepare_out_dir(args.out, args.overwrite))
     print(f"wrote {dataset.num_scenes} scenes and manifest {manifest}")
     return EXIT_OK
 

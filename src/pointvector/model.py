@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +22,25 @@ from .geometry import PointSetBatch
 from .nnops import LayerParams, Tensor
 from .setabs import BlockConfig, FPParams
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 INPUT_CHANNELS = 4  # [p, p_z]
+
+
+def check_field_types(cfg, section: str) -> None:
+    """ConfigError naming `section.field` for the first field of the config
+    dataclass cfg whose value lacks its declared type. An int passes where
+    a float is declared; a bool passes only where a bool is."""
+    hints = typing.get_type_hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not any(_has_type(value, t) for t in typing.get_args(hints[f.name])
+                   or (hints[f.name],)):
+            raise ConfigError(f"{section}.{f.name} must be {f.type}, got {value!r}")
+
+
+def _has_type(value, t) -> bool:
+    t = {float: numbers.Real, int: numbers.Integral}.get(t, t)
+    return isinstance(value, t) and (t is bool or not isinstance(value, bool))
 
 
 @dataclass
@@ -42,6 +61,7 @@ class ModelConfig:
     radii: list | None = None         # per-stage ball-query radii; None -> knn
 
     def __post_init__(self):
+        check_field_types(self, "model")
         if self.embed_channels < 1:
             raise ConfigError("embed_channels must be >= 1")
         n = len(self.sa_per_stage)

@@ -247,10 +247,10 @@ def attach_norm(p: LayerParams, channels: int) -> LayerParams:
 
 def grouped_params(rng: np.random.Generator, channels: int, width: int) -> LayerParams:
     """Per-channel [channels, width] kernel for grouped_projection, width = K'·m;
-    weights U(+-1/sqrt(width)), zero bias."""
+    weights U(+-1/sqrt(width)), no bias."""
     bound = 1.0 / np.sqrt(width)
     w = parameter(rng.uniform(-bound, bound, size=(channels, width)).astype(_DTYPE))
-    return LayerParams(weight=w, bias=parameter(np.zeros(channels, dtype=_DTYPE)))
+    return LayerParams(weight=w)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +417,8 @@ def relu(x: Tensor) -> Tensor:
     return custom_op(out, (x,), grad_fn)
 
 
-def fold_norm(lin: LayerParams, norm: LayerParams) -> LayerParams:
-    """The linear layer lin followed by the eval-mode batchnorm of norm, as
-    one linear layer.
+def fold_norm(p: LayerParams) -> LayerParams:
+    """The normalized linear layer p in eval mode, as one linear layer.
 
     Eval batchnorm is the fixed affine map y s + (beta - mu s) with
     s = gamma / sqrt(running_var + eps), so linear -> batchnorm is one linear
@@ -427,31 +426,31 @@ def fold_norm(lin: LayerParams, norm: LayerParams) -> LayerParams:
     Both are built from the small parameter tensors with tape ops, so a
     gradient requested in eval mode still reaches W, b, gamma and beta.
     """
-    s = mul(norm.norm_gamma, Tensor(1.0 / np.sqrt(norm.running_var + BN_EPS)))
-    bias = sub(norm.norm_beta, mul(Tensor(norm.running_mean), s))
-    if lin.bias is not None:
-        bias = add(mul(lin.bias, s), bias)
-    return LayerParams(weight=mul(lin.weight, s), bias=bias)
+    s = mul(p.norm_gamma, Tensor(1.0 / np.sqrt(p.running_var + BN_EPS)))
+    bias = sub(p.norm_beta, mul(Tensor(p.running_mean), s))
+    if p.bias is not None:
+        bias = add(mul(p.bias, s), bias)
+    return LayerParams(weight=mul(p.weight, s), bias=bias)
 
 
-def linear_bn(x: Tensor, lin: LayerParams, norm: LayerParams, mode: str) -> Tensor:
-    """linear with lin, then batchnorm with norm's parameters: the two ops in
-    train mode; in eval mode, with or without a tape, the one GEMM of
-    linear(x, fold_norm(lin, norm)), with no normalized copy of its output.
+def linear_bn(x: Tensor, p: LayerParams, mode: str) -> Tensor:
+    """The normalized linear layer p: linear then batchnorm in train mode; in
+    eval mode, with or without a tape, the one GEMM of linear(x,
+    fold_norm(p)), with no normalized copy of its output.
     """
     if mode == "train":
-        return batchnorm(linear(x, lin), norm)
+        return batchnorm(linear(x, p), p)
     if mode == "eval":
-        return linear(x, fold_norm(lin, norm))
+        return linear(x, fold_norm(p))
     raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
 
 
 def dense(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
-    """relu(linear_bn(x, p, p, mode)), or relu(linear(x, p)) for a layer
+    """relu(linear_bn(x, p, mode)), or relu(linear(x, p)) for a layer
     without norm params."""
     if p.norm_gamma is None:
         return relu(linear(x, p))
-    return relu(linear_bn(x, p, p, mode))
+    return relu(linear_bn(x, p, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,7 @@ def neighbor_reduce(v: Tensor, mode: str, pad: np.ndarray | None = None) -> Tens
 def grouped_projection(v: Tensor, p: LayerParams) -> Tensor:
     """Channel-independent map of a neighbor field to scalars, [B,M,K',C,m] -> [B,M,C]:
 
-        out[b,i,c] = sum_k,d v[b,i,k,c,d] w[c, k m + d] + bias[c]
+        out[b,i,c] = sum_k,d v[b,i,k,c,d] w[c, k m + d]
 
     with w [C, K'·m]. A reduced field (K' = 1) has one m-vector kernel per
     channel; a field that keeps its K neighbor slots has one per channel and
@@ -532,14 +531,14 @@ def grouped_projection(v: Tensor, p: LayerParams) -> Tensor:
                         f"got {shape}")
     v_data = v.data
     w3 = w.data.reshape(c, shape[2], shape[4])
-    out = np.einsum("bikcd,ckd->bic", v_data, w3) + p.bias.data
+    out = np.einsum("bikcd,ckd->bic", v_data, w3)
 
     def grad_fn(g):
         gv = np.einsum("bic,ckd->bikcd", g, w3)
         gw = np.einsum("bikcd,bic->ckd", v_data, g).reshape(c, km)
-        return gv, gw, g.sum(axis=(0, 1))
+        return gv, gw
 
-    return custom_op(out, (v, w, p.bias), grad_fn)
+    return custom_op(out, (v, w), grad_fn)
 
 
 def residual_fuse(main: Tensor, skip: Tensor) -> Tensor:

@@ -321,9 +321,7 @@ def brute_force_vpsa(positions: np.ndarray, features: np.ndarray,
                 else:
                     agg = np.maximum(agg, vec)
             for c in range(cin):
-                projected[bi, i, c] = (
-                    agg[c] @ weights["proj_w"][c].astype(np.float64)
-                    + weights["proj_b"][c])
+                projected[bi, i, c] = agg[c] @ weights["proj_w"][c].astype(np.float64)
 
     # pass 3: channel mixing + normalization, then residual fusion
     mixed = np.zeros((b, m, weights["mix_w"].shape[1]))

@@ -30,8 +30,8 @@ the K neighbors and a projection back to scalars (`AGGREGATIONS`):
 
 A mode without a reduction keeps the K slots, pads zeroed, and weighs each
 slot on its own, so it sorts the neighbors by distance first. The VPSA tail
-is one `nnops.linear_bn`: the mixing or the dense projection, then the
-block's `post_norm`, folded into one linear in eval mode.
+is one `nnops.linear_bn`: the mixing or the dense projection, each a
+normalized linear layer, folded into one linear in eval mode.
 
 Inference has its own path for the default cell (rotation encoder, m=3,
 sum_groupconv): in eval mode with no gradient requested (`nnops._recording`
@@ -105,10 +105,11 @@ class VPSABlockParams:
     pos: LayerParams                 # [3, Cin]
     encoder: object                  # one of the vecenc *EncoderParams
     res: LayerParams                 # [Cin, Cout]
-    post_norm: LayerParams           # norm over Cout, applied before the residual
     proj: LayerParams | None = None  # [Cin, K'·m] grouped kernel
-    mix: LayerParams | None = None   # [Cin, Cout] channel mixing after proj
-    fc: LayerParams | None = None    # [K'·Cin·m, Cout] dense projection
+    # the normalized linear [Cin, Cout] mixing channels after proj, or the
+    # dense projection [K'·Cin·m, Cout]; normalized before the residual
+    mix: LayerParams | None = None
+    fc: LayerParams | None = None
 
 
 @dataclass
@@ -130,15 +131,14 @@ def vpsa_block_params(rng: np.random.Generator, cfg: BlockConfig) -> VPSABlockPa
         pos=nnops.linear_params(rng, 3, cin, bias=True),
         encoder=vecenc.make_encoder_params(cfg.encoder, rng, cin, m),
         res=nnops.linear_params(rng, cin, cout, bias=True),
-        post_norm=nnops.attach_norm(LayerParams(), cout),
     )
     reduction, projection = AGGREGATIONS[cfg.aggregation]
     width = m if reduction else cfg.k_neighbors * m   # K'·m
     if projection == "grouped":
         p.proj = nnops.grouped_params(rng, cin, width)
-        p.mix = nnops.linear_params(rng, cin, cout, bias=False)
+        p.mix = nnops.linear_params(rng, cin, cout, bias=False, norm=True)
     else:
-        p.fc = nnops.linear_params(rng, cin * width, cout, bias=False)
+        p.fc = nnops.linear_params(rng, cin * width, cout, bias=False, norm=True)
     return p
 
 
@@ -171,8 +171,8 @@ def aggregation_variant(v: Tensor, mode: str, p: VPSABlockParams,
     in the order given, so callers sort them canonically. Then grouped
     modes apply `nnops.grouped_projection` with p.proj [C, K'·m] and return
     [B,M,C]; dense modes return the field flattened over slots, channels and
-    components, [B,M,K'·C·m]. The VPSA tail maps either to Cout with p.mix
-    or p.fc, folded with the post norm in eval mode (`nnops.linear_bn`).
+    components, [B,M,K'·C·m]. The VPSA tail maps either to Cout with the
+    normalized linear p.mix or p.fc (`nnops.linear_bn`).
     """
     if mode not in AGGREGATIONS:
         raise ConfigError(
@@ -439,7 +439,7 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
         else:
             field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
             main = aggregation_variant(field, cfg.aggregation, p, pad)
-    main = nnops.linear_bn(main, p.mix or p.fc, p.post_norm, mode)
+    main = nnops.linear_bn(main, p.mix or p.fc, mode)
     out = nnops.residual_fuse(main, nnops.linear(ctr_feat, p.res))
     batch = np.arange(x.batch_size)[:, None]
     return PointSetBatch(positions=x.positions[batch, centers]), out

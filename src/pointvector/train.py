@@ -52,6 +52,7 @@ class TrainConfig:
     deterministic_timing: bool = False
 
     def __post_init__(self):
+        model_mod.check_field_types(self, "train")
         if self.lr0 < 0:
             raise ConfigError(f"lr0 must be nonnegative, got {self.lr0}")
         if self.weight_decay < 0:
@@ -84,7 +85,7 @@ class TrainConfig:
             hint = f"; set model switches in the model section: {', '.join(moved)}" \
                 if moved else ""
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}{hint}")
-        if "scale_range" in d:
+        if isinstance(d.get("scale_range"), list):
             d = dict(d, scale_range=tuple(d["scale_range"]))
         return cls(**d)
 

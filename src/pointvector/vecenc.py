@@ -146,10 +146,10 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
     grouped_projection, as one op.
 
     zx is [B,M,K,C], ang the packed angles [B,M,K,2C] holding alpha | beta,
-    p the [C,3] grouped kernel w with bias b; returns [B,M,C]:
+    p the [C,3] grouped kernel w; returns [B,M,C]:
 
         out[b,i,c] = sum_k keep * zx * (sin(beta) (w1 cos(alpha) - w0 sin(alpha))
-                                        + w2 cos(beta)) + b[c]
+                                        + w2 cos(beta))
 
     The [B,M,K,C,3] vector field is never built.
     """
@@ -171,7 +171,6 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
     (sa, sb), (ca, cb) = sines, cosines
     t, u = _projection_factor(sines, cosines, w.data)
     out = np.einsum("bikc,bikc->bic", z, u)
-    out += p.bias.data
 
     def grad_fn(g):
         g4 = g[:, :, None, :]
@@ -192,9 +191,9 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
         gw = np.stack([-np.einsum("bikc,bikc->c", gzsb, sa),
                        np.einsum("bikc,bikc->c", gzsb, ca),
                        np.einsum("bikc,bikc->c", gz, cb)], axis=-1)
-        return dz, dang, gw, g.sum(axis=(0, 1))
+        return dz, dang, gw
 
-    return custom_op(out, (zx, ang, w, p.bias), grad_fn)
+    return custom_op(out, (zx, ang, w), grad_fn)
 
 
 def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
@@ -253,7 +252,7 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
                         f"and a [C,3] kernel, got {u.data.shape}, {ctr.data.shape}, "
                         f"{idx.shape} and {proj.weight.data.shape}")
     nnops._check_pad(pad, idx.shape)
-    ang = nnops.fold_norm(p.angles, p.angles)
+    ang = nnops.fold_norm(p.angles)
     w = np.concatenate([p.zx.weight.data, ang.weight.data], axis=1)   # [C, 3C]
     bias = np.concatenate([p.zx.bias.data, ang.bias.data])
     points = u.data.reshape(b * n, c)
@@ -277,7 +276,6 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
         if keep is not None:
             vec *= keep[lo:hi]
         vec.sum(axis=1, out=out[lo:hi])
-    out += proj.bias.data
     return Tensor(out.reshape(b, m, c))
 
 

@@ -199,15 +199,46 @@ def test_gradcheck_without_instances_is_a_config_error(capsys, instances):
     assert "passed" not in captured.out
 
 
+# values of the wrong type, named as section.key
+WRONG_TYPES = [("train", "epochs", "3"), ("model", "k_vpsa", "8"),
+               ("data", "num_points", "64"), ("train", "scale_range", 5),
+               ("model", "strides", 4)]
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("data", "num_scenes", 1), ("data", "val_fraction", 1.5), ("data", "num_scenes", 0),
     ("data", "num_primitives", 0), ("data", "val_fraction", -0.5),
     ("train", "weight_decay", -1), ("train", "scale_range", [-1, -0.5]),
-    ("train", "jitter_sigma", -0.1)])
+    ("train", "jitter_sigma", -0.1)] + WRONG_TYPES)
 def test_bad_data_or_train_setting_names_the_field(tmp_path, capsys, section, key, value):
     doc = {"model": {"preset": "toy-seg"}, "data": {"num_scenes": 4, "num_points": 64},
            "train": {"epochs": 1, "batch_size": 2}}
     doc[section][key] = value
     config = _write_config(tmp_path, doc)
     assert main(["train", str(config), "--run-dir", str(tmp_path / "run"), "--quiet"]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    if (section, key, value) in WRONG_TYPES:
+        assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("model", [{"preset": "toy-seg", "num_classes": 3},
+                                   {"num_classes": 3}])
+def test_model_num_classes_points_to_data_kinds(tmp_path, capsys, model):
+    config = _write_config(tmp_path, {"model": model, "train": {"epochs": 1}})
+    assert main(["train", str(config), "--run-dir", str(tmp_path / "run"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "model.num_classes" in err and "data.kinds" in err
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
+    config = _write_config(tmp_path, {"model": {"preset": "toy-seg"},
+                                      "data": {"num_scenes": 4, "num_points": 64},
+                                      "train": {"epochs": 1, "batch_size": 2}})
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    flag = "--run-dir" if command == "train" else "--out"
+    assert main([command, str(config), flag, str(out), "--quiet"]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert out.read_text() == "a file"

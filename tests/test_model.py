@@ -252,11 +252,12 @@ class TestParameterCounts:
     """The segmentation presets' sizes, pinned so that no change adds or drops
     a weight unnoticed."""
 
-    @pytest.mark.parametrize("preset,count", [("pointvector-s", 970_189),
-                                              ("pointvector-l", 4_210_925),
-                                              ("pointvector-xl", 24_084_941)])
-    def test_preset_count(self, preset, count):
-        assert param_count(preset_model(preset)) == count
+    COUNTS = {"pointvector-s": 969_709, "pointvector-l": 4_208_749,
+              "pointvector-xl": 24_078_413}
+
+    @pytest.mark.parametrize("preset", COUNTS)
+    def test_preset_count(self, preset):
+        assert param_count(preset_model(preset)) == self.COUNTS[preset]
 
     def test_xl_is_58_percent_of_pointnext_xl(self):
         # the abstract's "58% of PointNeXt's parameters"; PointNeXt-XL has
@@ -284,8 +285,9 @@ class TestModelConfigSwitches:
 
 
 def test_older_checkpoint_version_rejected(tmp_path, monkeypatch):
-    # version 2 stored the groupconv kernel as slot [C, K, m] and conv's map as conv
-    for version in (1, 2):
+    # version 2 stored the groupconv kernel as slot [C, K, m] and conv's map as
+    # conv; version 3 had a VPSA projection bias and a separate VPSA norm layer
+    for version in (1, 2, 3):
         path = tmp_path / f"v{version}.npz"
         monkeypatch.setattr(model_mod, "CHECKPOINT_FORMAT_VERSION", version)
         save_checkpoint(Model(preset_config("toy-seg", num_classes=3)), path)

@@ -93,8 +93,8 @@ class TestBatchnorm:
         x = rng.standard_normal((64, 2)) * 2.0 + 1.0
         for _ in range(200):
             nnops.batchnorm(Tensor(x), p)
-        identity = LayerParams(weight=nnops.parameter(np.eye(2)))
-        y = nnops.linear_bn(Tensor(x), identity, p, "eval").data
+        p.weight = nnops.parameter(np.eye(2))
+        y = nnops.linear_bn(Tensor(x), p, "eval").data
         xhat = (x - p.running_mean) / np.sqrt(p.running_var + nnops.BN_EPS)
         want = xhat * p.norm_gamma.data + p.norm_beta.data
         assert np.abs(y - want).max() <= 1e-13 * np.abs(want).max()
@@ -104,7 +104,7 @@ class TestBatchnorm:
     def test_linear_bn_rejects_other_modes(self):
         p = nnops.linear_params(np.random.default_rng(5), 3, 2, norm=True)
         with pytest.raises(ContractError, match="train or eval"):
-            nnops.linear_bn(Tensor(np.ones((4, 3))), p, p, "test")
+            nnops.linear_bn(Tensor(np.ones((4, 3))), p, "test")
 
 
 class TestDense:
@@ -189,17 +189,9 @@ class TestNeighborReduce:
 class TestGroupedProjection:
     def test_single_channel_dot(self):
         v = Tensor(np.array([[[[[1.0, 2.0, 3.0]]]]]))
-        p = LayerParams(weight=nnops.parameter(np.ones((1, 3))),
-                        bias=nnops.parameter(np.zeros(1)))
+        p = LayerParams(weight=nnops.parameter(np.ones((1, 3))))
         out = nnops.grouped_projection(v, p)
         assert out.data.tolist() == [[[6.0]]]
-
-    def test_zero_weight_bias_broadcast(self):
-        v = Tensor(np.random.default_rng(6).standard_normal((2, 3, 1, 4, 2)))
-        p = LayerParams(weight=nnops.parameter(np.zeros((4, 2))),
-                        bias=nnops.parameter(np.arange(4.0)))
-        out = nnops.grouped_projection(v, p)
-        assert np.allclose(out.data, np.broadcast_to(np.arange(4.0), (2, 3, 4)))
 
     def test_equals_block_diagonal_matmul(self):
         # the kernel row of channel c holds one m-vector per slot, slot-major
@@ -208,13 +200,12 @@ class TestGroupedProjection:
         for slots in (1, 4):
             v = rng.standard_normal((4, 6, slots, c, m))
             w = rng.standard_normal((c, slots * m))
-            b = rng.standard_normal(c)
-            p = LayerParams(weight=nnops.parameter(w), bias=nnops.parameter(b))
+            p = LayerParams(weight=nnops.parameter(w))
             out = nnops.grouped_projection(Tensor(v), p)
             dense = np.zeros((slots, c, m, c))
             for ci in range(c):
                 dense[:, ci, :, ci] = w[ci].reshape(slots, m)
-            expected = v.reshape(4, 6, slots * c * m) @ dense.reshape(-1, c) + b
+            expected = v.reshape(4, 6, slots * c * m) @ dense.reshape(-1, c)
             assert np.abs(out.data - expected).max() < 1e-12
 
     def test_m_mismatch(self):

@@ -34,12 +34,12 @@ def vpsa_weights_dict(p, cfg):
     w = {
         "pos_w": p.pos.weight.data, "pos_b": p.pos.bias.data,
         "zx_w": p.encoder.zx.weight.data, "zx_b": p.encoder.zx.bias.data,
-        "proj_w": p.proj.weight.data, "proj_b": p.proj.bias.data,
+        "proj_w": p.proj.weight.data,
         "mix_w": p.mix.weight.data,
-        "mix_gamma": p.post_norm.norm_gamma.data,
-        "mix_beta": p.post_norm.norm_beta.data,
-        "mix_rmean": p.post_norm.running_mean,
-        "mix_rvar": p.post_norm.running_var,
+        "mix_gamma": p.mix.norm_gamma.data,
+        "mix_beta": p.mix.norm_beta.data,
+        "mix_rmean": p.mix.running_mean,
+        "mix_rvar": p.mix.running_var,
         "res_w": p.res.weight.data, "res_b": p.res.bias.data,
     }
     if cfg.vector_dim > 1:
@@ -129,7 +129,7 @@ class TestVPSABlock:
         p = setabs.vpsa_block_params(rng, cfg)
         p.encoder.zx.weight.data = np.zeros_like(p.encoder.zx.weight.data)
         p.encoder.zx.bias.data = np.zeros_like(p.encoder.zx.bias.data)
-        p.post_norm.norm_gamma.data = np.zeros_like(p.post_norm.norm_gamma.data)
+        p.mix.norm_gamma.data = np.zeros_like(p.mix.norm_gamma.data)
         _, out = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
         expected = np.maximum(
             feats @ p.res.weight.data + p.res.bias.data, 0.0)
@@ -161,7 +161,7 @@ class TestVPSABlock:
                               vector_dim=m_dim, aggregation=f"{reduction}_groupconv")
             p = setabs.vpsa_block_params(rng, cfg)
             # nonzero running stats and affine so the eval path is nontrivial
-            for layer in [p.post_norm] + ([p.encoder.angles] if m_dim > 1 else []):
+            for layer in [p.mix] + ([p.encoder.angles] if m_dim > 1 else []):
                 c = layer.norm_gamma.data.shape[0]
                 layer.norm_gamma.data = rng.uniform(0.5, 1.5, c)
                 layer.norm_beta.data = rng.standard_normal(c) * 0.2
@@ -399,9 +399,9 @@ def vpsa_with_statistics(rng, cfg):
     """Default-cell VPSA params with random biases, norm affines and running
     statistics, so that every eval-mode term is nontrivial."""
     p = setabs.vpsa_block_params(rng, cfg)
-    for layer in (p.pos, p.encoder.zx, p.proj, p.res):
+    for layer in (p.pos, p.encoder.zx, p.res):
         layer.bias.data = rng.uniform(-0.3, 0.3, layer.bias.data.shape)
-    for layer in (p.encoder.angles, p.post_norm):
+    for layer in (p.encoder.angles, p.mix):
         c = layer.norm_gamma.data.shape[0]
         layer.norm_gamma.data = rng.uniform(0.5, 1.5, c)
         layer.norm_beta.data = rng.standard_normal(c) * 0.2
@@ -496,8 +496,7 @@ def numpy_aggregation(v, pad, mode, p):
         # channel c: its slots' m-vectors, slot-major, dotted with row c of proj
         out = np.empty((b, mm, c))
         for ci in range(c):
-            out[..., ci] = (agg[:, :, :, ci, :].reshape(b, mm, -1) @ p.proj.weight.data[ci]
-                            + p.proj.bias.data[ci])
+            out[..., ci] = agg[:, :, :, ci, :].reshape(b, mm, -1) @ p.proj.weight.data[ci]
         return out
     return agg.reshape(b, mm, -1)                              # [B,M,K'·C·m]
 
@@ -512,8 +511,6 @@ class TestAggregationVariants:
                           aggregation=mode)
         for _ in range(3):
             p = setabs.vpsa_block_params(rng, cfg)
-            if p.proj is not None:
-                p.proj.bias.data = rng.standard_normal(c)
             v = rng.standard_normal((b, mm, k, c, m))
             pad = None
             if padded:
@@ -535,8 +532,7 @@ class TestAggregationVariants:
         p = setabs.vpsa_block_params(rng, cfg)
         out_k = aggregation_variant(Tensor(repeated), "sum_groupconv", p).data
         out_1 = aggregation_variant(Tensor(single), "sum_groupconv", p).data
-        bias = p.proj.bias.data
-        assert np.abs(out_k - (k * (out_1 - bias) + bias)).max() < 1e-10
+        assert np.abs(out_k - k * out_1).max() < 1e-10
 
     def test_max_fc_zero_weights_bias(self):
         rng = np.random.default_rng(10)
@@ -565,8 +561,7 @@ class TestAggregationVariants:
                                  vector_dim=m, aggregation="groupconv"))
             # the same m-vector kernel in every slot
             slots.proj = nnops.LayerParams(
-                weight=nnops.parameter(np.tile(p.proj.weight.data, (1, k))),
-                bias=p.proj.bias)
+                weight=nnops.parameter(np.tile(p.proj.weight.data, (1, k))))
             general = aggregation_variant(v, "groupconv", slots).data
             assert np.abs(fused - general).max() < 1e-10
 

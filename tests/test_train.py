@@ -125,3 +125,29 @@ def test_toy_seg_overfits_two_scenes():
         adamw_step(params, grads, state, hyper)
     assert (logits.data.argmax(axis=-1) == data.labels).mean() >= 0.95
     assert float(loss.data) < 0.03
+
+
+@pytest.mark.parametrize("preset", ["toy-seg", "toy-seg-ball"])
+def test_every_parameter_learns(preset):
+    """One train step reaches exactly the named parameters, and each of them
+    with a gradient above 1e-12 of the largest: no layer is left out of
+    `named_params`, and none is frozen, e.g. cancelled by a batchnorm.
+
+    Classification is left out: its global_sa.norm_beta sits before a max
+    and a batchnorm, so its gradient is 0 whenever every pooled maximum is
+    positive."""
+    data = dataio.make_segmentation_dataset(num_scenes=2, num_points=128, seed=0)
+    mdl = Model(preset_config(preset, num_classes=data.num_classes), seed=0)
+    batch = PointSetBatch(positions=data.positions, labels=data.labels)
+    with nnops.GradTape() as tape:
+        logits = mdl.forward_seg(batch, "train")
+        loss = ce_label_smoothing(nnops.reshape(logits, (-1, data.num_classes)),
+                                  data.labels.reshape(-1), 0.1)
+        grads = nnops.backward(tape, loss)
+    params = mdl.named_params()
+    named = {id(t) for t in params.values()}
+    assert [t.shape for t in grads if id(t) not in named] == []   # unnamed tensors
+    assert len(grads) == len(params)
+    largest = max(np.abs(g).max() for g in grads.values())
+    frozen = [name for name, t in params.items() if np.abs(grads[t]).max() <= 1e-12 * largest]
+    assert frozen == []

@@ -233,10 +233,9 @@ class TestRotateProject3:
         zx = Tensor(rng.standard_normal((b, m, k, c)), requires_grad=True)
         ang = Tensor(rng.uniform(0, 3, (b, m, k, 2 * c)), requires_grad=True)
         proj = nnops.grouped_params(rng, c, 3)
-        proj.bias.data = rng.standard_normal(c)
         pad = _pad(rng, (b, m, k)) if padded else None
         probe = rng.standard_normal((b, m, c))
-        leaves = [zx, ang, proj.weight, proj.bias]
+        leaves = [zx, ang, proj.weight]
         out, grads = _values_and_grads(
             lambda: vecenc.rotate_project3(zx, ang, proj, pad), leaves, probe)
         want, want_grads = _values_and_grads(
@@ -259,7 +258,7 @@ class TestRotateProject3:
         proj = nnops.grouped_params(rng, c, 3)
         pad = _pad(rng, (2, 4, 5)) if padded else None
         probe = rng.standard_normal((2, 4, c))
-        leaves = [fp, proj.weight, proj.bias] + [
+        leaves = [fp, proj.weight] + [
             t for layer in (enc.zx, enc.angles) for _, t in layer.tensors()]
 
         def unfused():
@@ -368,10 +367,9 @@ class TestRotationOpsMatchOracle:
         rng, zx, ang = self._inputs(42)
         c = zx.shape[-1]
         proj = nnops.grouped_params(rng, c, 3)
-        proj.bias.data = rng.standard_normal(c)
         pad = _pad(rng, zx.shape[:-1]) if padded else None
         keep = 1.0 if pad is None else (~pad)[..., None, None]
         field = oracle.rotate3d(zx, ang[..., :c], ang[..., c:]) * keep
-        want = np.einsum("bikcd,cd->bic", field, proj.weight.data) + proj.bias.data
+        want = np.einsum("bikcd,cd->bic", field, proj.weight.data)
         out = vecenc.rotate_project3(Tensor(zx), Tensor(ang), proj, pad)
         _assert_close(out.data, want)
