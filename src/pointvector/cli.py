@@ -1,15 +1,18 @@
 """Command-line entry point: train, eval, ablate, gradcheck, gen-data.
 
-Configuration is one JSON document with sections `model`, `train`, `data`,
-and optionally `ablate`; unknown keys anywhere are hard errors. The model
-section (a `preset` name plus `ModelConfig` overrides) is the only place to
-set the ablation switches `aggregation`, `encoder` and `vector_dim`; the
-`ablate` section sweeps them by replacing those fields, and every cell is
-validated before the first one trains. Run artifacts live under the run
-directory: config.json (the resolved sections, which the checkpoint's model
-config equals), metrics.csv, best.ckpt.npz, log.txt; ablate writes
-ablate.csv. Timings come from the benchmark in a source checkout,
-`bench/run.py`, not from this CLI.
+Configuration is one JSON document with four sections, `model`, `train`,
+`data` and the optional `ablate`. One reader, `model.read_section`, turns
+each into its dataclass (`ModelConfig`, `TrainConfig`, `DataConfig`,
+`AblateConfig`). A section that is not an object, an unknown key, or a value
+of the wrong type, checked down to each list element, is a ConfigError that
+names the section or `section.key`. The model section (a `preset` name plus
+`ModelConfig` overrides) is the only place to set the ablation switches
+`aggregation`, `encoder` and `vector_dim`; the `ablate` section sweeps them
+by replacing those fields, and every cell is validated before the first one
+trains. Run artifacts live under the run directory: config.json (the
+resolved sections, which the checkpoint's model config equals), metrics.csv,
+best.ckpt.npz, log.txt; ablate writes ablate.csv. Timings come from the
+benchmark in a source checkout, `bench/run.py`, not from this CLI.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric fault, 4 gradient
 check failure, 5 checkpoint error.
@@ -33,7 +36,7 @@ from .errors import (
     NumericFaultError,
     PointVectorError,
 )
-from .model import ModelConfig, preset_config
+from .model import ModelConfig, preset_config, read_section
 from .train import TrainConfig
 
 EXIT_OK = 0
@@ -48,7 +51,7 @@ class DataConfig:
     task: str = "segmentation"
     num_scenes: int = 200
     num_points: int = 512
-    kinds: list = field(default_factory=lambda: list(dataio.KINDS))
+    kinds: list[str] = field(default_factory=lambda: list(dataio.KINDS))
     noise_sigma: float = 0.01
     num_primitives: int = 3
     seed: int = 0
@@ -58,16 +61,22 @@ class DataConfig:
     def __post_init__(self):
         model_mod.check_field_types(self, "data")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown data config keys: {sorted(unknown)}")
-        return cls(**d)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+@dataclass
+class AblateConfig:
+    """The values each ablation sweep takes; a sweep left at None takes
+    the one value of the model or train section."""
+    aggregations: list[str] | None = None
+    encoders: list[str] | None = None
+    vector_dims: list[int] | None = None
+    seeds: list[int] | None = None
+    epochs: int | None = None
+
+    def __post_init__(self):
+        model_mod.check_field_types(self, "ablate")
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) == []:
+                raise ConfigError(f"ablate.{f.name} must list at least one value")
 
 
 def build_dataset(dc: DataConfig) -> dataio.Dataset:
@@ -87,16 +96,17 @@ def build_dataset(dc: DataConfig) -> dataio.Dataset:
     raise ConfigError(f"unknown data task {dc.task!r}")
 
 
-def model_config_from_section(section: dict, num_classes: int) -> ModelConfig:
-    """The model section's config; its class count is that of data.kinds."""
-    section = dict(section)
-    if "num_classes" in section:
-        raise ConfigError("model.num_classes is not a setting: the class count is "
-                          "the number of data.kinds")
-    preset = section.pop("preset", None)
-    if preset is not None:
-        return preset_config(preset, num_classes=num_classes, **section)
-    return ModelConfig.from_dict(dict(section, num_classes=num_classes))
+def model_config_from_section(section, num_classes: int) -> ModelConfig:
+    """The model section's config: a `preset` name plus overrides, or the
+    fields themselves. Its class count is that of data.kinds."""
+    if isinstance(section, dict):
+        if "num_classes" in section:
+            raise ConfigError("model.num_classes is not a setting: the class count "
+                              "is the number of data.kinds")
+        section = dict(section, num_classes=num_classes)
+        if "preset" in section:
+            return preset_config(section.pop("preset"), **section)
+    return read_section(ModelConfig, section, "model")
 
 
 def load_config(path) -> dict:
@@ -116,7 +126,7 @@ def load_config(path) -> dict:
 
 
 def resolve_configs(doc: dict, seed_override: int | None = None):
-    data_cfg = DataConfig.from_dict(doc.get("data", {}))
+    data_cfg = read_section(DataConfig, doc.get("data", {}), "data")
     train_cfg = TrainConfig.from_dict(doc.get("train", {}))
     if seed_override is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=seed_override)
@@ -169,11 +179,9 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg, data_cfg = resolve_configs(doc, args.seed)
     run_dir = _prepare_run_dir(args, args.config)
     log = RunLogger(run_dir / "log.txt", quiet=args.quiet)
-    resolved = {
-        "model": model_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
-        "data": data_cfg.to_dict(),
-    }
+    resolved = {"model": dataclasses.asdict(model_cfg),
+                "train": dataclasses.asdict(train_cfg),
+                "data": dataclasses.asdict(data_cfg)}
     (run_dir / "config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     log(f"building dataset ({data_cfg.task}, {data_cfg.num_scenes} scenes)")
@@ -214,12 +222,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _ablate_cell(payload: dict) -> dict:
-    """One ablation cell; runs in a worker process."""
-    with nnops.precision(payload["precision"]):
-        model_cfg = ModelConfig.from_dict(payload["model"])
-        train_cfg = TrainConfig.from_dict(payload["train"])
-        data_cfg = DataConfig.from_dict(payload["data"])
+def _ablate_cell(cell) -> dict:
+    """One ablation cell, a (model, train, data, precision) tuple; runs in a
+    worker process."""
+    model_cfg, train_cfg, data_cfg, precision = cell
+    with nnops.precision(precision):
         dataset = build_dataset(data_cfg)
         report = train_mod.train_loop(model_cfg, train_cfg, dataset)
         best_rows = [r for r in report.rows
@@ -239,30 +246,24 @@ def _ablate_cell(payload: dict) -> dict:
         }
 
 
-ABLATE_KEYS = {"aggregations", "encoders", "vector_dims", "seeds", "epochs"}
-
-
 def cmd_ablate(args) -> int:
     doc = load_config(args.config)
     model_cfg, train_cfg, data_cfg = resolve_configs(doc, args.seed)
-    ablate = doc.get("ablate", {})
-    unknown = set(ablate) - ABLATE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown ablate config keys: {sorted(unknown)}")
-    aggregations = ablate.get("aggregations", [model_cfg.resolved_aggregation()])
-    encoders = ablate.get("encoders", [model_cfg.encoder])
-    vector_dims = ablate.get("vector_dims", [model_cfg.vector_dim])
-    seeds = ablate.get("seeds", [train_cfg.seed])
-    epochs = ablate.get("epochs", train_cfg.epochs)
+    ab = read_section(AblateConfig, doc.get("ablate", {}), "ablate")
+
+    def sweep(values, default):
+        return [default] if values is None else values
+
+    epochs = train_cfg.epochs if ab.epochs is None else ab.epochs
     # every cell's config is built, and so validated, before any cell runs
-    payloads = [{
-        "model": dataclasses.replace(model_cfg, aggregation=agg, encoder=enc,
-                                     vector_dim=m).to_dict(),
-        "train": dataclasses.replace(train_cfg, seed=seed, epochs=epochs).to_dict(),
-        "data": data_cfg.to_dict(),
-        "precision": args.precision,
-    } for agg, enc, m, seed in itertools.product(aggregations, encoders,
-                                                 vector_dims, seeds)]
+    payloads = [(dataclasses.replace(model_cfg, aggregation=agg, encoder=enc, vector_dim=m),
+                 dataclasses.replace(train_cfg, seed=seed, epochs=epochs),
+                 data_cfg, args.precision)
+                for agg, enc, m, seed in itertools.product(
+                    sweep(ab.aggregations, model_cfg.resolved_aggregation()),
+                    sweep(ab.encoders, model_cfg.encoder),
+                    sweep(ab.vector_dims, model_cfg.vector_dim),
+                    sweep(ab.seeds, train_cfg.seed))]
     run_dir = _prepare_run_dir(args, args.config)
     log = RunLogger(run_dir / "log.txt", quiet=args.quiet)
     log(f"{len(payloads)} ablation cells, jobs={args.jobs}")
@@ -304,7 +305,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_gen_data(args) -> int:
     doc = load_config(args.config)
-    data_cfg = DataConfig.from_dict(doc.get("data", {}))
+    data_cfg = read_section(DataConfig, doc.get("data", {}), "data")
     dataset = build_dataset(data_cfg)
     manifest = dataio.save_dataset_scenes(
         dataset, _prepare_out_dir(args.out, args.overwrite))

@@ -26,19 +26,38 @@ CHECKPOINT_FORMAT_VERSION = 4
 INPUT_CHANNELS = 4  # [p, p_z]
 
 
+def read_section(cls, d, section: str):
+    """cls(**d) for config section `section`; a ConfigError naming the
+    section if d is not a JSON object or has a key that is not a field of
+    the dataclass cls."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError("unknown config keys: "
+                          + ", ".join(f"{section}.{k}" for k in sorted(unknown)))
+    return cls(**d)
+
+
 def check_field_types(cfg, section: str) -> None:
     """ConfigError naming `section.field` for the first field of the config
-    dataclass cfg whose value lacks its declared type. An int passes where
-    a float is declared; a bool passes only where a bool is."""
+    dataclass cfg whose value lacks its declared type. The elements of a
+    `list[X]` must be X's; `X | None` admits None."""
     hints = typing.get_type_hints(type(cfg))
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if not any(_has_type(value, t) for t in typing.get_args(hints[f.name])
-                   or (hints[f.name],)):
+        if not _has_type(value, hints[f.name]):
             raise ConfigError(f"{section}.{f.name} must be {f.type}, got {value!r}")
 
 
 def _has_type(value, t) -> bool:
+    """Whether value is a t: a class, list[X] or a union. An int passes
+    where a float is declared; a bool passes only where a bool is."""
+    args = typing.get_args(t)
+    if typing.get_origin(t) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:
+        return any(_has_type(value, a) for a in args)
     t = {float: numbers.Real, int: numbers.Integral}.get(t, t)
     return isinstance(value, t) and (t is bool or not isinstance(value, bool))
 
@@ -46,9 +65,9 @@ def _has_type(value, t) -> bool:
 @dataclass
 class ModelConfig:
     embed_channels: int = 32
-    sa_per_stage: list = field(default_factory=lambda: [1, 1, 1, 1])
-    vpsa_per_stage: list = field(default_factory=lambda: [1, 1, 1, 1])
-    strides: list = field(default_factory=lambda: [4, 4, 4, 4])
+    sa_per_stage: list[int] = field(default_factory=lambda: [1, 1, 1, 1])
+    vpsa_per_stage: list[int] = field(default_factory=lambda: [1, 1, 1, 1])
+    strides: list[int] = field(default_factory=lambda: [4, 4, 4, 4])
     k_sa: int = 32
     k_vpsa: int = 8
     sa_layers: int = 1
@@ -58,12 +77,13 @@ class ModelConfig:
     encoder: str = "rotation"         # scalar-to-vector encoder, a key of vecenc.ENCODERS
     vector_dim: int = 3               # vector dimension m
     aggregation: str | None = None    # in setabs.AGGREGATION_MODES; None: resolved_aggregation
-    radii: list | None = None         # per-stage ball-query radii; None -> knn
+    radii: list[float] | None = None  # per-stage ball-query radii; None -> knn
 
     def __post_init__(self):
         check_field_types(self, "model")
-        if self.embed_channels < 1:
-            raise ConfigError("embed_channels must be >= 1")
+        for name in ("embed_channels", "k_sa", "k_vpsa", "sa_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         n = len(self.sa_per_stage)
         if not (len(self.vpsa_per_stage) == len(self.strides) == n):
             raise ConfigError(
@@ -73,6 +93,11 @@ class ModelConfig:
             raise ConfigError("at least one stage is required")
         if self.radii is not None and len(self.radii) != n:
             raise ConfigError("radii must list one radius per stage")
+        for name, low in (("sa_per_stage", 0), ("vpsa_per_stage", 0), ("strides", 1)):
+            if min(getattr(self, name)) < low:
+                raise ConfigError(f"model.{name} must be >= {low}, got {getattr(self, name)}")
+        if self.radii is not None and min(self.radii) <= 0:
+            raise ConfigError(f"model.radii must be > 0, got {self.radii}")
         if self.task not in ("segmentation", "classification"):
             raise ConfigError(f"task must be segmentation or classification, got {self.task!r}")
         if self.vector_dim not in (1, 2, 3):
@@ -100,17 +125,6 @@ class ModelConfig:
 
     def stage_width(self, i: int) -> int:
         return self.embed_channels * (2 ** (i + 1))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -325,7 +339,7 @@ def param_count(obj) -> int:
 # presets
 
 
-def preset_config(name: str, num_classes: int = 13, **overrides) -> ModelConfig:
+def preset_config(name: str, /, num_classes: int = 13, **overrides) -> ModelConfig:
     """Named architecture presets; extra keyword arguments override fields."""
     presets = {
         "pointvector-s": dict(
@@ -351,12 +365,12 @@ def preset_config(name: str, num_classes: int = 13, **overrides) -> ModelConfig:
             embed_channels=16, sa_per_stage=[0, 0], vpsa_per_stage=[1, 1],
             strides=[2, 2], k_vpsa=8, task="classification"),
     }
-    if name not in presets:
-        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(presets)}")
+    if not isinstance(name, str) or name not in presets:
+        raise ConfigError(f"unknown model.preset {name!r}; choose from {sorted(presets)}")
     params = dict(presets[name])
     params["num_classes"] = num_classes
     params.update(overrides)
-    return ModelConfig.from_dict(params)
+    return read_section(ModelConfig, params, "model")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +386,7 @@ def save_checkpoint(model: Model, path, extra: dict | None = None) -> None:
         arrays[f"running/{name}"] = arr
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": model.cfg.to_dict(),
+        "config": dataclasses.asdict(model.cfg),
         "extra": extra or {},
         "shapes": {k: list(v.shape) for k, v in arrays.items()},
     }
@@ -401,8 +415,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise CheckpointError(
             f"unsupported checkpoint version {meta.get('format_version')}")
     try:
-        cfg = ModelConfig.from_dict(meta["config"])
-    except (KeyError, TypeError, ConfigError) as exc:
+        cfg = read_section(ModelConfig, meta["config"], "model")
+    except (KeyError, ConfigError) as exc:
         raise CheckpointError(f"invalid config in checkpoint: {exc}") from exc
     model = Model(cfg, seed=0)
     dtype = nnops.default_dtype()

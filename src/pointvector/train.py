@@ -46,22 +46,16 @@ class TrainConfig:
     jitter_sigma: float = 0.01
     jitter_clip: float = 0.05
     shift_max: float = 0.2
-    scale_range: tuple = (0.8, 1.2)
-    # wall_ms is a clock reading and cannot be seed-reproducible; setting this
-    # writes 0 in its place so seed-fixed runs emit identical CSVs
-    deterministic_timing: bool = False
+    scale_range: list[float] = field(default_factory=lambda: [0.8, 1.2])
 
     def __post_init__(self):
         model_mod.check_field_types(self, "train")
-        if self.lr0 < 0:
-            raise ConfigError(f"lr0 must be nonnegative, got {self.lr0}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.jitter_sigma < 0:
-            raise ConfigError(f"jitter_sigma must be nonnegative, got {self.jitter_sigma}")
+        for name in ("lr0", "weight_decay", "jitter_sigma", "jitter_clip", "shift_max"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train.{name} must be nonnegative, got {getattr(self, name)}")
         if len(self.scale_range) != 2 or not 0 < self.scale_range[0] <= self.scale_range[1]:
-            raise ConfigError(f"scale_range must be [lo, hi] with 0 < lo <= hi, "
-                              f"got {list(self.scale_range)}")
+            raise ConfigError(f"train.scale_range must be [lo, hi] with 0 < lo <= hi, "
+                              f"got {self.scale_range}")
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError("label_smoothing must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -70,24 +64,15 @@ class TrainConfig:
             raise ConfigError(
                 f"rotate_mode must be discrete, uniform, or none, got {self.rotate_mode!r}")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["scale_range"] = list(self.scale_range)
-        return d
-
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            moved = [f"{k} -> {_MOVED_TO_MODEL[k]}" for k in sorted(unknown)
-                     if k in _MOVED_TO_MODEL]
-            hint = f"; set model switches in the model section: {', '.join(moved)}" \
-                if moved else ""
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}{hint}")
-        if isinstance(d.get("scale_range"), list):
-            d = dict(d, scale_range=tuple(d["scale_range"]))
-        return cls(**d)
+    def from_dict(cls, d) -> "TrainConfig":
+        """The train section, read by `read_section`; a key that moved to
+        the model section gets a hint naming its new home."""
+        moved = sorted(set(d) & _MOVED_TO_MODEL.keys()) if isinstance(d, dict) else []
+        if moved:
+            raise ConfigError("set model switches in the model section: " + ", ".join(
+                f"train.{k} -> {_MOVED_TO_MODEL[k]}" for k in moved))
+        return model_mod.read_section(cls, d, "train")
 
 
 @dataclass
@@ -496,19 +481,15 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
         train_loss = (sum(l * w for l, w in zip(epoch_losses, epoch_weights))
                       / sum(epoch_weights))
         oa, macc, miou = metrics(confusion)
-        wall = 0.0 if train_cfg.deterministic_timing \
-            else (time.perf_counter() - t0) * 1000.0
         report.rows.append(EpochRow(epoch, "train", train_loss, lr, oa, macc,
-                                    miou, wall))
+                                    miou, (time.perf_counter() - t0) * 1000.0))
 
         t1 = time.perf_counter()
         val_loss, val_conf = evaluate(mdl, dataset, "val", eps,
                                       train_cfg.batch_size)
         oa, macc, miou = metrics(val_conf)
-        wall = 0.0 if train_cfg.deterministic_timing \
-            else (time.perf_counter() - t1) * 1000.0
         report.rows.append(EpochRow(epoch, "val", val_loss, lr, oa, macc,
-                                    miou, wall))
+                                    miou, (time.perf_counter() - t1) * 1000.0))
         report.confusion = val_conf
         current = miou if select_by == "miou" else oa
         if current > best_metric:
@@ -522,7 +503,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
                 model_mod.save_checkpoint(mdl, path, extra={
                     "epoch": epoch, "val_oa": oa, "val_macc": macc,
                     "val_miou": miou, "val_loss": val_loss,
-                    "train_config": train_cfg.to_dict(),
+                    "train_config": dataclasses.asdict(train_cfg),
                 })
                 report.checkpoint_path = str(path)
         if log is not None:

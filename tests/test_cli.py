@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from pointvector import dataio, gradcheck, nnops
 from pointvector import train as train_mod
 from pointvector.cli import DataConfig, build_dataset, main, make_parser
 from pointvector.geometry import PointSetBatch
-from pointvector.model import Model, load_checkpoint, param_count
+from pointvector.model import Model, load_checkpoint, param_count, read_section
 
 GLOBAL = ["--seed", "5", "--jobs", "3", "--overwrite", "--precision", "single", "--quiet"]
 
@@ -50,7 +51,7 @@ def test_gen_data_round_trips_through_the_manifest(tmp_path):
     config.write_text(json.dumps({"data": data}))
     out = tmp_path / "scenes"
     assert main(["gen-data", str(config), "--out", str(out), "--quiet"]) == 0
-    want = build_dataset(DataConfig.from_dict(data))
+    want = build_dataset(read_section(DataConfig, data, "data"))
     got = dataio.load_dataset_from_manifest(out / "manifest.txt", "segmentation",
                                             want.num_classes)
     assert got.positions.dtype == want.positions.dtype == np.float64
@@ -107,7 +108,7 @@ def test_config_json_records_the_model_that_trained(tmp_path):
     assert main(["train", str(config), "--run-dir", str(run), "--quiet"]) == 0
     recorded = json.loads((run / "config.json").read_text())["model"]
     trained = load_checkpoint(run / "best.ckpt.npz")[0].cfg
-    assert recorded == trained.to_dict()
+    assert recorded == dataclasses.asdict(trained)
     assert (trained.encoder, trained.vector_dim) == ("mlp", 2)
 
 
@@ -199,27 +200,47 @@ def test_gradcheck_without_instances_is_a_config_error(capsys, instances):
     assert "passed" not in captured.out
 
 
-# values of the wrong type, named as section.key
-WRONG_TYPES = [("train", "epochs", "3"), ("model", "k_vpsa", "8"),
+# settings rejected when the dataset is built
+DATASET_SETTINGS = [("data", "num_scenes", 1), ("data", "val_fraction", 1.5),
+                    ("data", "num_scenes", 0), ("data", "num_primitives", 0),
+                    ("data", "val_fraction", -0.5)]
+# unknown keys and values of the wrong type, named as section.key; a key of
+# None replaces the whole section, which must then be named as not a JSON object
+WRONG_TYPES = [("model", "name", 1), ("model", "preset", ["a"]), ("model", None, "x"),
+               ("train", "epochs", "3"), ("model", "k_vpsa", "8"),
                ("data", "num_points", "64"), ("train", "scale_range", 5),
-               ("model", "strides", 4)]
+               ("model", "strides", 4), ("model", "strides", [2, "2"]),
+               ("model", "radii", ["a", 0.5]), ("model", "sa_per_stage", [1.5, 1]),
+               ("model", "vpsa_per_stage", [True, 1]), ("train", "scale_range", [0.8, "1.2"]),
+               ("train", None, "x"), ("ablate", "seeds", 3), ("ablate", "epochs", "2"),
+               ("ablate", "vector_dims", [3, "2"])]
+# values out of range
+OUT_OF_RANGE = [("train", "weight_decay", -1), ("train", "scale_range", [-1, -0.5]),
+                ("train", "jitter_sigma", -0.1), ("train", "jitter_clip", -1),
+                ("train", "shift_max", -1), ("model", "k_sa", 0), ("model", "k_vpsa", 0),
+                ("model", "sa_layers", 0), ("model", "strides", [2, -2]),
+                ("model", "radii", [-1, 0.5]), ("model", "sa_per_stage", [-1, 1]),
+                ("ablate", "seeds", [])]
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("data", "num_scenes", 1), ("data", "val_fraction", 1.5), ("data", "num_scenes", 0),
-    ("data", "num_primitives", 0), ("data", "val_fraction", -0.5),
-    ("train", "weight_decay", -1), ("train", "scale_range", [-1, -0.5]),
-    ("train", "jitter_sigma", -0.1)] + WRONG_TYPES)
+@pytest.mark.parametrize("section,key,value", DATASET_SETTINGS + OUT_OF_RANGE + WRONG_TYPES)
 def test_bad_data_or_train_setting_names_the_field(tmp_path, capsys, section, key, value):
     doc = {"model": {"preset": "toy-seg"}, "data": {"num_scenes": 4, "num_points": 64},
            "train": {"epochs": 1, "batch_size": 2}}
-    doc[section][key] = value
+    if key is None:
+        doc[section] = value
+    else:
+        doc.setdefault(section, {})[key] = value
     config = _write_config(tmp_path, doc)
-    assert main(["train", str(config), "--run-dir", str(tmp_path / "run"), "--quiet"]) == 2
+    run = tmp_path / "run"
+    command = "ablate" if section == "ablate" else "train"
+    assert main([command, str(config), "--run-dir", str(run), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert key in err
-    if (section, key, value) in WRONG_TYPES:
-        assert f"{section}.{key}" in err
+    assert (key or section) in err
+    if (section, key, value) not in DATASET_SETTINGS:
+        # named and rejected before the run directory is made
+        assert (f"{section}.{key}" if key else f"{section} must be a JSON object") in err
+        assert not run.exists()
 
 
 @pytest.mark.parametrize("model", [{"preset": "toy-seg", "num_classes": 3},
