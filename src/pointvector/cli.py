@@ -2,15 +2,21 @@
 
 Configuration is one JSON document with four sections, `model`, `train`,
 `data` and the optional `ablate`. One reader, `model.read_section`, turns
-each into its dataclass (`ModelConfig`, `TrainConfig`, `DataConfig`,
-`AblateConfig`). A section that is not an object, an unknown key, or a value
-of the wrong type, checked down to each list element, is a ConfigError that
-names the section or `section.key`. The model section (a `preset` name plus
-`ModelConfig` overrides) is the only place to set the ablation switches
+each into its dataclass (`model.ModelConfig`, `train.TrainConfig`,
+`dataio.DataConfig`, `AblateConfig`). A section that is not an object, an
+unknown key, a value of the wrong type, checked down to each list element,
+or a value out of range is a ConfigError that names the section or
+`section.key`. The model section (a `preset` name plus `ModelConfig`
+overrides) sets the task, and the data section follows it: its dataset is
+built for the model's task, and its `kinds` set the model's class count. The
+model section is also the only place to set the ablation switches
 `aggregation`, `encoder` and `vector_dim`; the `ablate` section sweeps them
 by replacing those fields, and every cell is validated before the first one
-trains. Run artifacts live under the run directory: config.json (the
-resolved sections, which the checkpoint's model config equals), metrics.csv,
+trains. `train`, `ablate` and `gen-data` build the dataset, and `train` and
+`ablate` check that the model can train on it, before they create their
+output directory. `eval` builds it for the task of the checkpoint's model.
+Run artifacts live under the run directory: config.json (the resolved
+sections, which the checkpoint's model config equals), metrics.csv,
 best.ckpt.npz, log.txt; ablate writes ablate.csv. Timings come from the
 benchmark in a source checkout, `bench/run.py`, not from this CLI.
 
@@ -26,7 +32,7 @@ import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataio, gradcheck, model as model_mod, nnops, train as train_mod
@@ -47,22 +53,6 @@ EXIT_CHECKPOINT = 5
 
 
 @dataclass
-class DataConfig:
-    task: str = "segmentation"
-    num_scenes: int = 200
-    num_points: int = 512
-    kinds: list[str] = field(default_factory=lambda: list(dataio.KINDS))
-    noise_sigma: float = 0.01
-    num_primitives: int = 3
-    seed: int = 0
-    val_fraction: float = 0.2
-    manifest: str | None = None
-
-    def __post_init__(self):
-        model_mod.check_field_types(self, "data")
-
-
-@dataclass
 class AblateConfig:
     """The values each ablation sweep takes; a sweep left at None takes
     the one value of the model or train section."""
@@ -77,23 +67,8 @@ class AblateConfig:
         for f in dataclasses.fields(self):
             if getattr(self, f.name) == []:
                 raise ConfigError(f"ablate.{f.name} must list at least one value")
-
-
-def build_dataset(dc: DataConfig) -> dataio.Dataset:
-    if dc.manifest is not None:
-        return dataio.load_dataset_from_manifest(dc.manifest, dc.task, len(dc.kinds))
-    if dc.task == "segmentation":
-        return dataio.make_segmentation_dataset(
-            num_scenes=dc.num_scenes, num_points=dc.num_points,
-            kinds=tuple(dc.kinds), noise_sigma=dc.noise_sigma,
-            num_primitives=dc.num_primitives, seed=dc.seed,
-            val_fraction=dc.val_fraction)
-    if dc.task == "classification":
-        return dataio.make_classification_dataset(
-            num_clouds=dc.num_scenes, num_points=dc.num_points,
-            kinds=tuple(dc.kinds), noise_sigma=dc.noise_sigma, seed=dc.seed,
-            val_fraction=dc.val_fraction)
-    raise ConfigError(f"unknown data task {dc.task!r}")
+        if self.epochs is not None and self.epochs < 1:
+            raise ConfigError(f"ablate.epochs must be >= 1, got {self.epochs}")
 
 
 def model_config_from_section(section, num_classes: int) -> ModelConfig:
@@ -126,15 +101,12 @@ def load_config(path) -> dict:
 
 
 def resolve_configs(doc: dict, seed_override: int | None = None):
-    data_cfg = read_section(DataConfig, doc.get("data", {}), "data")
+    """The (model, train, data) configs of a config document."""
+    data_cfg = read_section(dataio.DataConfig, doc.get("data", {}), "data")
     train_cfg = TrainConfig.from_dict(doc.get("train", {}))
     if seed_override is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=seed_override)
-    num_classes = len(data_cfg.kinds)
-    model_cfg = model_config_from_section(doc.get("model", {}), num_classes)
-    if model_cfg.task != data_cfg.task:
-        raise ConfigError(
-            f"model task {model_cfg.task!r} != data task {data_cfg.task!r}")
+    model_cfg = model_config_from_section(doc.get("model", {}), len(data_cfg.kinds))
     return model_cfg, train_cfg, data_cfg
 
 
@@ -177,6 +149,8 @@ def _prepare_run_dir(args, config_path) -> Path:
 def cmd_train(args) -> int:
     doc = load_config(args.config)
     model_cfg, train_cfg, data_cfg = resolve_configs(doc, args.seed)
+    dataset = dataio.make_dataset(data_cfg, model_cfg.task)
+    train_mod.check_trainable(model_cfg, dataset)
     run_dir = _prepare_run_dir(args, args.config)
     log = RunLogger(run_dir / "log.txt", quiet=args.quiet)
     resolved = {"model": dataclasses.asdict(model_cfg),
@@ -184,8 +158,7 @@ def cmd_train(args) -> int:
                 "data": dataclasses.asdict(data_cfg)}
     (run_dir / "config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    log(f"building dataset ({data_cfg.task}, {data_cfg.num_scenes} scenes)")
-    dataset = build_dataset(data_cfg)
+    log(f"dataset: {dataset.num_scenes} {dataset.task} scenes")
     log(f"training for {train_cfg.epochs} epochs, seed {train_cfg.seed}, "
         f"precision {args.precision}")
     report = train_mod.train_loop(model_cfg, train_cfg, dataset,
@@ -201,7 +174,7 @@ def cmd_eval(args) -> int:
     mdl, extra = model_mod.load_checkpoint(args.checkpoint)
     doc = load_config(args.config)
     _, train_cfg, data_cfg = resolve_configs(doc)
-    dataset = build_dataset(data_cfg)
+    dataset = dataio.make_dataset(data_cfg, mdl.cfg.task)
     eps = train_cfg.label_smoothing
     if args.perturbations == "none":
         specs = [("none", train_mod.AugmentSpec(), 1.0)]
@@ -223,11 +196,10 @@ def cmd_eval(args) -> int:
 
 
 def _ablate_cell(cell) -> dict:
-    """One ablation cell, a (model, train, data, precision) tuple; runs in a
-    worker process."""
-    model_cfg, train_cfg, data_cfg, precision = cell
+    """One ablation cell, a (model config, train config, dataset, precision)
+    tuple; runs in a worker process."""
+    model_cfg, train_cfg, dataset, precision = cell
     with nnops.precision(precision):
-        dataset = build_dataset(data_cfg)
         report = train_mod.train_loop(model_cfg, train_cfg, dataset)
         best_rows = [r for r in report.rows
                      if r.split == "val" and r.epoch == report.best_epoch]
@@ -255,10 +227,12 @@ def cmd_ablate(args) -> int:
         return [default] if values is None else values
 
     epochs = train_cfg.epochs if ab.epochs is None else ab.epochs
+    dataset = dataio.make_dataset(data_cfg, model_cfg.task)
+    train_mod.check_trainable(model_cfg, dataset)
     # every cell's config is built, and so validated, before any cell runs
     payloads = [(dataclasses.replace(model_cfg, aggregation=agg, encoder=enc, vector_dim=m),
                  dataclasses.replace(train_cfg, seed=seed, epochs=epochs),
-                 data_cfg, args.precision)
+                 dataset, args.precision)
                 for agg, enc, m, seed in itertools.product(
                     sweep(ab.aggregations, model_cfg.resolved_aggregation()),
                     sweep(ab.encoders, model_cfg.encoder),
@@ -305,8 +279,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_gen_data(args) -> int:
     doc = load_config(args.config)
-    data_cfg = read_section(DataConfig, doc.get("data", {}), "data")
-    dataset = build_dataset(data_cfg)
+    model_cfg, _, data_cfg = resolve_configs(doc)
+    dataset = dataio.make_dataset(data_cfg, model_cfg.task)
     manifest = dataio.save_dataset_scenes(
         dataset, _prepare_out_dir(args.out, args.overwrite))
     print(f"wrote {dataset.num_scenes} scenes and manifest {manifest}")

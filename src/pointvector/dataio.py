@@ -1,9 +1,20 @@
-"""Synthetic labeled point-cloud generation and plain-text point-cloud I/O.
+"""The dataset spec, synthetic labeled point clouds, and plain-text I/O.
 
-Scenes are sampled on randomly posed geometric primitives (plane patches,
-spheres, open cylinders); each point's class is the kind of its primitive.
-The toy segmentation task is therefore solvable from local geometry alone,
-which is exactly what the aggregation operators consume.
+`DataConfig`, the data section of a config, is the one description of a
+dataset: it holds the defaults and the range check of every value, each
+naming `data.<key>`. `make_dataset(cfg, task)` builds the dataset for a
+model of the given task, from the scene files of `cfg.manifest` or
+synthetically, and adds the one check that depends on the task;
+`make_segmentation_dataset(**settings)` is its keyword form for synthetic
+segmentation.
+
+Synthetic clouds are sampled on randomly posed geometric primitives (plane
+patches, spheres, open cylinders), and a class id is the index of a kind in
+`kinds`. A segmentation scene holds `num_primitives` primitives and labels
+each point with its primitive's kind, so the task is solvable from local
+geometry alone, which is exactly what the aggregation operators consume. A
+classification cloud holds one primitive, whose kind is its label, so
+`num_primitives` does not apply to it.
 """
 
 from __future__ import annotations
@@ -15,33 +26,41 @@ import numpy as np
 
 from .errors import ConfigError, DataError, EmptyCloudError, FormatError, ParseError
 from .geometry import PointSetBatch
+from .model import check_field_types
 
 KINDS = ("plane", "sphere", "cylinder")
+EXTENT = 2.0      # the scene's bounding half-extent is EXTENT/2
+MIN_SIZE = 0.25   # primitive size range; small primitives keep local curvature visible
+MAX_SIZE = 0.5
 
 
 @dataclass
-class SceneSpec:
+class DataConfig:
+    """A synthetic dataset's settings; a manifest of scene files replaces
+    the synthetic scenes, and its class ids still index `kinds`."""
+    num_scenes: int = 200
     num_points: int = 512
-    num_primitives: int = 3
-    kinds: tuple = KINDS
+    kinds: list[str] = field(default_factory=lambda: list(KINDS))
     noise_sigma: float = 0.01
+    num_primitives: int = 3
     seed: int = 0
-    extent: float = 2.0          # scene bounding half-extent is extent/2
-    min_size: float = 0.25       # small primitives keep local curvature visible
-    max_size: float = 0.5
+    val_fraction: float = 0.2
+    manifest: str | None = None
 
     def __post_init__(self):
-        if self.num_primitives < 1:
-            raise ConfigError(f"num_primitives must be >= 1, got {self.num_primitives}")
-        if self.num_points < self.num_primitives:
-            raise ConfigError("num_points must be >= num_primitives")
+        check_field_types(self, "data")
+        for name in ("num_scenes", "num_points", "num_primitives"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"data.{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
         if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be nonnegative")
-        if not self.kinds:
-            raise ConfigError("at least one primitive kind is required")
-        for kind in self.kinds:
-            if kind not in KINDS:
-                raise ConfigError(f"unknown primitive kind {kind!r}")
+            raise ConfigError(f"data.noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.val_fraction <= 1:
+            raise ConfigError(f"data.val_fraction must lie in [0, 1], got {self.val_fraction}")
+        if not self.kinds or not set(self.kinds) <= set(KINDS):
+            raise ConfigError(f"data.kinds must list primitive kinds from {list(KINDS)}, "
+                              f"got {self.kinds}")
 
 
 @dataclass
@@ -85,19 +104,19 @@ def _bounding_radius(prim: Primitive) -> float:
     return float(np.hypot(prim.size, prim.height / 2.0))
 
 
-def _make_primitives(spec: SceneSpec, rng: np.random.Generator) -> list[Primitive]:
-    """Randomly posed primitives, rejection-sampled so surfaces stay disjoint.
+def _make_primitives(layout: list[str], rng: np.random.Generator) -> list[Primitive]:
+    """One randomly posed primitive per kind in layout, rejection-sampled so
+    surfaces stay disjoint.
 
     Separated surfaces keep every point locally unambiguous, so the labels are
     recoverable from local geometry alone. The separation margin is relaxed
-    when a crowded spec leaves no room.
+    when a crowded layout leaves no room.
     """
-    span = spec.extent / 2.0 * 0.7
+    span = EXTENT / 2.0 * 0.7
     prims: list[Primitive] = []
-    for i in range(spec.num_primitives):
-        kind = spec.kinds[i % len(spec.kinds)]
-        size = rng.uniform(spec.min_size, spec.max_size)
-        height = rng.uniform(spec.min_size, spec.max_size) * 2.0
+    for kind in layout:
+        size = rng.uniform(MIN_SIZE, MAX_SIZE)
+        height = rng.uniform(MIN_SIZE, MAX_SIZE) * 2.0
         prim = Primitive(kind=kind, center=np.zeros(3), frame=_random_frame(rng),
                          size=size, height=height)
         margin = 1.0
@@ -126,40 +145,21 @@ def _allocate(total: int, parts: int) -> list[int]:
     return counts
 
 
-def gen_segmentation_scene(spec: SceneSpec) -> PointSetBatch:
-    """One scene: points sampled on posed primitives, labeled by primitive kind.
-
-    Deterministic per spec.seed. The class id of a point is the index of its
-    primitive's kind within spec.kinds.
-    """
-    rng = np.random.default_rng(spec.seed)
-    prims = _make_primitives(spec, rng)
-    counts = _allocate(spec.num_points, len(prims))
-    points, labels = [], []
-    for prim, count in zip(prims, counts):
-        points.append(_sample_primitive(rng, prim, count))
-        labels.append(np.full(count, spec.kinds.index(prim.kind), dtype=np.int64))
-    positions = np.concatenate(points, axis=0)
-    if spec.noise_sigma > 0:
-        positions = positions + rng.normal(0.0, spec.noise_sigma, size=positions.shape)
-    return PointSetBatch(positions=positions[None], labels=np.concatenate(labels)[None])
-
-
-def gen_classification_set(spec: SceneSpec):
-    """num_primitives single-primitive clouds; label = index of the kind in spec.kinds."""
-    rng = np.random.default_rng(spec.seed)
-    out = []
-    for i in range(spec.num_primitives):
-        sub = SceneSpec(num_points=spec.num_points, num_primitives=1,
-                        kinds=(spec.kinds[i % len(spec.kinds)],),
-                        noise_sigma=spec.noise_sigma,
-                        seed=int(rng.integers(0, 2 ** 31)),
-                        extent=spec.extent, min_size=spec.min_size,
-                        max_size=spec.max_size)
-        cloud = gen_segmentation_scene(sub)
-        label = spec.kinds.index(sub.kinds[0])
-        out.append((PointSetBatch(positions=cloud.positions), label))
-    return out
+def _cloud(seed: int, layout: list[str], kinds: list[str], num_points: int,
+           noise_sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions [N,3] of points on one posed primitive per kind in layout,
+    and each point's class, the index of its primitive's kind in kinds.
+    Deterministic per seed."""
+    rng = np.random.default_rng(seed)
+    prims = _make_primitives(layout, rng)
+    counts = _allocate(num_points, len(prims))
+    positions = np.concatenate([_sample_primitive(rng, prim, count)
+                                for prim, count in zip(prims, counts)], axis=0)
+    labels = np.repeat(np.asarray([kinds.index(p.kind) for p in prims], dtype=np.int64),
+                       counts)
+    if noise_sigma > 0:
+        positions = positions + rng.normal(0.0, noise_sigma, size=positions.shape)
+    return positions, labels
 
 
 # ---------------------------------------------------------------------------
@@ -262,50 +262,53 @@ class Dataset:
 
 
 def _split_indices(n: int, val_fraction: float, rng: np.random.Generator) -> dict:
-    if not 0 <= val_fraction <= 1:
-        raise ConfigError(f"val_fraction must lie in [0, 1], got {val_fraction}")
     order = rng.permutation(n)
     n_val = max(1, int(round(n * val_fraction)))
     return {"val": np.sort(order[:n_val]), "train": np.sort(order[n_val:])}
 
 
-def make_segmentation_dataset(num_scenes: int = 200, num_points: int = 512,
-                              kinds: tuple = KINDS, noise_sigma: float = 0.01,
-                              num_primitives: int = 3, seed: int = 0,
-                              val_fraction: float = 0.2) -> Dataset:
-    """Seed-fixed synthetic segmentation task; scene i uses seed derived from (seed, i)."""
-    if num_scenes < 1:
-        raise ConfigError(f"num_scenes must be >= 1, got {num_scenes}")
-    seq = np.random.SeedSequence([seed, 0x5e60])
-    scene_seeds = seq.generate_state(num_scenes)
-    positions, labels = [], []
-    for i in range(num_scenes):
-        spec = SceneSpec(num_points=num_points, num_primitives=num_primitives,
-                         kinds=kinds, noise_sigma=noise_sigma,
-                         seed=int(scene_seeds[i]))
-        cloud = gen_segmentation_scene(spec)
-        positions.append(cloud.positions[0])
-        labels.append(cloud.labels[0])
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51f7]))
-    return Dataset(positions=np.stack(positions), labels=np.stack(labels),
-                   task="segmentation", num_classes=len(kinds),
-                   splits=_split_indices(num_scenes, val_fraction, rng))
+def make_dataset(cfg: DataConfig, task: str) -> Dataset:
+    """The dataset cfg describes, for a model of the given task: the scenes
+    listed in cfg.manifest, else seed-fixed synthetic ones.
+
+    Every synthetic cloud draws from its own seed: segmentation scene i from
+    a seed derived from (cfg.seed, i), classification cloud i from the i-th
+    draw of a generator seeded with cfg.seed. Cloud i of a classification
+    set is a kinds[i % len(kinds)] primitive.
+    """
+    if task not in ("segmentation", "classification"):
+        raise ConfigError(f"task must be segmentation or classification, got {task!r}")
+    kinds = cfg.kinds
+    if cfg.manifest is not None:
+        if not Path(cfg.manifest).is_file():
+            raise ConfigError(f"data.manifest {cfg.manifest} is not a file")
+        return load_dataset_from_manifest(cfg.manifest, task, len(kinds))
+    if task == "segmentation":
+        if cfg.num_points < cfg.num_primitives:
+            raise ConfigError(f"data.num_points must be >= data.num_primitives "
+                              f"({cfg.num_primitives}), got {cfg.num_points}")
+        seeds = np.random.SeedSequence([cfg.seed, 0x5e60]).generate_state(cfg.num_scenes)
+        layout = [kinds[i % len(kinds)] for i in range(cfg.num_primitives)]
+        layouts = [layout] * cfg.num_scenes
+        split_tag = 0x51f7
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        # one draw per cloud: a single draw of n values would give other seeds
+        seeds = [rng.integers(0, 2 ** 31) for _ in range(cfg.num_scenes)]
+        layouts = [[kinds[i % len(kinds)]] for i in range(cfg.num_scenes)]
+        split_tag = 0xc1a5
+    clouds = [_cloud(int(seed), layout, kinds, cfg.num_points, cfg.noise_sigma)
+              for seed, layout in zip(seeds, layouts)]
+    labels = np.stack([lab if task == "segmentation" else lab[0] for _, lab in clouds])
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, split_tag]))
+    return Dataset(positions=np.stack([pos for pos, _ in clouds]), labels=labels,
+                   task=task, num_classes=len(kinds),
+                   splits=_split_indices(cfg.num_scenes, cfg.val_fraction, rng))
 
 
-def make_classification_dataset(num_clouds: int = 120, num_points: int = 256,
-                                kinds: tuple = KINDS, noise_sigma: float = 0.02,
-                                seed: int = 0, val_fraction: float = 0.2) -> Dataset:
-    if num_clouds < 1:
-        raise ConfigError(f"num_clouds must be >= 1, got {num_clouds}")
-    spec = SceneSpec(num_points=num_points, num_primitives=num_clouds,
-                     kinds=kinds, noise_sigma=noise_sigma, seed=seed)
-    items = gen_classification_set(spec)
-    positions = np.stack([c.positions[0] for c, _ in items])
-    labels = np.asarray([lab for _, lab in items], dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xc1a5]))
-    return Dataset(positions=positions, labels=labels, task="classification",
-                   num_classes=len(kinds),
-                   splits=_split_indices(num_clouds, val_fraction, rng))
+def make_segmentation_dataset(**settings) -> Dataset:
+    """The synthetic segmentation dataset of DataConfig(**settings)."""
+    return make_dataset(DataConfig(**settings), "segmentation")
 
 
 def save_dataset_scenes(dataset: Dataset, directory, prefix: str = "scene") -> str:
@@ -334,6 +337,8 @@ def save_dataset_scenes(dataset: Dataset, directory, prefix: str = "scene") -> s
 
 
 def load_dataset_from_manifest(manifest_path, task: str, num_classes: int) -> Dataset:
+    """The scenes a manifest lists, which must share one point count and
+    carry labels in [0, num_classes)."""
     base = Path(manifest_path).parent
     entries = read_manifest(manifest_path)
     if not entries:
@@ -341,9 +346,15 @@ def load_dataset_from_manifest(manifest_path, task: str, num_classes: int) -> Da
     positions, labels, split_lists = [], [], {}
     for i, (split, rel) in enumerate(entries):
         cloud = read_points(base / rel)
-        positions.append(cloud.positions[0])
         if cloud.labels is None:
             raise DataError(f"{rel}: scenes in a dataset need labels")
+        if positions and cloud.num_points != len(positions[0]):
+            raise DataError(f"{rel}: {cloud.num_points} points, but {entries[0][1]} has "
+                            f"{len(positions[0])}; the scenes of a dataset need one size")
+        if cloud.labels.min() < 0 or cloud.labels.max() >= num_classes:
+            raise DataError(f"{rel}: labels outside [0, {num_classes}), the indices "
+                            "of data.kinds")
+        positions.append(cloud.positions[0])
         if task == "segmentation":
             labels.append(cloud.labels[0])
         else:

@@ -87,30 +87,34 @@ class ModelConfig:
         n = len(self.sa_per_stage)
         if not (len(self.vpsa_per_stage) == len(self.strides) == n):
             raise ConfigError(
-                "sa_per_stage, vpsa_per_stage and strides must have equal length, got "
-                f"{len(self.sa_per_stage)}/{len(self.vpsa_per_stage)}/{len(self.strides)}")
+                "model.sa_per_stage, model.vpsa_per_stage and model.strides must have "
+                f"equal length, got {len(self.sa_per_stage)}/{len(self.vpsa_per_stage)}/"
+                f"{len(self.strides)}")
         if n == 0:
-            raise ConfigError("at least one stage is required")
+            raise ConfigError("model.sa_per_stage must list at least one stage")
         if self.radii is not None and len(self.radii) != n:
-            raise ConfigError("radii must list one radius per stage")
+            raise ConfigError(f"model.radii must list one radius per stage ({n}), "
+                              f"got {self.radii}")
         for name, low in (("sa_per_stage", 0), ("vpsa_per_stage", 0), ("strides", 1)):
             if min(getattr(self, name)) < low:
                 raise ConfigError(f"model.{name} must be >= {low}, got {getattr(self, name)}")
         if self.radii is not None and min(self.radii) <= 0:
             raise ConfigError(f"model.radii must be > 0, got {self.radii}")
         if self.task not in ("segmentation", "classification"):
-            raise ConfigError(f"task must be segmentation or classification, got {self.task!r}")
-        if self.vector_dim not in (1, 2, 3):
-            raise ConfigError(f"vector_dim must be 1, 2, or 3, got {self.vector_dim}")
-        if self.encoder not in vecenc.ENCODERS:
             raise ConfigError(
-                f"unknown encoder {self.encoder!r}; choose from {sorted(vecenc.ENCODERS)}")
+                f"model.task must be segmentation or classification, got {self.task!r}")
+        if self.vector_dim not in (1, 2, 3):
+            raise ConfigError(f"model.vector_dim must be 1, 2 or 3, got {self.vector_dim}")
+        if self.encoder not in vecenc.ENCODERS:
+            raise ConfigError(f"unknown model.encoder {self.encoder!r}; "
+                              f"choose from {sorted(vecenc.ENCODERS)}")
         if self.aggregation is not None and self.aggregation not in setabs.AGGREGATION_MODES:
-            raise ConfigError(f"aggregation must be one of {setabs.AGGREGATION_MODES}, "
+            raise ConfigError(f"model.aggregation must be one of {setabs.AGGREGATION_MODES}, "
                               f"got {self.aggregation!r}")
         for i, (s, v) in enumerate(zip(self.sa_per_stage, self.vpsa_per_stage)):
             if s == 0 and v == 0:
-                raise ConfigError(f"stage {i} has neither SA nor VPSA blocks")
+                raise ConfigError(f"stage {i} has neither SA nor VPSA blocks: "
+                                  "model.sa_per_stage and model.vpsa_per_stage are both 0")
 
     @property
     def num_stages(self) -> int:

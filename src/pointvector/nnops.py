@@ -314,16 +314,6 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     return custom_op(out, tuple(parts), grad_fn)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    shape = x.data.shape
-
-    def grad_fn(g):
-        return (np.full(shape, float(g) / n, dtype=x.data.dtype),)
-
-    return custom_op(np.asarray(x.data.mean()), (x,), grad_fn)
-
-
 def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
 

@@ -57,12 +57,16 @@ class TrainConfig:
             raise ConfigError(f"train.scale_range must be [lo, hi] with 0 < lo <= hi, "
                               f"got {self.scale_range}")
         if not 0 <= self.label_smoothing < 1:
-            raise ConfigError("label_smoothing must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.rotate_mode not in ("discrete", "uniform", "none"):
             raise ConfigError(
-                f"rotate_mode must be discrete, uniform, or none, got {self.rotate_mode!r}")
+                f"train.label_smoothing must lie in [0, 1), got {self.label_smoothing}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train.{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
+        if self.rotate_mode not in ("discrete", "uniform", "none"):
+            raise ConfigError(f"train.rotate_mode must be discrete, uniform or none, "
+                              f"got {self.rotate_mode!r}")
 
     @classmethod
     def from_dict(cls, d) -> "TrainConfig":
@@ -340,6 +344,16 @@ def _check_num_classes(cfg: ModelConfig, dataset: Dataset) -> None:
                           f"dataset has {dataset.num_classes}")
 
 
+def check_trainable(cfg: ModelConfig, dataset: Dataset) -> None:
+    """The checks train_loop makes of its inputs before it trains, for a
+    caller to run before it writes anything: the model predicts the
+    dataset's classes, and the train split is not empty."""
+    _check_num_classes(cfg, dataset)
+    if len(dataset.split_indices("train")) == 0:
+        raise DataError(f"the train split of {dataset.num_scenes} scenes is empty; "
+                        "raise data.num_scenes or lower data.val_fraction")
+
+
 def evaluate(mdl: Model, dataset: Dataset, split: str, eps: float,
              batch_size: int = 16, spec: AugmentSpec | None = None,
              radius_scale: float = 1.0) -> tuple[float, np.ndarray]:
@@ -429,7 +443,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
     the batch before it, since batch statistics over one sample are
     undefined for the pooled classification head.
     """
-    _check_num_classes(model_cfg, dataset)
+    check_trainable(model_cfg, dataset)
     seq = np.random.SeedSequence([train_cfg.seed, 0x7e57])
     model_seed, order_seed, aug_seed = seq.generate_state(3)
     mdl = Model(model_cfg, seed=int(model_seed))
@@ -439,9 +453,6 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
     order_rng = np.random.default_rng(int(order_seed))
     aug_rng = np.random.default_rng(int(aug_seed))
     train_idx = dataset.split_indices("train")
-    if len(train_idx) == 0:
-        raise DataError(f"the train split of {dataset.num_scenes} scenes is empty; "
-                        "raise num_scenes or lower val_fraction")
     k = dataset.num_classes
     eps = train_cfg.label_smoothing
     select_by = "miou" if dataset.task == "segmentation" else "oa"

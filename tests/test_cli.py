@@ -6,9 +6,9 @@ import pytest
 
 from pointvector import dataio, gradcheck, nnops
 from pointvector import train as train_mod
-from pointvector.cli import DataConfig, build_dataset, main, make_parser
+from pointvector.cli import main, make_parser
 from pointvector.geometry import PointSetBatch
-from pointvector.model import Model, load_checkpoint, param_count, read_section
+from pointvector.model import Model, load_checkpoint, param_count
 
 GLOBAL = ["--seed", "5", "--jobs", "3", "--overwrite", "--precision", "single", "--quiet"]
 
@@ -51,7 +51,7 @@ def test_gen_data_round_trips_through_the_manifest(tmp_path):
     config.write_text(json.dumps({"data": data}))
     out = tmp_path / "scenes"
     assert main(["gen-data", str(config), "--out", str(out), "--quiet"]) == 0
-    want = build_dataset(read_section(DataConfig, data, "data"))
+    want = dataio.make_dataset(dataio.DataConfig(**data), "segmentation")
     got = dataio.load_dataset_from_manifest(out / "manifest.txt", "segmentation",
                                             want.num_classes)
     assert got.positions.dtype == want.positions.dtype == np.float64
@@ -59,6 +59,81 @@ def test_gen_data_round_trips_through_the_manifest(tmp_path):
     assert np.array_equal(got.labels, want.labels)
     for split in ("train", "val"):
         assert np.array_equal(got.split_indices(split), want.split_indices(split))
+
+
+# sums and splits of the seed-3 datasets; positions.sum() is held to 1e-12, so
+# that last-bit differences of libm or LAPACK between machines pass, while any
+# change of seed stream or draw order moves it by far more
+FINGERPRINTS = {
+    "segmentation": (31.330215688641864, 378, [1, 2, 3, 4, 5], [0]),
+    "classification": (-66.99286529101789, 6, [0, 2, 3, 4, 5], [1]),
+}
+
+
+@pytest.mark.parametrize("task", sorted(FINGERPRINTS))
+def test_synthetic_dataset_fingerprint(task):
+    position_sum, label_sum, train, val = FINGERPRINTS[task]
+    settings = {"num_scenes": 6, "num_points": 64, "seed": 3}
+    data = dataio.make_dataset(dataio.DataConfig(**settings), task)
+    assert float(data.positions.sum()) == pytest.approx(position_sum, rel=1e-12, abs=0)
+    assert int(data.labels.sum()) == label_sum
+    assert data.split_indices("train").tolist() == train
+    assert data.split_indices("val").tolist() == val
+    if task == "segmentation":
+        keyword = dataio.make_segmentation_dataset(**settings)
+        assert np.array_equal(keyword.positions, data.positions)
+        assert np.array_equal(keyword.labels, data.labels)
+
+
+def test_classification_clouds_hold_one_primitive():
+    """num_primitives does not bound a classification set's cloud count."""
+    data = dataio.make_dataset(dataio.DataConfig(num_scenes=200, num_points=128),
+                               "classification")
+    assert data.positions.shape == (200, 128, 3)
+    assert np.array_equal(data.labels, np.arange(200) % len(dataio.KINDS))
+
+
+def test_model_task_sets_the_data_task(tmp_path):
+    config = tmp_path / "cls.json"
+    config.write_text(json.dumps({
+        "model": {"preset": "toy-cls"},
+        "data": {"num_scenes": 6, "num_points": 64},
+        "train": {"epochs": 1, "batch_size": 4},
+    }))
+    run = tmp_path / "run"
+    assert main(["train", str(config), "--run-dir", str(run), "--quiet"]) == 0
+    assert json.loads((run / "config.json").read_text())["model"]["task"] == "classification"
+    assert main(["eval", str(run / "best.ckpt.npz"), str(config)]) == 0
+    out = tmp_path / "scenes"
+    assert main(["gen-data", str(config), "--out", str(out)]) == 0
+    want = dataio.make_dataset(dataio.DataConfig(num_scenes=6, num_points=64),
+                               "classification")
+    got = dataio.load_dataset_from_manifest(out / "manifest.txt", "classification",
+                                            want.num_classes)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.labels, want.labels)
+
+
+@pytest.mark.parametrize("points,label,error", [(70, 0, "one size"), (64, 3, "[0, 3)")],
+                         ids=["another_size", "label_not_a_class"])
+def test_bad_manifest_scene_is_rejected_before_any_output(tmp_path, capsys, points, label,
+                                                          error):
+    """The second scene has another size, or a label that is not a class."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    rng = np.random.default_rng(0)
+    for i, n in enumerate([64, points]):
+        dataio.write_points(scenes / f"s{i}.xyz", PointSetBatch(
+            positions=rng.standard_normal((1, n, 3)), labels=np.full((1, n), i * label)))
+    dataio.write_manifest(scenes / "manifest.txt", [("train", "s0.xyz"), ("val", "s1.xyz")])
+    config = _write_config(tmp_path, {"model": {"preset": "toy-seg"},
+                                      "data": {"manifest": str(scenes / "manifest.txt")},
+                                      "train": {"epochs": 1}})
+    run = tmp_path / "run"
+    assert main(["train", str(config), "--run-dir", str(run), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "s1.xyz" in err and error in err
+    assert not run.exists()
 
 
 def test_write_then_read_points_is_exact(tmp_path):
@@ -200,7 +275,7 @@ def test_gradcheck_without_instances_is_a_config_error(capsys, instances):
     assert "passed" not in captured.out
 
 
-# settings rejected when the dataset is built
+# data settings rejected before anything is written
 DATASET_SETTINGS = [("data", "num_scenes", 1), ("data", "val_fraction", 1.5),
                     ("data", "num_scenes", 0), ("data", "num_primitives", 0),
                     ("data", "val_fraction", -0.5)]
@@ -221,26 +296,61 @@ OUT_OF_RANGE = [("train", "weight_decay", -1), ("train", "scale_range", [-1, -0.
                 ("model", "sa_layers", 0), ("model", "strides", [2, -2]),
                 ("model", "radii", [-1, 0.5]), ("model", "sa_per_stage", [-1, 1]),
                 ("ablate", "seeds", [])]
+# later cases go after the three lists above, so that the generated ids of
+# their list values (value<position>) stay as they were
+MORE_DATASET_SETTINGS = [("data", "kinds", ["cube"]), ("data", "kinds", []),
+                         ("data", "noise_sigma", -1), ("data", "manifest", "no/manifest.txt"),
+                         ("data", "seed", -1), ("data", "task", "segmentation")]
+MORE_OUT_OF_RANGE = [("train", "label_smoothing", 1.0), ("train", "epochs", 0),
+                     ("train", "batch_size", 0), ("train", "rotate_mode", "spin"),
+                     ("train", "seed", -1), ("model", "task", "detection"),
+                     ("model", "vector_dim", 4), ("model", "encoder", "bogus"),
+                     ("model", "aggregation", "bogus"), ("model", "strides", [2]),
+                     ("model", "radii", [0.3]), ("model", "vpsa_per_stage", [1, 0]),
+                     ("ablate", "epochs", 0)]
 
 
-@pytest.mark.parametrize("section,key,value", DATASET_SETTINGS + OUT_OF_RANGE + WRONG_TYPES)
-def test_bad_data_or_train_setting_names_the_field(tmp_path, capsys, section, key, value):
-    doc = {"model": {"preset": "toy-seg"}, "data": {"num_scenes": 4, "num_points": 64},
+def _bad_setting_config(tmp_path, section, key, value):
+    # stage 1 of the base model holds VPSA blocks only, so vpsa_per_stage alone
+    # can leave it empty
+    doc = {"model": {"preset": "toy-seg", "sa_per_stage": [1, 0]},
+           "data": {"num_scenes": 4, "num_points": 64},
            "train": {"epochs": 1, "batch_size": 2}}
     if key is None:
         doc[section] = value
     else:
         doc.setdefault(section, {})[key] = value
-    config = _write_config(tmp_path, doc)
+    return _write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("section,key,value", DATASET_SETTINGS + OUT_OF_RANGE + WRONG_TYPES
+                         + MORE_DATASET_SETTINGS + MORE_OUT_OF_RANGE)
+def test_bad_data_or_train_setting_names_the_field(tmp_path, capsys, section, key, value):
+    config = _bad_setting_config(tmp_path, section, key, value)
     run = tmp_path / "run"
     command = "ablate" if section == "ablate" else "train"
     assert main([command, str(config), "--run-dir", str(run), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert (key or section) in err
-    if (section, key, value) not in DATASET_SETTINGS:
-        # named and rejected before the run directory is made
-        assert (f"{section}.{key}" if key else f"{section} must be a JSON object") in err
-        assert not run.exists()
+    # named and rejected before the run directory is made
+    assert (f"{section}.{key}" if key else f"{section} must be a JSON object") in err
+    assert not run.exists()
+
+
+# one scene is a dataset that gen-data writes, but leaves nothing to train on
+NO_TRAIN_SPLIT = ("data", "num_scenes", 1)
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    (command, *setting) for command in ("ablate", "gen-data")
+    for setting in DATASET_SETTINGS + MORE_DATASET_SETTINGS
+    if command == "ablate" or setting != NO_TRAIN_SPLIT])
+def test_bad_data_setting_leaves_no_output(tmp_path, capsys, command, section, key, value):
+    config = _bad_setting_config(tmp_path, section, key, value)
+    out = tmp_path / "out"
+    flag = "--out" if command == "gen-data" else "--run-dir"
+    assert main([command, str(config), flag, str(out), "--quiet"]) == 2
+    assert f"data.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", [{"preset": "toy-seg", "num_classes": 3},

@@ -60,7 +60,7 @@ class TestAblationCellsTrain:
                                   vector_dim=vector_dim))
         with GradTape() as tape:
             logits = mdl.forward_seg(cloud(rng, 2, 40), "train")
-            loss = nnops.mean_all(logits)
+            loss = nnops.sum_all(logits)
             grads = nnops.backward(tape, loss)
         params = mdl.named_params()
         assert grads
@@ -138,7 +138,7 @@ class TestSinglePrecision:
             mdl = Model(preset_config("toy-seg", num_classes=3))
             with GradTape() as tape:
                 logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
-                grads = nnops.backward(tape, nnops.mean_all(logits))
+                grads = nnops.backward(tape, nnops.sum_all(logits))
         assert logits.data.dtype == np.float32
         assert len(grads) == len(mdl.named_params())
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
@@ -149,7 +149,7 @@ class TestSinglePrecision:
             mdl = Model(preset_config("toy-seg", num_classes=3, sa_layers=1))
             with GradTape() as tape:
                 logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
-                grads = nnops.backward(tape, nnops.mean_all(logits))
+                grads = nnops.backward(tape, nnops.sum_all(logits))
         assert len(grads) == len(mdl.named_params())
         assert all(g.dtype == np.float32 for g in grads.values())
         assert all(a.dtype == np.float32 for a in mdl.named_running().values())

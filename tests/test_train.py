@@ -18,7 +18,8 @@ from pointvector.train import (
 
 
 def test_remainder_of_one_cloud_joins_previous_batch():
-    data = dataio.make_classification_dataset(num_clouds=25, num_points=32, seed=0)
+    data = dataio.make_dataset(dataio.DataConfig(num_scenes=25, num_points=32, noise_sigma=0.02),
+                               "classification")
     assert len(data.split_indices("train")) == 20
     cfg = TrainConfig(epochs=1, batch_size=19, augment=False, seed=0)
     report = train_loop(preset_config("toy-cls", num_classes=data.num_classes),
