@@ -61,6 +61,9 @@ class DataConfig:
         if not self.kinds or not set(self.kinds) <= set(KINDS):
             raise ConfigError(f"data.kinds must list primitive kinds from {list(KINDS)}, "
                               f"got {self.kinds}")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError(f"data.kinds must not repeat a kind, got {self.kinds}: "
+                              "a repeat is a class no point carries")
 
 
 @dataclass

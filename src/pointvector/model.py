@@ -130,6 +130,27 @@ class ModelConfig:
     def stage_width(self, i: int) -> int:
         return self.embed_channels * (2 ** (i + 1))
 
+    def stage_blocks(self, i: int) -> list[tuple[str, int, int]]:
+        """(kind, k_neighbors, stride) of each block of stage i, in order:
+        the SA blocks, then the VPSA blocks; the first block takes the
+        stage's stride."""
+        kinds = ["sa"] * self.sa_per_stage[i] + ["vpsa"] * self.vpsa_per_stage[i]
+        return [(kind, self.k_sa if kind == "sa" else self.k_vpsa,
+                 self.strides[i] if j == 0 else 1) for j, kind in enumerate(kinds)]
+
+    def min_points(self) -> int:
+        """Smallest cloud size every block accepts.
+
+        Walks the blocks backwards: a block needs at least k input points to
+        group, and a stride-s block must leave as many points as the blocks
+        after it need, so its input needs s*(need - 1) + 1.
+        """
+        need = 1
+        for i in reversed(range(self.num_stages)):
+            for _, k, stride in reversed(self.stage_blocks(i)):
+                need = max(k, stride * (need - 1) + 1)
+        return need
+
 
 @dataclass
 class Block:
@@ -154,30 +175,16 @@ class Model:
             out_w = cfg.stage_width(i)
             radius = None if cfg.radii is None else cfg.radii[i]
             blocks: list[Block] = []
-            n_sa = cfg.sa_per_stage[i]
-            n_vpsa = cfg.vpsa_per_stage[i]
-            stride_owner_is_sa = n_sa >= 1
-            for j in range(n_sa):
-                bc = BlockConfig(
-                    in_channels=width if j == 0 else out_w,
-                    out_channels=out_w,
-                    k_neighbors=cfg.k_sa,
-                    radius=radius,
-                    stride=cfg.strides[i] if j == 0 else 1,
-                    sa_layers=cfg.sa_layers)
-                blocks.append(Block("sa", bc, setabs.sa_block_params(rng, bc)))
-            for j in range(n_vpsa):
-                first = (not stride_owner_is_sa) and j == 0
-                bc = BlockConfig(
-                    in_channels=width if first else out_w,
-                    out_channels=out_w,
-                    k_neighbors=cfg.k_vpsa,
-                    radius=radius,
-                    stride=cfg.strides[i] if first else 1,
-                    vector_dim=cfg.vector_dim,
-                    encoder=cfg.encoder,
-                    aggregation=agg)
-                blocks.append(Block("vpsa", bc, setabs.vpsa_block_params(rng, bc)))
+            for j, (kind, k, stride) in enumerate(cfg.stage_blocks(i)):
+                common = dict(in_channels=width if j == 0 else out_w, out_channels=out_w,
+                             k_neighbors=k, radius=radius, stride=stride)
+                if kind == "sa":
+                    bc = BlockConfig(**common, sa_layers=cfg.sa_layers)
+                    blocks.append(Block("sa", bc, setabs.sa_block_params(rng, bc)))
+                else:
+                    bc = BlockConfig(**common, vector_dim=cfg.vector_dim,
+                                     encoder=cfg.encoder, aggregation=agg)
+                    blocks.append(Block("vpsa", bc, setabs.vpsa_block_params(rng, bc)))
             self.stages.append(blocks)
             width = out_w
 
@@ -239,24 +246,10 @@ class Model:
 
     # -- forward ---------------------------------------------------------------
 
-    def min_points(self) -> int:
-        """Smallest cloud size every block accepts.
-
-        Walks the blocks backwards: a block needs at least k input points to
-        group, and a stride-s block must leave as many points as the blocks
-        after it need, so its input needs s*(need - 1) + 1.
-        """
-        need = 1
-        for blocks in reversed(self.stages):
-            for block in reversed(blocks):
-                need = max(block.cfg.k_neighbors,
-                           block.cfg.stride * (need - 1) + 1)
-        return need
-
     def _run_encoder(self, batch: PointSetBatch, mode: str):
         """Embedding plus all stages; returns a (cloud, features) pair per
         resolution, the cloud holding positions only."""
-        need = self.min_points()
+        need = self.cfg.min_points()
         if batch.num_points < need:
             raise SizeError(
                 f"clouds of {batch.num_points} points are too small for this "

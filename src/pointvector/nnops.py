@@ -1,20 +1,28 @@
 """Differentiable dense-array primitives with hand-written reverse-mode gradients.
 
-A `Tensor` is a numpy array plus a `requires_grad` flag. Executing ops inside
-a `GradTape` context records backward closures in execution order.
-`backward(tape, loss)` replays them in exact reverse order, dropping each
-gradient once consumed, and returns a {parameter: gradient} map.
+A `Tensor` is a numpy array plus a `requires_grad` flag and a key that no
+other tensor of the process ever gets. Executing ops inside a `GradTape`
+context records one entry per op: the output's key, the backward closure and,
+for each input the tape tracks, its key and shape. The tape holds no
+intermediate `Tensor`, so an op output the forward drops is freed at once.
+`backward(tape, loss)` pops the records in exact reverse order, runs each
+closure, drops each gradient once consumed, and returns a {parameter:
+gradient} map.
 
 Conventions:
     - neighbor-structured arrays are [B, M, K, ...] and reduce over axis 2
     - channel axis is always last
     - indices are plain int numpy arrays, never Tensors
+    - a backward closure captures the arrays it reads and only the shapes
+      and dtypes of the others: whatever it captures lives until backward
+      reaches its op
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,13 +68,18 @@ def precision(kind: str):
         set_default_dtype(saved)
 
 
+_KEYS = count()  # tensor keys; never reused, unlike id()
+
+
 class Tensor:
     """Dense float array; `requires_grad` marks leaf parameters.
 
-    Gradients never live on a tensor: `backward` returns them in a map.
+    `key` is unique for the life of the process, so a tape can name a tensor
+    without keeping it alive. Gradients never live on a tensor: `backward`
+    returns them in a map.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         # floating arrays and numpy scalars, which 0-d arithmetic returns,
@@ -79,6 +92,7 @@ class Tensor:
             arr = np.asarray(data, dtype=_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self.key = next(_KEYS)
 
     @property
     def shape(self):
@@ -95,6 +109,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
+    def __reduce__(self):
+        # a copy, deep copy or unpickled tensor is built anew, with its own key
+        return Tensor, (self.data, self.requires_grad)
+
 
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
@@ -107,18 +125,23 @@ def input_tensor(arr) -> Tensor:
 
 _TAPE_STACK: list["GradTape"] = []
 
+# one recorded input: (key, shape, the tensor if a parameter else None), or
+# None for an input the tape does not track
+_Input = tuple[int, tuple, Tensor | None] | None
+
 
 class GradTape:
     """Ordered record of executed ops; as a context manager it activates recording.
 
-    Each record holds an op's output, inputs and backward closure. A tensor
-    is tracked when it is a parameter or an output of this tape's records;
-    one produced under another tape is a constant here. The records keep
-    every output alive, so no id in `_produced` is reused while in use.
+    A tensor is tracked when it is a parameter or an output of this tape's
+    records; one produced under another tape is a constant here. A record
+    is (output key, inputs, grad_fn), one `_Input` per op input. It keeps
+    parameters alive, which the model does anyway, and no other tensor: the
+    arrays a backward needs are the ones its closure captured.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._records: list[tuple[int, tuple[_Input, ...], Callable]] = []
         self._produced: set[int] = set()
 
     def __enter__(self):
@@ -133,7 +156,7 @@ class GradTape:
         return len(self._records)
 
     def tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._produced
+        return t.requires_grad or t.key in self._produced
 
 
 def _active_tape():
@@ -152,13 +175,17 @@ def custom_op(out_data: np.ndarray, inputs: Sequence[Tensor], grad_fn: Callable)
     The op is recorded when `_recording(inputs)`. `grad_fn(out_grad)` must
     return one gradient (or None) per entry of `inputs`, aligned
     positionally; it must not write into `out_grad`, which may be shared
-    with other gradients.
+    with other gradients. Every array grad_fn captures stays alive until
+    backward has run it, so it should capture the arrays it reads and only
+    the shapes or dtypes of the rest, never a whole input `Tensor`.
     """
     out = Tensor(out_data)
     if _recording(inputs):
         tape = _active_tape()
-        tape._records.append((out, tuple(inputs), grad_fn))
-        tape._produced.add(id(out))
+        recorded = tuple((t.key, t.data.shape, t if t.requires_grad else None)
+                         if tape.tracks(t) else None for t in inputs)
+        tape._records.append((out.key, recorded, grad_fn))
+        tape._produced.add(out.key)
     return out
 
 
@@ -167,30 +194,32 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns {tensor: gradient} for every requires_grad tensor that received a
     gradient, in the order they first received one. Gradients live in a map
-    keyed by tensor id; each record pops its output's gradient before its
-    closure runs, so an intermediate gradient is dropped once consumed. The
+    keyed by tensor key. Each record is popped before its closure runs and
+    its output's gradient is popped with it, so a closure, the arrays it
+    captured and an intermediate gradient are dropped once consumed. The
     tape is emptied, so each forward/backward pair is self-contained.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    grads = {id(loss): np.ones_like(loss.data)}
-    params = {id(loss): loss} if loss.requires_grad else {}
-    for out, inputs, grad_fn in reversed(tape._records):
-        g = grads.pop(id(out), None)
+    grads = {loss.key: np.ones_like(loss.data)}
+    params = {loss.key: loss} if loss.requires_grad else {}
+    records = tape._records
+    while records:
+        out_key, inputs, grad_fn = records.pop()
+        g = grads.pop(out_key, None)
         if g is None:
             continue
-        for t, gt in zip(inputs, grad_fn(g)):
-            if gt is None or not tape.tracks(t):
+        for entry, gt in zip(inputs, grad_fn(g)):
+            if gt is None or entry is None:
                 continue
-            if np.shape(gt) != t.data.shape:
+            key, shape, leaf = entry
+            if np.shape(gt) != shape:
                 raise ContractError(
-                    f"gradient of shape {np.shape(gt)} for a tensor of shape "
-                    f"{t.data.shape}")
-            prev = grads.get(id(t))
-            if prev is None and t.requires_grad:
-                params[id(t)] = t
-            grads[id(t)] = gt if prev is None else prev + gt
-    tape._records.clear()
+                    f"gradient of shape {np.shape(gt)} for a tensor of shape {shape}")
+            prev = grads.get(key)
+            if prev is None and leaf is not None:
+                params[key] = leaf
+            grads[key] = gt if prev is None else prev + gt
     tape._produced.clear()
     return {t: grads[key] for key, t in params.items()}
 
@@ -272,18 +301,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return custom_op(out, (a, b), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
 
     return custom_op(out, (a, b), grad_fn)
 
@@ -315,10 +346,10 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    shape = x.data.shape
+    shape, dtype = x.data.shape, x.data.dtype
 
     def grad_fn(g):
-        return (np.full(shape, float(g), dtype=x.data.dtype),)
+        return (np.full(shape, float(g), dtype=dtype),)
 
     return custom_op(np.asarray(x.data.sum()), (x,), grad_fn)
 
@@ -339,13 +370,13 @@ def linear(x: Tensor, p: LayerParams) -> Tensor:
     if p.bias is not None:
         y2 += p.bias.data
     inputs = (x, w) if p.bias is None else (x, w, p.bias)
-    w_data = w.data
+    w_data, has_bias = w.data, p.bias is not None
 
     def grad_fn(g):
         g2 = g.reshape(-1, cout)
         gx = (g2 @ w_data.T).reshape(lead + (cin,))
         gw = x2.T @ g2
-        if p.bias is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g2.sum(axis=0)
 
@@ -359,6 +390,7 @@ def batchnorm(x: Tensor, p: LayerParams) -> Tensor:
     0.1 (unbiased variance). Eval mode is folded into a linear: `linear_bn`.
     """
     gamma, beta = p.norm_gamma, p.norm_beta
+    gamma_data = gamma.data
     c = x.data.shape[-1]
     axes = tuple(range(x.data.ndim - 1))
     n = x.data.size // c
@@ -381,10 +413,10 @@ def batchnorm(x: Tensor, p: LayerParams) -> Tensor:
         dx = xhat * (dgamma / n)
         dx += dbeta / n
         np.subtract(g, dx, out=dx)
-        dx *= gamma.data * inv
+        dx *= gamma_data * inv
         return dx, dgamma, dbeta
 
-    y = xhat * gamma.data
+    y = xhat * gamma_data
     y += beta.data
     return custom_op(y, (x, gamma, beta), grad_fn)
 

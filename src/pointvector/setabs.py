@@ -351,12 +351,13 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerPara
     y += beta.data
     mask = y > 0
     out = np.maximum(y, 0, out=y)  # NaN stays NaN, so check_finite still sees it
+    gamma_data, w_in = gamma.data, w.data[:cin]
 
     def grad_fn(g):
         gy = g.reshape(b * m, c) * mask
         dbeta = gy.sum(axis=0)
         dgamma = np.einsum("mc,mc->c", gy, xs)
-        scale = gamma.data * inv
+        scale = gamma_data * inv
         gs = gy * scale               # d loss / d selected z
         da = np.bincount((sel * c + cols).reshape(-1), weights=gs.reshape(-1),
                          minlength=b * n * c).reshape(b * n, c).astype(dtype, copy=False)
@@ -373,7 +374,7 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerPara
             dwp += (pos_sum.T @ ac) * c2
         dw = x2.T @ da
         dw[cin:] += dwp
-        df = (da @ w.data[:cin].T).reshape(b, n, cin)
+        df = (da @ w_in.T).reshape(b, n, cin)
         return df, dw, dgamma, dbeta
 
     return custom_op(out.reshape(b, m, c), (f, w, gamma, beta), grad_fn)

@@ -139,9 +139,10 @@ def ce_label_smoothing(logits: Tensor, labels: np.ndarray, eps: float = 0.0) -> 
     per_sample = -(1.0 - eps) * logp[rows, labels] - (eps / k) * logp.sum(axis=1)
     loss = np.asarray(per_sample.mean())
     softmax = np.exp(logp)
+    dtype = logits.data.dtype
 
     def grad_fn(g):
-        q = np.full((s, k), eps / k, dtype=logits.data.dtype)
+        q = np.full((s, k), eps / k, dtype=dtype)
         q[rows, labels] += 1.0 - eps
         return ((softmax - q) * (float(g) / s),)
 
@@ -347,8 +348,14 @@ def _check_num_classes(cfg: ModelConfig, dataset: Dataset) -> None:
 def check_trainable(cfg: ModelConfig, dataset: Dataset) -> None:
     """The checks train_loop makes of its inputs before it trains, for a
     caller to run before it writes anything: the model predicts the
-    dataset's classes, and the train split is not empty."""
+    dataset's classes, its clouds are large enough for the model, and the
+    train split is not empty."""
     _check_num_classes(cfg, dataset)
+    points, need = dataset.positions.shape[1], cfg.min_points()
+    if points < need:
+        raise DataError(f"clouds of {points} points are too small for this model: its "
+                        f"strides {cfg.strides} and neighborhood sizes need at least "
+                        f"{need} points; raise data.num_points to {need} or more")
     if len(dataset.split_indices("train")) == 0:
         raise DataError(f"the train split of {dataset.num_scenes} scenes is empty; "
                         "raise data.num_scenes or lower data.val_fraction")

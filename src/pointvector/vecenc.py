@@ -108,6 +108,7 @@ def rotate_field(zx: Tensor, ang: Tensor) -> Tensor:
     else:
         sb, cb = sines[1], cosines[1]
         out = np.stack([-z * sa * sb, z * ca * sb, z * cb], axis=-1)
+    ang_shape = ang.data.shape
 
     def grad_fn(g):
         if m == 2:
@@ -115,7 +116,7 @@ def rotate_field(zx: Tensor, ang: Tensor) -> Tensor:
             return -g0 * sa + g1 * ca, z * (-g0 * ca - g1 * sa)
         g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
         dz = -g0 * sa * sb + g1 * ca * sb + g2 * cb
-        dang = np.empty(ang.data.shape, dtype=dz.dtype)
+        dang = np.empty(ang_shape, dtype=dz.dtype)
         dang[..., :c] = z * (-g0 * ca * sb - g1 * sa * sb)
         dang[..., c:] = z * (-g0 * sa * cb + g1 * ca * cb - g2 * sb)
         return dz, dang
@@ -171,6 +172,7 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
     (sa, sb), (ca, cb) = sines, cosines
     t, u = _projection_factor(sines, cosines, w.data)
     out = np.einsum("bikc,bikc->bic", z, u)
+    ang_shape = ang.data.shape
 
     def grad_fn(g):
         g4 = g[:, :, None, :]
@@ -179,7 +181,7 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
             dz *= keep
         gz = z * g4                      # keep is already folded into z
         gzsb = gz * sb
-        dang = np.empty(ang.data.shape, dtype=dz.dtype)
+        dang = np.empty(ang_shape, dtype=dz.dtype)
         # d alpha = -g zx sin(beta) (w0 cos(alpha) + w1 sin(alpha))
         da = ca * -w0
         da -= sa * w1

@@ -34,21 +34,21 @@ class TestCloudSize:
     def test_min_points_is_exact(self):
         rng = np.random.default_rng(0)
         mdl = Model(preset_config("toy-seg", num_classes=4))
-        need = mdl.min_points()
+        need = mdl.cfg.min_points()
         assert mdl.forward_seg(cloud(rng, 1, need), "eval").data.shape == (1, need, 4)
         with pytest.raises(SizeError, match=f"at least {need} points"):
             mdl.forward_seg(cloud(rng, 1, need - 1), "eval")
 
     def test_preset_rejects_small_cloud_at_entry(self):
         mdl = Model(preset_config("pointvector-s"))
-        assert mdl.min_points() == 449  # 449 -> 113 -> 29 -> 8 points, k=8
+        assert mdl.cfg.min_points() == 449  # 449 -> 113 -> 29 -> 8 points, k=8
         with pytest.raises(SizeError, match="at least 449 points"):
             mdl.forward_seg(cloud(np.random.default_rng(1), 1, 256), "eval")
 
     def test_classification_checks_too(self):
         mdl = Model(preset_config("toy-cls", num_classes=3))
-        with pytest.raises(SizeError, match=f"at least {mdl.min_points()} points"):
-            mdl.forward_cls(cloud(np.random.default_rng(2), 2, mdl.min_points() - 1))
+        with pytest.raises(SizeError, match=f"at least {mdl.cfg.min_points()} points"):
+            mdl.forward_cls(cloud(np.random.default_rng(2), 2, mdl.cfg.min_points() - 1))
 
 
 class TestAblationCellsTrain:
@@ -109,7 +109,8 @@ class TestTapeFreeEval:
                 c = layer.running_mean.shape[0]
                 layer.running_mean = rng.standard_normal(c) * 0.1
                 layer.running_var = rng.uniform(0.5, 2.0, c)
-        batch = cloud(rng, 2 if mdl.min_points() < 500 else 1, max(mdl.min_points(), 40))
+        need = mdl.cfg.min_points()
+        batch = cloud(rng, 2 if need < 500 else 1, max(need, 40))
         forward = mdl.forward_seg if mdl.cfg.task == "segmentation" else mdl.forward_cls
         calls = _spy_on_batchnorm(monkeypatch)   # eval folds every batchnorm
         got = forward(batch, "eval").data
@@ -122,7 +123,7 @@ class TestTapeFreeEval:
         # the other presets are spied on in test_equals_eval_under_a_tape
         calls = _spy_on_batchnorm(monkeypatch)
         mdl = preset_model("pointvector-xl")
-        mdl.forward_seg(cloud(np.random.default_rng(10), 1, mdl.min_points()), "eval")
+        mdl.forward_seg(cloud(np.random.default_rng(10), 1, mdl.cfg.min_points()), "eval")
         assert calls == []
 
     def test_nan_angle_weight_names_the_block(self):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 import weakref
 
@@ -371,6 +373,51 @@ class TestBackward:
             grads = nnops.backward(tape, loss)
         assert list(grads) == [x]
         assert np.allclose(grads[x], 1.0)
+
+    def test_tape_keeps_only_what_backward_reads(self):
+        """Under a tape, a train-mode dense layer holds, besides its output,
+        the normalized copy that batchnorm's backward reads and the relu
+        mask; not the outputs of its linear and its batchnorm."""
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((4096, 64)))
+        p = nnops.linear_params(rng, 64, 64, bias=False, norm=True)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                y = nnops.dense(x, p, "train")
+                held = tracemalloc.get_traced_memory()[0] - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 3
+        needed = x.data.nbytes + x.data.size    # float64 xhat and a bool mask
+        assert held <= 1.25 * needed
+
+    def test_constant_made_after_a_dropped_output_is_not_tracked(self):
+        """A new tensor may take the memory, and so the id(), of an op
+        output the forward dropped; its key is new, so the tape still sees
+        a constant and backward gives it no gradient."""
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            for _ in range(20):
+                nnops.mul(x, x)
+                c = Tensor(np.full(3, 2.0))
+                assert not tape.tracks(c)
+            # a gradient for c would be checked against c's shape and fail
+            y = nnops.custom_op(x.data * c.data, (x, c), lambda g: (g * c.data, np.ones(5)))
+            grads = nnops.backward(tape, nnops.sum_all(y))
+        assert list(grads) == [x]
+        assert np.array_equal(grads[x], c.data)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda t: pickle.loads(pickle.dumps(t))])
+    def test_a_copied_tensor_has_its_own_key(self, clone):
+        w = nnops.parameter(np.arange(3.0))
+        w2 = clone(w)
+        assert w2.key != w.key and w2.requires_grad
+        assert np.array_equal(w2.data, w.data)
+        with GradTape() as tape:
+            grads = nnops.backward(tape, nnops.sum_all(nnops.add(w, nnops.mul(w2, w2))))
+        assert np.array_equal(grads[w], np.ones(3)) and np.array_equal(grads[w2], 2 * w.data)
 
     def test_parameter_loss(self):
         w = nnops.parameter(np.array(2.5))
