@@ -127,7 +127,7 @@ def _case_batchnorm_train(rng):
 
 def _case_dense_eval(rng):
     x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-    p = nnops.linear_params(rng, 4, 3, bias=False, norm=True)
+    p = nnops.linear_params(rng, 4, 3, norm=True)
     p.norm_gamma.data = rng.uniform(0.5, 1.5, size=3)
     p.norm_beta.data = rng.standard_normal(3) * 0.3
     p.running_mean = rng.standard_normal(3)

@@ -4,6 +4,12 @@ A model is an embedding MLP, stages of [SA x S_i, VPSA x V_i] blocks with
 channel width doubling at each downsampling stage, and either a
 feature-propagation decoder with a per-point head (segmentation) or a global
 aggregation head (classification).
+
+Every parameter gets a gradient: a shift that a later batchnorm cancels is
+not built. Normalized layers have no bias (`nnops.linear_params`), and the
+classification head's `global_sa` norm keeps its gamma but has no beta,
+since its shift passes the max pool unchanged and `head.hidden`'s batchnorm
+removes it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .geometry import PointSetBatch
 from .nnops import LayerParams, Tensor
 from .setabs import BlockConfig, FPParams
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 INPUT_CHANNELS = 4  # [p, p_z]
 
 
@@ -167,8 +173,7 @@ class Model:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9e3779b9]))
         agg = cfg.resolved_aggregation()
 
-        self.embed = nnops.linear_params(rng, INPUT_CHANNELS, cfg.embed_channels,
-                                         bias=False, norm=True)
+        self.embed = nnops.linear_params(rng, INPUT_CHANNELS, cfg.embed_channels, norm=True)
         self.stages: list[list[Block]] = []
         width = cfg.embed_channels
         for i in range(cfg.num_stages):
@@ -195,18 +200,16 @@ class Model:
                 skip_w = cfg.embed_channels if i == 0 else cfg.stage_width(i - 1)
                 self.decoder.append(setabs.fp_params(rng, coarse_w, skip_w, skip_w))
             self.head_hidden = nnops.linear_params(
-                rng, cfg.embed_channels, cfg.embed_channels, bias=False, norm=True)
-            self.head_out = nnops.linear_params(
-                rng, cfg.embed_channels, cfg.num_classes, bias=True)
+                rng, cfg.embed_channels, cfg.embed_channels, norm=True)
+            self.head_out = nnops.linear_params(rng, cfg.embed_channels, cfg.num_classes)
             self.global_sa = None
         else:
             self.decoder = []
             glob_w = 2 * width
-            self.global_sa = nnops.linear_params(rng, width + 3, glob_w,
-                                                 bias=False, norm=True)
-            self.head_hidden = nnops.linear_params(rng, glob_w, width,
-                                                   bias=False, norm=True)
-            self.head_out = nnops.linear_params(rng, width, cfg.num_classes, bias=True)
+            self.global_sa = nnops.linear_params(rng, width + 3, glob_w, norm=True)
+            self.global_sa.norm_beta = None
+            self.head_hidden = nnops.linear_params(rng, glob_w, width, norm=True)
+            self.head_out = nnops.linear_params(rng, width, cfg.num_classes)
 
     # -- parameter bookkeeping ------------------------------------------------
 

@@ -255,18 +255,28 @@ class LayerParams:
 
 def linear_params(rng: np.random.Generator, fan_in: int, fan_out: int, bias: bool = True,
                   norm: bool = False) -> LayerParams:
-    """Linear weights U(+-1/sqrt(fan_in)), zero bias, identity norm affine."""
+    """Linear weights U(+-1/sqrt(fan_in)), then an identity norm affine
+    (`norm`) or a zero bias (`bias`).
+
+    A normalized layer never has a bias: its batchnorm subtracts any
+    per-channel constant, so the bias would get no gradient. Its beta is
+    the layer's shift.
+    """
     bound = 1.0 / np.sqrt(fan_in)
     w = parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(_DTYPE))
     p = LayerParams(weight=w)
-    if bias:
-        p.bias = parameter(np.zeros(fan_out, dtype=_DTYPE))
     if norm:
         attach_norm(p, fan_out)
+    elif bias:
+        p.bias = parameter(np.zeros(fan_out, dtype=_DTYPE))
     return p
 
 
 def attach_norm(p: LayerParams, channels: int) -> LayerParams:
+    """Identity gamma, zero beta and fresh running statistics on a layer
+    without a bias, which the norm would cancel."""
+    if p.bias is not None:
+        raise ContractError("a normalized layer has no bias; its beta is the shift")
     p.norm_gamma = parameter(np.ones(channels, dtype=_DTYPE))
     p.norm_beta = parameter(np.zeros(channels, dtype=_DTYPE))
     p.running_mean = np.zeros(channels, dtype=_DTYPE)
@@ -384,12 +394,13 @@ def linear(x: Tensor, p: LayerParams) -> Tensor:
 
 
 def batchnorm(x: Tensor, p: LayerParams) -> Tensor:
-    """Train-mode per-channel normalization over all non-channel axes, then affine.
+    """Train-mode per-channel normalization over all non-channel axes, then
+    affine; a layer without beta shifts by 0.
 
     Uses batch statistics (eps 1e-5) and updates running stats with momentum
     0.1 (unbiased variance). Eval mode is folded into a linear: `linear_bn`.
     """
-    gamma, beta = p.norm_gamma, p.norm_beta
+    gamma, beta = p.norm_gamma, _shift(p)
     gamma_data = gamma.data
     c = x.data.shape[-1]
     axes = tuple(range(x.data.ndim - 1))
@@ -428,6 +439,13 @@ def _update_running(p: LayerParams, mu: np.ndarray, var: np.ndarray, n: int) -> 
     p.running_var = (1.0 - BN_MOMENTUM) * p.running_var + BN_MOMENTUM * var * n / (n - 1)
 
 
+def _shift(p: LayerParams) -> Tensor:
+    """The norm's beta, or a constant 0 for a layer that has none."""
+    if p.norm_beta is None:
+        return Tensor(np.zeros_like(p.norm_gamma.data))
+    return p.norm_beta
+
+
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the gradient at 0 is 0."""
     mask = x.data > 0
@@ -444,14 +462,12 @@ def fold_norm(p: LayerParams) -> LayerParams:
 
     Eval batchnorm is the fixed affine map y s + (beta - mu s) with
     s = gamma / sqrt(running_var + eps), so linear -> batchnorm is one linear
-    layer with weight W s and bias b s + beta - mu s (b = 0 without a bias).
-    Both are built from the small parameter tensors with tape ops, so a
-    gradient requested in eval mode still reaches W, b, gamma and beta.
+    layer with weight W s and bias beta - mu s (beta = 0 for a layer without
+    one). Both are built from the small parameter tensors with tape ops, so
+    a gradient requested in eval mode still reaches W, gamma and beta.
     """
     s = mul(p.norm_gamma, Tensor(1.0 / np.sqrt(p.running_var + BN_EPS)))
-    bias = sub(p.norm_beta, mul(Tensor(p.running_mean), s))
-    if p.bias is not None:
-        bias = add(mul(p.bias, s), bias)
+    bias = sub(_shift(p), mul(Tensor(p.running_mean), s))
     return LayerParams(weight=mul(p.weight, s), bias=bias)
 
 

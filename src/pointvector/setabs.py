@@ -120,7 +120,7 @@ class FPParams:
 
 def sa_block_params(rng: np.random.Generator, cfg: BlockConfig) -> SABlockParams:
     widths = [cfg.in_channels + 3] + [cfg.out_channels] * cfg.sa_layers
-    layers = [nnops.linear_params(rng, widths[i], widths[i + 1], bias=False, norm=True)
+    layers = [nnops.linear_params(rng, widths[i], widths[i + 1], norm=True)
               for i in range(cfg.sa_layers)]
     return SABlockParams(mlp=layers)
 
@@ -128,17 +128,17 @@ def sa_block_params(rng: np.random.Generator, cfg: BlockConfig) -> SABlockParams
 def vpsa_block_params(rng: np.random.Generator, cfg: BlockConfig) -> VPSABlockParams:
     cin, cout, m = cfg.in_channels, cfg.out_channels, cfg.vector_dim
     p = VPSABlockParams(
-        pos=nnops.linear_params(rng, 3, cin, bias=True),
+        pos=nnops.linear_params(rng, 3, cin),
         encoder=vecenc.make_encoder_params(cfg.encoder, rng, cin, m),
-        res=nnops.linear_params(rng, cin, cout, bias=True),
+        res=nnops.linear_params(rng, cin, cout),
     )
     reduction, projection = AGGREGATIONS[cfg.aggregation]
     width = m if reduction else cfg.k_neighbors * m   # K'·m
     if projection == "grouped":
         p.proj = nnops.grouped_params(rng, cin, width)
-        p.mix = nnops.linear_params(rng, cin, cout, bias=False, norm=True)
+        p.mix = nnops.linear_params(rng, cin, cout, norm=True)
     else:
-        p.fc = nnops.linear_params(rng, cin * width, cout, bias=False, norm=True)
+        p.fc = nnops.linear_params(rng, cin * width, cout, norm=True)
     return p
 
 
@@ -146,8 +146,8 @@ def fp_params(rng: np.random.Generator, coarse_channels: int, skip_channels: int
               out_channels: int) -> FPParams:
     return FPParams(
         mlp1=nnops.linear_params(rng, coarse_channels + skip_channels, out_channels,
-                                 bias=False, norm=True),
-        mlp2=nnops.linear_params(rng, out_channels, out_channels, bias=False, norm=True))
+                                 norm=True),
+        mlp2=nnops.linear_params(rng, out_channels, out_channels, norm=True))
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +155,12 @@ def fp_params(rng: np.random.Generator, coarse_channels: int, skip_channels: int
 
 
 def _mask_padded(v: Tensor, pad: np.ndarray | None) -> Tensor:
-    """Zero out padded neighbor slots so fixed slot kernels ignore them."""
+    """Zero out padded neighbor slots so fixed slot kernels ignore them; the
+    backward keeps only the mask."""
     if pad is None or not pad.any():
         return v
     keep = (~pad).astype(v.data.dtype).reshape(pad.shape + (1,) * (v.ndim - 3))
-    return nnops.mul(v, Tensor(keep))
+    return custom_op(v.data * keep, (v,), lambda g: (g * keep,))
 
 
 def aggregation_variant(v: Tensor, mode: str, p: VPSABlockParams,

@@ -9,6 +9,14 @@ and a z-axis rotation: `rotate_field` builds the field, and
 `rotate_project3`, for the default VPSA cell, sums and projects it without
 building it. The mlp and direction encoders are the ablation variants.
 
+An encoder's field reaches a batchnorm through the neighbor reduction and
+the linear aggregation. A bias that only adds a constant per channel and
+component is cancelled there: it never learns, or with ball-query pads only
+as a term in the neighbor count. The zx bias has that form at m=1 and the
+mlp encoder's output bias always, so neither exists. At m >= 2 the zx bias
+is scaled by angle-dependent factors, and the direction encoder's biases by
+the unit direction, so they learn.
+
 The default VPSA cell (rotation, m=3, sum_groupconv) has two paths:
 
     encode_rotation_projected   training, and eval under a recording tape:
@@ -305,25 +313,28 @@ def encode_direction(fp: Tensor, p: DirectionEncoderParams, m: int,
 
 def rotation_encoder_params(rng: np.random.Generator, channels: int,
                             m: int) -> RotationEncoderParams:
-    zx = nnops.linear_params(rng, channels, channels, bias=True)
+    """zx [C, C], with a bias for m >= 2 only, and the normalized angle
+    layer [C, (m-1)C] for m >= 2."""
+    zx = nnops.linear_params(rng, channels, channels, bias=m >= 2)
     angles = None
     if m >= 2:
-        angles = nnops.linear_params(rng, channels, (m - 1) * channels,
-                                     bias=False, norm=True)
+        angles = nnops.linear_params(rng, channels, (m - 1) * channels, norm=True)
     return RotationEncoderParams(zx=zx, angles=angles)
 
 
 def mlp_encoder_params(rng: np.random.Generator, channels: int, m: int) -> MLPEncoderParams:
-    hidden = nnops.linear_params(rng, channels, channels, bias=False, norm=True)
-    out = nnops.linear_params(rng, channels, channels * m, bias=True)
+    """A normalized hidden layer [C, C] and an output layer [C, Cm] without a bias."""
+    hidden = nnops.linear_params(rng, channels, channels, norm=True)
+    out = nnops.linear_params(rng, channels, channels * m, bias=False)
     return MLPEncoderParams(hidden=hidden, out=out)
 
 
 def direction_encoder_params(rng: np.random.Generator, channels: int,
                              m: int) -> DirectionEncoderParams:
-    modulus = nnops.linear_params(rng, channels, channels, bias=True)
-    dir_hidden = nnops.linear_params(rng, channels, channels, bias=False, norm=True)
-    dir_out = nnops.linear_params(rng, channels, channels * m, bias=True)
+    """A modulus layer [C, C] and a direction MLP, normalized [C, C] then [C, Cm]."""
+    modulus = nnops.linear_params(rng, channels, channels)
+    dir_hidden = nnops.linear_params(rng, channels, channels, norm=True)
+    dir_out = nnops.linear_params(rng, channels, channels * m)
     return DirectionEncoderParams(modulus=modulus, dir_hidden=dir_hidden, dir_out=dir_out)
 
 

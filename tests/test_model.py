@@ -250,8 +250,8 @@ class TestSharedNeighborhoods:
 
 
 class TestParameterCounts:
-    """The segmentation presets' sizes, pinned so that no change adds or drops
-    a weight unnoticed."""
+    """The segmentation presets' sizes and some ablation cells', pinned so
+    that no change adds or drops a weight unnoticed."""
 
     COUNTS = {"pointvector-s": 969_709, "pointvector-l": 4_208_749,
               "pointvector-xl": 24_078_413}
@@ -259,6 +259,17 @@ class TestParameterCounts:
     @pytest.mark.parametrize("preset", COUNTS)
     def test_preset_count(self, preset):
         assert param_count(preset_model(preset)) == self.COUNTS[preset]
+
+    # three classes, one per data kind; each cell lacks a bias that a
+    # batchnorm cancels: global_sa's beta (128), the mlp encoder's output
+    # bias (96 + 192) and the m=1 zx bias (32 + 64)
+    CELL_COUNTS = [("toy-cls", {}, 27_139),
+                   ("toy-seg", dict(encoder="mlp"), 45_971),
+                   ("toy-seg", dict(aggregation="max_fc", vector_dim=1), 30_131)]
+
+    @pytest.mark.parametrize("preset, cell, count", CELL_COUNTS)
+    def test_cell_count(self, preset, cell, count):
+        assert param_count(Model(preset_config(preset, num_classes=3, **cell))) == count
 
     def test_xl_is_58_percent_of_pointnext_xl(self):
         # the abstract's "58% of PointNeXt's parameters"; PointNeXt-XL has
@@ -287,8 +298,10 @@ class TestModelConfigSwitches:
 
 def test_older_checkpoint_version_rejected(tmp_path, monkeypatch):
     # version 2 stored the groupconv kernel as slot [C, K, m] and conv's map as
-    # conv; version 3 had a VPSA projection bias and a separate VPSA norm layer
-    for version in (1, 2, 3):
+    # conv; version 3 had a VPSA projection bias and a separate VPSA norm layer;
+    # version 4 had the mlp encoder's output bias, the m=1 zx bias and
+    # global_sa's beta, which a load would silently drop
+    for version in (1, 2, 3, 4):
         path = tmp_path / f"v{version}.npz"
         monkeypatch.setattr(model_mod, "CHECKPOINT_FORMAT_VERSION", version)
         save_checkpoint(Model(preset_config("toy-seg", num_classes=3)), path)

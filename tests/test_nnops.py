@@ -110,22 +110,50 @@ class TestBatchnorm:
 
 
 class TestDense:
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_eval_equals_linear_batchnorm_relu(self, bias):
+    def test_eval_equals_linear_batchnorm_relu(self):
         rng = np.random.default_rng(11)
-        p = nnops.linear_params(rng, 5, 4, bias=bias, norm=True)
-        if bias:
-            p.bias.data = rng.standard_normal(4)
+        p = nnops.linear_params(rng, 5, 4, norm=True)
         p.norm_gamma.data = rng.uniform(-1.5, 1.5, 4)
         p.norm_beta.data = rng.standard_normal(4)
         p.running_mean = rng.standard_normal(4)
         p.running_var = rng.uniform(0.5, 2.0, 4)
         x = Tensor(rng.standard_normal((3, 7, 5)))
-        y = x.data @ p.weight.data + (p.bias.data if bias else 0.0)
+        y = x.data @ p.weight.data
         y = (y - p.running_mean) / np.sqrt(p.running_var + nnops.BN_EPS)
         want = np.maximum(y * p.norm_gamma.data + p.norm_beta.data, 0.0)
         got = nnops.dense(x, p, "eval").data
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestNormalizedLayerShift:
+    """A normalized layer's only shift is its beta, and a layer may have none."""
+
+    def test_normalized_layer_has_no_bias(self):
+        rng = np.random.default_rng(12)
+        assert nnops.linear_params(rng, 5, 4, norm=True).bias is None
+        assert nnops.linear_params(rng, 5, 4, bias=True, norm=True).bias is None
+        assert nnops.linear_params(rng, 5, 4).bias is not None
+
+    def test_norm_refuses_a_biased_layer(self):
+        p = nnops.linear_params(np.random.default_rng(13), 5, 4)
+        with pytest.raises(ContractError, match="no bias"):
+            nnops.attach_norm(p, 4)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_missing_beta_is_zero_beta(self, mode):
+        rng = np.random.default_rng(14)
+        p = nnops.linear_params(rng, 5, 4, norm=True)
+        p.norm_gamma.data = rng.uniform(-1.5, 1.5, 4)
+        p.running_mean = rng.standard_normal(4)
+        p.running_var = rng.uniform(0.5, 2.0, 4)
+        x = Tensor(rng.standard_normal((6, 5)))
+        want = nnops.linear_bn(x, copy.deepcopy(p), mode)
+        p.norm_beta = None
+        with GradTape() as tape:
+            got = nnops.linear_bn(x, p, mode)
+            grads = nnops.backward(tape, nnops.sum_all(nnops.relu(got)))
+        assert np.array_equal(got.data, want.data)
+        assert set(grads) == {p.weight, p.norm_gamma}
 
 
 class TestActivation:

@@ -33,7 +33,8 @@ def vpsa_weights_dict(p, cfg):
     """Flatten block params into the plain-array dict the oracle consumes."""
     w = {
         "pos_w": p.pos.weight.data, "pos_b": p.pos.bias.data,
-        "zx_w": p.encoder.zx.weight.data, "zx_b": p.encoder.zx.bias.data,
+        "zx_w": p.encoder.zx.weight.data,
+        "zx_b": None if p.encoder.zx.bias is None else p.encoder.zx.bias.data,
         "proj_w": p.proj.weight.data,
         "mix_w": p.mix.weight.data,
         "mix_gamma": p.mix.norm_gamma.data,
@@ -521,6 +522,26 @@ class TestAggregationVariants:
             width = c if p.fc is None else (1 if mode.endswith("fc") else k) * c * m
             assert out.shape == want.shape == (b, mm, width)
             assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_masked_slots_hold_only_the_mask_for_backward(self):
+        """Zeroing the pads of a slot-keeping mode under a tape keeps the
+        [B,M,K] mask for backward, not the unmasked field: a [2,256,16,32,3]
+        float64 field (6.3 MB) is freed once the forward drops it."""
+        rng = np.random.default_rng(16)
+        x = nnops.parameter(rng.standard_normal((2, 256, 16, 32, 3)))
+        pad = rng.random((2, 256, 16)) < 0.3
+        pad[..., 0] = False
+        with GradTape():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                v = nnops.add(x, x)     # a recorded field whose closure holds no array
+                out = setabs._mask_padded(v, pad)
+                del v
+                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+        assert held <= pad.size * 8 + 4096   # the float64 mask and the record
 
     def test_sum_groupconv_linearity_in_neighbors(self):
         rng = np.random.default_rng(9)

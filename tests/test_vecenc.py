@@ -163,7 +163,7 @@ class TestEncodeMLP:
             (fp.data @ p.hidden.weight.data - p.hidden.running_mean)
             / np.sqrt(p.hidden.running_var + nnops.BN_EPS)
             * p.hidden.norm_gamma.data + p.hidden.norm_beta.data, 0.0)
-        flat = h @ p.out.weight.data + p.out.bias.data
+        flat = h @ p.out.weight.data
         assert np.allclose(field.data, flat.reshape(2, 5, 4, 2))
 
 
