@@ -17,8 +17,11 @@ trains. `train`, `ablate` and `gen-data` build the dataset, and `train` and
 output directory. `eval` builds it for the task of the checkpoint's model.
 Run artifacts live under the run directory: config.json (the resolved
 sections, which the checkpoint's model config equals), metrics.csv,
-best.ckpt.npz, log.txt; ablate writes ablate.csv. Timings come from the
-benchmark in a source checkout, `bench/run.py`, not from this CLI.
+best.ckpt.npz, log.txt; ablate writes ablate.csv. With `--jobs N` > 1,
+ablate trains its cells in N fresh interpreters, each with the BLAS thread
+variables that the user has not set at max(1, usable CPUs // N). Timings
+come from the benchmark in a source checkout, `bench/run.py`, not from this
+CLI.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric fault, 4 gradient
 check failure, 5 checkpoint error.
@@ -30,7 +33,10 @@ import argparse
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
 import sys
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,6 +201,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def worker_blas_env(jobs: int, environ: Mapping[str, str], cpus: int) -> dict[str, str]:
+    """The BLAS thread variables to give each of `jobs` workers that share
+    `cpus` CPUs: max(1, cpus // jobs) threads, for each variable `environ`
+    does not set, so a value the user set wins."""
+    threads = str(max(1, cpus // jobs))
+    return {var: threads for var in BLAS_THREAD_VARS if var not in environ}
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _ablate_cell(cell) -> dict:
     """One ablation cell, a (model config, train config, dataset, precision)
     tuple; runs in a worker process."""
@@ -242,8 +265,17 @@ def cmd_ablate(args) -> int:
     log = RunLogger(run_dir / "log.txt", quiet=args.quiet)
     log(f"{len(payloads)} ablation cells, jobs={args.jobs}")
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_ablate_cell, payloads))
+        # a forked worker keeps the BLAS library, and its thread count, that
+        # this process loaded; only a fresh interpreter reads the variables
+        env = worker_blas_env(args.jobs, os.environ, _usable_cpus())
+        os.environ.update(env)
+        try:
+            with ProcessPoolExecutor(max_workers=args.jobs,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                rows = list(pool.map(_ablate_cell, payloads))
+        finally:
+            for var in env:
+                os.environ.pop(var, None)
     else:
         rows = [_ablate_cell(p) for p in payloads]
     header = "aggregation,encoder,m,seed,param_count,best_epoch,loss,oa,macc,miou"

@@ -25,7 +25,13 @@ The default VPSA cell (rotation, m=3, sum_groupconv) has two paths:
                                 encoding, sum and projection in one op over
                                 cache-sized tiles of centers, no backward
 
-Both take d out / d zx from `_projection_factor`.
+Both take d out / d zx from `_projection_factors`. Under a recording tape
+`rotate_project3` also takes from it the factors its backward reads:
+d out / d zx, d out / d alpha and d out / d beta per neighbor, and three
+neighbor sums for the kernel's gradient. Its backward only multiplies g by
+them, so the tape keeps three [B,M,K,C] arrays for the op, where keeping
+the four sines and cosines, t and zx they are built from would take seven;
+each sine and cosine is freed in the forward once it has been read.
 
 The rotation ops take sine and cosine from the half-angle identity
 
@@ -132,21 +138,60 @@ def rotate_field(zx: Tensor, ang: Tensor) -> Tensor:
     return custom_op(out, (zx, ang), grad_fn)
 
 
-def _projection_factor(sines: np.ndarray, cosines: np.ndarray,
-                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, u) of the m=3 rotation projected by the [C,3] kernel w, from the
-    [2, ..., C] sines and cosines of alpha and beta:
+def _projection_factors(ang: np.ndarray, w: np.ndarray, z: np.ndarray | None = None):
+    """(u, back): d out / d zx of the m=3 rotation projected by the [C,3]
+    kernel w, from the packed angles ang [..., 2C] holding alpha | beta,
 
         t = w1 cos(alpha) - w0 sin(alpha),  u = sin(beta) t + w2 cos(beta),
 
-    so that u = d out / d zx and the projected vector is zx u.
+    so that the projected vector is zx u. back is None unless the zx values
+    z [B,M,K,C] are given; then it holds what the backward of rotate_project3
+    reads:
+
+        da = d out / d alpha = z sin(beta) (-w0 cos(alpha) - w1 sin(alpha))
+        db = d out / d beta  = z (cos(beta) t - w2 sin(beta))
+        s  = [-sum_k z sin(beta) sin(alpha), sum_k z sin(beta) cos(alpha),
+              sum_k z cos(beta)]  as one [3,B,M,C] array,
+
+    so that d out[b,i,c] / d w[c,j] = s[j,b,i,c].
+
+    Each sine and cosine is freed as soon as it has been read, so u costs
+    at most five [..., C] arrays at once and (u, back) six.
     """
-    (sa, sb), (ca, cb) = sines, cosines
-    t = ca * w[:, 1]
-    t -= sa * w[:, 0]
+    c = w.shape[0]
+    w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
+    sb, cb = _sincos(ang[..., c:])
+    if z is not None:
+        s = np.empty((3,) + z.shape[:2] + (c,), dtype=np.result_type(z, ang))
+        np.einsum("bikc,bikc->bic", z, cb, out=s[2])
+    sa, ca = _sincos(ang[..., :c])
+    if z is not None:
+        np.einsum("bikc,bikc,bikc->bic", z, sb, sa, out=s[0])
+        np.negative(s[0], out=s[0])
+        np.einsum("bikc,bikc,bikc->bic", z, sb, ca, out=s[1])
+        da = ca * -w0
+    t = sa * w0
+    if z is not None:
+        sa *= w1
+        da -= sa
+        da *= sb
+        da *= z
+    del sa
+    ca *= w1
+    np.subtract(ca, t, out=t)
+    del ca
     u = sb * t
-    u += cb * w[:, 2]
-    return t, u
+    if z is not None:
+        t *= cb                            # t is dead: db takes its place
+    cb *= w2
+    u += cb
+    del cb
+    if z is None:
+        return u, None
+    sb *= w2
+    t -= sb
+    t *= z
+    return u, (da, t, s)
 
 
 def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
@@ -160,7 +205,14 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
         out[b,i,c] = sum_k keep * zx * (sin(beta) (w1 cos(alpha) - w0 sin(alpha))
                                         + w2 cos(beta))
 
-    The [B,M,K,C,3] vector field is never built.
+    The [B,M,K,C,3] vector field is never built. Under a recording tape the
+    forward also builds the factors that backward reads
+    (`_projection_factors`): d out / d zx with the pad mask folded in,
+    d out / d alpha and d out / d beta, three [B,M,K,C] arrays, and the
+    [3,B,M,C] neighbor sums that give d out / d w. The backward multiplies g
+    by them and reads no sine, cosine or zx, so the tape holds three
+    neighbor arrays for this op; a forward that records nothing builds
+    none of them.
     """
     w = p.weight
     c = w.data.shape[0]
@@ -175,33 +227,23 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
     if pad is not None:
         keep = (~pad).astype(z.dtype)[..., None]
         z = z * keep
-    w0, w1, w2 = w.data[:, 0], w.data[:, 1], w.data[:, 2]
-    sines, cosines = _angle_sincos(ang.data, c)
-    (sa, sb), (ca, cb) = sines, cosines
-    t, u = _projection_factor(sines, cosines, w.data)
+    record = nnops._recording((zx, ang, w))
+    u, back = _projection_factors(ang.data, w.data, z if record else None)
     out = np.einsum("bikc,bikc->bic", z, u)
+    if not record:
+        return Tensor(out)
+    if keep is not None:
+        u *= keep
+    da, db, s = back
     ang_shape = ang.data.shape
 
     def grad_fn(g):
         g4 = g[:, :, None, :]
         dz = u * g4
-        if keep is not None:
-            dz *= keep
-        gz = z * g4                      # keep is already folded into z
-        gzsb = gz * sb
         dang = np.empty(ang_shape, dtype=dz.dtype)
-        # d alpha = -g zx sin(beta) (w0 cos(alpha) + w1 sin(alpha))
-        da = ca * -w0
-        da -= sa * w1
-        np.multiply(da, gzsb, out=dang[..., :c])
-        # d beta = g zx (cos(beta) t - w2 sin(beta))
-        db = cb * t
-        db -= sb * w2
-        np.multiply(db, gz, out=dang[..., c:])
-        gw = np.stack([-np.einsum("bikc,bikc->c", gzsb, sa),
-                       np.einsum("bikc,bikc->c", gzsb, ca),
-                       np.einsum("bikc,bikc->c", gz, cb)], axis=-1)
-        return dz, dang, gw
+        np.multiply(da, g4, out=dang[..., :c])
+        np.multiply(db, g4, out=dang[..., c:])
+        return dz, dang, np.einsum("bic,jbic->cj", g, s)
 
     return custom_op(out, (zx, ang, w), grad_fn)
 
@@ -244,7 +286,7 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
     pad, "eval"). Each tile gathers its centers' K neighbors of u, runs one
     GEMM against [W_zx | folded angle weight] (`nnops.fold_norm`), takes
     the angles' relu and their sines and cosines, and sums zx u
-    (`_projection_factor`) over the non-pad neighbors, so no [B,M,K,C]
+    (`_projection_factors`) over the non-pad neighbors, so no [B,M,K,C]
     tensor is built. A tile holds _TILE_BYTES / (K 3C itemsize) centers,
     at least one. The output keeps the dtype of u.
 
@@ -280,7 +322,7 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
         h += bias
         zx, ang_rows = h[:, :c], h[:, c:]
         np.maximum(ang_rows, 0, out=ang_rows)    # NaN stays NaN, so check_finite sees it
-        _, vec = _projection_factor(*_angle_sincos(ang_rows, c), proj.weight.data)
+        vec, _ = _projection_factors(ang_rows, proj.weight.data)
         vec *= zx                                 # each neighbor's projected vector
         vec = vec.reshape(hi - lo, k, c)
         if keep is not None:

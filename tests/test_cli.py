@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from pointvector import dataio, gradcheck, nnops
+from pointvector import cli, dataio, gradcheck, nnops
 from pointvector import train as train_mod
-from pointvector.cli import main, make_parser
+from pointvector.cli import BLAS_THREAD_VARS, main, make_parser, worker_blas_env
 from pointvector.geometry import PointSetBatch
 from pointvector.model import Model, load_checkpoint, param_count
 
@@ -237,6 +238,75 @@ def test_ablate_counts_the_parameters_of_the_model_it_trains(tmp_path, monkeypat
     assert (built[0].cfg.encoder, built[0].cfg.vector_dim) == ("direction", 1)
     assert row[:3] == ["sum_groupconv", "direction", "1"]
     assert int(row[4]) == param_count(built[0])
+
+
+class TestAblateWorkers:
+    """`ablate --jobs N` trains in fresh interpreters whose BLAS threads share
+    the usable CPUs, and a thread count the user set wins."""
+
+    def test_threads_split_the_cpus(self):
+        assert worker_blas_env(2, {}, 8) == dict.fromkeys(BLAS_THREAD_VARS, "4")
+        assert worker_blas_env(2, {}, 5) == dict.fromkeys(BLAS_THREAD_VARS, "2")
+        assert worker_blas_env(4, {}, 2) == dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+    def test_a_variable_the_user_set_is_left_alone(self):
+        assert worker_blas_env(2, {"OMP_NUM_THREADS": "3"}, 4) == {
+            "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+
+    def test_pool_spawns_with_the_env_and_restores_it(self, tmp_path, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                seen.append((max_workers, mp_context.get_start_method(),
+                             {var: os.environ.get(var) for var in BLAS_THREAD_VARS}))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        config = _write_config(tmp_path, {
+            "model": {"preset": "toy-seg"},
+            "data": {"num_scenes": 6, "num_points": 64},
+            "train": {"epochs": 1, "batch_size": 4},
+            "ablate": {"aggregations": ["max_groupconv"], "vector_dims": [2]},
+        })
+        run = tmp_path / "run"
+        assert main(["ablate", str(config), "--run-dir", str(run), "--jobs", "2",
+                     "--quiet"]) == 0
+        assert seen == [(2, "spawn", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3",
+                                      "MKL_NUM_THREADS": "2"})]
+        assert {var: os.environ.get(var) for var in BLAS_THREAD_VARS} == {
+            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+        assert len((run / "ablate.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.matrix
+def test_ablate_jobs_write_the_one_job_table(tmp_path):
+    config = _write_config(tmp_path, {
+        "model": {"preset": "toy-seg"},
+        "data": {"num_scenes": 8, "num_points": 256},
+        "train": {"epochs": 2, "batch_size": 2},
+        "ablate": {"vector_dims": [1, 3]},
+    })
+    tables = []
+    for jobs in (1, 2):
+        run = tmp_path / f"jobs{jobs}"
+        assert main(["ablate", str(config), "--run-dir", str(run), "--jobs", str(jobs),
+                     "--quiet"]) == 0
+        tables.append((run / "ablate.csv").read_text())
+    assert len(tables[0].splitlines()) == 3
+    assert tables[1] == tables[0]
 
 
 def _case_wrong_gradient(rng):

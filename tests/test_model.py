@@ -86,6 +86,15 @@ class TestNonFinite:
         assert any(path.startswith("stage0.vpsa0.") for path in mdl.layer_map())
 
 
+def _random_running_stats(mdl, rng):
+    """Give every normalized layer running statistics away from 0 and 1."""
+    for layer in mdl.layer_map().values():
+        if layer.running_mean is not None:
+            c = layer.running_mean.shape[0]
+            layer.running_mean = rng.standard_normal(c) * 0.1
+            layer.running_var = rng.uniform(0.5, 2.0, c)
+
+
 def _spy_on_batchnorm(monkeypatch):
     """Record every call of nnops.batchnorm in the returned list."""
     calls = []
@@ -104,11 +113,7 @@ class TestTapeFreeEval:
     def test_equals_eval_under_a_tape(self, preset, monkeypatch):
         rng = np.random.default_rng(9)
         mdl = Model(preset_config(preset, num_classes=5), seed=1)
-        for layer in mdl.layer_map().values():
-            if layer.running_mean is not None:
-                c = layer.running_mean.shape[0]
-                layer.running_mean = rng.standard_normal(c) * 0.1
-                layer.running_var = rng.uniform(0.5, 2.0, c)
+        _random_running_stats(mdl, rng)
         need = mdl.cfg.min_points()
         batch = cloud(rng, 2 if need < 500 else 1, max(need, 40))
         forward = mdl.forward_seg if mdl.cfg.task == "segmentation" else mdl.forward_cls
@@ -131,6 +136,33 @@ class TestTapeFreeEval:
         mdl.named_params()["stage0.vpsa0.encoder.angles.weight"].data[0, 0] = np.nan
         with pytest.raises(NumericFaultError, match=r"in stage0\.vpsa0$"):
             mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "eval")
+
+
+class TestPointOrder:
+    """Permuting the points of each cloud permutes the segmentation logits
+    and leaves the classification logits unchanged, for the kNN presets.
+    toy-seg-ball is not pinned: its ball query keeps the first k in-radius
+    points by index."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("preset,n", [
+        ("toy-seg", 128), ("toy-cls", 128),
+        pytest.param("pointvector-s", 512, marks=pytest.mark.matrix)])
+    def test_logits_follow_the_points(self, preset, n, mode):
+        rng = np.random.default_rng(13)
+        mdl = Model(preset_config(preset, num_classes=5), seed=2)
+        _random_running_stats(mdl, rng)
+        batch = cloud(rng, 2, n)
+        perm = np.stack([rng.permutation(n) for _ in range(2)])
+        permuted = PointSetBatch(
+            positions=np.take_along_axis(batch.positions, perm[..., None], axis=1))
+        if mdl.cfg.task == "segmentation":
+            want = np.take_along_axis(mdl.forward_seg(batch, mode).data, perm[..., None], axis=1)
+            got = mdl.forward_seg(permuted, mode).data
+        else:
+            want = mdl.forward_cls(batch, mode).data
+            got = mdl.forward_cls(permuted, mode).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSinglePrecision:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,31 @@ class TestRotateProject3:
         _assert_close(out, want)
         for g, w in zip(grads, want_grads):
             _assert_close(g, w)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_backward_holds_three_neighbor_arrays(self, padded):
+        """Under a tape the op keeps d out / d zx, d out / d alpha and
+        d out / d beta per neighbor and the small neighbor sums; keeping the
+        sines, cosines, t and zx they are built from takes seven [B,M,K,C]
+        arrays."""
+        rng = np.random.default_rng(22)
+        b, m, k, c = 2, 256, 8, 32
+        zx = nnops.parameter(rng.standard_normal((b, m, k, c)))
+        ang = nnops.parameter(rng.uniform(0, 3, (b, m, k, 2 * c)))
+        proj = nnops.grouped_params(rng, c, 3)
+        pad = None
+        if padded:
+            pad = np.zeros((b, m, k), dtype=bool)
+            pad[..., 5:] = True
+        with GradTape():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = vecenc.rotate_project3(zx, ang, proj, pad)
+                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+        assert held <= 3.5 * zx.data.nbytes
 
     def test_gradcheck_padded(self):
         # the unpadded case runs in test_nnops.TestGradientShapeContract
