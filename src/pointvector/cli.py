@@ -117,18 +117,18 @@ def resolve_configs(doc: dict, seed_override: int | None = None):
 
 
 class RunLogger:
-    def __init__(self, path=None, quiet=False):
-        self.path = Path(path) if path is not None else None
+    """Appends each message to the log file at path, and prints it unless quiet."""
+
+    def __init__(self, path, quiet=False):
+        self.path = Path(path)
         self.quiet = quiet
-        if self.path is not None:
-            self.path.write_text("", encoding="utf-8")
+        self.path.write_text("", encoding="utf-8")
 
     def __call__(self, msg: str) -> None:
         if not self.quiet:
             print(msg)
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(msg + "\n")
+        with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
+            fh.write(msg + "\n")
 
 
 def _prepare_out_dir(out, overwrite: bool) -> Path:
@@ -156,7 +156,7 @@ def cmd_train(args) -> int:
     doc = load_config(args.config)
     model_cfg, train_cfg, data_cfg = resolve_configs(doc, args.seed)
     dataset = dataio.make_dataset(data_cfg, model_cfg.task)
-    train_mod.check_trainable(model_cfg, dataset)
+    train_mod.check_trainable(model_cfg, train_cfg, dataset)
     run_dir = _prepare_run_dir(args, args.config)
     log = RunLogger(run_dir / "log.txt", quiet=args.quiet)
     resolved = {"model": dataclasses.asdict(model_cfg),
@@ -241,6 +241,15 @@ def _ablate_cell(cell) -> dict:
         }
 
 
+def _sweep_value(cfg, key: str, **changes):
+    """cfg with the value of the ablation sweep ablate.<key> set; a value
+    out of range is a ConfigError that names the sweep."""
+    try:
+        return dataclasses.replace(cfg, **changes)
+    except ConfigError as exc:
+        raise ConfigError(f"ablate.{key}: {exc}") from exc
+
+
 def cmd_ablate(args) -> int:
     doc = load_config(args.config)
     model_cfg, train_cfg, data_cfg = resolve_configs(doc, args.seed)
@@ -249,18 +258,22 @@ def cmd_ablate(args) -> int:
     def sweep(values, default):
         return [default] if values is None else values
 
-    epochs = train_cfg.epochs if ab.epochs is None else ab.epochs
+    if ab.epochs is not None:
+        train_cfg = dataclasses.replace(train_cfg, epochs=ab.epochs)
     dataset = dataio.make_dataset(data_cfg, model_cfg.task)
-    train_mod.check_trainable(model_cfg, dataset)
+    train_mod.check_trainable(model_cfg, train_cfg, dataset)
     # every cell's config is built, and so validated, before any cell runs
-    payloads = [(dataclasses.replace(model_cfg, aggregation=agg, encoder=enc, vector_dim=m),
-                 dataclasses.replace(train_cfg, seed=seed, epochs=epochs),
-                 dataset, args.precision)
-                for agg, enc, m, seed in itertools.product(
-                    sweep(ab.aggregations, model_cfg.resolved_aggregation()),
-                    sweep(ab.encoders, model_cfg.encoder),
-                    sweep(ab.vector_dims, model_cfg.vector_dim),
-                    sweep(ab.seeds, train_cfg.seed))]
+    payloads = []
+    for agg, enc, m, seed in itertools.product(
+            sweep(ab.aggregations, model_cfg.resolved_aggregation()),
+            sweep(ab.encoders, model_cfg.encoder),
+            sweep(ab.vector_dims, model_cfg.vector_dim),
+            sweep(ab.seeds, train_cfg.seed)):
+        cell = _sweep_value(model_cfg, "aggregations", aggregation=agg)
+        cell = _sweep_value(cell, "encoders", encoder=enc)
+        cell = _sweep_value(cell, "vector_dims", vector_dim=m)
+        payloads.append((cell, _sweep_value(train_cfg, "seeds", seed=seed),
+                         dataset, args.precision))
     run_dir = _prepare_run_dir(args, args.config)
     log = RunLogger(run_dir / "log.txt", quiet=args.quiet)
     log(f"{len(payloads)} ablation cells, jobs={args.jobs}")

@@ -314,8 +314,9 @@ def make_segmentation_dataset(**settings) -> Dataset:
     return make_dataset(DataConfig(**settings), "segmentation")
 
 
-def save_dataset_scenes(dataset: Dataset, directory, prefix: str = "scene") -> str:
-    """Write every scene as a text file plus a manifest; returns manifest path."""
+def save_dataset_scenes(dataset: Dataset, directory) -> str:
+    """Write every scene as a text file, scene_<index>.xyz, plus a manifest;
+    returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     split_of = {}
@@ -324,7 +325,7 @@ def save_dataset_scenes(dataset: Dataset, directory, prefix: str = "scene") -> s
             split_of[int(i)] = split
     entries = []
     for i in range(dataset.num_scenes):
-        name = f"{prefix}_{i:05d}.xyz"
+        name = f"scene_{i:05d}.xyz"
         if dataset.task == "segmentation":
             cloud = PointSetBatch(positions=dataset.positions[i:i + 1],
                                   labels=dataset.labels[i:i + 1])
@@ -341,7 +342,8 @@ def save_dataset_scenes(dataset: Dataset, directory, prefix: str = "scene") -> s
 
 def load_dataset_from_manifest(manifest_path, task: str, num_classes: int) -> Dataset:
     """The scenes a manifest lists, which must share one point count and
-    carry labels in [0, num_classes)."""
+    carry labels in [0, num_classes); for classification, every point of a
+    scene carries its one label."""
     base = Path(manifest_path).parent
     entries = read_manifest(manifest_path)
     if not entries:
@@ -357,11 +359,12 @@ def load_dataset_from_manifest(manifest_path, task: str, num_classes: int) -> Da
         if cloud.labels.min() < 0 or cloud.labels.max() >= num_classes:
             raise DataError(f"{rel}: labels outside [0, {num_classes}), the indices "
                             "of data.kinds")
+        lab = cloud.labels[0]
+        if task == "classification" and np.any(lab != lab[0]):
+            raise DataError(f"{rel}: a classification scene carries one label, but its "
+                            f"points carry {np.unique(lab).tolist()}")
         positions.append(cloud.positions[0])
-        if task == "segmentation":
-            labels.append(cloud.labels[0])
-        else:
-            labels.append(cloud.labels[0][0])
+        labels.append(lab if task == "segmentation" else lab[0])
         split_lists.setdefault(split, []).append(i)
     splits = {k: np.asarray(v, dtype=np.int64) for k, v in split_lists.items()}
     return Dataset(positions=np.stack(positions), labels=np.stack(labels),

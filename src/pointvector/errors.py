@@ -37,10 +37,6 @@ class InvalidNeighborhoodError(PointVectorError):
     """A neighborhood reduction received only padded entries."""
 
 
-class EmptyNeighborhoodError(PointVectorError):
-    """A ball query found no point within the radius."""
-
-
 class ParseError(PointVectorError):
     """Malformed line in a point-cloud text file; message carries the line number."""
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ConfigError, EmptyNeighborhoodError, SizeError
+from .errors import DataError, ConfigError, SizeError
 
 
 @dataclass
@@ -171,12 +171,14 @@ def geometric_start(cloud: PointSetBatch) -> np.ndarray:
     return start
 
 
-def ball_query_points(query_xyz: np.ndarray, cloud: PointSetBatch, radius: float,
-                      k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radius search of cloud points around arbitrary query positions.
+def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
+               k: int) -> NeighborIndex:
+    """Radius-bounded neighbor search around existing cloud points.
 
-    Returns (indices [B,M,K], pad_mask [B,M,K]). Neighbors appear in scan
-    order; short neighborhoods are padded by repeating the first hit.
+    Up to k in-radius points per center, in scan order (the first k by
+    index); short neighborhoods are padded by repeating the first hit. The
+    center itself is always in radius (distance 0), so no neighborhood is
+    empty.
     """
     if radius <= 0:
         raise ConfigError(f"ball query radius must be positive, got {radius}")
@@ -185,29 +187,14 @@ def ball_query_points(query_xyz: np.ndarray, cloud: PointSetBatch, radius: float
     n = cloud.num_points
     if k > n:
         raise SizeError(f"k={k} exceeds cloud size {n}")
-    outside = _sq_dist(query_xyz[:, :, None], cloud.positions[:, None]) > float(radius) ** 2
-    # a stable sort of the mask puts the in-radius points first, by index
-    idx = np.argsort(outside, axis=-1, kind="stable")[..., :k]
-    pad_mask = np.take_along_axis(outside, idx, axis=-1)
-    if np.any(pad_mask[..., 0]):
-        bad = np.argwhere(pad_mask[..., 0])[0]
-        raise EmptyNeighborhoodError(
-            f"no point within radius {radius} of query {tuple(bad)}")
-    idx = np.where(pad_mask, idx[..., :1], idx)
-    return idx, pad_mask
-
-
-def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
-               k: int) -> NeighborIndex:
-    """Radius-bounded neighbor search around existing cloud points.
-
-    Up to k in-radius points per center, in scan order; the center itself is
-    always eligible (distance 0), so same-cloud queries never come up empty.
-    """
     centers = np.asarray(centers, dtype=np.int64)
     batch = np.arange(cloud.batch_size)[:, None]
     query_xyz = cloud.positions[batch, centers]
-    idx, pad = ball_query_points(query_xyz, cloud, radius, k)
+    outside = _sq_dist(query_xyz[:, :, None], cloud.positions[:, None]) > float(radius) ** 2
+    # a stable sort of the mask puts the in-radius points first, by index
+    idx = np.argsort(outside, axis=-1, kind="stable")[..., :k]
+    pad = np.take_along_axis(outside, idx, axis=-1)
+    idx = np.where(pad, idx[..., :1], idx)
     return NeighborIndex(indices=idx, pad_mask=pad, centers=centers)
 
 

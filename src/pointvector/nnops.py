@@ -41,31 +41,24 @@ BN_MOMENTUM = 0.1
 _DTYPE = np.float64
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the float dtype used for newly created tensors ('single' runs)."""
-    global _DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported default dtype {dtype}")
-    _DTYPE = dtype.type
-
-
 def default_dtype():
     return _DTYPE
 
 
 @contextmanager
 def precision(kind: str):
-    """Temporarily switch default precision; kind is 'single' or 'double'."""
+    """Temporarily set the float dtype of newly created tensors: kind
+    'single' is float32, 'double' float64."""
+    global _DTYPE
     mapping = {"single": np.float32, "double": np.float64}
     if kind not in mapping:
         raise ContractError(f"precision must be single or double, got {kind!r}")
     saved = _DTYPE
-    set_default_dtype(mapping[kind])
+    _DTYPE = mapping[kind]
     try:
         yield
     finally:
-        set_default_dtype(saved)
+        _DTYPE = saved
 
 
 _KEYS = count()  # tensor keys; never reused, unlike id()
@@ -652,10 +645,10 @@ def gather(x: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Ten
     return custom_op(out, (x,), grad_fn)
 
 
-def unit_normalize(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to unit length: y = x / (||x|| + eps)."""
+def unit_normalize(x: Tensor) -> Tensor:
+    """Normalize the last axis to unit length: y = x / (||x|| + 1e-8)."""
     norm = np.sqrt((x.data ** 2).sum(axis=-1, keepdims=True))
-    denom = norm + eps
+    denom = norm + 1e-8
     out = x.data / denom
     x_data = x.data
 

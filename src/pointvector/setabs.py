@@ -37,8 +37,10 @@ Inference has its own path for the default cell (rotation encoder, m=3,
 sum_groupconv): in eval mode with no gradient requested (`nnops._recording`
 false for the features and the block's parameters), mixing, encoding and
 aggregation run as one tiled op, `vecenc.encode_rotation_tiled`, that never
-builds the neighbor tensors. Train mode, eval under a recording tape and
-every other cell compose tape ops.
+builds the neighbor tensors. In train mode and eval under a recording
+tape, the default cell mixes with tape ops and then encodes, sums and
+projects in one, `vecenc.rotate_project3`; every other cell composes tape
+ops throughout.
 """
 
 from __future__ import annotations
@@ -396,10 +398,11 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     and normalization are one `nnops.linear_bn`. The default cell
     (rotation encoder, m=3, sum_groupconv) runs encoding, sum and projection
     as one fused op: `vecenc.encode_rotation_tiled`, which also does the
-    mixing, in eval mode when no gradient is requested, and
-    `vecenc.encode_rotation_projected` otherwise. Every other cell composes
-    `vecenc.encode` and `aggregation_variant`. Returns the centers'
-    positions and their features.
+    mixing, in eval mode when no gradient is requested, and otherwise
+    `vecenc.rotate_project3` of the zx linear and the angle layer of the
+    mixed features. Every other cell composes `vecenc.encode` and
+    `aggregation_variant`. Returns the centers' positions and their
+    features.
 
     `nbr` is `group(x, cfg)` when the caller already holds it: stride-1
     blocks with the same k and radius on the same points share it.
@@ -437,7 +440,9 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
         ctr_u = nnops.reshape(ctr_u, (b, centers.shape[1], 1, cin))
         fp = nnops.relu(nnops.sub(nnops.gather(u, nbr.indices), ctr_u))
         if default_cell:
-            main = vecenc.encode_rotation_projected(fp, p.encoder, p.proj, pad, mode)
+            main = vecenc.rotate_project3(nnops.linear(fp, p.encoder.zx),
+                                          nnops.dense(fp, p.encoder.angles, mode),
+                                          p.proj, pad)
         else:
             field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
             main = aggregation_variant(field, cfg.aggregation, p, pad)

@@ -94,7 +94,6 @@ class EpochRow:
 @dataclass
 class TrainReport:
     rows: list = field(default_factory=list)
-    confusion: np.ndarray | None = None
     best_epoch: int = -1
     best_metric: float = -1.0
     checkpoint_path: str | None = None
@@ -153,13 +152,16 @@ def ce_label_smoothing(logits: Tensor, labels: np.ndarray, eps: float = 0.0) -> 
 # optimizer and schedule
 
 
+# AdamW's moment decay rates and the term that keeps its denominator positive
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamWHyper:
     lr: float = 0.002
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -179,7 +181,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, hyper: AdamWHyper) 
     """
     state.step += 1
     t = state.step
-    b1, b2 = hyper.beta1, hyper.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     decay = hyper.lr * hyper.weight_decay
@@ -206,7 +208,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, hyper: AdamWHyper) 
         # p (1 - lr wd) - lr (m / bias1) / (sqrt(v / bias2) + eps)
         np.divide(v, bias2, out=step)
         np.sqrt(step, out=step)
-        step += hyper.eps
+        step += ADAM_EPS
         np.divide(m, step, out=step)
         step *= hyper.lr / bias1
         new = p.data * (1.0 - decay)
@@ -297,10 +299,10 @@ def augment(cloud: PointSetBatch, spec: AugmentSpec) -> PointSetBatch:
     return PointSetBatch(positions=pos, labels=cloud.labels)
 
 
-def table8_specs(jitter_sigma: float = 0.01, jitter_clip: float = 0.05,
-                 rescale_radius: bool = False):
+def table8_specs(rescale_radius: bool = False):
     """The standard test-time perturbation battery: identity, three z-axis
-    rotations, two shifts, two scalings, jitter.
+    rotations, two shifts, two scalings, and jitter of sigma 0.01 clipped
+    to +-0.05.
 
     Returns (name, AugmentSpec, radius_scale) triples; radius_scale rescales
     ball-query radii together with the scaling perturbations when requested.
@@ -314,8 +316,7 @@ def table8_specs(jitter_sigma: float = 0.01, jitter_clip: float = 0.05,
         ("shift_-0.2", AugmentSpec(shift=-0.2), 1.0),
         ("scale_0.8", AugmentSpec(scale=0.8), 0.8 if rescale_radius else 1.0),
         ("scale_1.2", AugmentSpec(scale=1.2), 1.2 if rescale_radius else 1.0),
-        ("jitter", AugmentSpec(jitter_sigma=jitter_sigma, jitter_clip=jitter_clip,
-                               jitter_seed=7), 1.0),
+        ("jitter", AugmentSpec(jitter_sigma=0.01, jitter_clip=0.05, jitter_seed=7), 1.0),
     ]
     return rows
 
@@ -345,20 +346,30 @@ def _check_num_classes(cfg: ModelConfig, dataset: Dataset) -> None:
                           f"dataset has {dataset.num_classes}")
 
 
-def check_trainable(cfg: ModelConfig, dataset: Dataset) -> None:
+def check_trainable(cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset) -> None:
     """The checks train_loop makes of its inputs before it trains, for a
     caller to run before it writes anything: the model predicts the
     dataset's classes, its clouds are large enough for the model, and the
-    train split is not empty."""
+    train split is not empty. A classification model also needs two clouds
+    in every train batch, since its pooled head takes batch statistics over
+    the clouds, so its batch size and train split must both exceed one."""
     _check_num_classes(cfg, dataset)
     points, need = dataset.positions.shape[1], cfg.min_points()
     if points < need:
         raise DataError(f"clouds of {points} points are too small for this model: its "
                         f"strides {cfg.strides} and neighborhood sizes need at least "
                         f"{need} points; raise data.num_points to {need} or more")
-    if len(dataset.split_indices("train")) == 0:
+    train = len(dataset.split_indices("train"))
+    if train == 0:
         raise DataError(f"the train split of {dataset.num_scenes} scenes is empty; "
                         "raise data.num_scenes or lower data.val_fraction")
+    if cfg.task == "classification" and train_cfg.batch_size < 2:
+        raise ConfigError("classification trains on batches of at least two clouds; "
+                          f"raise train.batch_size to 2 or more, got {train_cfg.batch_size}")
+    if cfg.task == "classification" and train == 1:
+        raise DataError(f"the train split of {dataset.num_scenes} scenes holds one cloud, "
+                        "but classification trains on batches of at least two; raise "
+                        "data.num_scenes or lower data.val_fraction")
 
 
 def evaluate(mdl: Model, dataset: Dataset, split: str, eps: float,
@@ -450,7 +461,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
     the batch before it, since batch statistics over one sample are
     undefined for the pooled classification head.
     """
-    check_trainable(model_cfg, dataset)
+    check_trainable(model_cfg, train_cfg, dataset)
     seq = np.random.SeedSequence([train_cfg.seed, 0x7e57])
     model_seed, order_seed, aug_seed = seq.generate_state(3)
     mdl = Model(model_cfg, seed=int(model_seed))
@@ -508,7 +519,6 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Dataset,
         oa, macc, miou = metrics(val_conf)
         report.rows.append(EpochRow(epoch, "val", val_loss, lr, oa, macc,
                                     miou, (time.perf_counter() - t1) * 1000.0))
-        report.confusion = val_conf
         current = miou if select_by == "miou" else oa
         if current > best_metric:
             best_metric = current

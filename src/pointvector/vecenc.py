@@ -19,19 +19,17 @@ the unit direction, so they learn.
 
 The default VPSA cell (rotation, m=3, sum_groupconv) has two paths:
 
-    encode_rotation_projected   training, and eval under a recording tape:
-                                tape ops over the [B,M,K,C] neighbor tensors
-    encode_rotation_tiled       eval with no gradient requested: mixing,
-                                encoding, sum and projection in one op over
-                                cache-sized tiles of centers, no backward
+    rotate_project3         training, and eval under a recording tape: one
+                            tape op over the [B,M,K,C] zx and angles
+    encode_rotation_tiled   eval with no gradient requested: mixing,
+                            encoding, sum and projection in one op over
+                            cache-sized tiles of centers, no backward
 
-Both take d out / d zx from `_projection_factors`. Under a recording tape
-`rotate_project3` also takes from it the factors its backward reads:
-d out / d zx, d out / d alpha and d out / d beta per neighbor, and three
-neighbor sums for the kernel's gradient. Its backward only multiplies g by
-them, so the tape keeps three [B,M,K,C] arrays for the op, where keeping
-the four sines and cosines, t and zx they are built from would take seven;
-each sine and cosine is freed in the forward once it has been read.
+Both compute d out / d zx by the same operations in the same order:
+`_projection_factor` in the tiled op, and straight-line code in
+`rotate_project3`, which also builds the factors its backward reads, so
+that the tape keeps three [B,M,K,C] arrays for the op, not the seven they
+are built from.
 
 The rotation ops take sine and cosine from the half-angle identity
 
@@ -138,66 +136,37 @@ def rotate_field(zx: Tensor, ang: Tensor) -> Tensor:
     return custom_op(out, (zx, ang), grad_fn)
 
 
-def _projection_factors(ang: np.ndarray, w: np.ndarray, z: np.ndarray | None = None):
-    """(u, back): d out / d zx of the m=3 rotation projected by the [C,3]
-    kernel w, from the packed angles ang [..., 2C] holding alpha | beta,
+def _projection_factor(ang: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u = d out / d zx of the m=3 rotation projected by the [C,3] kernel w,
+    from the packed angles ang [..., 2C] holding alpha | beta,
 
         t = w1 cos(alpha) - w0 sin(alpha),  u = sin(beta) t + w2 cos(beta),
 
-    so that the projected vector is zx u. back is None unless the zx values
-    z [B,M,K,C] are given; then it holds what the backward of rotate_project3
-    reads:
-
-        da = d out / d alpha = z sin(beta) (-w0 cos(alpha) - w1 sin(alpha))
-        db = d out / d beta  = z (cos(beta) t - w2 sin(beta))
-        s  = [-sum_k z sin(beta) sin(alpha), sum_k z sin(beta) cos(alpha),
-              sum_k z cos(beta)]  as one [3,B,M,C] array,
-
-    so that d out[b,i,c] / d w[c,j] = s[j,b,i,c].
-
-    Each sine and cosine is freed as soon as it has been read, so u costs
-    at most five [..., C] arrays at once and (u, back) six.
+    so that the projected vector is zx u. Each sine, cosine and t is freed
+    right after its last read, so u costs at most five [..., C] arrays at
+    once.
     """
     c = w.shape[0]
     w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
     sb, cb = _sincos(ang[..., c:])
-    if z is not None:
-        s = np.empty((3,) + z.shape[:2] + (c,), dtype=np.result_type(z, ang))
-        np.einsum("bikc,bikc->bic", z, cb, out=s[2])
     sa, ca = _sincos(ang[..., :c])
-    if z is not None:
-        np.einsum("bikc,bikc,bikc->bic", z, sb, sa, out=s[0])
-        np.negative(s[0], out=s[0])
-        np.einsum("bikc,bikc,bikc->bic", z, sb, ca, out=s[1])
-        da = ca * -w0
     t = sa * w0
-    if z is not None:
-        sa *= w1
-        da -= sa
-        da *= sb
-        da *= z
     del sa
     ca *= w1
     np.subtract(ca, t, out=t)
     del ca
     u = sb * t
-    if z is not None:
-        t *= cb                            # t is dead: db takes its place
+    del sb, t
     cb *= w2
     u += cb
-    del cb
-    if z is None:
-        return u, None
-    sb *= w2
-    t -= sb
-    t *= z
-    return u, (da, t, s)
+    return u
 
 
 def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
                     pad: np.ndarray | None = None) -> Tensor:
     """rotate_field with m=3, summed over non-pad neighbors, then
-    grouped_projection, as one op.
+    grouped_projection, as one op: the default VPSA cell's encoding,
+    aggregation and projection for training.
 
     zx is [B,M,K,C], ang the packed angles [B,M,K,2C] holding alpha | beta,
     p the [C,3] grouped kernel w; returns [B,M,C]:
@@ -205,37 +174,67 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
         out[b,i,c] = sum_k keep * zx * (sin(beta) (w1 cos(alpha) - w0 sin(alpha))
                                         + w2 cos(beta))
 
-    The [B,M,K,C,3] vector field is never built. Under a recording tape the
-    forward also builds the factors that backward reads
-    (`_projection_factors`): d out / d zx with the pad mask folded in,
-    d out / d alpha and d out / d beta, three [B,M,K,C] arrays, and the
-    [3,B,M,C] neighbor sums that give d out / d w. The backward multiplies g
-    by them and reads no sine, cosine or zx, so the tape holds three
-    neighbor arrays for this op; a forward that records nothing builds
-    none of them.
+    The [B,M,K,C,3] vector field is never built. The forward also builds
+    what backward reads, with t = w1 cos(alpha) - w0 sin(alpha):
+
+        u  = d out / d zx    = sin(beta) t + w2 cos(beta), pad mask folded in
+        da = d out / d alpha = zx sin(beta) (-w0 cos(alpha) - w1 sin(alpha))
+        db = d out / d beta  = zx (cos(beta) t - w2 sin(beta))
+        s  = [-sum_k zx sin(beta) sin(alpha), sum_k zx sin(beta) cos(alpha),
+              sum_k zx cos(beta)]  as one [3,B,M,C] array,
+
+    so that d out[b,i,c] / d w[c,j] = s[j,b,i,c]. The backward multiplies g
+    by them and reads no sine, cosine or zx, so a recording tape holds three
+    neighbor arrays for this op; `custom_op` drops them when nothing
+    records. Each sine and cosine is freed once it has been read.
+    `oracle.unfused_rotate_project` is the op-by-op reference.
     """
     w = p.weight
     c = w.data.shape[0]
     z = zx.data
+    a = ang.data
     if (w.data.shape != (c, 3) or z.ndim != 4 or z.shape[-1] != c
-            or ang.data.shape != z.shape[:-1] + (2 * c,)):
+            or a.shape != z.shape[:-1] + (2 * c,)):
         raise SizeError(
             f"rotate_project3 expects zx [B,M,K,{c}] and angles [B,M,K,{2 * c}], "
-            f"got {z.shape} and {ang.data.shape}")
+            f"got {z.shape} and {a.shape}")
     nnops._check_pad(pad, z.shape)
     keep = None
     if pad is not None:
         keep = (~pad).astype(z.dtype)[..., None]
         z = z * keep
-    record = nnops._recording((zx, ang, w))
-    u, back = _projection_factors(ang.data, w.data, z if record else None)
+    w0, w1, w2 = w.data[:, 0], w.data[:, 1], w.data[:, 2]
+    sb, cb = _sincos(a[..., c:])
+    s = np.empty((3,) + z.shape[:2] + (c,), dtype=np.result_type(z, a))
+    np.einsum("bikc,bikc->bic", z, cb, out=s[2])
+    sa, ca = _sincos(a[..., :c])
+    np.einsum("bikc,bikc,bikc->bic", z, sb, sa, out=s[0])
+    np.negative(s[0], out=s[0])
+    np.einsum("bikc,bikc,bikc->bic", z, sb, ca, out=s[1])
+    da = ca * -w0
+    t = sa * w0
+    sa *= w1
+    da -= sa
+    del sa
+    da *= sb
+    da *= z
+    ca *= w1
+    np.subtract(ca, t, out=t)
+    del ca
+    u = sb * t
+    db = t                                 # t is dead after u: db takes its place
+    db *= cb
+    cb *= w2
+    u += cb
+    del cb
+    sb *= w2
+    db -= sb
+    del sb
+    db *= z
     out = np.einsum("bikc,bikc->bic", z, u)
-    if not record:
-        return Tensor(out)
     if keep is not None:
         u *= keep
-    da, db, s = back
-    ang_shape = ang.data.shape
+    ang_shape = a.shape
 
     def grad_fn(g):
         g4 = g[:, :, None, :]
@@ -263,18 +262,6 @@ def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
     return rotate_field(zx, nnops.dense(fp, p.angles, mode))
 
 
-def encode_rotation_projected(fp: Tensor, p: RotationEncoderParams, proj: LayerParams,
-                              pad: np.ndarray | None = None, mode: str = "train") -> Tensor:
-    """The default VPSA cell: rotation encoding with m=3, summed over the
-    neighbors and projected per channel by `proj`, through rotate_project3.
-
-    Equals grouped_projection of the neighbor sum of encode_rotation(fp, p, 3)
-    (`oracle.unfused_rotate_project`) without building the vector field.
-    """
-    zx = nnops.linear(fp, p.zx)
-    return rotate_project3(zx, nnops.dense(fp, p.angles, mode), proj, pad)
-
-
 def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
                           p: RotationEncoderParams, proj: LayerParams) -> Tensor:
     """The default VPSA cell's mixing, encoding, neighbor sum and projection
@@ -282,11 +269,11 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
 
     u is the per-point term [B,N,C] and ctr the center term u_i - b_pos
     [B,M,C], so neighbor k of center i mixes to fp = relu(u_j - ctr_i) with
-    j = idx[b,i,k]. The output equals encode_rotation_projected(fp, p, proj,
-    pad, "eval"). Each tile gathers its centers' K neighbors of u, runs one
-    GEMM against [W_zx | folded angle weight] (`nnops.fold_norm`), takes
-    the angles' relu and their sines and cosines, and sums zx u
-    (`_projection_factors`) over the non-pad neighbors, so no [B,M,K,C]
+    j = idx[b,i,k]. The output equals rotate_project3(linear(fp, p.zx),
+    dense(fp, p.angles, "eval"), proj, pad). Each tile gathers its centers'
+    K neighbors of u, runs one GEMM against [W_zx | folded angle weight]
+    (`nnops.fold_norm`), takes the angles' relu, and sums zx u
+    (`_projection_factor`) over the non-pad neighbors, so no [B,M,K,C]
     tensor is built. A tile holds _TILE_BYTES / (K 3C itemsize) centers,
     at least one. The output keeps the dtype of u.
 
@@ -296,7 +283,7 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
     params = [t for layer in (p.zx, p.angles, proj) for _, t in layer.tensors()]
     if nnops._recording([u, ctr] + params):
         raise ContractError("encode_rotation_tiled has no backward; a recording tape "
-                            "needs encode_rotation_projected")
+                            "needs rotate_project3")
     b, n, c = u.data.shape
     m, k = idx.shape[1:]
     if ctr.data.shape != (b, m, c) or idx.shape[0] != b or proj.weight.data.shape != (c, 3):
@@ -322,7 +309,7 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
         h += bias
         zx, ang_rows = h[:, :c], h[:, c:]
         np.maximum(ang_rows, 0, out=ang_rows)    # NaN stays NaN, so check_finite sees it
-        vec, _ = _projection_factors(ang_rows, proj.weight.data)
+        vec = _projection_factor(ang_rows, proj.weight.data)
         vec *= zx                                 # each neighbor's projected vector
         vec = vec.reshape(hi - lo, k, c)
         if keep is not None:
@@ -349,7 +336,7 @@ def encode_direction(fp: Tensor, p: DirectionEncoderParams, m: int,
     modulus = nnops.linear(fp, p.modulus)
     h = nnops.dense(fp, p.dir_hidden, mode)
     raw = nnops.reshape(nnops.linear(h, p.dir_out), fp.shape[:-1] + (c, m))
-    unit = nnops.unit_normalize(raw, eps=1e-8)
+    unit = nnops.unit_normalize(raw)
     return nnops.mul(nnops.reshape(modulus, modulus.shape + (1,)), unit)
 
 

@@ -115,19 +115,24 @@ def test_model_task_sets_the_data_task(tmp_path):
     assert np.array_equal(got.labels, want.labels)
 
 
-@pytest.mark.parametrize("points,label,error", [(70, 0, "one size"), (64, 3, "[0, 3)")],
-                         ids=["another_size", "label_not_a_class"])
-def test_bad_manifest_scene_is_rejected_before_any_output(tmp_path, capsys, points, label,
-                                                          error):
-    """The second scene has another size, or a label that is not a class."""
+@pytest.mark.parametrize("preset,scene_labels,error", [
+    ("toy-seg", [np.zeros(64), np.zeros(70)], "one size"),
+    ("toy-seg", [np.zeros(64), np.full(64, 3)], "[0, 3)"),
+    ("toy-cls", [np.repeat([0, i % 3], 16) for i in range(4)], "one label")],
+    ids=["another_size", "label_not_a_class", "mixed_labels"])
+def test_bad_manifest_scene_is_rejected_before_any_output(tmp_path, capsys, preset,
+                                                          scene_labels, error):
+    """The second scene has another size, a label that is not a class, or,
+    in a classification set, points of two labels."""
     scenes = tmp_path / "scenes"
     scenes.mkdir()
     rng = np.random.default_rng(0)
-    for i, n in enumerate([64, points]):
+    for i, lab in enumerate(scene_labels):
         dataio.write_points(scenes / f"s{i}.xyz", PointSetBatch(
-            positions=rng.standard_normal((1, n, 3)), labels=np.full((1, n), i * label)))
-    dataio.write_manifest(scenes / "manifest.txt", [("train", "s0.xyz"), ("val", "s1.xyz")])
-    config = _write_config(tmp_path, {"model": {"preset": "toy-seg"},
+            positions=rng.standard_normal((1, len(lab), 3)), labels=lab[None]))
+    dataio.write_manifest(scenes / "manifest.txt", [
+        ("val" if i == 1 else "train", f"s{i}.xyz") for i in range(len(scene_labels))])
+    config = _write_config(tmp_path, {"model": {"preset": preset},
                                       "data": {"manifest": str(scenes / "manifest.txt")},
                                       "train": {"epochs": 1}})
     run = tmp_path / "run"
@@ -204,8 +209,11 @@ def test_train_section_model_switch_is_rejected(tmp_path, capsys, key, value, fi
 
 @pytest.mark.parametrize("sweep", [{"encoders": ["rotation", "bogus"]},
                                    {"vector_dims": [3, 4]},
-                                   {"aggregations": ["sum_fc", "mean"]}])
-def test_ablate_validates_every_cell_before_any_runs(tmp_path, monkeypatch, sweep):
+                                   {"aggregations": ["sum_fc", "mean"]},
+                                   {"seeds": [0, -1]}])
+def test_ablate_validates_every_cell_before_any_runs(tmp_path, capsys, monkeypatch, sweep):
+    """A sweep value out of range is named as the sweep, not as the field
+    it replaces."""
     calls = []
     monkeypatch.setattr(train_mod, "train_loop", lambda *a, **kw: calls.append(a))
     config = _write_config(tmp_path, {"model": {"preset": "toy-seg"},
@@ -213,8 +221,9 @@ def test_ablate_validates_every_cell_before_any_runs(tmp_path, monkeypatch, swee
                                       "train": {"epochs": 1}, "ablate": sweep})
     run = tmp_path / "run"
     assert main(["ablate", str(config), "--run-dir", str(run), "--quiet"]) == 2
+    assert f"ablate.{next(iter(sweep))}" in capsys.readouterr().err
     assert calls == []
-    assert not (run / "ablate.csv").exists()
+    assert not run.exists()
 
 
 def test_ablate_counts_the_parameters_of_the_model_it_trains(tmp_path, monkeypatch):
@@ -407,6 +416,24 @@ def test_bad_data_or_train_setting_names_the_field(tmp_path, capsys, section, ke
     err = capsys.readouterr().err
     # named and rejected before the run directory is made
     assert (f"{section}.{key}" if key else f"{section} must be a JSON object") in err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("data,batch_size,field", [
+    ({"num_scenes": 6}, 1, "train.batch_size"),
+    ({"num_scenes": 3, "val_fraction": 0.5}, 4, "data.num_scenes")],
+    ids=["batch_of_one", "train_split_of_one"])
+def test_classification_train_batch_of_one_is_rejected(tmp_path, capsys, command, data,
+                                                       batch_size, field):
+    """A classification model normalizes over the clouds of a batch, so a
+    batch size of one, or a train split of one cloud, cannot train it."""
+    config = _write_config(tmp_path, {"model": {"preset": "toy-cls"},
+                                      "data": dict(data, num_points=64),
+                                      "train": {"epochs": 1, "batch_size": batch_size}})
+    run = tmp_path / "run"
+    assert main([command, str(config), "--run-dir", str(run), "--quiet"]) == 2
+    assert field in capsys.readouterr().err
     assert not run.exists()
 
 

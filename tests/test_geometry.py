@@ -10,16 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointvector import geometry, oracle
-from pointvector.errors import (
-    DataError,
-    EmptyNeighborhoodError,
-    SizeError,
-)
+from pointvector.errors import DataError, SizeError
 from pointvector.geometry import (
     NeighborIndex,
     PointSetBatch,
     ball_query,
-    ball_query_points,
     farthest_point_sample,
     geometric_start,
     knn,
@@ -129,12 +124,6 @@ class TestBallQuery:
         # more slots than points would return fewer than k columns
         with pytest.raises(SizeError, match="exceeds cloud size"):
             ball_query(np.array([[0]]), line_cloud(), 1.5, 5)
-
-    def test_empty_neighborhood_cross_cloud(self):
-        cloud = line_cloud()
-        far = np.array([[[100.0, 100.0, 100.0]]])
-        with pytest.raises(EmptyNeighborhoodError):
-            ball_query_points(far, cloud, 0.5, 2)
 
     def test_joint_scaling_preserves_membership(self):
         rng = np.random.default_rng(4)

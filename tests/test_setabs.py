@@ -378,7 +378,7 @@ class TestVPSAMixing:
 
     def test_equals_the_grouped_mixing(self):
         # under a tape the block runs the composed path, which hands the mixed
-        # features to encode_rotation_projected
+        # features to the angle layer's nnops.dense
         rng = np.random.default_rng(28)
         cloud, feats = random_cloud(rng, b=2, n=16, c=6)
         cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5, stride=2)
@@ -386,10 +386,14 @@ class TestVPSAMixing:
         p.pos.bias.data = rng.uniform(-0.3, 0.3, 6)
         nbr = setabs.group(cloud, cfg)
         mixed = []
-        original = vecenc.encode_rotation_projected
-        with mock.patch.object(vecenc, "encode_rotation_projected",
-                               lambda fp, *a: mixed.append(fp.data) or original(fp, *a)), \
-                GradTape():
+        original = nnops.dense
+
+        def spy(x, layer, *a):
+            if layer is p.encoder.angles:
+                mixed.append(x.data)
+            return original(x, layer, *a)
+
+        with mock.patch.object(nnops, "dense", spy), GradTape():
             vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
         rel_feat, rel_pos = oracle.group_relative(cloud.positions, feats, nbr)
         want = oracle.mix_features(Tensor(rel_feat), Tensor(rel_pos), p.pos).data

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,15 @@ from pointvector.errors import ConfigError, NumericFaultError
 from pointvector.geometry import PointSetBatch
 from pointvector.model import Model, preset_config
 from pointvector.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamWHyper,
     AdamWState,
     TrainConfig,
     adamw_step,
     ce_label_smoothing,
+    check_trainable,
     evaluate,
     report_to_csv,
     train_loop,
@@ -28,13 +34,23 @@ def test_remainder_of_one_cloud_joins_previous_batch():
     assert all(np.isfinite(r.loss) for r in report.rows)
 
 
+def test_segmentation_trains_on_batches_of_one():
+    """Only the classification head needs two clouds per batch."""
+    data = dataio.make_dataset(dataio.DataConfig(num_scenes=3, num_points=64,
+                                                 val_fraction=0.5), "segmentation")
+    cfg = preset_config("toy-seg", num_classes=data.num_classes)
+    check_trainable(cfg, TrainConfig(batch_size=1), data)
+    with pytest.raises(ConfigError, match="train.batch_size"):
+        check_trainable(replace(cfg, task="classification"), TrainConfig(batch_size=1), data)
+
+
 def _adamw_formula(p, g, m, v, t, h):
     """The textbook update with bias-corrected moments."""
-    m = h.beta1 * m + (1.0 - h.beta1) * g
-    v = h.beta2 * v + (1.0 - h.beta2) * g * g
-    m_hat = m / (1.0 - h.beta1 ** t)
-    v_hat = v / (1.0 - h.beta2 ** t)
-    return p - h.lr * h.weight_decay * p - h.lr * m_hat / (np.sqrt(v_hat) + h.eps), m, v
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return p - h.lr * h.weight_decay * p - h.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 class TestAdamW:

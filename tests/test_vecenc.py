@@ -267,9 +267,11 @@ class TestRotateProject3:
             return oracle.unfused_rotate_project(
                 nnops.linear(fp, enc.zx), nnops.dense(fp, enc.angles, mode), proj, pad)
 
-        out, grads = _values_and_grads(
-            lambda: vecenc.encode_rotation_projected(fp, enc, proj, pad, mode),
-            leaves, probe)
+        def fused():
+            return vecenc.rotate_project3(
+                nnops.linear(fp, enc.zx), nnops.dense(fp, enc.angles, mode), proj, pad)
+
+        out, grads = _values_and_grads(fused, leaves, probe)
         want, want_grads = _values_and_grads(unfused, leaves, probe)
         _assert_close(out, want)
         for g, w in zip(grads, want_grads):
