@@ -8,10 +8,14 @@ discrete choice).
 One function computes squared distances, `_sq_dist`: (qx-rx)^2 +
 (qy-ry)^2 + (qz-rz)^2, summed in that order in float64, the formula of
 `oracle.naive_knn`. FPS keeps a copy of the sum in its loop, which runs m-1
-times per call over preallocated buffers. One function orders neighbors,
-`_rank`: by (d^2, index), so exact ties, duplicates included, go to the
-lower index. kNN ranks k+1 candidates from one of two sources, the dense
-[M,N] block (`argpartition`) or a k-d tree (`scipy.spatial`, re-scored
+times per call, from one of two sources: a batched loop over every point of
+every cloud, or, from `_FPS_SLAB_MIN_POINTS` points, a loop per cloud over
+the points sorted by x that sums only the x-slab the last center can reach.
+Outside that slab the rounded sum cannot fall below the point's current
+minimum, so both sources return the same indices. One function orders
+neighbors, `_rank`: by (d^2, index), so exact ties, duplicates included, go
+to the lower index. kNN ranks k+1 candidates from one of two sources, the
+dense [M,N] block (`argpartition`) or a k-d tree (`scipy.spatial`, re-scored
 exactly), and ranks a row over all N points when its k-th and (k+1)-th
 distances are within `_TREE_MARGIN`. Both sources return the same indices;
 the choice changes the cost only. The tree is faster above about
@@ -20,11 +24,15 @@ the choice changes the cost only. The tree is faster above about
 problem above `_DENSE_MAX_PAIRS` pairs, importing the module if need be, and
 a problem above `_TREE_MIN_PAIRS` pairs only when the process has already
 loaded the module; everything else scans the dense block. Ball query keeps
-scan order: the first k in-radius points by index.
+scan order: the first k in-radius points by index. Every search checks its
+inputs first: an integer k, a finite positive radius, finite query points and
+center indices inside their cloud.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -108,24 +116,46 @@ def _rank(cand: np.ndarray, d2: np.ndarray, k: int):
     return idx, hi - lo <= _TREE_MARGIN * hi
 
 
+# Smallest cloud whose FPS runs the slab loop, one cloud at a time. Batched
+# vs slab loop on scene clouds at m = N/4 (2-core Xeon, one BLAS thread): 117
+# vs 68 ms at 8192 points and 57 vs 31 ms at 4096 (B=2), but 60 vs 75 ms at
+# 2048 and 4.4 vs 11.7 ms at 512 (B=8), where the slab loop's per-iteration
+# overhead outweighs the points it skips
+_FPS_SLAB_MIN_POINTS = 4096
+
+
 def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     """Iterative max-min-distance subsampling; returns indices [B, m].
 
     The i-th chosen point maximizes the minimum distance to the already
     chosen set; ties and duplicate points resolve to the lowest unchosen
     index, so the output is deterministic and free of repeats. `start` is a
-    single index or one index per batch entry. The loop sums `_sq_dist`'s
-    formula into preallocated buffers itself, as it runs m-1 times.
+    single index or one index per batch entry. Clouds of fewer than
+    `_FPS_SLAB_MIN_POINTS` points run `_fps_batched`, all clouds at once;
+    larger ones run `_fps_slab`, one cloud at a time, which updates only the
+    points the last center can reach. Both equal `oracle.naive_fps` index
+    for index; the choice changes the cost only.
     """
     pos = cloud.positions.astype(np.float64)
     b, n, _ = pos.shape
-    if n == 0:
-        raise SizeError("farthest_point_sample on an empty cloud")
     if not 1 <= m <= n:
         raise SizeError(f"requested {m} samples from a cloud of {n} points")
-    starts = np.broadcast_to(np.asarray(start, dtype=np.int64), (b,)).copy()
+    starts = np.asarray(start)
+    if starts.dtype.kind not in "iu" or starts.ndim > 1 or starts.size not in (1, b):
+        raise SizeError(f"start must be one integer index or one per batch entry "
+                        f"({b}), got {start!r}")
+    starts = np.broadcast_to(starts.astype(np.int64), (b,)).copy()
     if starts.min() < 0 or starts.max() >= n:
         raise SizeError(f"start index outside [0, {n})")
+    if n >= _FPS_SLAB_MIN_POINTS:
+        return np.stack([_fps_slab(p, m, s) for p, s in zip(pos, starts)])
+    return _fps_batched(pos, m, starts)
+
+
+def _fps_batched(pos: np.ndarray, m: int, starts: np.ndarray) -> np.ndarray:
+    """FPS [B, m] over float64 positions [B,N,3], all clouds in one loop that
+    sums `_sq_dist`'s formula over every point into preallocated buffers."""
+    b, n, _ = pos.shape
     x, y, z = (np.ascontiguousarray(pos[..., j]) for j in range(3))
     chosen = np.zeros((b, m), dtype=np.int64)
     chosen[:, 0] = starts
@@ -152,6 +182,55 @@ def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     return chosen
 
 
+def _fps_slab(pos: np.ndarray, m: int, start: int) -> np.ndarray:
+    """FPS [m] of one cloud [N,3] that updates only the x-slab the last
+    center c can reach; equal to `_fps_batched` index for index.
+
+    The points are sorted once by x (stable), into one x-sorted [3,N] array
+    and the permutation `order`; min_d stays in point order, so `argmax`
+    still gives ties to the lowest unchosen index. r^2, the min distance of
+    c when it was chosen, is the largest of all points' min distances, so c
+    can lower min_d[p] <= r^2 only if (x_p - x_c)^2 < r^2. The loop sums the
+    oracle's (dx*dx + dy*dy) + dz*dz only over the contiguous slab x_c +-
+    r*(1 + 1e-9), found by two `searchsorted` calls. Outside it, |x_p - x_c|
+    exceeds the half-width in exact arithmetic, as x_p is a float and the
+    bounds round to nearest, and the 1e-9 margin keeps the square of the
+    rounded half-width above r^2. Rounding is monotone, so the rounded sum,
+    at least fl(dx*dx), is at least r^2 >= min_d[p]: min_d would not have
+    changed. The first center has r^2 = inf, a slab of the whole cloud; once
+    r^2 = 0, no point can change and the update is skipped.
+    """
+    n = pos.shape[0]
+    order = np.argsort(pos[:, 0], kind="stable")
+    srt = np.ascontiguousarray(pos[order].T)
+    xs = srt[0]
+    chosen = np.empty(m, dtype=np.int64)
+    chosen[0] = start
+    min_d = np.full(n, np.inf)
+    min_d[start] = -1.0
+    sq = np.empty((3, n))
+    d = np.empty(n)
+    last, r2 = start, math.inf
+    for i in range(1, m):
+        if r2 > 0.0:
+            c = pos[last]
+            half = math.sqrt(r2) * (1.0 + 1e-9)
+            lo = xs.searchsorted(c[0] - half, "left")
+            hi = xs.searchsorted(c[0] + half, "right")
+            s, ds = sq[:, :hi - lo], d[:hi - lo]
+            np.subtract(srt[:, lo:hi], c[:, None], out=s)
+            np.multiply(s, s, out=s)
+            np.add(s[0], s[1], out=ds)
+            np.add(ds, s[2], out=ds)
+            idx = order[lo:hi]
+            min_d[idx] = np.minimum(min_d[idx], ds, out=ds)
+        last = min_d.argmax()
+        r2 = float(min_d[last])
+        chosen[i] = last
+        min_d[last] = -1.0
+    return chosen
+
+
 def geometric_start(cloud: PointSetBatch) -> np.ndarray:
     """Index of the point farthest from the cloud centroid, per batch entry.
 
@@ -171,6 +250,29 @@ def geometric_start(cloud: PointSetBatch) -> np.ndarray:
     return start
 
 
+def _check_k(k, n: int, search: str) -> None:
+    """ConfigError unless k is an integer >= 1; SizeError if k > n."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ConfigError(f"{search} k must be an integer, got {k!r}")
+    if k < 1:
+        raise ConfigError(f"{search} k must be >= 1, got {k}")
+    if k > n:
+        raise SizeError(f"k={k} exceeds cloud size {n}")
+
+
+def _center_positions(centers, cloud: PointSetBatch):
+    """Center indices as int64 [B,M] and their positions [B,M,3]; SizeError
+    unless each row indexes points of its own cloud."""
+    centers = np.asarray(centers, dtype=np.int64)
+    b, n = cloud.batch_size, cloud.num_points
+    if centers.ndim != 2 or centers.shape[0] != b:
+        raise SizeError(f"centers of shape {centers.shape} for a batch of {b}; "
+                        "expected [B, M]")
+    if np.any(centers < 0) or np.any(centers >= n):
+        raise SizeError(f"center index out of range [0, {n})")
+    return centers, cloud.positions[np.arange(b)[:, None], centers]
+
+
 def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
                k: int) -> NeighborIndex:
     """Radius-bounded neighbor search around existing cloud points.
@@ -180,16 +282,10 @@ def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
     center itself is always in radius (distance 0), so no neighborhood is
     empty.
     """
-    if radius <= 0:
-        raise ConfigError(f"ball query radius must be positive, got {radius}")
-    if k < 1:
-        raise ConfigError(f"ball query k must be >= 1, got {k}")
-    n = cloud.num_points
-    if k > n:
-        raise SizeError(f"k={k} exceeds cloud size {n}")
-    centers = np.asarray(centers, dtype=np.int64)
-    batch = np.arange(cloud.batch_size)[:, None]
-    query_xyz = cloud.positions[batch, centers]
+    if not (math.isfinite(radius) and radius > 0):
+        raise ConfigError(f"ball query radius must be finite and positive, got {radius}")
+    _check_k(k, cloud.num_points, "ball query")
+    centers, query_xyz = _center_positions(centers, cloud)
     outside = _sq_dist(query_xyz[:, :, None], cloud.positions[:, None]) > float(radius) ** 2
     # a stable sort of the mask puts the in-radius points first, by index
     idx = np.argsort(outside, axis=-1, kind="stable")[..., :k]
@@ -226,11 +322,14 @@ def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarra
     size, as the module docstring says; the choice changes the cost, never
     the indices.
     """
-    n = cloud.num_points
-    if k > n:
-        raise SizeError(f"k={k} exceeds cloud size {n}")
-    if k < 1:
-        raise ConfigError(f"knn k must be >= 1, got {k}")
+    query_xyz = np.asarray(query_xyz)
+    b, n = cloud.batch_size, cloud.num_points
+    if query_xyz.ndim != 3 or query_xyz.shape[0] != b or query_xyz.shape[2] != 3:
+        raise SizeError(f"knn query of shape {query_xyz.shape} for a batch of {b}; "
+                        "expected [B, M, 3]")
+    if not np.all(np.isfinite(query_xyz)):
+        raise DataError("knn query contains non-finite values")
+    _check_k(k, n, "knn")
     pairs = query_xyz.shape[1] * n
     if pairs > _DENSE_MAX_PAIRS or (pairs > _TREE_MIN_PAIRS
                                     and "scipy.spatial" in sys.modules):
@@ -290,9 +389,7 @@ def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
 
 def knn(centers: np.ndarray, cloud: PointSetBatch, k: int) -> NeighborIndex:
     """k nearest neighbors of selected cloud points (the center included)."""
-    centers = np.asarray(centers, dtype=np.int64)
-    batch = np.arange(cloud.batch_size)[:, None]
-    query_xyz = cloud.positions[batch, centers]
+    centers, query_xyz = _center_positions(centers, cloud)
     idx = knn_points(query_xyz, cloud, k)
     pad = np.zeros(idx.shape, dtype=bool)
     return NeighborIndex(indices=idx, pad_mask=pad, centers=centers)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -104,8 +105,8 @@ class ModelConfig:
         for name, low in (("sa_per_stage", 0), ("vpsa_per_stage", 0), ("strides", 1)):
             if min(getattr(self, name)) < low:
                 raise ConfigError(f"model.{name} must be >= {low}, got {getattr(self, name)}")
-        if self.radii is not None and min(self.radii) <= 0:
-            raise ConfigError(f"model.radii must be > 0, got {self.radii}")
+        if self.radii is not None and not all(math.isfinite(r) and r > 0 for r in self.radii):
+            raise ConfigError(f"model.radii must be finite and > 0, got {self.radii}")
         if self.task not in ("segmentation", "classification"):
             raise ConfigError(
                 f"model.task must be segmentation or classification, got {self.task!r}")

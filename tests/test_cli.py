@@ -390,6 +390,8 @@ MORE_OUT_OF_RANGE = [("train", "label_smoothing", 1.0), ("train", "epochs", 0),
 # a repeated kind is a class no point carries; 4 points are fewer than the
 # base model's strides and neighborhoods need
 DATA_THE_MODEL_CANNOT_USE = [("data", "kinds", ["plane", "plane"]), ("data", "num_points", 4)]
+# JSON configs may spell NaN and Infinity
+NONFINITE = [("model", "radii", [float("nan"), 0.5]), ("model", "radii", [float("inf"), 0.5])]
 
 
 def _bad_setting_config(tmp_path, section, key, value):
@@ -407,7 +409,7 @@ def _bad_setting_config(tmp_path, section, key, value):
 
 @pytest.mark.parametrize("section,key,value", DATASET_SETTINGS + OUT_OF_RANGE + WRONG_TYPES
                          + MORE_DATASET_SETTINGS + MORE_OUT_OF_RANGE
-                         + DATA_THE_MODEL_CANNOT_USE)
+                         + DATA_THE_MODEL_CANNOT_USE + NONFINITE)
 def test_bad_data_or_train_setting_names_the_field(tmp_path, capsys, section, key, value):
     config = _bad_setting_config(tmp_path, section, key, value)
     run = tmp_path / "run"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointvector import geometry, oracle
-from pointvector.errors import DataError, SizeError
+from pointvector import dataio, geometry, oracle
+from pointvector.errors import ConfigError, DataError, SizeError
 from pointvector.geometry import (
     NeighborIndex,
     PointSetBatch,
@@ -65,6 +65,13 @@ class TestFarthestPointSample:
             farthest_point_sample(line_cloud(), 5, 0)
         with pytest.raises(SizeError):
             farthest_point_sample(line_cloud(), 2, 9)
+
+    @pytest.mark.parametrize("start", [1.5, np.array([0, 1, 2])], ids=["float", "three-for-two"])
+    def test_start_is_one_integer_index_per_batch_entry(self, start):
+        # np.int64 would truncate 1.5 to a silent start at index 1
+        cloud = random_cloud(np.random.default_rng(9), b=2, n=8)
+        with pytest.raises(SizeError, match="start"):
+            farthest_point_sample(cloud, 5, start)
 
     def test_per_batch_start(self):
         rng = np.random.default_rng(1)
@@ -125,6 +132,13 @@ class TestBallQuery:
         with pytest.raises(SizeError, match="exceeds cloud size"):
             ball_query(np.array([[0]]), line_cloud(), 1.5, 5)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_nonfinite_radius_rejected(self, radius):
+        # under a NaN radius no point, not even the center, is in radius
+        cloud = random_cloud(np.random.default_rng(10), n=8)
+        with pytest.raises(ConfigError, match="radius"):
+            ball_query(np.array([[5]]), cloud, radius, 4)
+
     def test_joint_scaling_preserves_membership(self):
         rng = np.random.default_rng(4)
         for scale in (0.8, 1.2, 2.0):
@@ -171,6 +185,41 @@ class TestKnn:
     def test_k_too_large(self):
         with pytest.raises(SizeError):
             knn(np.array([[0]]), line_cloud(), 5)
+
+
+@pytest.mark.parametrize("search", [lambda c, x: knn(c, x, 2),
+                                    lambda c, x: ball_query(c, x, 1.5, 2)],
+                         ids=["knn", "ball_query"])
+@pytest.mark.parametrize("center", [-1, 4])
+def test_center_outside_the_cloud_is_rejected(search, center):
+    with pytest.raises(SizeError, match=r"out of range \[0, 4\)"):
+        search(np.array([[0, center]]), line_cloud())
+
+
+class TestKnnPointsQuery:
+    """A bad query fails with a library error that names the cause."""
+
+    @pytest.mark.parametrize("dense_max", [geometry._DENSE_MAX_PAIRS, 0], ids=["dense", "tree"])
+    def test_batch_mismatch(self, dense_max):
+        cloud = random_cloud(np.random.default_rng(11), b=2, n=16)
+        with mock.patch.object(geometry, "_DENSE_MAX_PAIRS", dense_max), \
+                pytest.raises(SizeError, match="batch of 2"):
+            geometry.knn_points(np.zeros((3, 4, 3)), cloud, 2)
+
+    def test_two_coordinates(self):
+        cloud = random_cloud(np.random.default_rng(12), b=2, n=16)
+        with pytest.raises(SizeError, match=r"expected \[B, M, 3\]"):
+            geometry.knn_points(np.zeros((2, 4, 2)), cloud, 2)
+
+    def test_nan_query(self):
+        query = np.zeros((1, 4, 3))
+        query[0, 2, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            geometry.knn_points(query, line_cloud(), 2)
+
+    def test_fractional_k(self):
+        with pytest.raises(ConfigError, match="integer"):
+            geometry.knn_points(np.zeros((1, 4, 3)), line_cloud(), 2.5)
 
 
 def _cloud_pair(seed: int, kind: str, b: int, n: int, m: int):
@@ -329,18 +378,66 @@ class TestBallQueryContract:
         assert (np.where(pad, -1, idx) == np.where(pad, -1, first)).all()
 
 
+def _fps_equals_oracle(seed, kind, n, frac, b):
+    _, ref = _cloud_pair(seed, kind, b, n, 1)
+    m = max(1, int(frac * n))
+    starts = np.random.default_rng(seed).integers(0, n, b)
+    got = farthest_point_sample(PointSetBatch(positions=ref), m, starts)
+    assert np.array_equal(got, oracle.naive_fps(ref, m, starts))
+    for row in got:
+        assert len(set(row.tolist())) == m
+
+
 class TestFpsExactContract:
+    """Both FPS sources equal oracle.naive_fps index for index."""
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 150),
            frac=st.floats(0.01, 1.0), b=st.integers(1, 3))
     def test_equals_oracle_bit_for_bit(self, seed, kind, n, frac, b):
-        _, ref = _cloud_pair(seed, kind, b, n, 1)
-        m = max(1, int(frac * n))
-        starts = np.random.default_rng(seed).integers(0, n, b)
-        got = farthest_point_sample(PointSetBatch(positions=ref), m, starts)
-        assert np.array_equal(got, oracle.naive_fps(ref, m, starts))
-        for row in got:
-            assert len(set(row.tolist())) == m
+        _fps_equals_oracle(seed, kind, n, frac, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 150),
+           frac=st.floats(0.01, 1.0), b=st.integers(1, 3))
+    def test_slab_loop_equals_oracle_bit_for_bit(self, seed, kind, n, frac, b):
+        # every cloud takes the slab loop; lattice and duplicate clouds reach
+        # exact ties and r^2 = 0
+        with mock.patch.object(geometry, "_FPS_SLAB_MIN_POINTS", 1):
+            _fps_equals_oracle(seed, kind, n, frac, b)
+
+    def test_slab_reaches_a_point_just_inside_its_edge(self):
+        # points 1 and 2 tie at r^2 = 1 + 1e-10 from point 0 and lie 1 apart
+        # in x, just inside the slab around point 1; the update takes point
+        # 2 to 1, below point 3's 1 + 0.5e-10, so point 3 comes third
+        h = np.sqrt(0.75 + 1e-10)
+        pos = np.array([[[0.0, 0, 0], [0.5, h, 0], [-0.5, h, 0],
+                         [0, -np.sqrt(1 + 0.5e-10), 0]]])
+        assert oracle.naive_fps(pos, 4, 0).tolist() == [[0, 1, 3, 2]]
+        with mock.patch.object(geometry, "_FPS_SLAB_MIN_POINTS", 1):
+            assert farthest_point_sample(PointSetBatch(positions=pos), 4, 0).tolist() \
+                == [[0, 1, 3, 2]]
+
+    def test_slab_loop_from_its_threshold_equals_batched_loop(self):
+        n = geometry._FPS_SLAB_MIN_POINTS
+        _, ref = _cloud_pair(5, "random", 1, n, 1)
+        with mock.patch.object(geometry, "_fps_slab", wraps=geometry._fps_slab) as slab:
+            got = farthest_point_sample(PointSetBatch(positions=ref), n // 4, 7)
+            # one point fewer keeps the batched loop
+            farthest_point_sample(PointSetBatch(positions=ref[:, 1:]), 4, 7)
+        assert slab.call_count == 1
+        assert np.array_equal(got, geometry._fps_batched(ref, n // 4, np.array([7])))
+
+
+@pytest.mark.matrix
+def test_slab_fps_on_scene_clouds_equals_batched_loop():
+    # the 8192 -> 2048 call of a pointvector-s forward pass at N=8192
+    cloud = PointSetBatch(positions=dataio.make_segmentation_dataset(
+        num_scenes=2, num_points=8192, seed=0).positions)
+    start = geometric_start(cloud)
+    got = farthest_point_sample(cloud, 2048, start)
+    assert np.array_equal(got, geometry._fps_batched(
+        cloud.positions.astype(np.float64), 2048, start))
 
 
 class TestOrderAndRotationProperties:
