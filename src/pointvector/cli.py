@@ -42,12 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dataio, gradcheck, model as model_mod, nnops, train as train_mod
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    NumericFaultError,
-    PointVectorError,
-)
+from .errors import CheckpointError, ConfigError, NumericFaultError, PointVectorError
 from .model import ModelConfig, preset_config, read_section
 from .train import TrainConfig
 
@@ -98,6 +93,8 @@ def load_config(path) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(doc) - {"model", "train", "data", "ablate"}
@@ -416,7 +413,7 @@ def main(argv=None) -> int:
     except NumericFaultError as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, PointVectorError) as exc:
+    except PointVectorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyCloudError, FormatError, ParseError
+from .errors import ConfigError, DataError, SizeError
 from .geometry import PointSetBatch
 from .model import check_field_types
 
@@ -171,7 +171,7 @@ def _cloud(seed: int, layout: list[str], kinds: list[str], num_points: int,
 
 def write_points(path, cloud: PointSetBatch) -> None:
     if cloud.batch_size != 1:
-        raise FormatError("write_points expects a single-cloud batch")
+        raise SizeError("write_points expects a single-cloud batch")
     pos = cloud.positions[0]
     labels = None if cloud.labels is None else cloud.labels[0]
     lines = []
@@ -183,9 +183,17 @@ def write_points(path, cloud: PointSetBatch) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file's contents; DataError naming the file if unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+
+
 def read_points(path) -> PointSetBatch:
     """Parse a point-cloud text file; exact round trip with write_points."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     pos, labels = [], []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -196,23 +204,23 @@ def read_points(path) -> PointSetBatch:
         if width is None:
             width = len(cols)
             if width not in (3, 4):
-                raise FormatError(
+                raise DataError(
                     f"{path}: line {lineno}: expected 3 or 4 columns, got {width}")
         elif len(cols) != width:
-            raise FormatError(
+            raise DataError(
                 f"{path}: line {lineno}: {len(cols)} columns, expected {width}")
         try:
             xyz = [float(c) for c in cols[:3]]
         except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: bad coordinate: {exc}") from exc
+            raise DataError(f"{path}: line {lineno}: bad coordinate: {exc}") from exc
         pos.append(xyz)
         if width == 4:
             try:
                 labels.append(int(cols[3]))
             except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: bad label: {exc}") from exc
+                raise DataError(f"{path}: line {lineno}: bad label: {exc}") from exc
     if not pos:
-        raise EmptyCloudError(f"{path}: no points found")
+        raise DataError(f"{path}: no points found")
     positions = np.asarray(pos, dtype=np.float64)[None]
     lab = np.asarray(labels, dtype=np.int64)[None] if labels else None
     return PointSetBatch(positions=positions, labels=lab)
@@ -226,13 +234,13 @@ def write_manifest(path, entries) -> None:
 
 def read_manifest(path) -> list[tuple[str, str]]:
     out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 1)
         if len(parts) != 2 or parts[0] not in ("train", "val", "test"):
-            raise FormatError(f"{path}: line {lineno}: expected 'train|val|test <path>'")
+            raise DataError(f"{path}: line {lineno}: expected 'train|val|test <path>'")
         out.append((parts[0], parts[1]))
     return out
 
@@ -347,7 +355,7 @@ def load_dataset_from_manifest(manifest_path, task: str, num_classes: int) -> Da
     base = Path(manifest_path).parent
     entries = read_manifest(manifest_path)
     if not entries:
-        raise EmptyCloudError(f"{manifest_path}: empty manifest")
+        raise DataError(f"{manifest_path}: empty manifest")
     positions, labels, split_lists = [], [], {}
     for i, (split, rel) in enumerate(entries):
         cloud = read_points(base / rel)

@@ -1,7 +1,9 @@
 """Exception types raised by the library.
 
-Every error condition has a dedicated class so callers (and the CLI exit-code
-mapping) can distinguish bad configuration from bad data from numeric faults.
+A class exists for each way a caller handles a failure: the CLI maps numeric
+faults and checkpoint errors to their own exit codes and every other library
+error to one, and tests tell the remaining classes apart. A new failure takes
+the class of the handling it needs; its message names the cause.
 """
 
 
@@ -18,11 +20,13 @@ class ConfigError(PointVectorError):
 
 
 class ContractError(PointVectorError):
-    """An API contract was violated (e.g. backward on a non-scalar loss)."""
+    """An API contract was violated (e.g. backward on a non-scalar loss, or an
+    oracle used outside its supported regime)."""
 
 
 class DataError(PointVectorError):
-    """Invalid data values, e.g. labels outside the class range."""
+    """Invalid or unreadable data: a malformed or empty point-cloud file or
+    manifest, labels outside the class range, an evaluation of no samples."""
 
 
 class NumericFaultError(PointVectorError):
@@ -37,25 +41,5 @@ class InvalidNeighborhoodError(PointVectorError):
     """A neighborhood reduction received only padded entries."""
 
 
-class ParseError(PointVectorError):
-    """Malformed line in a point-cloud text file; message carries the line number."""
-
-
-class FormatError(PointVectorError):
-    """Structurally inconsistent point-cloud file (e.g. mixed column counts)."""
-
-
-class EmptyCloudError(PointVectorError):
-    """A point cloud with zero points where at least one is required."""
-
-
-class OracleError(PointVectorError):
-    """A brute-force oracle was used outside its supported regime."""
-
-
 class CheckpointError(PointVectorError):
     """Unreadable checkpoint or parameter shape mismatch on load."""
-
-
-class EmptyEvaluationError(PointVectorError):
-    """Metrics requested for an evaluation that saw no samples."""

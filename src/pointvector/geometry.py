@@ -138,8 +138,8 @@ def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     """
     pos = cloud.positions.astype(np.float64)
     b, n, _ = pos.shape
-    if not 1 <= m <= n:
-        raise SizeError(f"requested {m} samples from a cloud of {n} points")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= n:
+        raise SizeError(f"requested m={m!r} samples from a cloud of {n} points")
     starts = np.asarray(start)
     if starts.dtype.kind not in "iu" or starts.ndim > 1 or starts.size not in (1, b):
         raise SizeError(f"start must be one integer index or one per batch entry "
@@ -262,14 +262,15 @@ def _check_k(k, n: int, search: str) -> None:
 
 def _center_positions(centers, cloud: PointSetBatch):
     """Center indices as int64 [B,M] and their positions [B,M,3]; SizeError
-    unless each row indexes points of its own cloud."""
-    centers = np.asarray(centers, dtype=np.int64)
+    unless they are integers and each row indexes points of its own cloud."""
+    centers = np.asarray(centers)
     b, n = cloud.batch_size, cloud.num_points
-    if centers.ndim != 2 or centers.shape[0] != b:
-        raise SizeError(f"centers of shape {centers.shape} for a batch of {b}; "
-                        "expected [B, M]")
+    if centers.dtype.kind not in "iu" or centers.ndim != 2 or centers.shape[0] != b:
+        raise SizeError(f"centers of dtype {centers.dtype} and shape {centers.shape} "
+                        f"for a batch of {b}; expected integer [B, M]")
     if np.any(centers < 0) or np.any(centers >= n):
         raise SizeError(f"center index out of range [0, {n})")
+    centers = centers.astype(np.int64, copy=False)
     return centers, cloud.positions[np.arange(b)[:, None], centers]
 
 

@@ -166,36 +166,17 @@ def _case_concat_reshape(rng):
     return [("a", a), ("b", b)], forward
 
 
-def _case_neighbor_reduce_sum(rng):
-    v = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 5))
-    return [("v", v)], lambda: _loss_of(nnops.neighbor_reduce(v, "sum"), probe)
-
-
-def _case_neighbor_reduce_max(rng):
-    v = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 5))
-    return [("v", v)], lambda: _loss_of(nnops.neighbor_reduce(v, "max"), probe)
-
-
 def _pad_mask(rng, shape):
     pad = rng.random(shape) < 0.3
     pad[..., 0] = False
     return pad
 
 
-def _case_neighbor_reduce_sum_padded(rng):
+def _case_neighbor_reduce(rng, mode, padded=False):
     v = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-    pad = _pad_mask(rng, (2, 3, 4))
+    pad = _pad_mask(rng, (2, 3, 4)) if padded else None
     probe = rng.standard_normal((2, 3, 5))
-    return [("v", v)], lambda: _loss_of(nnops.neighbor_reduce(v, "sum", pad), probe)
-
-
-def _case_neighbor_reduce_max_padded(rng):
-    v = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-    pad = _pad_mask(rng, (2, 3, 4))
-    probe = rng.standard_normal((2, 3, 5))
-    return [("v", v)], lambda: _loss_of(nnops.neighbor_reduce(v, "max", pad), probe)
+    return [("v", v)], lambda: _loss_of(nnops.neighbor_reduce(v, mode, pad), probe)
 
 
 def _case_grouped_projection(rng, slots=1):
@@ -236,26 +217,16 @@ def _case_residual_fuse(rng):
             lambda: _loss_of(nnops.residual_fuse(main, skip), probe))
 
 
-def _case_gather_2d(rng):
-    x = Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
-    idx = rng.integers(0, 6, size=(2, 4))
-    probe = rng.standard_normal((2, 4, 3))
-    return [("x", x)], lambda: _loss_of(nnops.gather(x, idx), probe)
-
-
-def _case_gather_3d(rng):
-    x = Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
-    idx = rng.integers(0, 6, size=(2, 4, 3))
-    probe = rng.standard_normal((2, 4, 3, 3))
-    return [("x", x)], lambda: _loss_of(nnops.gather(x, idx), probe)
-
-
-def _case_gather_weighted(rng):
-    x = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
-    idx = rng.integers(0, 5, size=(2, 4, 3))
-    w = rng.uniform(0.1, 1.0, size=(2, 4, 3))
-    w /= w.sum(axis=2, keepdims=True)
-    probe = rng.standard_normal((2, 4, 3))
+def _case_gather(rng, n, idx_shape, weighted=False):
+    """gather from x [2,n,3] by indices of idx_shape; weights, which sum to
+    1 over the last index axis, reduce over it."""
+    x = Tensor(rng.standard_normal((2, n, 3)), requires_grad=True)
+    idx = rng.integers(0, n, size=idx_shape)
+    w = None
+    if weighted:
+        w = rng.uniform(0.1, 1.0, size=idx_shape)
+        w /= w.sum(axis=-1, keepdims=True)
+    probe = rng.standard_normal((idx_shape[:-1] if weighted else idx_shape) + (3,))
     return [("x", x)], lambda: _loss_of(nnops.gather(x, idx, w), probe)
 
 
@@ -378,17 +349,17 @@ CASES = {
     "relu": _case_relu,
     "add_sub_mul": _case_add_sub_mul,
     "concat_reshape": _case_concat_reshape,
-    "neighbor_reduce_sum": _case_neighbor_reduce_sum,
-    "neighbor_reduce_max": _case_neighbor_reduce_max,
-    "neighbor_reduce_sum_padded": _case_neighbor_reduce_sum_padded,
-    "neighbor_reduce_max_padded": _case_neighbor_reduce_max_padded,
+    "neighbor_reduce_sum": partial(_case_neighbor_reduce, mode="sum"),
+    "neighbor_reduce_max": partial(_case_neighbor_reduce, mode="max"),
+    "neighbor_reduce_sum_padded": partial(_case_neighbor_reduce, mode="sum", padded=True),
+    "neighbor_reduce_max_padded": partial(_case_neighbor_reduce, mode="max", padded=True),
     "grouped_projection": _case_grouped_projection,
     "grouped_projection_slots": partial(_case_grouped_projection, slots=4),
     "aggregation_modes_padded": _case_aggregation_modes_padded,
     "residual_fuse": _case_residual_fuse,
-    "gather_2d": _case_gather_2d,
-    "gather_3d": _case_gather_3d,
-    "gather_weighted": _case_gather_weighted,
+    "gather_2d": partial(_case_gather, n=6, idx_shape=(2, 4)),
+    "gather_3d": partial(_case_gather, n=6, idx_shape=(2, 4, 3)),
+    "gather_weighted": partial(_case_gather, n=5, idx_shape=(2, 4, 3), weighted=True),
     "unit_normalize": _case_unit_normalize,
     "sum_all": _case_sum_all,
     "rotate_field3": partial(_case_rotate_field, m=3),

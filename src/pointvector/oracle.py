@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nnops, vecenc
-from .errors import OracleError
+from .errors import ContractError
 
 MAX_ORACLE_WORK = 10_000
 
@@ -36,7 +36,7 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         fm = float(f(x))
         flat[i] = saved
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleError(f"non-finite evaluation at coordinate {i}")
+            raise ContractError(f"non-finite evaluation at coordinate {i}")
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
 
@@ -46,9 +46,9 @@ def naive_knn(query_xyz: np.ndarray, ref_xyz: np.ndarray, k: int) -> np.ndarray:
     b, m, _ = query_xyz.shape
     n = ref_xyz.shape[1]
     if b * m * n > MAX_ORACLE_WORK * 100:
-        raise OracleError("naive_knn instance too large")
+        raise ContractError("naive_knn instance too large")
     if k > n:
-        raise OracleError(f"k={k} exceeds {n} reference points")
+        raise ContractError(f"k={k} exceeds {n} reference points")
     out = np.zeros((b, m, k), dtype=np.int64)
     for bi in range(b):
         for qi in range(m):
@@ -72,7 +72,7 @@ def naive_fps(positions: np.ndarray, m: int, start=0) -> np.ndarray:
     pos = positions.astype(np.float64)
     b, n, _ = pos.shape
     if not 1 <= m <= n:
-        raise OracleError(f"requested {m} samples from {n} points")
+        raise ContractError(f"requested {m} samples from {n} points")
     starts = np.broadcast_to(np.asarray(start, dtype=np.int64), (b,)).copy()
     chosen = np.zeros((b, m), dtype=np.int64)
     chosen[:, 0] = starts
@@ -97,7 +97,7 @@ def naive_interpolate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
     n = fine_xyz.shape[1]
     c = coarse_feat.shape[-1]
     if b * n * m > MAX_ORACLE_WORK * 100:
-        raise OracleError("naive_interpolate instance too large")
+        raise ContractError("naive_interpolate instance too large")
     num = min(num, m)
     out = np.zeros((b, n, c), dtype=np.float64)
     for bi in range(b):
@@ -128,7 +128,7 @@ def group_relative(positions, features, nbr):
     """
     b, n, _ = positions.shape
     if nbr.indices.min() < 0 or nbr.indices.max() >= n:
-        raise OracleError("neighbor indices outside the source cloud")
+        raise ContractError("neighbor indices outside the source cloud")
     batch = np.arange(b)[:, None, None]
     centers = nbr.centers[:, :, None]
     rel_feat = features[batch, nbr.indices] - features[batch, centers]
@@ -210,7 +210,7 @@ def naive_sa(positions: np.ndarray, features: np.ndarray, centers: np.ndarray,
     m = centers.shape[1]
     k = neighbors.shape[2]
     if b * m * k * cin > MAX_ORACLE_WORK * 10:
-        raise OracleError("naive_sa instance too large")
+        raise ContractError("naive_sa instance too large")
     w = weights["mlp_w"].astype(np.float64)
     cout = w.shape[1]
     pre = np.zeros((b, m, k, cout), dtype=np.float64)
@@ -256,7 +256,7 @@ def brute_force_vpsa(positions: np.ndarray, features: np.ndarray,
     m = centers.shape[1]
     k = neighbors.shape[2]
     if b * m * k * cin > MAX_ORACLE_WORK * 10:
-        raise OracleError("brute_force_vpsa instance too large")
+        raise ContractError("brute_force_vpsa instance too large")
     pos = positions.astype(np.float64)
     feat = features.astype(np.float64)
 

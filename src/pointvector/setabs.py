@@ -209,9 +209,6 @@ def _select_centers(x: PointSetBatch, stride: int) -> np.ndarray:
 def group(x: PointSetBatch, cfg: BlockConfig) -> NeighborIndex:
     """A block's centers (`_select_centers`) and their neighborhoods: knn, or
     ball query when cfg.radius is set."""
-    if cfg.k_neighbors > x.num_points:
-        raise SizeError(
-            f"k={cfg.k_neighbors} exceeds cloud size {x.num_points}")
     centers = _select_centers(x, cfg.stride)
     if cfg.radius is None:
         return geometry.knn(centers, x, cfg.k_neighbors)

@@ -17,12 +17,7 @@ import numpy as np
 from . import model as model_mod
 from . import nnops
 from .dataio import Dataset
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptyEvaluationError,
-    NumericFaultError,
-)
+from .errors import ConfigError, DataError, NumericFaultError
 from .geometry import PointSetBatch
 from .model import Model, ModelConfig
 from .nnops import GradTape, Tensor, custom_op
@@ -247,7 +242,7 @@ def metrics(confusion: np.ndarray) -> tuple[float, float, float]:
     confusion = np.asarray(confusion, dtype=np.float64)
     total = confusion.sum()
     if total == 0:
-        raise EmptyEvaluationError("empty confusion matrix")
+        raise DataError("empty confusion matrix")
     tp = np.diag(confusion)
     gt = confusion.sum(axis=1)
     pr = confusion.sum(axis=0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pointvector import cli, dataio, gradcheck, nnops
 from pointvector import train as train_mod
 from pointvector.cli import BLAS_THREAD_VARS, main, make_parser, worker_blas_env
+from pointvector.errors import ConfigError, DataError, SizeError
 from pointvector.geometry import PointSetBatch
 from pointvector.model import Model, load_checkpoint, param_count
 
@@ -115,21 +117,74 @@ def test_model_task_sets_the_data_task(tmp_path):
     assert np.array_equal(got.labels, want.labels)
 
 
-@pytest.mark.parametrize("preset,scene_labels,error", [
-    ("toy-seg", [np.zeros(64), np.zeros(70)], "one size"),
-    ("toy-seg", [np.zeros(64), np.full(64, 3)], "[0, 3)"),
-    ("toy-cls", [np.repeat([0, i % 3], 16) for i in range(4)], "one label")],
-    ids=["another_size", "label_not_a_class", "mixed_labels"])
+DIRECTORY = object()
+
+
+def _make(path, content):
+    """Make path a file of content, bytes, or a directory for DIRECTORY."""
+    if content is DIRECTORY:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+
+
+# a point file's content, and the cause that its DataError names after the
+# file name: the line for a line that does not parse
+BAD_POINT_FILES = {
+    "column_count": (b"0 0\n", "line 1: expected 3 or 4 columns, got 2"),
+    "mixed_columns": (b"0 0 0 1\n0 0 0\n", "line 2: 3 columns, expected 4"),
+    "bad_coordinate": (b"0 0 0\n# a comment\n0 x 0\n", "line 3: bad coordinate"),
+    "bad_label": (b"0 0 0 1\n0 0 0 a\n", "line 2: bad label"),
+    "empty_file": (b"# no points\n\n", "no points found"),
+    "not_utf8": (b"0 0 0\n\xff\n", "cannot read"),
+    "directory": (DIRECTORY, "cannot read"),
+}
+
+
+@pytest.mark.parametrize("content,cause", BAD_POINT_FILES.values(), ids=BAD_POINT_FILES)
+def test_bad_point_file_is_a_data_error(tmp_path, content, cause):
+    path = tmp_path / "cloud.xyz"
+    _make(path, content)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {cause}")):
+        dataio.read_points(path)
+
+
+@pytest.mark.parametrize("content,cause", [
+    (b"train a.xyz\nvalid b.xyz\n", "line 2: expected 'train|val|test <path>'"),
+    (b"# no scenes\n", "empty manifest"),
+    (b"\xfftrain a.xyz\n", "cannot read")], ids=["bad_split", "empty", "not_utf8"])
+def test_bad_manifest_is_a_data_error(tmp_path, content, cause):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {cause}")):
+        dataio.load_dataset_from_manifest(path, "segmentation", 3)
+
+
+def test_write_points_takes_one_cloud(tmp_path):
+    with pytest.raises(SizeError, match="single-cloud batch"):
+        dataio.write_points(tmp_path / "c.xyz", PointSetBatch(positions=np.zeros((2, 3, 3))))
+
+
+@pytest.mark.parametrize("preset,scene_labels,second,error", [
+    ("toy-seg", [np.zeros(64), np.zeros(70)], None, "one size"),
+    ("toy-seg", [np.zeros(64), np.full(64, 3)], None, "[0, 3)"),
+    ("toy-cls", [np.repeat([0, i % 3], 16) for i in range(4)], None, "one label")] + [
+    ("toy-seg", [np.zeros(64)] * 2, *BAD_POINT_FILES[name]) for name in BAD_POINT_FILES],
+    ids=["another_size", "label_not_a_class", "mixed_labels", *BAD_POINT_FILES])
 def test_bad_manifest_scene_is_rejected_before_any_output(tmp_path, capsys, preset,
-                                                          scene_labels, error):
+                                                          scene_labels, second, error):
     """The second scene has another size, a label that is not a class, or,
-    in a classification set, points of two labels."""
+    in a classification set, points of two labels; or its file is replaced
+    by `second`, a bad point file."""
     scenes = tmp_path / "scenes"
     scenes.mkdir()
     rng = np.random.default_rng(0)
     for i, lab in enumerate(scene_labels):
         dataio.write_points(scenes / f"s{i}.xyz", PointSetBatch(
             positions=rng.standard_normal((1, len(lab), 3)), labels=lab[None]))
+    if second is not None:
+        (scenes / "s1.xyz").unlink()
+        _make(scenes / "s1.xyz", second)
     dataio.write_manifest(scenes / "manifest.txt", [
         ("val" if i == 1 else "train", f"s{i}.xyz") for i in range(len(scene_labels))])
     config = _write_config(tmp_path, {"model": {"preset": preset},
@@ -463,6 +518,18 @@ def test_model_num_classes_points_to_data_kinds(tmp_path, capsys, model):
     assert main(["train", str(config), "--run-dir", str(tmp_path / "run"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "model.num_classes" in err and "data.kinds" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff{}", DIRECTORY], ids=["not_utf8", "directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    _make(config, content)
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {config}")):
+        cli.load_config(config)
+    run = tmp_path / "run"
+    assert main(["train", str(config), "--run-dir", str(run), "--quiet"]) == 2
+    assert f"cannot read config file {config}" in capsys.readouterr().err
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "gen-data"])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointvector import dataio, geometry, oracle
-from pointvector.errors import ConfigError, DataError, SizeError
+from pointvector.errors import ConfigError, ContractError, DataError, SizeError
 from pointvector.geometry import (
     NeighborIndex,
     PointSetBatch,
@@ -65,6 +66,12 @@ class TestFarthestPointSample:
             farthest_point_sample(line_cloud(), 5, 0)
         with pytest.raises(SizeError):
             farthest_point_sample(line_cloud(), 2, 9)
+
+    @pytest.mark.parametrize("m", [2.5, True, np.float64(2.0)])
+    def test_sample_count_is_an_integer(self, m):
+        # a float m would reach range() as a bare TypeError; True would count as 1
+        with pytest.raises(SizeError, match=re.escape(f"m={m!r}")):
+            farthest_point_sample(line_cloud(), m, 0)
 
     @pytest.mark.parametrize("start", [1.5, np.array([0, 1, 2])], ids=["float", "three-for-two"])
     def test_start_is_one_integer_index_per_batch_entry(self, start):
@@ -194,6 +201,49 @@ class TestKnn:
 def test_center_outside_the_cloud_is_rejected(search, center):
     with pytest.raises(SizeError, match=r"out of range \[0, 4\)"):
         search(np.array([[0, center]]), line_cloud())
+
+
+@pytest.mark.parametrize("search", [lambda c, x: knn(c, x, 2),
+                                    lambda c, x: ball_query(c, x, 1.5, 2)],
+                         ids=["knn", "ball_query"])
+def test_fractional_centers_are_rejected(search):
+    # an int64 cast would truncate them to the centers [[1, 2]]
+    with pytest.raises(SizeError, match="expected integer"):
+        search(np.array([[1.7, 2.2]]), line_cloud())
+
+
+# each oracle's guard, tripped by the smallest input that trips it
+ORACLE_GUARDS = {
+    "fd_gradient": (lambda: oracle.fd_gradient(lambda x: np.nan, np.zeros(2)),
+                    "non-finite evaluation at coordinate 0"),
+    "naive_knn_work": (lambda: oracle.naive_knn(np.zeros((1, 1001, 3)), np.zeros((1, 1000, 3)), 1),
+                       "naive_knn instance too large"),
+    "naive_knn_k": (lambda: oracle.naive_knn(np.zeros((1, 1, 3)), np.zeros((1, 2, 3)), 3),
+                    "k=3 exceeds 2 reference points"),
+    "naive_fps": (lambda: oracle.naive_fps(np.zeros((1, 2, 3)), 3),
+                  "requested 3 samples from 2 points"),
+    "naive_interpolate": (lambda: oracle.naive_interpolate(
+        np.zeros((1, 1001, 3)), np.zeros((1, 1001, 1)), np.zeros((1, 1000, 3))),
+        "naive_interpolate instance too large"),
+    "group_relative": (lambda: group_relative(
+        np.zeros((1, 2, 3)), np.zeros((1, 2, 1)),
+        NeighborIndex(np.array([[[2]]]), np.zeros((1, 1, 1), bool), np.zeros((1, 1), np.int64))),
+        "neighbor indices outside the source cloud"),
+    "naive_sa": (lambda: oracle.naive_sa(np.zeros((1, 1, 3)), np.zeros((1, 1, 11)),
+                                         np.zeros((1, 1000), np.int64),
+                                         np.zeros((1, 1000, 10), np.int64), {}),
+                 "naive_sa instance too large"),
+    "brute_force_vpsa": (lambda: oracle.brute_force_vpsa(
+        np.zeros((1, 1, 3)), np.zeros((1, 1, 11)), np.zeros((1, 1000), np.int64),
+        np.zeros((1, 1000, 10), np.int64), None, {}),
+        "brute_force_vpsa instance too large"),
+}
+
+
+@pytest.mark.parametrize("call,message", ORACLE_GUARDS.values(), ids=ORACLE_GUARDS)
+def test_oracle_outside_its_regime_is_a_contract_error(call, message):
+    with pytest.raises(ContractError, match=message):
+        call()
 
 
 class TestKnnPointsQuery:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointvector import dataio, gradcheck, nnops, setabs, vecenc
-from pointvector.errors import ConfigError, NumericFaultError
+from pointvector.errors import ConfigError, DataError, NumericFaultError
 from pointvector.geometry import PointSetBatch
 from pointvector.model import Model, preset_config
 from pointvector.train import (
@@ -18,6 +18,7 @@ from pointvector.train import (
     ce_label_smoothing,
     check_trainable,
     evaluate,
+    metrics,
     report_to_csv,
     train_loop,
 )
@@ -108,6 +109,11 @@ def test_class_count_mismatch_is_a_config_error(entry, model_classes):
             evaluate(Model(cfg), data, "val", 0.1)
         else:
             train_loop(cfg, TrainConfig(epochs=1, batch_size=4), data)
+
+
+def test_metrics_of_no_samples_is_a_data_error():
+    with pytest.raises(DataError, match="empty confusion matrix"):
+        metrics(np.zeros((3, 3), dtype=np.int64))
 
 
 def test_metrics_csv_is_seed_deterministic():
