@@ -166,6 +166,12 @@ def _case_concat_reshape(rng):
     return [("a", a), ("b", b)], forward
 
 
+def _case_slice_rows(rng):
+    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    probe = rng.standard_normal((3, 4))
+    return [("x", x)], lambda: _loss_of(nnops.slice_rows(x, 2, 5), probe)
+
+
 def _pad_mask(rng, shape):
     pad = rng.random(shape) < 0.3
     pad[..., 0] = False
@@ -349,6 +355,7 @@ CASES = {
     "relu": _case_relu,
     "add_sub_mul": _case_add_sub_mul,
     "concat_reshape": _case_concat_reshape,
+    "slice_rows": _case_slice_rows,
     "neighbor_reduce_sum": partial(_case_neighbor_reduce, mode="sum"),
     "neighbor_reduce_max": partial(_case_neighbor_reduce, mode="max"),
     "neighbor_reduce_sum_padded": partial(_case_neighbor_reduce, mode="sum", padded=True),

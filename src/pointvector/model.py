@@ -286,11 +286,13 @@ class Model:
         if self.cfg.task != "segmentation":
             raise ConfigError("forward_seg on a classification model")
         skips = self._run_encoder(batch, mode)
-        coarse, f = skips[-1]
+        coarse, f = skips.pop()
         for d, fp in enumerate(self.decoder):
-            target, skip_f = skips[len(skips) - 2 - d]
-            f = setabs.feature_propagate(coarse, f, target.positions, skip_f, fp, mode)
-            coarse = target
+            # popped, so each skip is dropped once its block has used it
+            fine, skip_f = skips.pop()
+            f = setabs.feature_propagate(coarse, f, fine.positions, skip_f, fp, mode)
+            coarse = fine
+            del skip_f
             nnops.check_finite(f, f"decoder.fp{d}")
         h = nnops.dense(f, self.head_hidden, mode)
         logits = nnops.linear(h, self.head_out)

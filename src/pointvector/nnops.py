@@ -348,6 +348,19 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     return custom_op(out, tuple(parts), grad_fn)
 
 
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop of x along its first axis, a view; the gradient is
+    zero on the other rows."""
+    shape = x.data.shape
+
+    def grad_fn(g):
+        gx = np.zeros(shape, dtype=g.dtype)
+        gx[start:stop] = g
+        return (gx,)
+
+    return custom_op(x.data[start:stop], (x,), grad_fn)
+
+
 def sum_all(x: Tensor) -> Tensor:
     shape, dtype = x.data.shape, x.data.dtype
 
@@ -476,12 +489,26 @@ def linear_bn(x: Tensor, p: LayerParams, mode: str) -> Tensor:
     raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
 
 
+def relu_fresh(y: Tensor) -> Tensor:
+    """relu(y) for an op output y that nothing else holds: in place when no
+    tape records y, so no second array is built; else the recorded `relu`."""
+    if _recording((y,)):
+        return relu(y)
+    np.maximum(y.data, 0, out=y.data)
+    return y
+
+
 def dense(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
     """relu(linear_bn(x, p, mode)), or relu(linear(x, p)) for a layer
-    without norm params."""
+    without norm params.
+
+    The ReLU works in place on the layer's fresh output, never on x, and
+    only when nothing records it (`relu_fresh`); under a recording tape it
+    is the recorded `relu`.
+    """
     if p.norm_gamma is None:
-        return relu(linear(x, p))
-    return relu(linear_bn(x, p, mode))
+        return relu_fresh(linear(x, p))
+    return relu_fresh(linear_bn(x, p, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +638,8 @@ def gather(x: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Ten
     [B, ..., C] output, so no [B, ..., K, C] array is built. For C > 1 that
     is the order of numpy's sum over the slot axis, and the result is
     bit-equal to it. Indices and weights are constants; gradient flows to x
-    only, by scatter-add.
+    only, by scatter-add, and for weights one scatter of w_j g per slot, so
+    the backward builds no [B, ..., K, C] array either.
     """
     b, n, c = x.data.shape
     if idx.ndim < 2 or idx.shape[0] != b:
@@ -635,12 +663,22 @@ def gather(x: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Ten
         out = slot(0)
         for j in range(1, idx.shape[-1]):
             out += slot(j)
-    flat = (batch * n + idx).reshape(-1)
+    flat = batch * n + idx
 
     def grad_fn(g):
-        if weights is not None:
-            g = np.expand_dims(g, -2) * weights[..., None]
-        return (_scatter_add_rows(flat, g.reshape(-1, c), b * n).reshape(b, n, c),)
+        if weights is None:
+            gx = _scatter_add_rows(flat.reshape(-1), g.reshape(-1, c), b * n)
+        else:
+            g2 = g.reshape(-1, c)
+
+            def scatter_slot(j):
+                return _scatter_add_rows(flat[..., j].reshape(-1),
+                                         g2 * weights[..., j].reshape(-1, 1), b * n)
+
+            gx = scatter_slot(0)
+            for j in range(1, flat.shape[-1]):
+                gx += scatter_slot(j)
+        return (gx.reshape(b, n, c),)
 
     return custom_op(out, (x,), grad_fn)
 

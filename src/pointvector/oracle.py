@@ -7,7 +7,8 @@ their supported regime. The rotation formulas (`rotate3d`, `rotate2d`,
 `rotation_matrix`) are closed forms in np.sin/np.cos, independent of the
 half-angle sine and cosine the production ops use. The exceptions are
 `unfused_rotate_project`, the reference for a fused op, and `mix_features`,
-the grouped form of VPSA's per-point mixing: they compose separate ops, each
+the grouped form of VPSA's per-point mixing, and `unfused_feature_propagate`,
+the decoder step in its concat-first order: they compose separate ops, each
 checked on its own by `gradcheck`, so that production can be compared with
 them in every gradient as well as in value.
 """
@@ -364,3 +365,17 @@ def unfused_rotate_project(zx, ang, proj, pad: np.ndarray | None = None):
     field = nnops.neighbor_reduce(vecenc.rotate_field(zx, ang), "sum", pad)
     b, m, c, d = field.shape
     return nnops.grouped_projection(nnops.reshape(field, (b, m, 1, c, d)), proj)
+
+
+def unfused_feature_propagate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
+                              fine_xyz: np.ndarray, skip_feat: np.ndarray, p, mode: str):
+    """The PointNet++ decoder step in its own order, op by op: `naive_interpolate`,
+    concatenation with the skip features, then p.mlp1 and p.mlp2 as
+    relu(linear_bn). Returns [B,N,C_out]; train mode updates p's running
+    statistics, as `setabs.feature_propagate` does.
+    """
+    interp = nnops.input_tensor(naive_interpolate(coarse_xyz, coarse_feat, fine_xyz))
+    h = nnops.concat_last([interp, nnops.input_tensor(skip_feat)])
+    for layer in (p.mlp1, p.mlp2):
+        h = nnops.relu(nnops.linear_bn(h, layer, mode))
+    return h.data

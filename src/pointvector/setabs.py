@@ -8,7 +8,9 @@ update, and only in train mode. A strided block picks its centers by FPS
 from `geometry.geometric_start`, so the set of centers does not depend on
 point order.
 
-Both blocks do their position algebra per point before grouping. A relative
+Both blocks do their position algebra per point before grouping, and the
+decoder does the same with its features: `feature_propagate` applies its
+first linear on the coarse points and interpolates its output. A relative
 term W (p_j - p_i) is W p~_j - W p~_i, with p~ the positions minus the mean
 of their cloud (`_centered_positions`; centering keeps clouds far from the
 origin exact to rounding). A one-layer SA block is then
@@ -454,18 +456,45 @@ def feature_propagate(coarse: PointSetBatch, coarse_f: Tensor,
                       mode: str = "train") -> Tensor:
     """Interpolate coarse features to fine positions and fuse with skip features.
 
-    Inverse-squared-distance weights over the 3 nearest coarse points
-    (eps 1e-8, normalized), concatenated with the skip features, then a
-    two-layer shared MLP.
+    The PointNet++ decoder step: inverse-squared-distance weights w_j over
+    the 3 nearest coarse points (eps 1e-8, normalized to sum 1), the
+    interpolated features concatenated with the skip features s [B,N,C_skip],
+    then a two-layer shared MLP. mlp1's linear runs first, per point: with
+    its weight split into coarse rows W_c and skip rows W_s,
+
+        [sum_j w_j f_j, s] W = sum_j w_j (f_j W_c) + s W_s
+
+    because the interpolation is linear, so the coarse features are mapped
+    to C_out channels on the coarse points and only those are gathered; no
+    interpolated or concatenated tensor is built. In train mode batchnorm
+    follows the sum. In eval mode W is `nnops.fold_norm`'s folded weight
+    and its bias is added once, on the skip branch; interpolated, it would
+    come back unchanged only because the weights sum to 1. Either way the
+    result equals the concat-first order up to rounding. Then ReLU and mlp2.
     """
     _check_features(coarse, coarse_f)
+    b, _, c_coarse = coarse_f.data.shape
+    if skip_f.data.ndim != 3 or skip_f.data.shape[:2] != fine_positions.shape[:2]:
+        raise SizeError(f"skip features {skip_f.data.shape} do not match fine "
+                        f"positions {fine_positions.shape}")
+    fan_in = p.mlp1.weight.data.shape[0]
+    if c_coarse + skip_f.data.shape[2] != fan_in:
+        raise SizeError(f"coarse features {coarse_f.data.shape} and skip features "
+                        f"{skip_f.data.shape} do not give mlp1's {fan_in} input channels")
+    if mode not in ("train", "eval"):
+        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
     num = min(3, coarse.num_points)
     idx = geometry.knn_points(fine_positions, coarse, num)
-    batch = np.arange(coarse.batch_size)[:, None, None]
+    batch = np.arange(b)[:, None, None]
     d2 = geometry._sq_dist(fine_positions[:, :, None], coarse.positions[batch, idx])
     w = 1.0 / (d2 + 1e-8)
     w = w / w.sum(axis=2, keepdims=True)
-    interp = nnops.gather(coarse_f, idx, w.astype(coarse_f.data.dtype))
-    h = nnops.concat_last([interp, skip_f])
-    h = nnops.dense(h, p.mlp1, mode)
-    return nnops.dense(h, p.mlp2, mode)
+    layer = p.mlp1 if mode == "train" else nnops.fold_norm(p.mlp1)
+    w_coarse = nnops.slice_rows(layer.weight, 0, c_coarse)
+    w_skip = nnops.slice_rows(layer.weight, c_coarse, fan_in)
+    a = nnops.linear(coarse_f, LayerParams(weight=w_coarse))
+    h = nnops.add(nnops.gather(a, idx, w.astype(a.data.dtype)),
+                  nnops.linear(skip_f, LayerParams(weight=w_skip, bias=layer.bias)))
+    if mode == "train":
+        h = nnops.batchnorm(h, p.mlp1)
+    return nnops.dense(nnops.relu_fresh(h), p.mlp2, mode)

@@ -124,6 +124,32 @@ class TestDense:
         got = nnops.dense(x, p, "eval").data
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_without_a_tape_it_keeps_its_input(self, mode):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((6, 5)))
+        saved = x.data.copy()
+        p = nnops.linear_params(rng, 5, 4, norm=True)
+        want = nnops.relu(nnops.linear_bn(x, copy.deepcopy(p), mode)).data
+        assert np.array_equal(nnops.dense(x, p, mode).data, want)
+        assert np.array_equal(x.data, saved)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_under_a_tape_it_records_its_relu(self, mode):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((6, 4)))
+        p = nnops.linear_params(rng, 5, 4, norm=True)
+        records, grads = [], []
+        for run in (lambda: nnops.dense(x, p, mode),
+                    lambda: nnops.relu(nnops.linear_bn(x, p, mode))):
+            with GradTape() as tape:
+                y = run()
+                records.append(len(tape))
+                grads.append(nnops.backward(tape, nnops.sum_all(nnops.mul(y, probe))))
+        assert records[0] == records[1]
+        assert all(np.array_equal(grads[0][t], grads[1][t]) for t in (x, p.weight))
+
 
 class TestNormalizedLayerShift:
     """A normalized layer's only shift is its beta, and a layer may have none."""

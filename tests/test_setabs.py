@@ -687,6 +687,44 @@ class TestFeaturePropagate:
                                 "train")
         assert out.data.shape == (1, 15, 8)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("b,n_coarse", [(2, 6), (1, 2)])
+    def test_matches_unfused_decoder_step(self, mode, b, n_coarse):
+        rng = np.random.default_rng(19)
+        coarse, coarse_feats = random_cloud(rng, b=b, n=n_coarse, c=5)
+        fine_pos = rng.uniform(-1, 1, (b, 11, 3))
+        skip = rng.standard_normal((b, 11, 3))
+        p = setabs.fp_params(rng, 5, 3, 4)
+        for layer in (p.mlp1, p.mlp2):
+            layer.norm_gamma.data = rng.uniform(-1.5, 1.5, 4)
+            layer.norm_beta.data = rng.standard_normal(4)
+            layer.running_mean = rng.standard_normal(4)
+            layer.running_var = rng.uniform(0.5, 2.0, 4)
+        q = copy.deepcopy(p)
+        got = feature_propagate(coarse, Tensor(coarse_feats), fine_pos, Tensor(skip),
+                                p, mode).data
+        want = oracle.unfused_feature_propagate(coarse.positions, coarse_feats,
+                                                fine_pos, skip, q, mode)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for layer, ref in ((p.mlp1, q.mlp1), (p.mlp2, q.mlp2)):
+            np.testing.assert_allclose(layer.running_mean, ref.running_mean, rtol=1e-12)
+            np.testing.assert_allclose(layer.running_var, ref.running_var, rtol=1e-12)
+
+    # a wrong N, N = 1, a wrong B (each named beside the fine positions) and
+    # a wrong channel count (named beside the coarse features)
+    @pytest.mark.parametrize("skip_shape,other", [
+        ((1, 8, 3), (1, 9, 3)), ((1, 1, 3), (1, 9, 3)), ((2, 9, 3), (1, 9, 3)),
+        ((1, 9, 2), (1, 5, 4))])
+    def test_skip_features_must_fit_fine_points_and_mlp1(self, skip_shape, other):
+        rng = np.random.default_rng(20)
+        coarse, coarse_feats = random_cloud(rng, n=5, c=4)
+        fine_pos = rng.uniform(-1, 1, (1, 9, 3))
+        p = setabs.fp_params(rng, 4, 3, 6)
+        skip = Tensor(rng.standard_normal(skip_shape))
+        with pytest.raises(SizeError) as err:
+            feature_propagate(coarse, Tensor(coarse_feats), fine_pos, skip, p, "eval")
+        assert str(skip_shape) in str(err.value) and str(other) in str(err.value)
+
 
 class TestBlockGradients:
     def test_full_block_gradcheck_small(self):
