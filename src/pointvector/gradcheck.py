@@ -277,14 +277,19 @@ def _encoder_case(rng, name, m):
                         lambda: vecenc.encode(name, fp, params, m, "train"))
 
 
-def _case_rotate_project3(rng, padded=True):
-    zx = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-    ang = Tensor(rng.uniform(0, 2 * np.pi, size=(2, 3, 4, 10)), requires_grad=True)
-    p = nnops.grouped_params(rng, 5, 3)
+def _case_rotate_cell(rng, padded=True):
+    u = Tensor(rng.standard_normal((2, 6, 5)), requires_grad=True)
+    ctr = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+    idx = rng.integers(0, 6, size=(2, 3, 4))
+    enc = vecenc.rotation_encoder_params(rng, 5, 3)
+    enc.zx.bias.data = rng.uniform(-0.5, 0.5, 5)
+    enc.angles.norm_gamma.data = rng.uniform(0.5, 1.5, 10)
+    enc.angles.norm_beta.data = rng.uniform(0.2, 0.6, 10)
+    proj = nnops.grouped_params(rng, 5, 3)
     pad = _pad_mask(rng, (2, 3, 4)) if padded else None
     probe = rng.standard_normal((2, 3, 5))
-    return ([("zx", zx), ("ang", ang), ("w", p.weight)],
-            lambda: _loss_of(vecenc.rotate_project3(zx, ang, p, pad), probe))
+    return _params_case([("u", u), ("ctr", ctr)], [enc, proj], probe,
+                        lambda: vecenc.rotate_cell(u, ctr, idx, pad, enc, proj))
 
 
 def _case_softmax_ce(rng):
@@ -376,8 +381,8 @@ CASES = {
     "encode_rotation_2d": partial(_encoder_case, name="rotation", m=2),
     "encode_mlp": partial(_encoder_case, name="mlp", m=3),
     "encode_direction": partial(_encoder_case, name="direction", m=3),
-    "rotate_project3": _case_rotate_project3,
-    "rotate_project3_unpadded": partial(_case_rotate_project3, padded=False),
+    "rotate_cell": _case_rotate_cell,
+    "rotate_cell_unpadded": partial(_case_rotate_cell, padded=False),
     "softmax_cross_entropy": _case_softmax_ce,
     "sa_block": _case_sa_block,
     "sa_block_negative_gamma": partial(_case_sa_block, negative_gamma=True),

@@ -408,34 +408,55 @@ def batchnorm(x: Tensor, p: LayerParams) -> Tensor:
     """
     gamma, beta = p.norm_gamma, _shift(p)
     gamma_data = gamma.data
-    c = x.data.shape[-1]
-    axes = tuple(range(x.data.ndim - 1))
-    n = x.data.size // c
+    xhat, inv = _standardize(x.data, p)
+
+    def grad_fn(g):
+        return _standardize_grad(g, xhat, gamma_data * inv)
+
+    y = xhat * gamma_data
+    y += beta.data
+    return custom_op(y, (x, gamma, beta), grad_fn)
+
+
+def _standardize(x: np.ndarray, p: LayerParams,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Train-mode batch statistics of x [..., C] over all non-channel axes.
+
+    Returns xhat = (x - mu) inv, written into `out` when given (x itself may
+    be), and inv = 1 / sqrt(var + eps); updates p's running statistics.
+    """
+    c = x.shape[-1]
+    n = x.size // c
     if n < 2:
         raise DegenerateStatisticsError(
             f"batchnorm train mode needs >=2 samples per channel, got {n}")
-    mu = x.data.mean(axis=axes)
-    xhat = x.data - mu
+    mu = x.mean(axis=tuple(range(x.ndim - 1)))
+    xhat = np.subtract(x, mu, out=out)
     x2 = xhat.reshape(-1, c)
     var = np.einsum("nc,nc->c", x2, x2) / n
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     _update_running(p, mu, var, n)
+    return xhat, inv
 
-    def grad_fn(g):
-        dbeta = g.sum(axis=axes)
-        dgamma = np.einsum("nc,nc->c", g.reshape(-1, c), x2)
-        # dx = gamma inv (g - mean(g) - xhat mean(g xhat)), both means
-        # taken from dbeta and dgamma, in one output buffer
-        dx = xhat * (dgamma / n)
-        dx += dbeta / n
-        np.subtract(g, dx, out=dx)
-        dx *= gamma_data * inv
-        return dx, dgamma, dbeta
 
-    y = xhat * gamma_data
-    y += beta.data
-    return custom_op(y, (x, gamma, beta), grad_fn)
+def _standardize_grad(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(dx, dgamma, dbeta) of y = xhat gamma + beta for the output gradient g,
+    with xhat from `_standardize` and scale = gamma inv.
+
+    dx = scale (g - mean(g) - xhat mean(g xhat)), both means taken from dbeta
+    and dgamma, in one buffer: `out` when given (xhat itself may be).
+    """
+    c = g.shape[-1]
+    n = g.size // c
+    dbeta = g.sum(axis=tuple(range(g.ndim - 1)))
+    dgamma = np.einsum("nc,nc->c", g.reshape(-1, c), xhat.reshape(-1, c))
+    dx = np.multiply(xhat, dgamma / n, out=out)
+    dx += dbeta / n
+    np.subtract(g, dx, out=dx)
+    dx *= scale
+    return dx, dgamma, dbeta
 
 
 def _update_running(p: LayerParams, mu: np.ndarray, var: np.ndarray, n: int) -> None:

@@ -6,11 +6,11 @@ in double precision and are deliberately slow; size guards keep them inside
 their supported regime. The rotation formulas (`rotate3d`, `rotate2d`,
 `rotation_matrix`) are closed forms in np.sin/np.cos, independent of the
 half-angle sine and cosine the production ops use. The exceptions are
-`unfused_rotate_project`, the reference for a fused op, and `mix_features`,
-the grouped form of VPSA's per-point mixing, and `unfused_feature_propagate`,
-the decoder step in its concat-first order: they compose separate ops, each
-checked on its own by `gradcheck`, so that production can be compared with
-them in every gradient as well as in value.
+`unfused_rotate_cell`, the reference for the default cell's fused ops,
+`mix_features`, the grouped form of VPSA's per-point mixing, and
+`unfused_feature_propagate`, the decoder step in its concat-first order:
+they compose separate ops, each checked on its own by `gradcheck`, so that
+production can be compared with them in every gradient as well as in value.
 """
 
 from __future__ import annotations
@@ -353,18 +353,26 @@ def mix_features(rel_feat, rel_pos, p):
     return nnops.relu(nnops.add(rel_feat, nnops.linear(rel_pos, p)))
 
 
-def unfused_rotate_project(zx, ang, proj, pad: np.ndarray | None = None):
-    """What `vecenc.rotate_project3` fuses, op by op on the tape.
+def unfused_rotate_cell(u, ctr, idx: np.ndarray, pad: np.ndarray | None, p, proj,
+                        mode: str = "train"):
+    """What `vecenc.rotate_cell` and `vecenc.encode_rotation_tiled` fuse, op
+    by op on the tape: the default VPSA cell's mixing, rotation encoding at
+    m=3, neighbor sum and grouped projection.
 
-    zx [B,M,K,C] and ang [B,M,K,2C] (the packed alpha | beta) are Tensors:
-    `vecenc.rotate_field` lifts each channel to a 3-vector, the vectors are
-    summed over the non-pad neighbors into one slot and
-    `nnops.grouped_projection` with the [C,3] kernel `proj` maps them back
-    to channel scalars [B,M,C].
+    u [B,N,C] and ctr [B,M,C] are Tensors, idx [B,M,K] the neighbor indices,
+    p the rotation encoder's params and proj the [C,3] grouped kernel. The
+    chain is `nnops.gather` of u, minus ctr, `nnops.relu`, then the zx
+    `nnops.linear` and the angle layer's `nnops.dense` in `mode`,
+    `vecenc.rotate_field`, `nnops.neighbor_reduce` "sum" over the non-pad
+    neighbors and `nnops.grouped_projection`; returns [B,M,C]. Train mode
+    updates the angle layer's running statistics.
     """
-    field = nnops.neighbor_reduce(vecenc.rotate_field(zx, ang), "sum", pad)
-    b, m, c, d = field.shape
-    return nnops.grouped_projection(nnops.reshape(field, (b, m, 1, c, d)), proj)
+    b, m, k = idx.shape
+    c = u.shape[-1]
+    fp = nnops.relu(nnops.sub(nnops.gather(u, idx), nnops.reshape(ctr, (b, m, 1, c))))
+    field = vecenc.rotate_field(nnops.linear(fp, p.zx), nnops.dense(fp, p.angles, mode))
+    field = nnops.neighbor_reduce(field, "sum", pad)
+    return nnops.grouped_projection(nnops.reshape(field, (b, m, 1, c, 3)), proj)
 
 
 def unfused_feature_propagate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,

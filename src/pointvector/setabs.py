@@ -35,14 +35,13 @@ slot on its own, so it sorts the neighbors by distance first. The VPSA tail
 is one `nnops.linear_bn`: the mixing or the dense projection, each a
 normalized linear layer, folded into one linear in eval mode.
 
-Inference has its own path for the default cell (rotation encoder, m=3,
-sum_groupconv): in eval mode with no gradient requested (`nnops._recording`
-false for the features and the block's parameters), mixing, encoding and
-aggregation run as one tiled op, `vecenc.encode_rotation_tiled`, that never
-builds the neighbor tensors. In train mode and eval under a recording
-tape, the default cell mixes with tape ops and then encodes, sums and
-projects in one, `vecenc.rotate_project3`; every other cell composes tape
-ops throughout.
+The default cell (rotation encoder, m=3, sum_groupconv) runs mixing,
+encoding and aggregation as one op: `vecenc.rotate_cell` in train mode,
+which keeps no mixed feature for backward, and `vecenc.encode_rotation_tiled`
+in eval mode with no gradient requested (`nnops._recording` false for the
+features and the block's parameters), which never builds the neighbor
+tensors. Eval under a recording tape, and every other cell, compose tape
+ops: gather, mixing, `vecenc.encode` and `aggregation_variant`.
 """
 
 from __future__ import annotations
@@ -395,13 +394,13 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     to channel scalars, mixed across channels, normalized, and fused with a
     linear residual of the center feature through a ReLU; channel mixing
     and normalization are one `nnops.linear_bn`. The default cell
-    (rotation encoder, m=3, sum_groupconv) runs encoding, sum and projection
-    as one fused op: `vecenc.encode_rotation_tiled`, which also does the
-    mixing, in eval mode when no gradient is requested, and otherwise
-    `vecenc.rotate_project3` of the zx linear and the angle layer of the
-    mixed features. Every other cell composes `vecenc.encode` and
-    `aggregation_variant`. Returns the centers' positions and their
-    features.
+    (rotation encoder, m=3, sum_groupconv) runs mixing, encoding, sum and
+    projection as one op of u, the center term and the neighbor indices:
+    `vecenc.rotate_cell` in train mode, and `vecenc.encode_rotation_tiled`
+    in eval mode when no gradient is requested. Eval under a recording
+    tape, and every other cell, gather and mix with tape ops, then compose
+    `vecenc.encode` and `aggregation_variant`. Returns the centers'
+    positions and their features.
 
     `nbr` is `group(x, cfg)` when the caller already holds it: stride-1
     blocks with the same k and radius on the same points share it.
@@ -431,20 +430,17 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     pad = nbr.pad_mask if nbr.pad_mask.any() else None
     default_cell = (cfg.encoder, cfg.vector_dim, cfg.aggregation) == (
         "rotation", 3, "sum_groupconv")
-    if default_cell and mode == "eval" and not nnops._recording(
+    if default_cell and mode == "train":
+        main = vecenc.rotate_cell(u, ctr_u, nbr.indices, pad, p.encoder, p.proj)
+    elif default_cell and mode == "eval" and not nnops._recording(
             [f] + [t for layer in (p.pos, p.encoder.zx, p.encoder.angles, p.proj)
                    for _, t in layer.tensors()]):
         main = vecenc.encode_rotation_tiled(u, ctr_u, nbr.indices, pad, p.encoder, p.proj)
     else:
         ctr_u = nnops.reshape(ctr_u, (b, centers.shape[1], 1, cin))
         fp = nnops.relu(nnops.sub(nnops.gather(u, nbr.indices), ctr_u))
-        if default_cell:
-            main = vecenc.rotate_project3(nnops.linear(fp, p.encoder.zx),
-                                          nnops.dense(fp, p.encoder.angles, mode),
-                                          p.proj, pad)
-        else:
-            field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
-            main = aggregation_variant(field, cfg.aggregation, p, pad)
+        field = vecenc.encode(cfg.encoder, fp, p.encoder, cfg.vector_dim, mode)
+        main = aggregation_variant(field, cfg.aggregation, p, pad)
     main = nnops.linear_bn(main, p.mix or p.fc, mode)
     out = nnops.residual_fuse(main, nnops.linear(ctr_feat, p.res))
     batch = np.arange(x.batch_size)[:, None]

@@ -5,9 +5,8 @@ Each channel of a mixed relative feature is lifted to an m-dimensional vector
 angles per channel, packed as one tensor [..., (m-1)C] that holds alpha for
 all channels, then beta for all channels, from one `nnops.dense` layer
 relu(bn(linear(fp))). It applies the closed-form composition of an x-axis
-and a z-axis rotation: `rotate_field` builds the field, and
-`rotate_project3`, for the default VPSA cell, sums and projects it without
-building it. The mlp and direction encoders are the ablation variants.
+and a z-axis rotation: `rotate_field` builds the field. The mlp and
+direction encoders are the ablation variants.
 
 An encoder's field reaches a batchnorm through the neighbor reduction and
 the linear aggregation. A bias that only adds a constant per channel and
@@ -17,19 +16,21 @@ mlp encoder's output bias always, so neither exists. At m >= 2 the zx bias
 is scaled by angle-dependent factors, and the direction encoder's biases by
 the unit direction, so they learn.
 
-The default VPSA cell (rotation, m=3, sum_groupconv) has two paths:
+The default VPSA cell (rotation, m=3, sum_groupconv) runs its mixing
+relu(u_j - ctr_i), encoding, neighbor sum and [C,3] projection as one op on
+two paths; both take u, ctr, idx, pad, the encoder and the kernel:
 
-    rotate_project3         training, and eval under a recording tape: one
-                            tape op over the [B,M,K,C] zx and angles
-    encode_rotation_tiled   eval with no gradient requested: mixing,
-                            encoding, sum and projection in one op over
+    rotate_cell             training: one tape op that never builds the
+                            [B,M,K,C,3] field and keeps five [B,M,K,C]
+                            arrays for backward, not the mixed features
+    encode_rotation_tiled   eval with no gradient requested: one op over
                             cache-sized tiles of centers, no backward
 
-Both compute d out / d zx by the same operations in the same order:
-`_projection_factor` in the tiled op, and straight-line code in
-`rotate_project3`, which also builds the factors its backward reads, so
-that the tape keeps three [B,M,K,C] arrays for the op, not the seven they
-are built from.
+Eval under a recording tape composes `encode_rotation` and the
+aggregation's tape ops, as every other cell does. Both fused ops compute
+d out / d zx by the same operations in the same order: `_projection_factor`
+in the tiled op, and straight-line code in `rotate_cell`, which also builds
+the other factors its backward reads.
 
 The rotation ops take sine and cosine from the half-angle identity
 
@@ -162,52 +163,90 @@ def _projection_factor(ang: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u
 
 
-def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
-                    pad: np.ndarray | None = None) -> Tensor:
-    """rotate_field with m=3, summed over non-pad neighbors, then
-    grouped_projection, as one op: the default VPSA cell's encoding,
-    aggregation and projection for training.
+def _check_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
+                proj: LayerParams) -> None:
+    """Shapes and indices of the default cell's inputs: u [B,N,C], ctr
+    [B,M,C], idx [B,M,K] in [0, N), a [C,3] kernel, and a valid pad mask."""
+    b, n, c = u.data.shape
+    if (idx.ndim != 3 or ctr.data.shape != (b, idx.shape[1], c) or idx.shape[0] != b
+            or proj.weight.data.shape != (c, 3)):
+        raise SizeError(f"the default VPSA cell expects u [B,N,C], ctr [B,M,C], idx "
+                        f"[B,M,K] and a [C,3] kernel, got {u.data.shape}, "
+                        f"{ctr.data.shape}, {idx.shape} and {proj.weight.data.shape}")
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise SizeError(f"neighbor index out of range [0, {n})")
+    nnops._check_pad(pad, idx.shape)
 
-    zx is [B,M,K,C], ang the packed angles [B,M,K,2C] holding alpha | beta,
-    p the [C,3] grouped kernel w; returns [B,M,C]:
 
-        out[b,i,c] = sum_k keep * zx * (sin(beta) (w1 cos(alpha) - w0 sin(alpha))
-                                        + w2 cos(beta))
+def _mixed(u: np.ndarray, ctr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """fp = relu(u_j - ctr_i) for j = idx[b,i,k], [B,M,K,C], in one buffer."""
+    fp = u[np.arange(u.shape[0])[:, None, None], idx]
+    fp -= ctr[:, :, None]
+    return np.maximum(fp, 0, out=fp)   # NaN stays NaN, so check_finite sees it
 
-    The [B,M,K,C,3] vector field is never built. The forward also builds
-    what backward reads, with t = w1 cos(alpha) - w0 sin(alpha):
 
-        u  = d out / d zx    = sin(beta) t + w2 cos(beta), pad mask folded in
-        da = d out / d alpha = zx sin(beta) (-w0 cos(alpha) - w1 sin(alpha))
-        db = d out / d beta  = zx (cos(beta) t - w2 sin(beta))
-        s  = [-sum_k zx sin(beta) sin(alpha), sum_k zx sin(beta) cos(alpha),
-              sum_k zx cos(beta)]  as one [3,B,M,C] array,
+def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
+                p: RotationEncoderParams, proj: LayerParams) -> Tensor:
+    """The default VPSA cell's mixing, encoding, neighbor sum and projection
+    for training, as one op; [B,M,C].
 
-    so that d out[b,i,c] / d w[c,j] = s[j,b,i,c]. The backward multiplies g
-    by them and reads no sine, cosine or zx, so a recording tape holds three
-    neighbor arrays for this op; `custom_op` drops them when nothing
-    records. Each sine and cosine is freed once it has been read.
-    `oracle.unfused_rotate_project` is the op-by-op reference.
+    The inputs are those of `encode_rotation_tiled`: neighbor k of center i
+    mixes to fp = relu(u_j - ctr_i) with j = idx[b,i,k], and
+
+        zx = fp W_zx + b_zx,   [alpha | beta] = relu(bn(fp W_ang)),
+        out[b,i,c] = sum_k keep * zx * (sin(beta) t + w2 cos(beta)),
+        t = w1 cos(alpha) - w0 sin(alpha),
+
+    with w the [C,3] kernel of proj and keep 0 on pad slots. The angle
+    batchnorm takes batch statistics over all B*M*K rows, pads included,
+    and updates the running statistics, as `nnops.batchnorm` does. The
+    [B,M,K,C,3] vector field is never built.
+
+    For backward the op keeps three neighbor arrays of factors,
+
+        d out / d zx    = sin(beta) t + w2 cos(beta), pad mask folded in
+        d out / d alpha = zx sin(beta) (-w0 cos(alpha) - w1 sin(alpha))
+        d out / d beta  = zx (cos(beta) t - w2 sin(beta)),
+
+    the last two times the angle ReLU's mask; the [3,B,M,C] neighbor sums
+    s = [-sum_k zx sin(beta) sin(alpha), sum_k zx sin(beta) cos(alpha),
+    sum_k zx cos(beta)], so that d out[b,i,c] / d w[c,j] = s[j,b,i,c]; and
+    the normalized angles x-hat [B,M,K,2C]. It does not keep fp, which both
+    linears read: backward gathers it again from u, ctr and idx, sums the
+    two linears' input gradients in one buffer, and scatters it to u and,
+    summed over the neighbors, to ctr. Each array is freed once read.
+    `oracle.unfused_rotate_cell` is the op-by-op reference.
     """
-    w = p.weight
-    c = w.data.shape[0]
-    z = zx.data
-    a = ang.data
-    if (w.data.shape != (c, 3) or z.ndim != 4 or z.shape[-1] != c
-            or a.shape != z.shape[:-1] + (2 * c,)):
-        raise SizeError(
-            f"rotate_project3 expects zx [B,M,K,{c}] and angles [B,M,K,{2 * c}], "
-            f"got {z.shape} and {a.shape}")
-    nnops._check_pad(pad, z.shape)
-    keep = None
+    _check_cell(u, ctr, idx, pad, proj)
+    b, n, c = u.data.shape
+    m, k = idx.shape[1:]
+    ud, cd = u.data, ctr.data
+    w_zx, w_ang = p.zx.weight.data, p.angles.weight.data
+    gamma, beta = p.angles.norm_gamma, nnops._shift(p.angles)
+    g_data = gamma.data
+    w = proj.weight.data
+    w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
+    fp = _mixed(ud, cd, idx).reshape(-1, c)
+    z = fp @ w_zx
+    z += p.zx.bias.data
+    z = z.reshape(b, m, k, c)
+    xhat, inv = nnops._standardize((fp @ w_ang).reshape(b, m, k, 2 * c), p.angles)
+    del fp
+
+    def angle(j):
+        """sin, cos and the ReLU's mask of angle j (0 alpha, 1 beta)."""
+        y = xhat[..., j * c:(j + 1) * c] * g_data[j * c:(j + 1) * c]
+        y += beta.data[j * c:(j + 1) * c]
+        on = y > 0
+        np.maximum(y, 0, out=y)
+        return _sincos(y) + (on,)
+
     if pad is not None:
-        keep = (~pad).astype(z.dtype)[..., None]
-        z = z * keep
-    w0, w1, w2 = w.data[:, 0], w.data[:, 1], w.data[:, 2]
-    sb, cb = _sincos(a[..., c:])
-    s = np.empty((3,) + z.shape[:2] + (c,), dtype=np.result_type(z, a))
+        z *= (~pad).astype(z.dtype)[..., None]
+    sb, cb, on_b = angle(1)
+    s = np.empty((3, b, m, c), dtype=np.result_type(z, sb))
     np.einsum("bikc,bikc->bic", z, cb, out=s[2])
-    sa, ca = _sincos(a[..., :c])
+    sa, ca, on_a = angle(0)
     np.einsum("bikc,bikc,bikc->bic", z, sb, sa, out=s[0])
     np.negative(s[0], out=s[0])
     np.einsum("bikc,bikc,bikc->bic", z, sb, ca, out=s[1])
@@ -218,33 +257,57 @@ def rotate_project3(zx: Tensor, ang: Tensor, p: LayerParams,
     del sa
     da *= sb
     da *= z
+    da *= on_a
+    del on_a
     ca *= w1
     np.subtract(ca, t, out=t)
     del ca
-    u = sb * t
-    db = t                                 # t is dead after u: db takes its place
+    du = sb * t
+    db = t                                 # t is dead after du: db takes its place
     db *= cb
     cb *= w2
-    u += cb
+    du += cb
     del cb
     sb *= w2
     db -= sb
     del sb
     db *= z
-    out = np.einsum("bikc,bikc->bic", z, u)
-    if keep is not None:
-        u *= keep
-    ang_shape = a.shape
+    db *= on_b
+    del on_b
+    out = np.einsum("bikc,bikc->bic", z, du)
+    del z
+    if pad is not None:
+        du *= (~pad)[..., None]
+    held = [du, da, db, xhat]
+    del du, da, db, xhat
 
     def grad_fn(g):
+        du, da, db, xhat = held
+        held.clear()
         g4 = g[:, :, None, :]
-        dz = u * g4
-        dang = np.empty(ang_shape, dtype=dz.dtype)
-        np.multiply(da, g4, out=dang[..., :c])
-        np.multiply(db, g4, out=dang[..., c:])
-        return dz, dang, np.einsum("bic,jbic->cj", g, s)
+        dy = np.empty(xhat.shape, dtype=xhat.dtype)
+        np.multiply(da, g4, out=dy[..., :c])
+        np.multiply(db, g4, out=dy[..., c:])
+        del da, db
+        dz = np.multiply(du, g4, out=du).reshape(-1, c)
+        dx, dgamma, dbeta = nnops._standardize_grad(dy, xhat, g_data * inv, out=xhat)
+        del dy, xhat
+        dx = dx.reshape(-1, 2 * c)
+        fp = _mixed(ud, cd, idx).reshape(-1, c)
+        on = fp > 0
+        dw_zx, db_zx, dw_ang = fp.T @ dz, dz.sum(axis=0), fp.T @ dx
+        dfp = np.matmul(dz, w_zx.T, out=fp)   # fp is dead: its buffer takes dfp
+        del dz
+        dfp += dx @ w_ang.T
+        del dx
+        dfp *= on
+        rows = idx + (np.arange(b) * n)[:, None, None]
+        du_pts = nnops._scatter_add_rows(rows.reshape(-1), dfp, b * n)
+        return (du_pts.reshape(b, n, c), -dfp.reshape(b, m, k, c).sum(axis=2), dw_zx,
+                db_zx, dw_ang, dgamma, dbeta, np.einsum("bic,jbic->cj", g, s))
 
-    return custom_op(out, (zx, ang, w), grad_fn)
+    return custom_op(out, (u, ctr, p.zx.weight, p.zx.bias, p.angles.weight, gamma, beta,
+                           proj.weight), grad_fn)
 
 
 def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
@@ -269,11 +332,11 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
 
     u is the per-point term [B,N,C] and ctr the center term u_i - b_pos
     [B,M,C], so neighbor k of center i mixes to fp = relu(u_j - ctr_i) with
-    j = idx[b,i,k]. The output equals rotate_project3(linear(fp, p.zx),
-    dense(fp, p.angles, "eval"), proj, pad). Each tile gathers its centers'
-    K neighbors of u, runs one GEMM against [W_zx | folded angle weight]
-    (`nnops.fold_norm`), takes the angles' relu, and sums zx u
-    (`_projection_factor`) over the non-pad neighbors, so no [B,M,K,C]
+    j = idx[b,i,k]. The output is `rotate_cell`'s with the angle layer in
+    eval mode, `oracle.unfused_rotate_cell(..., "eval")`. Each tile gathers
+    its centers' K neighbors of u, runs one GEMM against [W_zx | folded
+    angle weight] (`nnops.fold_norm`), takes the angles' relu, and sums
+    zx u (`_projection_factor`) over the non-pad neighbors, so no [B,M,K,C]
     tensor is built. A tile holds _TILE_BYTES / (K 3C itemsize) centers,
     at least one. The output keeps the dtype of u.
 
@@ -283,14 +346,10 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
     params = [t for layer in (p.zx, p.angles, proj) for _, t in layer.tensors()]
     if nnops._recording([u, ctr] + params):
         raise ContractError("encode_rotation_tiled has no backward; a recording tape "
-                            "needs rotate_project3")
+                            "needs the composed ops")
+    _check_cell(u, ctr, idx, pad, proj)
     b, n, c = u.data.shape
     m, k = idx.shape[1:]
-    if ctr.data.shape != (b, m, c) or idx.shape[0] != b or proj.weight.data.shape != (c, 3):
-        raise SizeError(f"encode_rotation_tiled expects u [B,N,C], ctr [B,M,C], idx [B,M,K] "
-                        f"and a [C,3] kernel, got {u.data.shape}, {ctr.data.shape}, "
-                        f"{idx.shape} and {proj.weight.data.shape}")
-    nnops._check_pad(pad, idx.shape)
     ang = nnops.fold_norm(p.angles)
     w = np.concatenate([p.zx.weight.data, ang.weight.data], axis=1)   # [C, 3C]
     bias = np.concatenate([p.zx.bias.data, ang.bias.data])

@@ -522,4 +522,4 @@ class TestGradientShapeContract:
     def test_fused_sum_groupconv_without_pad_mask(self):
         from pointvector import gradcheck
 
-        assert gradcheck.run_case("rotate_project3_unpadded", 0) < 1e-5
+        assert gradcheck.run_case("rotate_cell_unpadded", 0) < 1e-5

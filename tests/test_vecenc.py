@@ -1,11 +1,14 @@
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pointvector import nnops, oracle, vecenc
+from pointvector import nnops, oracle, setabs, vecenc
 from pointvector.errors import ConfigError, NumericFaultError, SizeError
+from pointvector.geometry import PointSetBatch
 from pointvector.nnops import GradTape, Tensor
+from pointvector.setabs import BlockConfig
 
 
 class TestRotate3d:
@@ -225,69 +228,105 @@ def _pad(rng, shape):
     return pad
 
 
+def _cell_inputs(rng, b=2, n=9, m=5, k=6, c=7, padded=False):
+    """u, ctr, idx and pad of `vecenc.rotate_cell`, and a rotation encoder
+    and kernel with random biases, norm affine and running statistics."""
+    u = nnops.parameter(rng.standard_normal((b, n, c)))
+    ctr = nnops.parameter(rng.standard_normal((b, m, c)))
+    idx = rng.integers(0, n, (b, m, k))
+    enc = vecenc.rotation_encoder_params(rng, c, 3)
+    enc.zx.bias.data = rng.uniform(-0.3, 0.3, c)
+    enc.angles.norm_gamma.data = rng.uniform(0.5, 1.5, 2 * c)
+    enc.angles.norm_beta.data = rng.standard_normal(2 * c) * 0.2
+    enc.angles.running_mean = rng.standard_normal(2 * c)
+    enc.angles.running_var = rng.uniform(0.5, 2.0, 2 * c)
+    proj = nnops.grouped_params(rng, c, 3)
+    return u, ctr, idx, _pad(rng, (b, m, k)) if padded else None, enc, proj
+
+
+def _cell_leaves(u, ctr, enc, proj):
+    """The op's eight inputs: u, ctr, W_zx, b_zx, W_ang, gamma, beta, w."""
+    return [u, ctr] + [t for layer in (enc.zx, enc.angles, proj)
+                       for _, t in layer.tensors()]
+
+
 class TestRotateProject3:
-    """The fused op equals oracle.unfused_rotate_project in value and gradient."""
+    """The default cell's rotation at m=3, neighbor sum and projection in
+    training, `vecenc.rotate_cell`, against the op-by-op chain
+    oracle.unfused_rotate_cell."""
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_equals_unfused_composition(self, padded):
+        """Value, all eight input gradients and the running statistics."""
         rng = np.random.default_rng(20)
-        b, m, k, c = 2, 5, 6, 7
-        zx = Tensor(rng.standard_normal((b, m, k, c)), requires_grad=True)
-        ang = Tensor(rng.uniform(0, 3, (b, m, k, 2 * c)), requires_grad=True)
-        proj = nnops.grouped_params(rng, c, 3)
-        pad = _pad(rng, (b, m, k)) if padded else None
-        probe = rng.standard_normal((b, m, c))
-        leaves = [zx, ang, proj.weight]
+        u, ctr, idx, pad, enc, proj = _cell_inputs(rng, padded=padded)
+        probe = rng.standard_normal((2, 5, 7))
+        enc_ref = copy.deepcopy(enc)
         out, grads = _values_and_grads(
-            lambda: vecenc.rotate_project3(zx, ang, proj, pad), leaves, probe)
+            lambda: vecenc.rotate_cell(u, ctr, idx, pad, enc, proj),
+            _cell_leaves(u, ctr, enc, proj), probe)
         want, want_grads = _values_and_grads(
-            lambda: oracle.unfused_rotate_project(zx, ang, proj, pad), leaves, probe)
+            lambda: oracle.unfused_rotate_cell(u, ctr, idx, pad, enc_ref, proj),
+            [u, ctr] + _cell_leaves(u, ctr, enc_ref, proj)[2:], probe)
         _assert_close(out, want)
+        assert len(grads) == 8
         for g, w in zip(grads, want_grads):
             _assert_close(g, w)
-        if padded:
-            assert not grads[0][pad].any() and not grads[1][pad].any()
+        _assert_close(enc.angles.running_mean, enc_ref.angles.running_mean)
+        _assert_close(enc.angles.running_var, enc_ref.angles.running_var)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("padded", [False, True])
     def test_encoder_path_equals_unfused(self, mode, padded):
+        """The default VPSA cell under a tape, fused in train mode and composed
+        in eval mode, equals the block rebuilt around the op-by-op chain in
+        value and in the gradients of the encoder and the kernel; in eval mode
+        they reach the angle layer's W, gamma and beta through its folded
+        linear."""
         rng = np.random.default_rng(21)
-        c = 6
-        fp = Tensor(np.abs(rng.standard_normal((2, 4, 5, c))), requires_grad=True)
-        enc = vecenc.rotation_encoder_params(rng, c, 3)
-        enc.angles.running_mean = rng.standard_normal(2 * c)
-        enc.angles.running_var = rng.uniform(0.5, 2.0, 2 * c)
-        proj = nnops.grouped_params(rng, c, 3)
-        pad = _pad(rng, (2, 4, 5)) if padded else None
-        probe = rng.standard_normal((2, 4, c))
-        leaves = [fp, proj.weight] + [
-            t for layer in (enc.zx, enc.angles) for _, t in layer.tensors()]
+        cloud = PointSetBatch(positions=rng.uniform(-1, 1, (2, 16, 3)))
+        f = nnops.parameter(rng.standard_normal((2, 16, 6)))
+        cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5,
+                          radius=0.8 if padded else None)
+        p = setabs.vpsa_block_params(rng, cfg)
+        _, _, _, _, p.encoder, p.proj = _cell_inputs(rng, c=6)
+        nbr = setabs.group(cloud, cfg)
+        assert nbr.pad_mask.any() == padded
+        probe = rng.standard_normal((2, 16, 6))
 
-        def unfused():
-            return oracle.unfused_rotate_project(
-                nnops.linear(fp, enc.zx), nnops.dense(fp, enc.angles, mode), proj, pad)
+        def block(p):
+            return setabs.vpsa_block(cloud, f, cfg, p, mode, nbr)[1]
 
-        def fused():
-            return vecenc.rotate_project3(
-                nnops.linear(fp, enc.zx), nnops.dense(fp, enc.angles, mode), proj, pad)
+        def rebuilt(p):
+            pos = setabs._centered_positions(cloud.positions)
+            u = nnops.input_tensor(f.data + pos @ p.pos.weight.data)
+            ctr = nnops.input_tensor(u.data - p.pos.bias.data)
+            main = oracle.unfused_rotate_cell(u, ctr, nbr.indices, nbr.pad_mask, p.encoder,
+                                              p.proj, mode)
+            main = nnops.linear_bn(main, p.mix, mode)
+            return nnops.residual_fuse(main, nnops.linear(f, p.res))
 
-        out, grads = _values_and_grads(fused, leaves, probe)
-        want, want_grads = _values_and_grads(unfused, leaves, probe)
+        outs = []
+        for run in (block, rebuilt):
+            q = copy.deepcopy(p)
+            leaves = _cell_leaves(f, f, q.encoder, q.proj)[2:]
+            outs.append(_values_and_grads(lambda: run(q), leaves, probe))
+        (out, grads), (want, want_grads) = outs
         _assert_close(out, want)
         for g, w in zip(grads, want_grads):
+            assert np.abs(w).max() > 0
             _assert_close(g, w)
 
     @pytest.mark.parametrize("padded", [False, True])
-    def test_backward_holds_three_neighbor_arrays(self, padded):
-        """Under a tape the op keeps d out / d zx, d out / d alpha and
-        d out / d beta per neighbor and the small neighbor sums; keeping the
-        sines, cosines, t and zx they are built from takes seven [B,M,K,C]
-        arrays."""
+    def test_backward_keeps_no_mixed_features(self, padded):
+        """Under a tape the op keeps its three factors d out / d zx, alpha and
+        beta, the normalized angles x-hat (two arrays' worth) and the small
+        neighbor sums: at most 5.5 [B,M,K,C] arrays. The composed chain it
+        replaces keeps about 6.8: the rotation's factors, x-hat, the mixed
+        features fp that both linears read, and the ReLU masks."""
         rng = np.random.default_rng(22)
         b, m, k, c = 2, 256, 8, 32
-        zx = nnops.parameter(rng.standard_normal((b, m, k, c)))
-        ang = nnops.parameter(rng.uniform(0, 3, (b, m, k, 2 * c)))
-        proj = nnops.grouped_params(rng, c, 3)
+        u, ctr, idx, _, enc, proj = _cell_inputs(rng, b, m, m, k, c)
         pad = None
         if padded:
             pad = np.zeros((b, m, k), dtype=bool)
@@ -296,16 +335,16 @@ class TestRotateProject3:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                out = vecenc.rotate_project3(zx, ang, proj, pad)
+                out = vecenc.rotate_cell(u, ctr, idx, pad, enc, proj)
                 held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
             finally:
                 tracemalloc.stop()
-        assert held <= 3.5 * zx.data.nbytes
+        assert held <= 5.5 * b * m * k * c * 8
 
     def test_gradcheck_padded(self):
         # the unpadded case runs in test_nnops.TestGradientShapeContract
         from pointvector import gradcheck
-        assert gradcheck.run_case("rotate_project3", 0) < 1e-5
+        assert gradcheck.run_case("rotate_cell", 0) < 1e-5
 
 
 EPS64 = np.finfo(np.float64).eps
@@ -351,14 +390,13 @@ class TestSinCos:
 
     def test_non_finite_angle_reaches_check_finite(self):
         rng = np.random.default_rng(33)
-        ang = rng.uniform(0, 3, (1, 2, 3, 8))
-        ang[0, 1, 2, 5] = np.inf
-        proj = nnops.grouped_params(rng, 4, 3)
-        with np.errstate(invalid="ignore"):
-            out = vecenc.rotate_project3(Tensor(rng.standard_normal((1, 2, 3, 4))),
-                                         Tensor(ang), proj)
+        u, ctr, idx, _, enc, proj = _cell_inputs(rng, 1, 3, 2, 3, 4)
+        enc.angles.norm_gamma.data[5] = 0.0
+        enc.angles.norm_beta.data[5] = np.inf    # beta of channel 1
+        with GradTape(), np.errstate(invalid="ignore"):
+            out = vecenc.rotate_cell(u, ctr, idx, None, enc, proj)
         with pytest.raises(NumericFaultError):
-            nnops.check_finite(out, "rotate_project3")
+            nnops.check_finite(out, "rotate_cell")
 
 
 class TestRotationOpsMatchOracle:
@@ -393,12 +431,16 @@ class TestRotationOpsMatchOracle:
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_rotate_project3(self, padded):
-        rng, zx, ang = self._inputs(42)
-        c = zx.shape[-1]
-        proj = nnops.grouped_params(rng, c, 3)
-        pad = _pad(rng, zx.shape[:-1]) if padded else None
+        """rotate_cell with gamma 0, so that each channel's angles are its
+        betas near pi, against the rotated field of oracle.rotate3d."""
+        rng, _, ang = self._inputs(42)
+        u, ctr, idx, pad, enc, proj = _cell_inputs(rng, c=5, padded=padded)
+        enc.angles.norm_gamma.data[:] = 0.0
+        enc.angles.norm_beta.data = ang[0, 0, 0]
+        fp = np.maximum(u.data[np.arange(2)[:, None, None], idx] - ctr.data[:, :, None], 0)
+        zx = fp @ enc.zx.weight.data + enc.zx.bias.data
         keep = 1.0 if pad is None else (~pad)[..., None, None]
-        field = oracle.rotate3d(zx, ang[..., :c], ang[..., c:]) * keep
+        field = oracle.rotate3d(zx, ang[0, 0, 0, :5], ang[0, 0, 0, 5:]) * keep
         want = np.einsum("bikcd,cd->bic", field, proj.weight.data)
-        out = vecenc.rotate_project3(Tensor(zx), Tensor(ang), proj, pad)
+        out = vecenc.rotate_cell(u, ctr, idx, pad, enc, proj)
         _assert_close(out.data, want)
