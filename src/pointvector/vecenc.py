@@ -278,7 +278,7 @@ def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
     del z
     if pad is not None:
         du *= (~pad)[..., None]
-    held = [du, da, db, xhat]
+    held = [du, da, db, xhat]   # grad_fn takes them out, to free each once read
     del du, da, db, xhat
 
     def grad_fn(g):

@@ -244,10 +244,9 @@ def _cell_inputs(rng, b=2, n=9, m=5, k=6, c=7, padded=False):
     return u, ctr, idx, _pad(rng, (b, m, k)) if padded else None, enc, proj
 
 
-def _cell_leaves(u, ctr, enc, proj):
-    """The op's eight inputs: u, ctr, W_zx, b_zx, W_ang, gamma, beta, w."""
-    return [u, ctr] + [t for layer in (enc.zx, enc.angles, proj)
-                       for _, t in layer.tensors()]
+def _cell_params(enc, proj):
+    """The op's six parameter inputs: W_zx, b_zx, W_ang, gamma, beta, w."""
+    return [t for layer in (enc.zx, enc.angles, proj) for _, t in layer.tensors()]
 
 
 class TestRotateProject3:
@@ -264,10 +263,10 @@ class TestRotateProject3:
         enc_ref = copy.deepcopy(enc)
         out, grads = _values_and_grads(
             lambda: vecenc.rotate_cell(u, ctr, idx, pad, enc, proj),
-            _cell_leaves(u, ctr, enc, proj), probe)
+            [u, ctr] + _cell_params(enc, proj), probe)
         want, want_grads = _values_and_grads(
             lambda: oracle.unfused_rotate_cell(u, ctr, idx, pad, enc_ref, proj),
-            [u, ctr] + _cell_leaves(u, ctr, enc_ref, proj)[2:], probe)
+            [u, ctr] + _cell_params(enc_ref, proj), probe)
         _assert_close(out, want)
         assert len(grads) == 8
         for g, w in zip(grads, want_grads):
@@ -309,8 +308,8 @@ class TestRotateProject3:
         outs = []
         for run in (block, rebuilt):
             q = copy.deepcopy(p)
-            leaves = _cell_leaves(f, f, q.encoder, q.proj)[2:]
-            outs.append(_values_and_grads(lambda: run(q), leaves, probe))
+            outs.append(_values_and_grads(lambda: run(q), _cell_params(q.encoder, q.proj),
+                                          probe))
         (out, grads), (want, want_grads) = outs
         _assert_close(out, want)
         for g, w in zip(grads, want_grads):
