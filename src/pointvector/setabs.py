@@ -432,9 +432,8 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
         "rotation", 3, "sum_groupconv")
     if default_cell and mode == "train":
         main = vecenc.rotate_cell(u, ctr_u, nbr.indices, pad, p.encoder, p.proj)
-    elif default_cell and mode == "eval" and not nnops._recording(
-            [f] + [t for layer in (p.pos, p.encoder.zx, p.encoder.angles, p.proj)
-                   for _, t in layer.tensors()]):
+    elif default_cell and mode == "eval" and not vecenc._cell_recording(
+            u, ctr_u, p.encoder, p.proj):
         main = vecenc.encode_rotation_tiled(u, ctr_u, nbr.indices, pad, p.encoder, p.proj)
     else:
         ctr_u = nnops.reshape(ctr_u, (b, centers.shape[1], 1, cin))

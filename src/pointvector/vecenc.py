@@ -18,19 +18,19 @@ the unit direction, so they learn.
 
 The default VPSA cell (rotation, m=3, sum_groupconv) runs its mixing
 relu(u_j - ctr_i), encoding, neighbor sum and [C,3] projection as one op on
-two paths; both take u, ctr, idx, pad, the encoder and the kernel:
+two paths; both take u, ctr, idx, pad, the encoder and the kernel, and
+build their factors per tile of centers:
 
     rotate_cell             training: one tape op that never builds the
                             [B,M,K,C,3] field and keeps five [B,M,K,C]
                             arrays for backward, not the mixed features
-    encode_rotation_tiled   eval with no gradient requested: one op over
-                            cache-sized tiles of centers, no backward
+    encode_rotation_tiled   eval with no gradient requested (`_cell_recording`
+                            false): no [B,M,K,C] array, no backward
 
 Eval under a recording tape composes `encode_rotation` and the
-aggregation's tape ops, as every other cell does. Both fused ops compute
-d out / d zx by the same operations in the same order: `_projection_factor`
-in the tiled op, and straight-line code in `rotate_cell`, which also builds
-the other factors its backward reads.
+aggregation's tape ops, as every other cell does. Both fused ops take
+d out / d zx from `_zx_factor`; `rotate_cell` also builds the other factors
+its backward reads.
 
 The rotation ops take sine and cosine from the half-angle identity
 
@@ -52,7 +52,7 @@ from .errors import ConfigError, ContractError, SizeError
 from .nnops import LayerParams, Tensor, custom_op
 
 
-# bytes of one tile's [zx | angles] rows in encode_rotation_tiled
+# bytes of one tile's [zx | angles] rows in rotate_cell and encode_rotation_tiled
 _TILE_BYTES = 1 << 19
 
 
@@ -137,30 +137,31 @@ def rotate_field(zx: Tensor, ang: Tensor) -> Tensor:
     return custom_op(out, (zx, ang), grad_fn)
 
 
-def _projection_factor(ang: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u = d out / d zx of the m=3 rotation projected by the [C,3] kernel w,
-    from the packed angles ang [..., 2C] holding alpha | beta,
+def _zx_factor(sa: np.ndarray, ca: np.ndarray, sb: np.ndarray, cb: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, u) of the m=3 rotation projected by the [C,3] kernel w, from the
+    sines and cosines of alpha and beta [..., C],
 
         t = w1 cos(alpha) - w0 sin(alpha),  u = sin(beta) t + w2 cos(beta),
 
-    so that the projected vector is zx u. Each sine, cosine and t is freed
-    right after its last read, so u costs at most five [..., C] arrays at
-    once.
+    so that the projected vector is zx u: u = d out / d zx. The inputs are
+    left as they are.
     """
-    c = w.shape[0]
-    w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
-    sb, cb = _sincos(ang[..., c:])
-    sa, ca = _sincos(ang[..., :c])
-    t = sa * w0
-    del sa
-    ca *= w1
-    np.subtract(ca, t, out=t)
-    del ca
+    t = ca * w[:, 1]
+    tmp = sa * w[:, 0]
+    t -= tmp
     u = sb * t
-    del sb, t
-    cb *= w2
-    u += cb
-    return u
+    np.multiply(cb, w[:, 2], out=tmp)
+    u += tmp
+    return t, u
+
+
+def _cell_recording(u: Tensor, ctr: Tensor, p: RotationEncoderParams,
+                    proj: LayerParams) -> bool:
+    """Whether a gradient is requested of the default cell: an active tape
+    tracks u, ctr or a parameter of the encoder or the kernel."""
+    params = [t for layer in (p.zx, p.angles, proj) for _, t in layer.tensors()]
+    return nnops._recording([u, ctr] + params)
 
 
 def _check_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
@@ -211,7 +212,12 @@ def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
     the last two times the angle ReLU's mask; the [3,B,M,C] neighbor sums
     s = [-sum_k zx sin(beta) sin(alpha), sum_k zx sin(beta) cos(alpha),
     sum_k zx cos(beta)], so that d out[b,i,c] / d w[c,j] = s[j,b,i,c]; and
-    the normalized angles x-hat [B,M,K,2C]. It does not keep fp, which both
+    the normalized angles x-hat [B,M,K,2C]. The forward standardizes the
+    angles in place, then runs over tiles of centers sized as in
+    `encode_rotation_tiled`: each tile takes its rows' angles, sines and
+    cosines, d out / d zx from `_zx_factor`, and writes its rows of the
+    factors, the sums and the output. So besides zx and the kept arrays
+    only tile-sized temporaries are alive. It does not keep fp, which both
     linears read: backward gathers it again from u, ctr and idx, sums the
     two linears' input gradients in one buffer, and scatters it to u and,
     summed over the neighbors, to ctr. Each array is freed once read.
@@ -229,57 +235,47 @@ def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
     fp = _mixed(ud, cd, idx).reshape(-1, c)
     z = fp @ w_zx
     z += p.zx.bias.data
-    z = z.reshape(b, m, k, c)
-    xhat, inv = nnops._standardize((fp @ w_ang).reshape(b, m, k, 2 * c), p.angles)
+    z = z.reshape(b * m, k, c)
+    pre = (fp @ w_ang).reshape(b, m, k, 2 * c)
     del fp
-
-    def angle(j):
-        """sin, cos and the ReLU's mask of angle j (0 alpha, 1 beta)."""
-        y = xhat[..., j * c:(j + 1) * c] * g_data[j * c:(j + 1) * c]
-        y += beta.data[j * c:(j + 1) * c]
+    xhat, inv = nnops._standardize(pre, p.angles, out=pre)
+    keep = None if pad is None else (~pad).reshape(b * m, k, 1)
+    if keep is not None:
+        z *= keep
+    du, da, db = (np.empty_like(z) for _ in range(3))
+    s = np.empty((3, b * m, c), dtype=z.dtype)
+    out = np.empty((b * m, c), dtype=z.dtype)
+    rows = xhat.reshape(b * m, k, 2 * c)
+    tile = max(1, _TILE_BYTES // (k * 3 * c * z.itemsize))
+    for lo in range(0, b * m, tile):
+        hi = min(lo + tile, b * m)
+        zt = z[lo:hi]
+        y = rows[lo:hi] * g_data
+        y += beta.data
         on = y > 0
         np.maximum(y, 0, out=y)
-        return _sincos(y) + (on,)
-
-    if pad is not None:
-        z *= (~pad).astype(z.dtype)[..., None]
-    sb, cb, on_b = angle(1)
-    s = np.empty((3, b, m, c), dtype=np.result_type(z, sb))
-    np.einsum("bikc,bikc->bic", z, cb, out=s[2])
-    sa, ca, on_a = angle(0)
-    np.einsum("bikc,bikc,bikc->bic", z, sb, sa, out=s[0])
-    np.negative(s[0], out=s[0])
-    np.einsum("bikc,bikc,bikc->bic", z, sb, ca, out=s[1])
-    da = ca * -w0
-    t = sa * w0
-    sa *= w1
-    da -= sa
-    del sa
-    da *= sb
-    da *= z
-    da *= on_a
-    del on_a
-    ca *= w1
-    np.subtract(ca, t, out=t)
-    del ca
-    du = sb * t
-    db = t                                 # t is dead after du: db takes its place
-    db *= cb
-    cb *= w2
-    du += cb
-    del cb
-    sb *= w2
-    db -= sb
-    del sb
-    db *= z
-    db *= on_b
-    del on_b
-    out = np.einsum("bikc,bikc->bic", z, du)
-    del z
-    if pad is not None:
-        du *= (~pad)[..., None]
+        (sa, sb), (ca, cb) = _angle_sincos(y, c)
+        t, dut = _zx_factor(sa, ca, sb, cb, w)
+        np.einsum("tkc,tkc->tc", zt, dut, out=out[lo:hi])
+        np.einsum("tkc,tkc->tc", zt, cb, out=s[2, lo:hi])
+        np.einsum("tkc,tkc,tkc->tc", zt, sb, sa, out=s[0, lo:hi])
+        np.negative(s[0, lo:hi], out=s[0, lo:hi])
+        np.einsum("tkc,tkc,tkc->tc", zt, sb, ca, out=s[1, lo:hi])
+        dat = np.multiply(ca, -w0, out=da[lo:hi])
+        sa *= w1
+        dat -= sa
+        dat *= sb
+        dat *= zt
+        dat *= on[..., :c]
+        dbt = np.multiply(t, cb, out=db[lo:hi])
+        sb *= w2
+        dbt -= sb
+        dbt *= zt
+        dbt *= on[..., c:]
+        np.multiply(dut, 1 if keep is None else keep[lo:hi], out=du[lo:hi])
+    du, da, db = (a.reshape(b, m, k, c) for a in (du, da, db))
+    s, out = s.reshape(3, b, m, c), out.reshape(b, m, c)
     held = [du, da, db, xhat]   # grad_fn takes them out, to free each once read
-    del du, da, db, xhat
 
     def grad_fn(g):
         du, da, db, xhat = held
@@ -336,15 +332,14 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
     eval mode, `oracle.unfused_rotate_cell(..., "eval")`. Each tile gathers
     its centers' K neighbors of u, runs one GEMM against [W_zx | folded
     angle weight] (`nnops.fold_norm`), takes the angles' relu, and sums
-    zx u (`_projection_factor`) over the non-pad neighbors, so no [B,M,K,C]
+    zx u (u from `_zx_factor`) over the non-pad neighbors, so no [B,M,K,C]
     tensor is built. A tile holds _TILE_BYTES / (K 3C itemsize) centers,
-    at least one. The output keeps the dtype of u.
+    at least one, as in `rotate_cell`. The output keeps the dtype of u.
 
     There is no backward: the op raises ContractError when an active tape
-    would record its inputs.
+    would record its inputs (`_cell_recording`).
     """
-    params = [t for layer in (p.zx, p.angles, proj) for _, t in layer.tensors()]
-    if nnops._recording([u, ctr] + params):
+    if _cell_recording(u, ctr, p, proj):
         raise ContractError("encode_rotation_tiled has no backward; a recording tape "
                             "needs the composed ops")
     _check_cell(u, ctr, idx, pad, proj)
@@ -368,7 +363,8 @@ def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarr
         h += bias
         zx, ang_rows = h[:, :c], h[:, c:]
         np.maximum(ang_rows, 0, out=ang_rows)    # NaN stays NaN, so check_finite sees it
-        vec = _projection_factor(ang_rows, proj.weight.data)
+        (sa, sb), (ca, cb) = _angle_sincos(ang_rows, c)
+        _, vec = _zx_factor(sa, ca, sb, cb, proj.weight.data)
         vec *= zx                                 # each neighbor's projected vector
         vec = vec.reshape(hi - lo, k, c)
         if keep is not None:

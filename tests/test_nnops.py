@@ -518,8 +518,3 @@ class TestGradientShapeContract:
 
         with pytest.raises(ContractError):
             gradcheck.relative_error(np.ones((2, 1, 3)), np.ones((2, 4, 3)))
-
-    def test_fused_sum_groupconv_without_pad_mask(self):
-        from pointvector import gradcheck
-
-        assert gradcheck.run_case("rotate_cell_unpadded", 0) < 1e-5

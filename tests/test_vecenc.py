@@ -198,11 +198,6 @@ class TestEncodeDirection:
 
 
 class TestEncoderGradients:
-    def test_rotation_field_gradcheck(self):
-        from pointvector import gradcheck
-        assert gradcheck.run_case("rotate_field3", 0) < 1e-5
-        assert gradcheck.run_case("rotate_field2", 0) < 1e-5
-
     def test_all_encoders_gradcheck(self):
         from pointvector import gradcheck
         for case in ("encode_rotation", "encode_rotation_2d", "encode_mlp",
@@ -249,14 +244,41 @@ def _cell_params(enc, proj):
     return [t for layer in (enc.zx, enc.angles, proj) for _, t in layer.tensors()]
 
 
-class TestRotateProject3:
+def _cell_peaks(padded, b=2, m=256, k=8, c=32):
+    """(held, peak) of one `vecenc.rotate_cell` under a tape, in [B,M,K,C]
+    arrays: the bytes it keeps once it returns, output aside, and the
+    highest traced bytes above its inputs while it runs."""
+    rng = np.random.default_rng(22)
+    u, ctr, idx, _, enc, proj = _cell_inputs(rng, b, m, m, k, c)
+    pad = None
+    if padded:
+        pad = np.zeros((b, m, k), dtype=bool)
+        pad[..., 5:] = True
+    with GradTape():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = vecenc.rotate_cell(u, ctr, idx, pad, enc, proj)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    unit = b * m * k * c * 8
+    return (now - before - out.data.nbytes) / unit, (peak - before) / unit
+
+
+class TestRotateCell:
     """The default cell's rotation at m=3, neighbor sum and projection in
     training, `vecenc.rotate_cell`, against the op-by-op chain
     oracle.unfused_rotate_cell."""
 
+    @pytest.mark.parametrize("tile_bytes", [None, 3 * 6 * 21 * 8],
+                             ids=["one_tile", "tiles_3_3_3_1"])
     @pytest.mark.parametrize("padded", [False, True])
-    def test_equals_unfused_composition(self, padded):
-        """Value, all eight input gradients and the running statistics."""
+    def test_equals_unfused_composition(self, padded, tile_bytes, monkeypatch):
+        """Value, all eight input gradients and the running statistics; the
+        10 centers run as one tile, or as tiles of 3, 3, 3 and 1."""
+        if tile_bytes is not None:
+            monkeypatch.setattr(vecenc, "_TILE_BYTES", tile_bytes)
         rng = np.random.default_rng(20)
         u, ctr, idx, pad, enc, proj = _cell_inputs(rng, padded=padded)
         probe = rng.standard_normal((2, 5, 7))
@@ -323,27 +345,17 @@ class TestRotateProject3:
         neighbor sums: at most 5.5 [B,M,K,C] arrays. The composed chain it
         replaces keeps about 6.8: the rotation's factors, x-hat, the mixed
         features fp that both linears read, and the ReLU masks."""
-        rng = np.random.default_rng(22)
-        b, m, k, c = 2, 256, 8, 32
-        u, ctr, idx, _, enc, proj = _cell_inputs(rng, b, m, m, k, c)
-        pad = None
-        if padded:
-            pad = np.zeros((b, m, k), dtype=bool)
-            pad[..., 5:] = True
-        with GradTape():
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                out = vecenc.rotate_cell(u, ctr, idx, pad, enc, proj)
-                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-            finally:
-                tracemalloc.stop()
-        assert held <= 5.5 * b * m * k * c * 8
+        held, _ = _cell_peaks(padded)
+        assert held <= 5.5
 
-    def test_gradcheck_padded(self):
-        # the unpadded case runs in test_nnops.TestGradientShapeContract
-        from pointvector import gradcheck
-        assert gradcheck.run_case("rotate_cell", 0) < 1e-5
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_forward_builds_factors_per_tile(self, padded, monkeypatch):
+        """With small tiles the forward's peak is zx, the angles, the three
+        factors and tile-sized temporaries: at most 7.5 [B,M,K,C] arrays.
+        Building the factors over all centers at once peaks at 9.7."""
+        monkeypatch.setattr(vecenc, "_TILE_BYTES", 1 << 14)
+        _, peak = _cell_peaks(padded)
+        assert peak <= 7.5
 
 
 EPS64 = np.finfo(np.float64).eps
@@ -429,7 +441,7 @@ class TestRotationOpsMatchOracle:
             vecenc.rotate_field(zx, Tensor(np.zeros((2, 3, width))))
 
     @pytest.mark.parametrize("padded", [False, True])
-    def test_rotate_project3(self, padded):
+    def test_rotate_cell(self, padded):
         """rotate_cell with gamma 0, so that each channel's angles are its
         betas near pi, against the rotated field of oracle.rotate3d."""
         rng, _, ang = self._inputs(42)
