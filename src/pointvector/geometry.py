@@ -396,16 +396,6 @@ def knn(centers: np.ndarray, cloud: PointSetBatch, k: int) -> NeighborIndex:
     return NeighborIndex(indices=idx, pad_mask=pad, centers=centers)
 
 
-def relative_positions(positions: np.ndarray, nbr: NeighborIndex) -> np.ndarray:
-    """rel_pos[b,i,j] = p_neighbor - p_center, shape [B,M,K,3]."""
-    b = positions.shape[0]
-    batch3 = np.arange(b)[:, None, None]
-    batch2 = np.arange(b)[:, None]
-    nbr_pos = positions[batch3, nbr.indices]
-    ctr_pos = positions[batch2, nbr.centers]
-    return nbr_pos - ctr_pos[:, :, None, :]
-
-
 def sort_neighbors_by_distance(positions: np.ndarray, nbr: NeighborIndex) -> NeighborIndex:
     """Reorder each neighborhood by (distance, index) with `_rank`.
 

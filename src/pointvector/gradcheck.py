@@ -305,22 +305,26 @@ def _toy_cloud(rng, n=8, c=4):
     return pos, feat
 
 
-def _case_sa_block(rng, negative_gamma=False, radius=None):
+def _case_sa_block(rng, negative_gamma=False, radius=None, layers=1, mode="train"):
     pos, feat = _toy_cloud(rng, n=10 if radius else 8)
     f = Tensor(feat, requires_grad=True)
     cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=4 if radius else 2,
-                      stride=2, radius=radius)
+                      stride=2, radius=radius, sa_layers=layers)
     p = setabs.sa_block_params(rng, cfg)
+    last = p.mlp[-1]
     if negative_gamma:
         # half the channels take the min over the neighbors instead of the max
-        layer = p.mlp[0]
-        layer.norm_gamma.data = rng.uniform(0.5, 1.5, 6) * np.repeat([1.0, -1.0], 3)
-        layer.norm_beta.data = rng.uniform(0.2, 0.6, 6)
+        last.norm_gamma.data = rng.uniform(0.5, 1.5, 6) * np.repeat([1.0, -1.0], 3)
+        last.norm_beta.data = rng.uniform(0.2, 0.6, 6)
+    if mode == "eval":
+        for layer in p.mlp:
+            layer.running_mean = rng.standard_normal(6) * 0.1
+            layer.running_var = rng.uniform(0.5, 2.0, 6)
     m = -(-pos.shape[1] // 2)
     probe = rng.standard_normal((1, m, 6))
     return _params_case(
         [("features", f)], p, probe,
-        lambda: setabs.sa_block(PointSetBatch(positions=pos), f, cfg, p, "train")[1])
+        lambda: setabs.sa_block(PointSetBatch(positions=pos), f, cfg, p, mode)[1])
 
 
 def _case_vpsa_block(rng, aggregation="sum_groupconv"):
@@ -388,6 +392,10 @@ CASES = {
     "sa_block_negative_gamma": partial(_case_sa_block, negative_gamma=True),
     "sa_block_negative_gamma_padded": partial(_case_sa_block, negative_gamma=True,
                                               radius=0.8),
+    "sa_block_deep_padded": partial(_case_sa_block, negative_gamma=True, radius=0.8,
+                                    layers=2),
+    "sa_block_deep_eval": partial(_case_sa_block, negative_gamma=True, layers=2,
+                                  mode="eval"),
     "vpsa_block": _case_vpsa_block,
     "vpsa_block_conv": partial(_case_vpsa_block, aggregation="conv"),
     "feature_propagate": _case_feature_propagate,

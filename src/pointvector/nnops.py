@@ -408,7 +408,7 @@ def batchnorm(x: Tensor, p: LayerParams) -> Tensor:
     """
     gamma, beta = p.norm_gamma, _shift(p)
     gamma_data = gamma.data
-    xhat, inv = _standardize(x.data, p)
+    xhat, _, inv = _standardize(x.data, p)
 
     def grad_fn(g):
         return _standardize_grad(g, xhat, gamma_data * inv)
@@ -419,11 +419,11 @@ def batchnorm(x: Tensor, p: LayerParams) -> Tensor:
 
 
 def _standardize(x: np.ndarray, p: LayerParams,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Train-mode batch statistics of x [..., C] over all non-channel axes.
 
     Returns xhat = (x - mu) inv, written into `out` when given (x itself may
-    be), and inv = 1 / sqrt(var + eps); updates p's running statistics.
+    be), mu and inv = 1 / sqrt(var + eps); updates p's running statistics.
     """
     c = x.shape[-1]
     n = x.size // c
@@ -437,7 +437,7 @@ def _standardize(x: np.ndarray, p: LayerParams,
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     _update_running(p, mu, var, n)
-    return xhat, inv
+    return xhat, mu, inv
 
 
 def _standardize_grad(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray,

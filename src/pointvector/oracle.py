@@ -7,6 +7,7 @@ their supported regime. The rotation formulas (`rotate3d`, `rotate2d`,
 `rotation_matrix`) are closed forms in np.sin/np.cos, independent of the
 half-angle sine and cosine the production ops use. The exceptions are
 `unfused_rotate_cell`, the reference for the default cell's fused ops,
+`composed_sa`, the set-abstraction block that `setabs.pooled_sa` fuses,
 `mix_features`, the grouped form of VPSA's per-point mixing, and
 `unfused_feature_propagate`, the decoder step in its concat-first order:
 they compose separate ops, each checked on its own by `gradcheck`, so that
@@ -195,49 +196,66 @@ def _batch_stats(samples):
 
 
 def naive_sa(positions: np.ndarray, features: np.ndarray, centers: np.ndarray,
-             neighbors: np.ndarray, weights: dict, mode: str = "eval") -> np.ndarray:
-    """Loop reference for the one-layer set-abstraction block.
+             neighbors: np.ndarray, layers: list, mode: str = "eval") -> np.ndarray:
+    """Loop reference for the set-abstraction block with a shared MLP of any
+    depth.
 
-    Per center i and neighbor slot k, z = [f_j, p_j - p_i] W with the raw
-    positions, then relu(bn(z)) and a componentwise max over all K slots.
-    Train-mode statistics run over all B*M*K rows, pads included; pads
-    repeat slot 0, so the max over all slots is the max over the real ones.
-    `setabs.pooled_sa` computes the same output as relu(bn(max_k z)) on
-    channels with gamma > 0, relu(bn(min_k z)) with gamma < 0 and relu(beta)
-    with gamma == 0. `weights` carries mlp_w [Cin+3, Cout], mlp_gamma/beta
-    and (eval mode) running statistics.
+    Per center i and neighbor slot k, h = [f_j, p_j - p_i] with the raw
+    positions, then h = relu(bn(h W)) for each layer, and a componentwise
+    max over all K slots. Train-mode statistics run over all B*M*K rows,
+    pads included; pads repeat slot 0, so the max over all slots is the max
+    over the real ones. `setabs.pooled_sa` computes the same output with
+    the max taken before the last batchnorm. `layers` holds one dict per
+    layer: w [Cin, Cout], gamma, beta and (eval mode) rmean, rvar.
     """
     b, _, cin = features.shape
     m = centers.shape[1]
     k = neighbors.shape[2]
     if b * m * k * cin > MAX_ORACLE_WORK * 10:
         raise ContractError("naive_sa instance too large")
-    w = weights["mlp_w"].astype(np.float64)
-    cout = w.shape[1]
-    pre = np.zeros((b, m, k, cout), dtype=np.float64)
+    rows = []
     for bi in range(b):
         for i in range(m):
             p_i = positions[bi, centers[bi, i]].astype(np.float64)
             for j in range(k):
                 src = neighbors[bi, i, j]
-                h = np.concatenate([
+                rows.append(np.concatenate([
                     features[bi, src].astype(np.float64),
                     positions[bi, src].astype(np.float64) - p_i,
-                ])
-                pre[bi, i, j] = h @ w
-    if mode == "train":
-        mean, var = _batch_stats(list(pre.reshape(-1, cout)))
-    else:
-        mean, var = weights["mlp_rmean"], weights["mlp_rvar"]
+                ]))
+    for layer in layers:
+        w = layer["w"].astype(np.float64)
+        pre = [h @ w for h in rows]
+        if mode == "train":
+            mean, var = _batch_stats(pre)
+        else:
+            mean, var = layer["rmean"], layer["rvar"]
+        rows = [np.maximum(_bn_scalar(x, mean, var, layer["gamma"], layer["beta"]), 0.0)
+                for x in pre]
+    cout = len(rows[0])
     out = np.full((b, m, cout), -np.inf)
-    for bi in range(b):
-        for i in range(m):
-            for j in range(k):
-                h = _bn_scalar(pre[bi, i, j], mean, var,
-                               weights["mlp_gamma"], weights["mlp_beta"])
-                h = np.maximum(h, 0.0)
-                out[bi, i] = np.maximum(out[bi, i], h)
+    for r, h in enumerate(rows):
+        bi, i = divmod(r // k, m)
+        out[bi, i] = np.maximum(out[bi, i], h)
     return out
+
+
+def composed_sa(positions: np.ndarray, f, nbr, layers: list, mode: str = "train"):
+    """What `setabs.pooled_sa` fuses, op by op on the tape: max_k over the
+    non-pad slots of mlp([f_j, p_j - p_i]), [B,M,C].
+
+    f [B,N,C] is a Tensor and nbr a `NeighborIndex`. The chain is
+    `nnops.gather` of f, the relative positions of `group_relative` as a
+    constant, `nnops.concat_last`, one `nnops.dense` per layer in `mode`
+    and `nnops.neighbor_reduce` "max" over the non-pad slots. Train mode
+    updates every layer's running statistics.
+    """
+    rel = group_relative(positions, f.data, nbr)[1]
+    h = nnops.concat_last([nnops.gather(f, nbr.indices), nnops.input_tensor(rel)])
+    for layer in layers:
+        h = nnops.dense(h, layer, mode)
+    pad = nbr.pad_mask if nbr.pad_mask.any() else None
+    return nnops.neighbor_reduce(h, "max", pad)
 
 
 def brute_force_vpsa(positions: np.ndarray, features: np.ndarray,

@@ -13,11 +13,12 @@ decoder does the same with its features: `feature_propagate` applies its
 first linear on the coarse points and interpolates its output. A relative
 term W (p_j - p_i) is W p~_j - W p~_i, with p~ the positions minus the mean
 of their cloud (`_centered_positions`; centering keeps clouds far from the
-origin exact to rounding). A one-layer SA block is then
-relu(bn(max_k a_j - b_i)) with a = [f, p~] W per point and b = [0, p~] W per
-center, the max becoming a min on channels whose batchnorm scale is negative
-(`pooled_sa`), and VPSA mixes relu(u_j - (u_i - b_pos)) with u = f + p~ W_pos
-per point.
+origin exact to rounding). An SA block's first linear is then a_j - b_i
+with a = [f, p~] W per point and b = [0, p~] W per center, and the block,
+of any depth, is one op (`pooled_sa`) that takes the max before the last
+batchnorm, a min on channels whose batchnorm scale is negative: a one-layer
+block is relu(bn(max_k a_j - b_i)). VPSA mixes relu(u_j - (u_i - b_pos))
+with u = f + p~ W_pos per point.
 
 VPSA aggregates its vector field [B,M,K,C,m] in two steps, a reduction over
 the K neighbors and a projection back to scalars (`AGGREGATIONS`):
@@ -226,32 +227,16 @@ def sa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: SABlockParams,
              mode: str = "train") -> tuple[PointSetBatch, Tensor]:
     """Set abstraction: subsample, group, shared MLP on [f_j, p_j - p_i], max-reduce.
 
-    With a one-layer MLP (`sa_layers == 1`) the block is `pooled_sa`: the
-    linear layer runs per point and per center before grouping and the max
-    is taken before the batchnorm. Deeper MLPs compose gather, concat,
-    dense layers and a pad-masked max over the [B,M,K,C] neighbor tensor
-    (`_sa_composed`). Returns the centers' positions and their features.
+    The block is one `pooled_sa` op for a shared MLP of any depth: the
+    first linear runs per point and per center before grouping, and the
+    max is taken before the last batchnorm. Returns the centers' positions
+    and their features.
     """
     _check_features(x, f)
     nbr = group(x, cfg)
-    if len(p.mlp) == 1:
-        out = pooled_sa(x.positions, f, nbr, p.mlp[0], mode)
-    else:
-        out = _sa_composed(x.positions, f, nbr, p.mlp, mode)
+    out = pooled_sa(x.positions, f, nbr, p.mlp, mode)
     batch = np.arange(x.batch_size)[:, None]
     return PointSetBatch(positions=x.positions[batch, nbr.centers]), out
-
-
-def _sa_composed(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, layers: list,
-                 mode: str) -> Tensor:
-    """max_k over non-pad slots of mlp([f_j, p_j - p_i]), op by op on the tape."""
-    nbr_feat = nnops.gather(f, nbr.indices)
-    rel_pos = nnops.input_tensor(geometry.relative_positions(positions, nbr))
-    h = nnops.concat_last([nbr_feat, rel_pos])
-    for layer in layers:
-        h = nnops.dense(h, layer, mode)
-    pad = nbr.pad_mask if nbr.pad_mask.any() else None
-    return nnops.neighbor_reduce(h, "max", pad)
 
 
 def _centered_positions(positions: np.ndarray) -> np.ndarray:
@@ -264,42 +249,84 @@ def _centered_positions(positions: np.ndarray) -> np.ndarray:
     return pos - pos.mean(axis=1, keepdims=True)
 
 
-def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerParams,
+def _hidden_xhat(a: np.ndarray, bc: np.ndarray, rows: np.ndarray, layers: list,
+                 stats: list, depth: int) -> np.ndarray:
+    """The normalized pre-activation x-hat [BM,K,C] of layer `depth` of a
+    shared MLP, from the first layer's per-point and per-center terms.
+
+    Layer 0's input is z = a_j - b_i gathered by rows; each later layer
+    applies the previous layer's affine and ReLU, then its linear. Layer i
+    normalizes with stats[i] = (mu, inv) when given; otherwise with its
+    batch statistics (`nnops._standardize`, which updates the running
+    statistics), appended to stats. A rebuild from the same stats runs the
+    same steps on the same arrays, so it equals the first pass bit for bit.
+    """
+    x = a[rows]
+    x -= bc[:, None]
+    for i, layer in enumerate(layers[:depth + 1]):
+        if i:
+            prev = layers[i - 1]
+            x *= prev.norm_gamma.data
+            x += prev.norm_beta.data
+            np.maximum(x, 0, out=x)
+            x = (x.reshape(-1, x.shape[-1]) @ layer.weight.data).reshape(x.shape[:2] + (-1,))
+        if i < len(stats):
+            mu, inv = stats[i]
+            x -= mu
+            x *= inv
+        else:
+            x, mu, inv = nnops._standardize(x, layer, out=x)
+            stats.append((mu, inv))
+    return x
+
+
+def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, layers: list,
               mode: str = "train") -> Tensor:
-    """One-layer set abstraction relu(bn(max_k z)) as one op, [B,M,C].
+    """Set abstraction max_k mlp([f_j, p_j - p_i]) as one op, [B,M,C], for a
+    shared MLP `layers` of any depth, each layer relu(bn(linear)).
 
-    z[i,k] = [f_j, p_j - p_i] W for j = idx[i,k] is split into per-point
-    and per-center terms, a = [f, p~] W over the N points and b = [0, p~_i] W
-    over the M centers (p~ the centered positions), so z[i,k] = a_j - b_i.
-    Batchnorm is monotone per channel, so the block's output
+    z[i,k] = [f_j, p_j - p_i] W for j = idx[i,k], the first layer's
+    linear, is split into per-point and per-center terms, a = [f, p~] W
+    over the N points and b = [0, p~_i] W over the M centers (p~ the
+    centered positions), so z[i,k] = a_j - b_i. Batchnorm is monotone per
+    channel, so with x the last layer's linear output the block's output
 
-        max_k relu(bn(z[i,k])) = relu(bn(max_k a_j - b_i))   where gamma > 0
-                               = relu(bn(min_k a_j - b_i))   where gamma < 0
+        max_k relu(bn(x[i,k])) = relu(bn(max_k x[i,k]))   where gamma > 0
+                               = relu(bn(min_k x[i,k]))   where gamma < 0
 
     and a channel with gamma == 0 is constant, relu(beta); it takes slot 0.
-    Ties go to the first slot, the rule of `nnops.neighbor_reduce`.
+    Each channel takes the first arg-max of sign(gamma) x, the first slot
+    on ties, the rule of `nnops.neighbor_reduce`. With one layer x = z, and
+    the arg-max is taken over the gathered a values; with more, the
+    [B,M,K,C] block of z is gathered once and the earlier layers run on it
+    (`_hidden_xhat`), and the arg-max is taken over the last layer's x-hat.
 
     Pads must repeat slot 0, as `geometry.ball_query` makes them: then the
     max and min over all K slots equal those over the real ones, and the
     first extreme slot is never a pad. Train-mode statistics cover all
-    B*M*K rows, pads included, like batchnorm on the grouped tensor: the
-    mean and variance come from a and b through the number of times each
-    point is gathered (`np.bincount`) and the gathered sum of center
-    positions per point, after centering a and b on their means.
+    B*M*K rows, pads included, like batchnorm on the grouped tensor. With
+    one layer the mean and variance come from a and b through the number
+    of times each point is gathered (`np.bincount`) and the gathered sum of
+    center positions per point, after centering a and b on their means.
 
-    The [B,M,K,C] block of a values is gathered once, channel-major, for
-    the first arg-extreme of each channel and dropped; backward scatters the
-    selected entries plus per-point statistic terms. Gradients flow to f, W,
-    gamma and beta; positions are constants.
+    For backward a one-layer block keeps no [B,M,K,C] array: it scatters
+    the selected entries plus per-point statistic terms. A deeper one
+    keeps the last layer's x-hat, the selected slots and each layer's
+    (mean, inv); backward rebuilds each earlier layer's x-hat and ReLU
+    output from a and b, one layer at a time, and scatters the first
+    layer's gradient to the points and, summed over the neighbors, to the
+    centers. Gradients flow to f and to every layer's W, gamma and beta;
+    positions are constants.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
-    w, gamma, beta = p.weight, p.norm_gamma, p.norm_beta
+    w, last = layers[0].weight, layers[-1]
+    gamma, beta = last.norm_gamma, last.norm_beta
     data = f.data
     b, n, cin = data.shape
     if w.data.shape[0] != cin + 3:
         raise SizeError(f"expected {w.data.shape[0] - 3} input channels, got {cin}")
-    c = w.data.shape[1]
+    c = gamma.data.shape[0]
     idx, pad = nbr.indices, nbr.pad_mask
     m, k = idx.shape[1:]
     if pad[..., 0].any() or np.any(idx[pad] != np.broadcast_to(idx[..., :1], idx.shape)[pad]):
@@ -312,42 +339,112 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerPara
     wp = w.data[cin:]
     a = x2 @ w.data                  # [BN, C]
     bc = q @ wp                      # [BM, C]
-
-    # first extreme slot per channel: argmax over the slots of sign(gamma) * a,
-    # gathered channel-major so that the K slots are contiguous; gamma == 0
-    # channels see all zeros, so slot 0 wins
-    signed = np.multiply(a.T, np.sign(gamma.data)[:, None], order="C")   # [C, BN]
-    slot = np.take(signed, rows, axis=1).argmax(axis=2)                  # [C, BM]
-    sel = np.take_along_axis(rows, slot.T, axis=1)                       # [BM, C]
     cols = np.arange(c)
-    s = a[sel, cols] - bc            # selected z, [BM, C]
-
     r = b * m * k
-    if mode == "train":
-        if r < 2:
-            raise DegenerateStatisticsError(
-                f"batchnorm train mode needs >=2 samples per channel, got {r}")
-        cnt = np.bincount(rows.reshape(-1), minlength=b * n).astype(dtype)[:, None]
-        mu_a = (cnt[:, 0] @ a) / r
-        mu_b = bc.mean(axis=0)
-        ac = a - mu_a
-        bcc = bc - mu_b
-        # per point j: the centered center positions gathered with it, and
-        # t_j = sum over the rows (i, k) that gather j of b_i - mu_b
-        pos_sum = nnops._scatter_add_rows(rows.reshape(-1), np.repeat(q, k, axis=0), b * n)
-        t = pos_sum @ wp
-        t -= cnt * mu_b
-        u = cnt * ac
-        u -= t                        # sum over the rows that gather j of z - mu
-        # r var = sum_i,k (a_j - b_i - mu)^2 = sum_j ac_j (u_j - t_j) + K sum_i bcc_i^2
-        var = (np.einsum("nc,nc->c", ac, u - t) + k * np.einsum("mc,mc->c", bcc, bcc)) / r
-        var = np.maximum(var, 0.0)
-        mu = mu_a - mu_b
-        nnops._update_running(p, mu, var, r)
+
+    if len(layers) > 1:
+        stats = [] if mode == "train" else [
+            (p.running_mean, 1.0 / np.sqrt(p.running_var + nnops.BN_EPS)) for p in layers]
+        xhat = _hidden_xhat(a, bc, rows, layers, stats, len(layers) - 1)
+        inv = stats[-1][1]
+        signed = xhat * np.sign(gamma.data)
+        slot = signed.argmax(axis=1)                                     # [BM, C]
+        del signed
+        xs = np.take_along_axis(xhat, slot[:, None], axis=1)[:, 0]      # selected x-hat
+        held = [xhat]   # z_grad takes it out, to reuse its buffer
+
+        def z_grad(gs, dgamma, dbeta, scale):
+            """d loss / d a, d loss / d W's position rows through b, and the
+            gradients of every later layer's W and every earlier layer's
+            gamma and beta, rebuilding one layer at a time."""
+            dx, = held
+            held.clear()
+            # the last batchnorm's backward over all rows, in x-hat's buffer:
+            # its statistic terms everywhere, gs at the selected slots
+            if mode == "train":
+                dx *= -scale * dgamma / r
+                dx -= scale * dbeta / r
+            else:
+                dx[...] = 0
+            dx[np.arange(b * m)[:, None], slot, cols] += gs
+            weights, norms = [None] * len(layers), [None] * len(layers)
+            for i in range(len(layers) - 1, 0, -1):
+                prev = layers[i - 1]
+                xh = _hidden_xhat(a, bc, rows, layers, stats, i - 1)
+                h = xh * prev.norm_gamma.data
+                h += prev.norm_beta.data
+                on = h > 0
+                np.maximum(h, 0, out=h)
+                h2, dx2 = h.reshape(-1, h.shape[-1]), dx.reshape(-1, dx.shape[-1])
+                weights[i] = h2.T @ dx2
+                np.matmul(dx2, layers[i].weight.data.T, out=h2)   # h is dead: d loss / d h
+                del dx, dx2
+                h *= on
+                scale_i = prev.norm_gamma.data * stats[i - 1][1]
+                if mode == "train":
+                    dx, dgam, dbet = nnops._standardize_grad(h, xh, scale_i, out=xh)
+                else:
+                    dgam = np.einsum("rc,rc->c", h2, xh.reshape(h2.shape))
+                    dbet = h2.sum(axis=0)
+                    dx = np.multiply(h, scale_i, out=xh)
+                norms[i - 1] = (dgam, dbet)
+                del h, h2, xh
+            # z = a_j - b_i: scatter to the points, and sum over the neighbors for b
+            da = nnops._scatter_add_rows(rows.reshape(-1), dx.reshape(r, -1), b * n)
+            return da, q.T @ -dx.sum(axis=1), weights, norms
     else:
-        mu, var = p.running_mean, p.running_var
-    inv = 1.0 / np.sqrt(var + nnops.BN_EPS)
-    xs = (s - mu) * inv
+        # first extreme slot per channel: argmax over the slots of sign(gamma) * a,
+        # gathered channel-major so that the K slots are contiguous; gamma == 0
+        # channels see all zeros, so slot 0 wins
+        signed = np.multiply(a.T, np.sign(gamma.data)[:, None], order="C")   # [C, BN]
+        slot = np.take(signed, rows, axis=1).argmax(axis=2)                  # [C, BM]
+        sel = np.take_along_axis(rows, slot.T, axis=1)                       # [BM, C]
+        s = a[sel, cols] - bc            # selected z, [BM, C]
+
+        if mode == "train":
+            if r < 2:
+                raise DegenerateStatisticsError(
+                    f"batchnorm train mode needs >=2 samples per channel, got {r}")
+            cnt = np.bincount(rows.reshape(-1), minlength=b * n).astype(dtype)[:, None]
+            mu_a = (cnt[:, 0] @ a) / r
+            mu_b = bc.mean(axis=0)
+            ac = a - mu_a
+            bcc = bc - mu_b
+            # per point j: the centered center positions gathered with it, and
+            # t_j = sum over the rows (i, k) that gather j of b_i - mu_b
+            pos_sum = nnops._scatter_add_rows(rows.reshape(-1), np.repeat(q, k, axis=0), b * n)
+            t = pos_sum @ wp
+            t -= cnt * mu_b
+            u = cnt * ac
+            u -= t                        # sum over the rows that gather j of z - mu
+            # r var = sum_i,k (a_j - b_i - mu)^2 = sum_j ac_j (u_j - t_j) + K sum_i bcc_i^2
+            var = (np.einsum("nc,nc->c", ac, u - t) + k * np.einsum("mc,mc->c", bcc, bcc)) / r
+            var = np.maximum(var, 0.0)
+            mu = mu_a - mu_b
+            nnops._update_running(last, mu, var, r)
+        else:
+            mu, var = last.running_mean, last.running_var
+        inv = 1.0 / np.sqrt(var + nnops.BN_EPS)
+        xs = (s - mu) * inv
+
+        def z_grad(gs, dgamma, dbeta, scale):
+            """d loss / d a and d loss / d W's position rows, from the selected z
+            and the batch statistics."""
+            da = np.bincount((sel * c + cols).reshape(-1), weights=gs.reshape(-1),
+                             minlength=b * n * c).reshape(b * n, c).astype(dtype, copy=False)
+            dwp = q.T @ -gs               # b_i = [0, p~_i] W reaches W's position rows
+            if mode == "train":
+                # each row's share of the mean and variance terms of the batchnorm
+                # backward, summed per point for a and per center for b; b's
+                # neighbor sums of ac are taken per point through pos_sum
+                c0 = scale * dbeta / r
+                c2 = scale * inv * dgamma / r
+                da -= cnt * c0
+                da -= u * c2
+                dwp += k * (q.sum(axis=0)[:, None] * c0 - (q.T @ bcc) * c2)
+                dwp += (pos_sum.T @ ac) * c2
+            return da, dwp, [None], [None]
+
     y = xs * gamma.data
     y += beta.data
     mask = y > 0
@@ -359,26 +456,17 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, p: LayerPara
         dbeta = gy.sum(axis=0)
         dgamma = np.einsum("mc,mc->c", gy, xs)
         scale = gamma_data * inv
-        gs = gy * scale               # d loss / d selected z
-        da = np.bincount((sel * c + cols).reshape(-1), weights=gs.reshape(-1),
-                         minlength=b * n * c).reshape(b * n, c).astype(dtype, copy=False)
-        dwp = q.T @ -gs               # b_i = [0, p~_i] W reaches W's position rows
-        if mode == "train":
-            # each row's share of the mean and variance terms of the batchnorm
-            # backward, summed per point for a and per center for b; b's
-            # neighbor sums of ac are taken per point through pos_sum
-            c0 = scale * dbeta / r
-            c2 = scale * inv * dgamma / r
-            da -= cnt * c0
-            da -= u * c2
-            dwp += k * (q.sum(axis=0)[:, None] * c0 - (q.T @ bcc) * c2)
-            dwp += (pos_sum.T @ ac) * c2
+        # gy scale is d loss / d the selected x
+        da, dwp, weights, norms = z_grad(gy * scale, dgamma, dbeta, scale)
         dw = x2.T @ da
         dw[cin:] += dwp
+        weights[0], norms[-1] = dw, (dgamma, dbeta)
         df = (da @ w_in.T).reshape(b, n, cin)
-        return df, dw, dgamma, dbeta
+        return (df,) + tuple(t for wg, ng in zip(weights, norms) for t in (wg,) + ng)
 
-    return custom_op(out.reshape(b, m, c), (f, w, gamma, beta), grad_fn)
+    inputs = (f,) + tuple(t for layer in layers
+                          for t in (layer.weight, layer.norm_gamma, layer.norm_beta))
+    return custom_op(out.reshape(b, m, c), inputs, grad_fn)
 
 
 def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams,

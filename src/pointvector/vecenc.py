@@ -238,7 +238,7 @@ def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
     z = z.reshape(b * m, k, c)
     pre = (fp @ w_ang).reshape(b, m, k, 2 * c)
     del fp
-    xhat, inv = nnops._standardize(pre, p.angles, out=pre)
+    xhat, _, inv = nnops._standardize(pre, p.angles, out=pre)
     keep = None if pad is None else (~pad).reshape(b * m, k, 1)
     if keep is not None:
         z *= keep

@@ -130,7 +130,7 @@ class TestBallQuery:
             cloud = random_cloud(rng, n=200)
             centers = rng.integers(0, 200, size=(1, 32))
             nbr = ball_query(centers, cloud, 0.4, 8)
-            rel = geometry.relative_positions(cloud.positions, nbr)
+            rel = group_relative(cloud.positions, np.zeros((1, 200, 1)), nbr)[1]
             d = np.linalg.norm(rel, axis=-1)
             assert (d[~nbr.pad_mask] <= 0.4 + 1e-12).all()
 
@@ -231,7 +231,7 @@ ORACLE_GUARDS = {
         "neighbor indices outside the source cloud"),
     "naive_sa": (lambda: oracle.naive_sa(np.zeros((1, 1, 3)), np.zeros((1, 1, 11)),
                                          np.zeros((1, 1000), np.int64),
-                                         np.zeros((1, 1000, 10), np.int64), {}),
+                                         np.zeros((1, 1000, 10), np.int64), []),
                  "naive_sa instance too large"),
     "brute_force_vpsa": (lambda: oracle.brute_force_vpsa(
         np.zeros((1, 1, 3)), np.zeros((1, 1, 11)), np.zeros((1, 1000), np.int64),

@@ -165,6 +165,19 @@ class TestPointOrder:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _assert_step_stays_float32(**overrides):
+    """One single-precision toy-seg train step: every parameter gets a
+    float32 gradient and every running statistic stays float32."""
+    with nnops.precision("single"):
+        mdl = Model(preset_config("toy-seg", num_classes=3, **overrides))
+        with GradTape() as tape:
+            logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
+            grads = nnops.backward(tape, nnops.sum_all(logits))
+    assert len(grads) == len(mdl.named_params())
+    assert all(g.dtype == np.float32 for g in grads.values())
+    assert all(a.dtype == np.float32 for a in mdl.named_running().values())
+
+
 class TestSinglePrecision:
     def test_every_gradient_of_a_step_stays_float32(self):
         with nnops.precision("single"):
@@ -178,14 +191,12 @@ class TestSinglePrecision:
 
 
     def test_pooled_sa_step_stays_float32(self):
-        with nnops.precision("single"):
-            mdl = Model(preset_config("toy-seg", num_classes=3, sa_layers=1))
-            with GradTape() as tape:
-                logits = mdl.forward_seg(cloud(np.random.default_rng(5), 2, 40), "train")
-                grads = nnops.backward(tape, nnops.sum_all(logits))
-        assert len(grads) == len(mdl.named_params())
-        assert all(g.dtype == np.float32 for g in grads.values())
-        assert all(a.dtype == np.float32 for a in mdl.named_running().values())
+        _assert_step_stays_float32(sa_layers=1)
+
+    def test_deep_pooled_sa_step_stays_float32(self):
+        # the toy-seg preset's SA blocks have two layers
+        assert preset_config("toy-seg", num_classes=3).sa_layers == 2
+        _assert_step_stays_float32()
 
 
 class TestCheckpointPrecision:

@@ -94,15 +94,8 @@ class TestSABlock:
             _, out = sa_block(cloud, Tensor(feats), cfg, p, "eval")
             centers = setabs._select_centers(cloud, 2)
             nbr = geometry.knn(centers, cloud, 3)
-            weights = {
-                "mlp_w": p.mlp[0].weight.data,
-                "mlp_gamma": p.mlp[0].norm_gamma.data,
-                "mlp_beta": p.mlp[0].norm_beta.data,
-                "mlp_rmean": p.mlp[0].running_mean,
-                "mlp_rvar": p.mlp[0].running_var,
-            }
             expected = oracle.naive_sa(cloud.positions, feats, centers,
-                                       nbr.indices, weights, mode="eval")
+                                       nbr.indices, naive_layers(p.mlp), mode="eval")
             assert np.abs(out.data - expected).max() < 1e-10
 
     def test_feature_points_must_match_positions(self):
@@ -216,17 +209,26 @@ class TestVPSABlock:
         assert f.data.shape[-1] == 8
 
 
-def sa_layer(rng, cin, cout):
-    """One SA layer with a third of its channels at gamma < 0 and one at 0."""
-    cfg = BlockConfig(in_channels=cin, out_channels=cout, k_neighbors=1)
-    layer = setabs.sa_block_params(rng, cfg).mlp[0]
+def sa_mlp(rng, cin, cout, depth=1):
+    """An SA block's shared MLP of `depth` layers, each with a third of its
+    channels at gamma < 0, one at 0, and random running statistics."""
+    cfg = BlockConfig(in_channels=cin, out_channels=cout, k_neighbors=1, sa_layers=depth)
+    layers = setabs.sa_block_params(rng, cfg).mlp
     sign = np.where(np.arange(cout) % 3 == 1, -1.0, 1.0)
-    layer.norm_gamma.data = rng.uniform(0.5, 1.5, cout) * sign
-    layer.norm_gamma.data[0] = 0.0
-    layer.norm_beta.data = rng.uniform(-0.2, 0.6, cout)
-    layer.running_mean = rng.standard_normal(cout) * 0.1
-    layer.running_var = rng.uniform(0.5, 2.0, cout)
-    return layer
+    for layer in layers:
+        layer.norm_gamma.data = rng.uniform(0.5, 1.5, cout) * sign
+        layer.norm_gamma.data[0] = 0.0
+        layer.norm_beta.data = rng.uniform(-0.2, 0.6, cout)
+        layer.running_mean = rng.standard_normal(cout) * 0.1
+        layer.running_var = rng.uniform(0.5, 2.0, cout)
+    return layers
+
+
+def naive_layers(layers):
+    """The shared MLP as the plain-array dicts oracle.naive_sa consumes."""
+    return [{"w": layer.weight.data, "gamma": layer.norm_gamma.data,
+             "beta": layer.norm_beta.data, "rmean": layer.running_mean,
+             "rvar": layer.running_var} for layer in layers]
 
 
 def sa_neighborhood(rng, search, offset, b=2, n=24, k=5, stride=2):
@@ -239,57 +241,106 @@ def sa_neighborhood(rng, search, offset, b=2, n=24, k=5, stride=2):
     return cloud.positions, nbr
 
 
-def run_sa(fn, positions, feat, nbr, layer, mode, probe):
-    """Output, gradients (f, W, gamma, beta) and running stats of one SA pass."""
-    layer = copy.deepcopy(layer)
+def run_sa(fn, positions, feat, nbr, layers, mode, probe):
+    """Output, the gradient of f, then per layer the gradients of W, gamma
+    and beta and the running statistics, after one SA pass."""
+    layers = copy.deepcopy(layers)
     f = Tensor(feat.copy(), requires_grad=True)
     with GradTape() as tape:
-        out = fn(positions, f, nbr, layer, mode)
+        out = fn(positions, f, nbr, layers, mode)
         grads = nnops.backward(tape, nnops.sum_all(nnops.mul(out, Tensor(probe))))
-    return [out.data, grads[f], grads[layer.weight], grads[layer.norm_gamma],
-            grads[layer.norm_beta], layer.running_mean, layer.running_var]
-
-
-def composed(positions, f, nbr, layer, mode):
-    return setabs._sa_composed(positions, f, nbr, [layer], mode)
+    return [out.data, grads[f]] + [
+        a for layer in layers
+        for a in (grads[layer.weight], grads[layer.norm_gamma], grads[layer.norm_beta],
+                  layer.running_mean, layer.running_var)]
 
 
 SA_CASES = [(mode, search, offset) for mode in ("train", "eval")
             for search in ("knn", "ball") for offset in (0.0, 1e3)]
+# SA_CASES at MLP depths 1, 2 and 3; a depth-1 case keeps the id of its SA_CASES entry
+SA_DEPTH_CASES = [
+    pytest.param(mode, search, offset, depth, id="-".join(
+        [mode, search, str(offset)] + ([f"depth{depth}"] if depth > 1 else [])))
+    for depth in (1, 2, 3) for mode, search, offset in SA_CASES]
+TIE_CASES = [pytest.param(mode, depth, id=mode + (f"-depth{depth}" if depth > 1 else ""))
+             for depth in (1, 2) for mode in ("train", "eval")]
+
+
+def zero_gamma_dgamma(depth):
+    """(got, want) of the last layer's gamma gradient on a channel with
+    gamma 0 and relu(beta) > 0, in eval mode: want is the probe-weighted sum
+    of that channel's x-hat at slot 0, the layers applied to slot 0 alone."""
+    rng = np.random.default_rng(23)
+    positions, nbr = sa_neighborhood(rng, "knn", 0.0)
+    feat = rng.standard_normal((2, 24, 4))
+    layers = sa_mlp(rng, 4, 7, depth)
+    layers[-1].norm_beta.data[0] = 0.5  # channel 0: gamma 0, relu(beta) > 0
+    probe = rng.standard_normal((2, 12, 7))
+    got = run_sa(setabs.pooled_sa, positions, feat, nbr, layers, "eval", probe)[-4]
+    batch = np.arange(2)[:, None]
+    first = nbr.indices[:, :, 0]
+    h = np.concatenate([feat[batch, first], positions[batch, first]
+                        - positions[batch, nbr.centers]], axis=-1)
+    for layer in layers:
+        xhat = ((h @ layer.weight.data - layer.running_mean)
+                / np.sqrt(layer.running_var + nnops.BN_EPS))
+        h = np.maximum(xhat * layer.norm_gamma.data + layer.norm_beta.data, 0.0)
+    return got[0], (probe[..., 0] * xhat[..., 0]).sum()
+
+
+def pooled_sa_held(fn, b=2, n=256, cin=16, stride=4, k=16, c=32):
+    """[B,M,K,C] float64 arrays that one depth-2 SA op holds for backward
+    once it returns, its output aside (tracemalloc, train mode)."""
+    rng = np.random.default_rng(26)
+    cloud, feats = random_cloud(rng, b=b, n=n, c=cin)
+    cfg = BlockConfig(in_channels=cin, out_channels=c, k_neighbors=k, stride=stride,
+                      sa_layers=2)
+    nbr = setabs.group(cloud, cfg)
+    layers = setabs.sa_block_params(rng, cfg).mlp
+    f = Tensor(feats, requires_grad=True)
+    with GradTape():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(cloud.positions, f, nbr, layers, "train")
+            now = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    return (now - before - out.data.nbytes) / (b * nbr.indices.shape[1] * k * c * 8)
 
 
 class TestPooledSA:
-    @pytest.mark.parametrize("mode,search,offset", SA_CASES)
-    def test_matches_naive_sa(self, mode, search, offset):
+    @pytest.mark.parametrize("mode,search,offset,depth", SA_DEPTH_CASES)
+    def test_matches_naive_sa(self, mode, search, offset, depth):
         rng = np.random.default_rng(20)
         for _ in range(3):
             positions, nbr = sa_neighborhood(rng, search, offset)
             feat = rng.standard_normal((2, 24, 4))
-            layer = sa_layer(rng, 4, 7)
-            out = setabs.pooled_sa(positions, Tensor(feat), nbr, layer, mode)
-            weights = {"mlp_w": layer.weight.data, "mlp_gamma": layer.norm_gamma.data,
-                       "mlp_beta": layer.norm_beta.data, "mlp_rmean": layer.running_mean,
-                       "mlp_rvar": layer.running_var}
+            layers = sa_mlp(rng, 4, 7, depth)
             expected = oracle.naive_sa(positions, feat, nbr.centers, nbr.indices,
-                                       weights, mode=mode)
+                                       naive_layers(layers), mode=mode)
+            out = setabs.pooled_sa(positions, Tensor(feat), nbr, layers, mode)
             assert np.abs(out.data - expected).max() < 1e-10
 
-    @pytest.mark.parametrize("mode,search,offset", SA_CASES)
-    def test_value_and_gradients_match_composition(self, mode, search, offset):
+    @pytest.mark.parametrize("mode,search,offset,depth", SA_DEPTH_CASES)
+    def test_value_and_gradients_match_composition(self, mode, search, offset, depth):
+        """Value, the gradient of f, every layer's W, gamma and beta
+        gradients and running statistics, against oracle.composed_sa."""
         rng = np.random.default_rng(21)
         for _ in range(3):
             positions, nbr = sa_neighborhood(rng, search, offset)
             feat = rng.standard_normal((2, 24, 4))
-            layer = sa_layer(rng, 4, 7)
+            layers = sa_mlp(rng, 4, 7, depth)
             probe = rng.standard_normal((2, 12, 7))
-            got = run_sa(setabs.pooled_sa, positions, feat, nbr, layer, mode, probe)
-            want = run_sa(composed, positions, feat, nbr, layer, mode, probe)
+            got = run_sa(setabs.pooled_sa, positions, feat, nbr, layers, mode, probe)
+            want = run_sa(oracle.composed_sa, positions, feat, nbr, layers, mode, probe)
+            assert len(got) == len(want) == 2 + 5 * depth
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_ties_route_to_the_first_slot(self, mode):
+    @pytest.mark.parametrize("mode,depth", TIE_CASES)
+    def test_ties_route_to_the_first_slot(self, mode, depth):
         # every point twice, so every max and min is an exact tie between two
         # slots; knn puts the lower index, the first copy, first
         rng = np.random.default_rng(22)
@@ -298,10 +349,10 @@ class TestPooledSA:
         feat = np.tile(rng.standard_normal((1, 12, 4)), (1, 2, 1))
         cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=6, stride=2)
         nbr = setabs.group(PointSetBatch(positions=positions), cfg)
-        layer = sa_layer(rng, 4, 6)
+        layers = sa_mlp(rng, 4, 6, depth)
         probe = rng.standard_normal((1, 12, 6))
-        got = run_sa(setabs.pooled_sa, positions, feat, nbr, layer, mode, probe)
-        want = run_sa(composed, positions, feat, nbr, layer, mode, probe)
+        got = run_sa(setabs.pooled_sa, positions, feat, nbr, layers, mode, probe)
+        want = run_sa(oracle.composed_sa, positions, feat, nbr, layers, mode, probe)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1.0)
         if mode == "eval":
@@ -310,47 +361,52 @@ class TestPooledSA:
             assert np.abs(got[1][0, :12]).max() > 0.0
 
     def test_zero_gamma_channel_routes_to_slot_zero(self):
-        rng = np.random.default_rng(23)
-        positions, nbr = sa_neighborhood(rng, "knn", 0.0)
-        feat = rng.standard_normal((2, 24, 4))
-        layer = sa_layer(rng, 4, 7)
-        layer.norm_beta.data[0] = 0.5  # channel 0: gamma 0, relu(beta) > 0
-        probe = rng.standard_normal((2, 12, 7))
-        dgamma = run_sa(setabs.pooled_sa, positions, feat, nbr, layer, "eval", probe)[3]
-        batch = np.arange(2)[:, None]
-        first = nbr.indices[:, :, 0]
-        h = np.concatenate([feat[batch, first], positions[batch, first]
-                            - positions[batch, nbr.centers]], axis=-1)
-        xhat = ((h @ layer.weight.data[:, 0] - layer.running_mean[0])
-                / np.sqrt(layer.running_var[0] + nnops.BN_EPS))
-        assert abs(dgamma[0] - (probe[..., 0] * xhat).sum()) < 1e-12
+        got, want = zero_gamma_dgamma(1)
+        assert abs(got - want) < 1e-12
+
+    def test_zero_gamma_channel_routes_to_slot_zero_at_depth_2(self):
+        got, want = zero_gamma_dgamma(2)
+        assert abs(got - want) < 1e-12
 
     def test_pads_must_repeat_slot_zero(self):
         rng = np.random.default_rng(24)
         positions, nbr = sa_neighborhood(rng, "ball", 0.0)
-        layer = sa_layer(rng, 4, 7)
+        layers = sa_mlp(rng, 4, 7)
         feat = Tensor(rng.standard_normal((2, 24, 4)))
         b, i, j = np.argwhere(nbr.pad_mask)[0]
         nbr.indices[b, i, j] = (nbr.indices[b, i, 0] + 1) % 24
         with pytest.raises(InvalidNeighborhoodError, match="repeat"):
-            setabs.pooled_sa(positions, feat, nbr, layer, "train")
+            setabs.pooled_sa(positions, feat, nbr, layers, "train")
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(25)
         positions, nbr = sa_neighborhood(rng, "knn", 0.0)
         with pytest.raises(SizeError, match="input channels"):
             setabs.pooled_sa(positions, Tensor(np.zeros((2, 24, 5))), nbr,
-                             sa_layer(rng, 4, 7), "train")
+                             sa_mlp(rng, 4, 7), "train")
 
-    def test_deeper_mlp_keeps_the_composition(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_deep_sa_block_is_one_pooled_op(self, mode):
+        """A depth-2 block makes one pooled_sa call with its whole MLP, and
+        a tape records that one op for it."""
         rng = np.random.default_rng(26)
         cloud, feats = random_cloud(rng, n=12, c=4)
         cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=3, stride=2,
                           sa_layers=2)
         p = setabs.sa_block_params(rng, cfg)
-        monkeypatch.setattr(setabs, "pooled_sa", None)
-        _, out = sa_block(cloud, Tensor(feats), cfg, p, "train")
+        with mock.patch.object(setabs, "pooled_sa", wraps=setabs.pooled_sa) as pooled, \
+                GradTape() as tape:
+            _, out = sa_block(cloud, Tensor(feats, requires_grad=True), cfg, p, mode)
+        assert pooled.call_count == 1
+        assert pooled.call_args.args[3] is p.mlp
+        assert len(tape) == 1
         assert out.data.shape == (1, 6, 6)
+
+    def test_deep_op_holds_under_two_neighbor_arrays(self):
+        """The depth-2 op keeps the last layer's x-hat and no other [B,M,K,C]
+        array: at most 2.0 of them (B=2, N=256, 16 channels, stride 4, K=16,
+        C=32). The composed block, oracle.composed_sa, holds about 4."""
+        assert pooled_sa_held(setabs.pooled_sa) <= 2.0
 
 
 class TestVPSAMixing:
