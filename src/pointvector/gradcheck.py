@@ -161,7 +161,7 @@ def _case_concat_reshape(rng):
     probe = rng.standard_normal((2, 9, 2))
 
     def forward():
-        return _loss_of(nnops.reshape(nnops.concat_last([a, b]), (2, 9, 2)), probe)
+        return _loss_of(nnops.reshape(oracle.concat_last([a, b]), (2, 9, 2)), probe)
 
     return [("a", a), ("b", b)], forward
 
@@ -327,6 +327,28 @@ def _case_sa_block(rng, negative_gamma=False, radius=None, layers=1, mode="train
         lambda: setabs.sa_block(PointSetBatch(positions=pos), f, cfg, p, mode)[1])
 
 
+def _case_global_sa(rng, mode="train"):
+    """The classification head's global SA: `setabs.pooled_sa` over two
+    clouds with one center at each centroid and K = N, through a beta-less
+    layer with mixed-sign gamma."""
+    b, n = 2, 8
+    pos = rng.uniform(-1, 1, size=(b, n, 3))
+    f = Tensor(rng.standard_normal((b, n, 4)), requires_grad=True)
+    layer = nnops.linear_params(rng, 4 + 3, 6, norm=True)
+    layer.norm_beta = None
+    layer.norm_gamma.data = rng.uniform(0.5, 1.5, 6) * np.repeat([1.0, -1.0], 3)
+    if mode == "eval":
+        layer.running_mean = rng.standard_normal(6) * 0.1
+        layer.running_var = rng.uniform(0.5, 2.0, 6)
+    idx = np.broadcast_to(np.arange(n), (b, 1, n))
+    pad = np.zeros((b, 1, n), dtype=bool)
+    probe = rng.standard_normal((b, 1, 6))
+    return _params_case(
+        [("features", f)], [layer], probe,
+        lambda: setabs.pooled_sa(pos, pos.mean(axis=1, keepdims=True), f, idx, pad,
+                                 [layer], mode))
+
+
 def _case_vpsa_block(rng, aggregation="sum_groupconv"):
     pos, feat = _toy_cloud(rng)
     f = Tensor(feat, requires_grad=True)
@@ -396,6 +418,8 @@ CASES = {
                                     layers=2),
     "sa_block_deep_eval": partial(_case_sa_block, negative_gamma=True, layers=2,
                                   mode="eval"),
+    "global_sa": _case_global_sa,
+    "global_sa_eval": partial(_case_global_sa, mode="eval"),
     "vpsa_block": _case_vpsa_block,
     "vpsa_block_conv": partial(_case_vpsa_block, aggregation="conv"),
     "feature_propagate": _case_feature_propagate,

@@ -5,6 +5,11 @@ channel width doubling at each downsampling stage, and either a
 feature-propagation decoder with a per-point head (segmentation) or a global
 aggregation head (classification).
 
+The global aggregation head is PointNet++'s "group all" set abstraction:
+one `setabs.pooled_sa` op whose one center is the centroid of the coarsest
+cloud and whose neighborhood is all of its points, so it max-pools
+`global_sa` over [f_j, p_j - centroid].
+
 Every parameter gets a gradient: a shift that a later batchnorm cancels is
 not built. Normalized layers have no bias (`nnops.linear_params`), and the
 classification head's `global_sa` norm keeps its gamma but has no beta,
@@ -294,22 +299,24 @@ class Model:
             coarse = fine
             del skip_f
             nnops.check_finite(f, f"decoder.fp{d}")
-        h = nnops.dense(f, self.head_hidden, mode)
-        logits = nnops.linear(h, self.head_out)
-        return nnops.check_finite(logits, "head.out")
+        return self._head(f, mode)
 
     def forward_cls(self, batch: PointSetBatch, mode: str = "train") -> Tensor:
         if self.cfg.task != "classification":
             raise ConfigError("forward_cls on a segmentation model")
         cloud, f = self._run_encoder(batch, mode)[-1]
         pos = cloud.positions
-        centroid = pos.mean(axis=1, keepdims=True)
-        rel = nnops.input_tensor(pos - centroid)
-        h = nnops.dense(nnops.concat_last([f, rel]), self.global_sa, mode)
-        b, n, c = h.data.shape
-        pooled = nnops.neighbor_reduce(nnops.reshape(h, (b, 1, n, c)), "max")
-        pooled = nnops.reshape(pooled, (b, c))
-        h = nnops.dense(pooled, self.head_hidden, mode)
+        b, n = pos.shape[:2]
+        # one neighborhood of all n points around the centroid
+        pooled = setabs.pooled_sa(pos, pos.mean(axis=1, keepdims=True), f,
+                                  np.broadcast_to(np.arange(n), (b, 1, n)),
+                                  np.zeros((b, 1, n), dtype=bool), [self.global_sa], mode)
+        pooled = nnops.check_finite(nnops.reshape(pooled, (b, -1)), "global_sa")
+        return self._head(pooled, mode)
+
+    def _head(self, f: Tensor, mode: str) -> Tensor:
+        """The logits of features f: head.hidden, then head.out."""
+        h = nnops.check_finite(nnops.dense(f, self.head_hidden, mode), "head.hidden")
         logits = nnops.linear(h, self.head_out)
         return nnops.check_finite(logits, "head.out")
 

@@ -337,17 +337,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return custom_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def concat_last(parts: Sequence[Tensor]) -> Tensor:
-    widths = [p.data.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
-    splits = np.cumsum(widths)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, splits, axis=-1))
-
-    return custom_op(out, tuple(parts), grad_fn)
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Rows start:stop of x along its first axis, a view; the gradient is
     zero on the other rows."""

@@ -7,14 +7,20 @@ their supported regime. The rotation formulas (`rotate3d`, `rotate2d`,
 `rotation_matrix`) are closed forms in np.sin/np.cos, independent of the
 half-angle sine and cosine the production ops use. The exceptions are
 `unfused_rotate_cell`, the reference for the default cell's fused ops,
-`composed_sa`, the set-abstraction block that `setabs.pooled_sa` fuses,
+`composed_sa`, the set abstraction that `setabs.pooled_sa` fuses, both for
+SA blocks and for the classification head's global SA around the centroid,
 `mix_features`, the grouped form of VPSA's per-point mixing, and
 `unfused_feature_propagate`, the decoder step in its concat-first order:
 they compose separate ops, each checked on its own by `gradcheck`, so that
 production can be compared with them in every gradient as well as in value.
+`concat_last`, the tape op with which `composed_sa` and
+`unfused_feature_propagate` concatenate, lives here because no production
+path builds a concatenation on the tape.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -240,22 +246,38 @@ def naive_sa(positions: np.ndarray, features: np.ndarray, centers: np.ndarray,
     return out
 
 
-def composed_sa(positions: np.ndarray, f, nbr, layers: list, mode: str = "train"):
-    """What `setabs.pooled_sa` fuses, op by op on the tape: max_k over the
-    non-pad slots of mlp([f_j, p_j - p_i]), [B,M,C].
+def concat_last(parts: Sequence[nnops.Tensor]) -> nnops.Tensor:
+    """The Tensors `parts` concatenated along their last axis, on the tape;
+    the gradient splits back into the parts' widths."""
+    widths = [p.data.shape[-1] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=-1)
+    splits = np.cumsum(widths)[:-1]
 
-    f [B,N,C] is a Tensor and nbr a `NeighborIndex`. The chain is
-    `nnops.gather` of f, the relative positions of `group_relative` as a
-    constant, `nnops.concat_last`, one `nnops.dense` per layer in `mode`
-    and `nnops.neighbor_reduce` "max" over the non-pad slots. Train mode
+    def grad_fn(g):
+        return tuple(np.split(g, splits, axis=-1))
+
+    return nnops.custom_op(out, tuple(parts), grad_fn)
+
+
+def composed_sa(positions: np.ndarray, ctr_positions: np.ndarray, f, idx: np.ndarray,
+                pad: np.ndarray, layers: list, mode: str = "train"):
+    """What `setabs.pooled_sa` fuses, op by op on the tape, with its
+    arguments: max_k over the non-pad slots of mlp([f_j, p_j - c_i]),
+    [B,M,C].
+
+    f [B,N,C] is a Tensor, ctr_positions [B,M,3] the centers c_i and
+    idx [B,M,K] their neighbors, pad [B,M,K] the padded slots. The chain is
+    `nnops.gather` of f, the relative positions p_j - c_i as a constant,
+    `concat_last`, one `nnops.dense` per layer in `mode` and
+    `nnops.neighbor_reduce` "max" over the non-pad slots. Train mode
     updates every layer's running statistics.
     """
-    rel = group_relative(positions, f.data, nbr)[1]
-    h = nnops.concat_last([nnops.gather(f, nbr.indices), nnops.input_tensor(rel)])
+    batch = np.arange(positions.shape[0])[:, None, None]
+    rel = positions[batch, idx] - ctr_positions[:, :, None]
+    h = concat_last([nnops.gather(f, idx), nnops.input_tensor(rel)])
     for layer in layers:
         h = nnops.dense(h, layer, mode)
-    pad = nbr.pad_mask if nbr.pad_mask.any() else None
-    return nnops.neighbor_reduce(h, "max", pad)
+    return nnops.neighbor_reduce(h, "max", pad if pad.any() else None)
 
 
 def brute_force_vpsa(positions: np.ndarray, features: np.ndarray,
@@ -401,7 +423,7 @@ def unfused_feature_propagate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
     statistics, as `setabs.feature_propagate` does.
     """
     interp = nnops.input_tensor(naive_interpolate(coarse_xyz, coarse_feat, fine_xyz))
-    h = nnops.concat_last([interp, nnops.input_tensor(skip_feat)])
+    h = concat_last([interp, nnops.input_tensor(skip_feat)])
     for layer in (p.mlp1, p.mlp2):
         h = nnops.relu(nnops.linear_bn(h, layer, mode))
     return h.data

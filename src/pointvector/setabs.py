@@ -17,8 +17,10 @@ origin exact to rounding). An SA block's first linear is then a_j - b_i
 with a = [f, p~] W per point and b = [0, p~] W per center, and the block,
 of any depth, is one op (`pooled_sa`) that takes the max before the last
 batchnorm, a min on channels whose batchnorm scale is negative: a one-layer
-block is relu(bn(max_k a_j - b_i)). VPSA mixes relu(u_j - (u_i - b_pos))
-with u = f + p~ W_pos per point.
+block is relu(bn(max_k a_j - b_i)). A center is a position, not
+necessarily a point of the cloud: the classification head's global SA is
+the same op with one center at the centroid, so b = 0. VPSA mixes
+relu(u_j - (u_i - b_pos)) with u = f + p~ W_pos per point.
 
 VPSA aggregates its vector field [B,M,K,C,m] in two steps, a reduction over
 the K neighbors and a projection back to scalars (`AGGREGATIONS`):
@@ -234,19 +236,23 @@ def sa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: SABlockParams,
     """
     _check_features(x, f)
     nbr = group(x, cfg)
-    out = pooled_sa(x.positions, f, nbr, p.mlp, mode)
-    batch = np.arange(x.batch_size)[:, None]
-    return PointSetBatch(positions=x.positions[batch, nbr.centers]), out
+    ctr = x.positions[np.arange(x.batch_size)[:, None], nbr.centers]
+    out = pooled_sa(x.positions, ctr, f, nbr.indices, nbr.pad_mask, p.mlp, mode)
+    return PointSetBatch(positions=ctr), out
 
 
-def _centered_positions(positions: np.ndarray) -> np.ndarray:
-    """p - mean of its cloud, [B,N,3] float64: the per-point position term.
+def _centered_positions(positions: np.ndarray,
+                        cloud: np.ndarray | None = None) -> np.ndarray:
+    """positions [B,M,3] minus the mean of their cloud [B,N,3], float64:
+    the per-point position term. The cloud is `positions` themselves unless
+    given, as it is for centers.
 
     Relative positions p_j - p_i equal differences of centered ones, which
     stay small when the cloud sits far from the origin.
     """
     pos = positions.astype(np.float64)
-    return pos - pos.mean(axis=1, keepdims=True)
+    ref = pos if cloud is None else cloud.astype(np.float64)
+    return pos - ref.mean(axis=1, keepdims=True)
 
 
 def _hidden_xhat(a: np.ndarray, bc: np.ndarray, rows: np.ndarray, layers: list,
@@ -267,7 +273,7 @@ def _hidden_xhat(a: np.ndarray, bc: np.ndarray, rows: np.ndarray, layers: list,
         if i:
             prev = layers[i - 1]
             x *= prev.norm_gamma.data
-            x += prev.norm_beta.data
+            x += nnops._shift(prev).data
             np.maximum(x, 0, out=x)
             x = (x.reshape(-1, x.shape[-1]) @ layer.weight.data).reshape(x.shape[:2] + (-1,))
         if i < len(stats):
@@ -280,26 +286,35 @@ def _hidden_xhat(a: np.ndarray, bc: np.ndarray, rows: np.ndarray, layers: list,
     return x
 
 
-def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, layers: list,
+def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
+              idx: np.ndarray, pad: np.ndarray, layers: list,
               mode: str = "train") -> Tensor:
-    """Set abstraction max_k mlp([f_j, p_j - p_i]) as one op, [B,M,C], for a
+    """Set abstraction max_k mlp([f_j, p_j - c_i]) as one op, [B,M,C], for a
     shared MLP `layers` of any depth, each layer relu(bn(linear)).
 
-    z[i,k] = [f_j, p_j - p_i] W for j = idx[i,k], the first layer's
+    positions [B,N,3] and f [B,N,Cin] are the points, ctr_positions
+    [B,M,3] the centers c_i, and idx [B,M,K] the points of each center's
+    neighborhood, with pad [B,M,K] marking padded slots. A center is a
+    position, not necessarily a point of the cloud: an SA block's centers
+    are points, the classification head's one center is the centroid.
+
+    z[i,k] = [f_j, p_j - c_i] W for j = idx[i,k], the first layer's
     linear, is split into per-point and per-center terms, a = [f, p~] W
-    over the N points and b = [0, p~_i] W over the M centers (p~ the
-    centered positions), so z[i,k] = a_j - b_i. Batchnorm is monotone per
-    channel, so with x the last layer's linear output the block's output
+    over the N points and b = [0, c~_i] W over the M centers (p~ and c~
+    centered on the mean of the points), so z[i,k] = a_j - b_i. Batchnorm
+    is monotone per channel, so with x the last layer's linear output the
+    block's output
 
         max_k relu(bn(x[i,k])) = relu(bn(max_k x[i,k]))   where gamma > 0
                                = relu(bn(min_k x[i,k]))   where gamma < 0
 
     and a channel with gamma == 0 is constant, relu(beta); it takes slot 0.
-    Each channel takes the first arg-max of sign(gamma) x, the first slot
-    on ties, the rule of `nnops.neighbor_reduce`. With one layer x = z, and
-    the arg-max is taken over the gathered a values; with more, the
-    [B,M,K,C] block of z is gathered once and the earlier layers run on it
-    (`_hidden_xhat`), and the arg-max is taken over the last layer's x-hat.
+    A layer without beta shifts by 0 (`nnops._shift`). Each channel takes
+    the first arg-max of sign(gamma) x, the first slot on ties, the rule of
+    `nnops.neighbor_reduce`. With one layer x = z, and the arg-max is taken
+    over the gathered a values; with more, the [B,M,K,C] block of z is
+    gathered once and the earlier layers run on it (`_hidden_xhat`), and
+    the arg-max is taken over the last layer's x-hat.
 
     Pads must repeat slot 0, as `geometry.ball_query` makes them: then the
     max and min over all K slots equal those over the real ones, and the
@@ -321,20 +336,23 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, layers: list
     if mode not in ("train", "eval"):
         raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
     w, last = layers[0].weight, layers[-1]
-    gamma, beta = last.norm_gamma, last.norm_beta
+    shifts = [nnops._shift(layer) for layer in layers]
+    gamma, beta = last.norm_gamma, shifts[-1]
     data = f.data
     b, n, cin = data.shape
     if w.data.shape[0] != cin + 3:
         raise SizeError(f"expected {w.data.shape[0] - 3} input channels, got {cin}")
     c = gamma.data.shape[0]
-    idx, pad = nbr.indices, nbr.pad_mask
     m, k = idx.shape[1:]
+    if ctr_positions.shape != (b, m, 3):
+        raise SizeError(f"center positions {ctr_positions.shape} do not match "
+                        f"neighborhoods {idx.shape}")
     if pad[..., 0].any() or np.any(idx[pad] != np.broadcast_to(idx[..., :1], idx.shape)[pad]):
         raise InvalidNeighborhoodError("padded neighbor slots must repeat a real slot 0")
     dtype = data.dtype
     rows = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
     pt = _centered_positions(positions).astype(dtype).reshape(b * n, 3)
-    q = pt[(nbr.centers + (np.arange(b) * n)[:, None]).reshape(-1)]   # [BM, 3]
+    q = _centered_positions(ctr_positions, positions).astype(dtype).reshape(b * m, 3)
     x2 = np.concatenate([data.reshape(b * n, cin), pt], axis=1)
     wp = w.data[cin:]
     a = x2 @ w.data                  # [BN, C]
@@ -372,7 +390,7 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, layers: list
                 prev = layers[i - 1]
                 xh = _hidden_xhat(a, bc, rows, layers, stats, i - 1)
                 h = xh * prev.norm_gamma.data
-                h += prev.norm_beta.data
+                h += nnops._shift(prev).data
                 on = h > 0
                 np.maximum(h, 0, out=h)
                 h2, dx2 = h.reshape(-1, h.shape[-1]), dx.reshape(-1, dx.shape[-1])
@@ -464,8 +482,8 @@ def pooled_sa(positions: np.ndarray, f: Tensor, nbr: NeighborIndex, layers: list
         df = (da @ w_in.T).reshape(b, n, cin)
         return (df,) + tuple(t for wg, ng in zip(weights, norms) for t in (wg,) + ng)
 
-    inputs = (f,) + tuple(t for layer in layers
-                          for t in (layer.weight, layer.norm_gamma, layer.norm_beta))
+    inputs = (f,) + tuple(t for layer, shift in zip(layers, shifts)
+                          for t in (layer.weight, layer.norm_gamma, shift))
     return custom_op(out.reshape(b, m, c), inputs, grad_fn)
 
 

@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
-from pointvector import geometry, nnops, setabs
+from pointvector import geometry, nnops, oracle, setabs
 from pointvector import model as model_mod
 from pointvector.errors import CheckpointError, ConfigError, NumericFaultError, SizeError
 from pointvector.geometry import PointSetBatch
@@ -85,6 +86,17 @@ class TestNonFinite:
             mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "train")
         assert any(path.startswith("stage0.vpsa0.") for path in mdl.layer_map())
 
+    @pytest.mark.parametrize("preset,param,where", [
+        ("toy-cls", "global_sa.weight", r"global_sa"),
+        ("toy-seg", "head.hidden.weight", r"head\.hidden"),
+        ("toy-cls", "head.hidden.weight", r"head\.hidden")])
+    def test_fault_in_the_head_names_its_layer(self, preset, param, where):
+        mdl = Model(preset_config(preset, num_classes=3))
+        mdl.named_params()[param].data[0, 0] = np.nan
+        forward = mdl.forward_seg if mdl.cfg.task == "segmentation" else mdl.forward_cls
+        with pytest.raises(NumericFaultError, match=rf"in {where}$"):
+            forward(cloud(np.random.default_rng(4), 2, 40), "train")
+
 
 def _random_running_stats(mdl, rng):
     """Give every normalized layer running statistics away from 0 and 1."""
@@ -136,6 +148,52 @@ class TestTapeFreeEval:
         mdl.named_params()["stage0.vpsa0.encoder.angles.weight"].data[0, 0] = np.nan
         with pytest.raises(NumericFaultError, match=r"in stage0\.vpsa0$"):
             mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "eval")
+
+
+def _cls_step(mdl, batch, mode, probe):
+    """Logits, every parameter's gradient and the running statistics after
+    one forward_cls and backward of the probe-weighted logits."""
+    with GradTape() as tape:
+        logits = mdl.forward_cls(batch, mode)
+        grads = nnops.backward(tape, nnops.sum_all(nnops.mul(logits, Tensor(probe))))
+    return ([logits.data] + [grads[t] for t in mdl.named_params().values()]
+            + list(mdl.named_running().values()))
+
+
+class TestGlobalSA:
+    """The classification head's global set abstraction is one
+    setabs.pooled_sa op over all points around the centroid."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_matches_the_composed_global_sa(self, mode, offset, monkeypatch):
+        """Logits, every gradient and the running statistics of toy-cls
+        against the same model whose head runs oracle.composed_sa."""
+        rng = np.random.default_rng(14)
+        mdl = Model(preset_config("toy-cls", num_classes=5), seed=4)
+        _random_running_stats(mdl, rng)
+        ref = copy.deepcopy(mdl)
+        batch = cloud(rng, 2, 64)
+        batch.positions += offset
+        probe = rng.standard_normal((2, 5))
+        got = _cls_step(mdl, batch, mode, probe)
+        monkeypatch.setattr(setabs, "pooled_sa", oracle.composed_sa)
+        want = _cls_step(ref, batch, mode, probe)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_is_one_pooled_sa_call(self, monkeypatch):
+        mdl = Model(preset_config("toy-cls", num_classes=3))
+        calls = []
+        pooled = setabs.pooled_sa
+        monkeypatch.setattr(setabs, "pooled_sa",
+                            lambda *a: calls.append(a[5]) or pooled(*a))
+        logits = mdl.forward_cls(cloud(np.random.default_rng(15), 2, 40), "train")
+        assert logits.data.shape == (2, 3)
+        assert len(calls) == 1
+        assert len(calls[0]) == 1 and calls[0][0] is mdl.global_sa
 
 
 class TestPointOrder:

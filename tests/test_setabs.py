@@ -241,18 +241,26 @@ def sa_neighborhood(rng, search, offset, b=2, n=24, k=5, stride=2):
     return cloud.positions, nbr
 
 
+def sa_call(fn, positions, f, nbr, layers, mode):
+    """fn, setabs.pooled_sa or oracle.composed_sa, over the neighborhoods
+    of an SA block's centers."""
+    ctr = positions[np.arange(positions.shape[0])[:, None], nbr.centers]
+    return fn(positions, ctr, f, nbr.indices, nbr.pad_mask, layers, mode)
+
+
 def run_sa(fn, positions, feat, nbr, layers, mode, probe):
     """Output, the gradient of f, then per layer the gradients of W, gamma
-    and beta and the running statistics, after one SA pass."""
+    and beta (when the layer has one) and the running statistics, after one
+    SA pass."""
     layers = copy.deepcopy(layers)
     f = Tensor(feat.copy(), requires_grad=True)
     with GradTape() as tape:
-        out = fn(positions, f, nbr, layers, mode)
+        out = sa_call(fn, positions, f, nbr, layers, mode)
         grads = nnops.backward(tape, nnops.sum_all(nnops.mul(out, Tensor(probe))))
     return [out.data, grads[f]] + [
         a for layer in layers
-        for a in (grads[layer.weight], grads[layer.norm_gamma], grads[layer.norm_beta],
-                  layer.running_mean, layer.running_var)]
+        for a in [grads[t] for _, t in layer.tensors()]
+        + [layer.running_mean, layer.running_var]]
 
 
 SA_CASES = [(mode, search, offset) for mode in ("train", "eval")
@@ -302,7 +310,7 @@ def pooled_sa_held(fn, b=2, n=256, cin=16, stride=4, k=16, c=32):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = fn(cloud.positions, f, nbr, layers, "train")
+            out = sa_call(fn, cloud.positions, f, nbr, layers, "train")
             now = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -319,7 +327,9 @@ class TestPooledSA:
             layers = sa_mlp(rng, 4, 7, depth)
             expected = oracle.naive_sa(positions, feat, nbr.centers, nbr.indices,
                                        naive_layers(layers), mode=mode)
-            out = setabs.pooled_sa(positions, Tensor(feat), nbr, layers, mode)
+            ctr = positions[np.arange(2)[:, None], nbr.centers]
+            out = setabs.pooled_sa(positions, ctr, Tensor(feat), nbr.indices,
+                                   nbr.pad_mask, layers, mode)
             assert np.abs(out.data - expected).max() < 1e-10
 
     @pytest.mark.parametrize("mode,search,offset,depth", SA_DEPTH_CASES)
@@ -375,15 +385,41 @@ class TestPooledSA:
         feat = Tensor(rng.standard_normal((2, 24, 4)))
         b, i, j = np.argwhere(nbr.pad_mask)[0]
         nbr.indices[b, i, j] = (nbr.indices[b, i, 0] + 1) % 24
+        ctr = positions[np.arange(2)[:, None], nbr.centers]
         with pytest.raises(InvalidNeighborhoodError, match="repeat"):
-            setabs.pooled_sa(positions, feat, nbr, layers, "train")
+            setabs.pooled_sa(positions, ctr, feat, nbr.indices, nbr.pad_mask, layers,
+                             "train")
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(25)
         positions, nbr = sa_neighborhood(rng, "knn", 0.0)
+        ctr = positions[np.arange(2)[:, None], nbr.centers]
         with pytest.raises(SizeError, match="input channels"):
-            setabs.pooled_sa(positions, Tensor(np.zeros((2, 24, 5))), nbr,
-                             sa_mlp(rng, 4, 7), "train")
+            setabs.pooled_sa(positions, ctr, Tensor(np.zeros((2, 24, 5))), nbr.indices,
+                             nbr.pad_mask, sa_mlp(rng, 4, 7), "train")
+        with pytest.raises(SizeError, match="center positions"):
+            setabs.pooled_sa(positions, ctr[:, :-1], Tensor(np.zeros((2, 24, 4))),
+                             nbr.indices, nbr.pad_mask, sa_mlp(rng, 4, 7), "train")
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_betaless_last_layer_matches_composition(self, mode, depth):
+        """A last layer without beta, like the classification head's
+        global_sa, shifts by 0: value, every gradient and the running
+        statistics against oracle.composed_sa."""
+        rng = np.random.default_rng(28)
+        for search in ("knn", "ball"):
+            positions, nbr = sa_neighborhood(rng, search, 0.0)
+            feat = rng.standard_normal((2, 24, 4))
+            layers = sa_mlp(rng, 4, 7, depth)
+            layers[-1].norm_beta = None
+            probe = rng.standard_normal((2, 12, 7))
+            got = run_sa(setabs.pooled_sa, positions, feat, nbr, layers, mode, probe)
+            want = run_sa(oracle.composed_sa, positions, feat, nbr, layers, mode, probe)
+            assert len(got) == len(want) == 1 + 5 * depth
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_deep_sa_block_is_one_pooled_op(self, mode):
@@ -398,7 +434,7 @@ class TestPooledSA:
                 GradTape() as tape:
             _, out = sa_block(cloud, Tensor(feats, requires_grad=True), cfg, p, mode)
         assert pooled.call_count == 1
-        assert pooled.call_args.args[3] is p.mlp
+        assert pooled.call_args.args[5] is p.mlp
         assert len(tape) == 1
         assert out.data.shape == (1, 6, 6)
 
