@@ -7,26 +7,42 @@ discrete choice).
 
 One function computes squared distances, `_sq_dist`: (qx-rx)^2 +
 (qy-ry)^2 + (qz-rz)^2, summed in that order in float64, the formula of
-`oracle.naive_knn`. FPS keeps a copy of the sum in its loop, which runs m-1
-times per call, from one of two sources: a batched loop over every point of
-every cloud, or, from `_FPS_SLAB_MIN_POINTS` points, a loop per cloud over
-the points sorted by x that sums only the x-slab the last center can reach.
-Outside that slab the rounded sum cannot fall below the point's current
-minimum, so both sources return the same indices. One function orders
-neighbors, `_rank`: by (d^2, index), so exact ties, duplicates included, go
-to the lower index. kNN ranks k+1 candidates from one of two sources, the
-dense [M,N] block (`argpartition`) or a k-d tree (`scipy.spatial`, re-scored
-exactly), and ranks a row over all N points when its k-th and (k+1)-th
-distances are within `_TREE_MARGIN`. Both sources return the same indices;
-the choice changes the cost only. The tree is faster above about
-`_TREE_MIN_PAIRS` query-reference pairs per batch entry, but importing
-`scipy.spatial` costs about 38 MB of resident memory. So the tree answers a
-problem above `_DENSE_MAX_PAIRS` pairs, importing the module if need be, and
-a problem above `_TREE_MIN_PAIRS` pairs only when the process has already
-loaded the module; everything else scans the dense block. Ball query keeps
-scan order: the first k in-radius points by index. Every search checks its
-inputs first: an integer k, a finite positive radius, finite query points and
-center indices inside their cloud.
+`oracle.naive_knn`. One function orders neighbors, `_rank`: by (d^2,
+index), so exact ties, duplicates included, go to the lower index.
+
+FPS and kNN both skip points by one bound. Rounding is monotone and every
+term of the sum is non-negative, so the rounded sum is at least fl(dx*dx),
+the rounded square of the rounded x-difference; and a point farther in x
+than another, on the same side, has the larger rounded difference. So once
+the points are sorted by x, all points beyond a given one have d^2 of at
+least that point's fl(dx*dx), and can be left unsummed whenever that bound
+already decides.
+
+FPS keeps a copy of the sum in its loop, which runs m-1 times per call,
+from one of two sources: a batched loop over every point of every cloud,
+or, from `_FPS_SLAB_MIN_POINTS` points, a loop per cloud that sums only the
+x-slab the last center can reach (`_fps_slab`). Both return the same
+indices.
+
+kNN takes its candidates from one of three sources. A batch entry of at
+most `_KNN_BLOCK_PAIRS` query-reference pairs scans its whole [M,N] block:
+`argpartition` picks k+1 candidates, `_rank` orders them, and a row whose
+k-th and (k+1)-th distances are within `_RANK_MARGIN` is ranked over all
+its references. A larger entry scans, per block of queries in x order, only
+an x-window of references (`_knn_window`); a row keeps the window's answer
+when the bound shows that no point outside the window can rank in, and is
+scanned in full otherwise. A k-d tree (`scipy.spatial`) gives k+1
+candidates that are re-scored exactly and ranked, and its near-tie rows are
+re-solved densely. All three return the same indices; the choice changes
+the cost only. The tree is faster above about `_TREE_MIN_PAIRS` pairs per
+batch entry, but importing `scipy.spatial` costs about 38 MB of resident
+memory. So the tree answers a problem above `_DENSE_MAX_PAIRS` pairs,
+importing the module if need be, and a problem above `_TREE_MIN_PAIRS`
+pairs only when the process has already loaded the module; everything else
+is scanned densely. Ball query keeps scan order: the first k in-radius
+points by index. Every search checks its inputs first: an integer k, a
+finite positive radius, finite query points and center indices inside
+their cloud.
 """
 
 from __future__ import annotations
@@ -105,7 +121,7 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rank(cand: np.ndarray, d2: np.ndarray, k: int):
     """The k of candidates cand [..., C] (indices, squared distances d2) with
     the smallest (d^2, index) keys, in order, and the rows [...] whose k-th
-    and (k+1)-th distances lie within `_TREE_MARGIN` (none when C == k):
+    and (k+1)-th distances lie within `_RANK_MARGIN` (none when C == k):
     there a source may have missed a point as close as the k-th.
     """
     order = np.lexsort((cand, d2), axis=-1)
@@ -113,7 +129,7 @@ def _rank(cand: np.ndarray, d2: np.ndarray, k: int):
     if cand.shape[-1] == k:
         return idx, np.zeros(idx.shape[:-1], dtype=bool)
     lo, hi = np.moveaxis(np.take_along_axis(d2, order[..., k - 1:k + 1], axis=-1), -1, 0)
-    return idx, hi - lo <= _TREE_MARGIN * hi
+    return idx, hi - lo <= _RANK_MARGIN * hi
 
 
 # Smallest cloud whose FPS runs the slab loop, one cloud at a time. Batched
@@ -195,10 +211,11 @@ def _fps_slab(pos: np.ndarray, m: int, start: int) -> np.ndarray:
     r*(1 + 1e-9), found by two `searchsorted` calls. Outside it, |x_p - x_c|
     exceeds the half-width in exact arithmetic, as x_p is a float and the
     bounds round to nearest, and the 1e-9 margin keeps the square of the
-    rounded half-width above r^2. Rounding is monotone, so the rounded sum,
-    at least fl(dx*dx), is at least r^2 >= min_d[p]: min_d would not have
-    changed. The first center has r^2 = inf, a slab of the whole cloud; once
-    r^2 = 0, no point can change and the update is skipped.
+    rounded half-width above r^2. By the module docstring's rounding bound,
+    the rounded sum, at least fl(dx*dx), is at least r^2 >= min_d[p]: min_d
+    would not have changed. The first center has r^2 = inf, a slab of the
+    whole cloud; once r^2 = 0, no point can change and the update is
+    skipped.
     """
     n = pos.shape[0]
     order = np.argsort(pos[:, 0], kind="stable")
@@ -296,22 +313,32 @@ def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
 
 
 # Largest M*N per batch entry whose kNN scans the dense distance block when
-# scipy.spatial is not loaded: 4M pairs, a 32 MB float64 block. Importing
-# scipy.spatial for the k-d tree costs about 38 MB of resident memory, so
-# smaller problems never load it.
+# scipy.spatial is not loaded: 4M pairs, which the scan visits one row block
+# of `_KNN_BLOCK_PAIRS` pairs (1 MB) at a time. Importing scipy.spatial for
+# the k-d tree costs about 38 MB of resident memory, so smaller problems
+# never load it.
 _DENSE_MAX_PAIRS = 1 << 22
 # Largest M*N per batch entry whose kNN scans the dense block once
 # scipy.spatial is loaded: the crossover measured on scene clouds over
 # 2^12..2^17 pairs with k in {3, 8, 16}
 _TREE_MIN_PAIRS = 1 << 14
 # query-reference pairs per row block of the dense kNN scan: a 1 MB float64
-# block, which stays in cache through the eight passes of the selection
+# block, which stays in cache through the eight passes of the selection. A
+# batch entry with more pairs scans x-windows instead (`_knn_window`)
 _KNN_BLOCK_PAIRS = 1 << 17
+# queries per block of the window scan, consecutive in x. Swept on the three
+# windowed calls of a pointvector-l train step (B=2, N=2048), ms per call
+# for 2048x512 k=3 / 512x2048 k=32 / 512x512 k=8, the best of 9 (2-core
+# Xeon, one BLAS thread): 32 queries 17.7/18.1/6.2, 64 13.6/15.1/4.8, 96
+# 12.2/14.8/4.5, 128 11.2/14.6/4.2, 160 11.8/15.0/4.4, 192 12.4/15.8/4.3,
+# 256 12.5/22.1/5.3; the full scan takes 33.5/30.0/8.4. Smaller blocks
+# scan narrower windows but re-solve more rows and pay more calls
+_KNN_QUERY_BLOCK = 128
 # relative gap between the k-th and (k+1)-th exact distances above which
-# k+1 candidates hold every point as close as the k-th: the tree's own
-# distances and pruning bounds differ from the exact ones by a few ulps, and
-# `argpartition` picks arbitrarily among exact ties
-_TREE_MARGIN = 1e-12
+# k+1 candidates hold every point as close as the k-th, in every kNN
+# source: the tree's own distances and pruning bounds differ from the exact
+# ones by a few ulps, and `argpartition` picks arbitrarily among exact ties
+_RANK_MARGIN = 1e-12
 
 
 def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarray:
@@ -319,9 +346,9 @@ def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarra
 
     Each row holds the k smallest (d^2, index) keys in increasing order:
     nearest first, exact ties to the lower index, equal to
-    `oracle.naive_knn`. The k-d tree or the dense block answers by problem
-    size, as the module docstring says; the choice changes the cost, never
-    the indices.
+    `oracle.naive_knn`. The k-d tree, the x-window scan or the full dense
+    block answers by problem size, as the module docstring says; the choice
+    changes the cost, never the indices.
     """
     query_xyz = np.asarray(query_xyz)
     b, n = cloud.batch_size, cloud.num_points
@@ -339,35 +366,100 @@ def knn_points(query_xyz: np.ndarray, cloud: PointSetBatch, k: int) -> np.ndarra
 
 
 def _knn_dense(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
-    """kNN [B,M,K] by partial selection over the dense distance block.
+    """kNN [B,M,K] from exact distances, without a tree.
 
-    The block is scanned in row blocks of about `_KNN_BLOCK_PAIRS` pairs, so
-    its passes stay in cache; rows are independent, so the indices do not
-    depend on the blocking.
+    A batch entry of at most `_KNN_BLOCK_PAIRS` query-reference pairs scans
+    its whole [M,N] block (`_knn_rows`); a larger one scans, per block of
+    queries, only a window of references sorted by x (`_knn_window`) and
+    re-solves over all N the rows the window may have misled. Rows are
+    independent, so the indices depend on neither the blocks nor the
+    windows.
     """
     b, m, _ = query.shape
     n = ref.shape[1]
     if b * m * n <= _KNN_BLOCK_PAIRS:
         return _knn_rows(query, ref, k)
-    rows = max(1, _KNN_BLOCK_PAIRS // n)
-    out = np.empty((b, m, k), dtype=np.int64)
-    for bi in range(b):
-        for lo in range(0, m, rows):
-            out[bi, lo:lo + rows] = _knn_rows(query[bi:bi + 1, lo:lo + rows],
-                                              ref[bi:bi + 1], k)[0]
+    scan = _knn_window if m * n > _KNN_BLOCK_PAIRS else _knn_scan
+    return np.stack([scan(np.asarray(q, dtype=np.float64), np.asarray(r, dtype=np.float64), k)
+                     for q, r in zip(query, ref)])
+
+
+def _knn_half_width(k: int, n: int) -> int:
+    """Ranks of references that a window takes beyond each end of its query
+    block's x-span: ceil(sqrt(k n)) + k + 1. On a surface of n points the
+    radius of k neighbors spans about 0.6 sqrt(k n) ranks of x on each side,
+    and `argpartition` needs k+1 references."""
+    return math.isqrt(k * n - 1) + 1 + k + 1
+
+
+def _knn_window(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
+    """kNN [M,K] of one batch entry, float64 queries [M,3] and references
+    [N,3], that scans per block of queries only an x-window of references.
+
+    References and queries are sorted by x once (stable); each block of
+    `_KNN_QUERY_BLOCK` queries, consecutive in x, takes the references from
+    `_knn_half_width` ranks left of its smallest x to as many right of its
+    largest, and `_select` ranks them by (d^2, original index), exactly
+    within the window. Every point outside the window is at least as far in
+    x, on the same side, as the nearest outside point, at rank lo-1 or hi,
+    so by the module docstring's rounding bound its d^2 is at least g, the
+    rounded square of the row's x-difference to that point. A row keeps its
+    window result when g exceeds its k-th distance, since then no outside
+    point can rank in, not even on a tie; every other row is re-solved over
+    all N points by `_knn_scan`.
+    """
+    m, n = query.shape[0], ref.shape[0]
+    order = np.argsort(ref[:, 0], kind="stable")
+    srt = np.asfortranarray(ref[order])   # contiguous coordinate columns
+    xs = srt[:, 0]
+    qorder = np.argsort(query[:, 0], kind="stable")
+    half = _knn_half_width(k, n)
+    out = np.empty((m, k), dtype=np.int64)
+    redo = []
+    for start in range(0, m, _KNN_QUERY_BLOCK):
+        rows = qorder[start:start + _KNN_QUERY_BLOCK]
+        q = query[rows]
+        qx = q[:, 0]
+        lo = max(0, int(xs.searchsorted(qx[0], "left")) - half)
+        hi = min(n, int(xs.searchsorted(qx[-1], "right")) + half)
+        out[rows], kth = _select(_sq_dist(q[:, None], srt[lo:hi]), order[lo:hi], k)
+        gap = np.full(rows.size, np.inf)
+        for edge in (lo - 1, hi):
+            if 0 <= edge < n:
+                np.minimum(gap, (qx - xs[edge]) ** 2, out=gap)
+        redo.append(rows[gap <= kth])
+    redo = np.concatenate(redo)
+    if redo.size:
+        out[redo] = _knn_scan(query[redo], ref, k)
     return out
 
 
+def _knn_scan(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
+    """kNN [M,K] of one batch entry over all N references, in row blocks of
+    about `_KNN_BLOCK_PAIRS` pairs, so the selection's passes stay in cache."""
+    rows = max(1, _KNN_BLOCK_PAIRS // ref.shape[0])
+    return np.concatenate([_knn_rows(query[None, lo:lo + rows], ref[None], k)[0]
+                           for lo in range(0, query.shape[0], rows)])
+
+
 def _knn_rows(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
-    """kNN [B,M,K] over the full [B,M,N] distance block: k+1 candidates per
-    row from `argpartition`, ranked; near-tie rows ranked over all N points."""
+    """kNN [B,M,K] over the full [B,M,N] distance block, by `_select`."""
     d2 = _sq_dist(query[:, :, None], ref[:, None])
-    every = np.broadcast_to(np.arange(ref.shape[1]), d2.shape)
-    cand = np.argpartition(d2, k, axis=-1)[..., :k + 1] if k < ref.shape[1] else every
-    idx, ties = _rank(cand, np.take_along_axis(d2, cand, axis=-1), k)
+    return _select(d2, np.arange(ref.shape[1]), k)[0]
+
+
+def _select(d2: np.ndarray, ids: np.ndarray, k: int):
+    """The k smallest (d^2, id) keys of each row of d2 [..., W], as ids (the
+    references' indices [W]), and each row's k-th distance [...]: k+1
+    candidates per row from `argpartition`, ranked; near-tie rows ranked
+    over all W references."""
+    every = np.broadcast_to(np.arange(d2.shape[-1]), d2.shape)
+    cand = np.argpartition(d2, k, axis=-1)[..., :k + 1] if k < d2.shape[-1] else every
+    dc = np.take_along_axis(d2, cand, axis=-1)
+    idx, ties = _rank(ids[cand], dc, k)
     if np.any(ties):
-        idx[ties] = _rank(every[ties], d2[ties], k)[0]
-    return idx
+        idx[ties] = _rank(ids[every[ties]], d2[ties], k)[0]
+    return idx, dc[..., :k].max(axis=-1)
 
 
 def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:

@@ -300,20 +300,88 @@ CLOUD_KINDS = st.sampled_from(["random", "lattice", "duplicates"])
 
 
 class TestKnnExactContract:
-    """Both candidate sources equal oracle.naive_knn index for index."""
+    """Every candidate source, the full dense block, the x-window scan and
+    the k-d tree, equals oracle.naive_knn index for index."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 120),
            m=st.integers(1, 40), k=st.integers(1, 20), b=st.integers(1, 2),
-           block=st.sampled_from([geometry._KNN_BLOCK_PAIRS, 1, 60, 700]))
-    def test_dense_and_tree_equal_oracle(self, seed, kind, n, m, k, b, block):
-        # small row blocks make the dense scan span many blocks at these sizes
+           block=st.sampled_from([geometry._KNN_BLOCK_PAIRS, 0, 60, 700]),
+           queries=st.sampled_from([1, 3, 7, 16]))
+    def test_dense_and_tree_equal_oracle(self, seed, kind, n, m, k, b, block, queries):
+        # small pair blocks make the dense scan take x-windows at these
+        # sizes; with small query blocks most windows reach only part of the
+        # cloud, the last block is short unless m divides evenly, and the
+        # rows the windows cannot vouch for are re-solved
         k = min(k, n)
         query, ref = _cloud_pair(seed, kind, b, n, m)
         want = oracle.naive_knn(query, ref, k)
-        with mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", block):
+        with mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", block), \
+                mock.patch.object(geometry, "_KNN_QUERY_BLOCK", queries):
             assert np.array_equal(geometry._knn_dense(query, ref, k), want)
             assert np.array_equal(geometry._knn_tree(query, ref, k), want)
+
+    def test_window_scan_runs_windows_short_blocks_and_re_solves(self):
+        # the property's regime at one size: windows narrower than the cloud,
+        # a short last block (40 = 5 * 7 + 5) and re-solved rows
+        query, ref = _cloud_pair(2, "random", 1, 120, 40)
+        assert 2 * geometry._knn_half_width(2, 120) + 7 < 120
+        with mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", 0), \
+                mock.patch.object(geometry, "_KNN_QUERY_BLOCK", 7), \
+                mock.patch.object(geometry, "_knn_scan", wraps=geometry._knn_scan) as scan:
+            got = geometry._knn_dense(query, ref, 2)
+        assert scan.call_count == 1 and 0 < len(scan.call_args.args[0]) < 40
+        assert np.array_equal(got, oracle.naive_knn(query, ref, 2))
+
+    def test_narrowest_windows_fall_back_to_the_full_scan(self):
+        # windows of k+1 ranks either side of each block leave most rows
+        # unproven; those rows must come back from the full scan
+        query, ref = _cloud_pair(4, "random", 2, 512, 512)
+        assert 512 * 512 > geometry._KNN_BLOCK_PAIRS
+        with mock.patch.object(geometry, "_knn_half_width", lambda k, n: k + 1), \
+                mock.patch.object(geometry, "_knn_scan", wraps=geometry._knn_scan) as scan:
+            got = geometry._knn_dense(query, ref, 8)
+        assert sum(len(c.args[0]) for c in scan.call_args_list) > 512
+        assert np.array_equal(got, geometry._knn_rows(query, ref, 8))
+
+    def test_ties_in_a_window_go_to_the_lower_index(self):
+        # sorting by x puts point 2 (x = -1) before point 1 (x = 1), which
+        # ties it at d^2 = 1 from the query: the window ranks by index
+        ref = np.array([[[0.0, 0, 0], [1, 0, 0], [-1, 0, 0]]])
+        with mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", 0), \
+                mock.patch.object(geometry, "_knn_window", wraps=geometry._knn_window) as win:
+            assert geometry._knn_dense(ref[:, :1], ref, 2).tolist() == [[[0, 1]]]
+        assert win.call_count == 1
+
+    def test_tie_just_outside_the_window_goes_to_the_lower_index(self):
+        # point 0 is the one point left of the query's window (half-width 5:
+        # points 1-5, then 6, which shares the query's x); it ties point 6 at
+        # d^2 = 1, the k-th distance, and its x-gap squared is exactly 1, so
+        # the row must be re-solved, and the lower index wins
+        ref = np.array([[[-1.0, 0, 0]] + [[-0.5, 5, 0]] * 5 + [[0.0, 1, 0]]])
+        query = np.zeros((1, 1, 3))
+        assert geometry._knn_half_width(1, 7) == 5
+        assert oracle.naive_knn(query, ref, 1).tolist() == [[[0]]]
+        with mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", 0), \
+                mock.patch.object(geometry, "_knn_scan", wraps=geometry._knn_scan) as scan:
+            assert geometry._knn_dense(query, ref, 1).tolist() == [[[0]]]
+        assert scan.call_count == 1
+
+    @pytest.mark.parametrize("b, m, n, k, windows", [
+        (2, 2048, 512, 3, 2), (2, 512, 2048, 32, 2), (2, 512, 512, 8, 2),   # train-l
+        (8, 512, 256, 3, 0), (8, 256, 128, 3, 0)])                       # fit-toy-ball
+    def test_window_scan_takes_the_large_benchmark_calls(self, b, m, n, k, windows):
+        # without scipy.spatial, the three largest kNN calls of a
+        # pointvector-l train step at N=2048 scan windows, one per cloud; the
+        # toy-seg-ball decoder's calls at N=512 (at most 2^17 pairs per
+        # cloud) scan their whole block
+        query, ref = _cloud_pair(6, "random", b, n, m)
+        with mock.patch.dict(sys.modules), \
+                mock.patch.object(geometry, "_knn_window", wraps=geometry._knn_window) as win:
+            sys.modules.pop("scipy.spatial", None)
+            got = geometry.knn_points(query, PointSetBatch(positions=ref), k)
+        assert win.call_count == windows
+        assert np.array_equal(got, geometry._knn_rows(query, ref, k))
 
     def test_row_blocks_at_full_size_equal_one_block(self):
         query, ref = _cloud_pair(3, "duplicates", 2, 1500, 300)
@@ -477,6 +545,22 @@ class TestFpsExactContract:
             farthest_point_sample(PointSetBatch(positions=ref[:, 1:]), 4, 7)
         assert slab.call_count == 1
         assert np.array_equal(got, geometry._fps_batched(ref, n // 4, np.array([7])))
+
+
+@pytest.mark.matrix
+@pytest.mark.parametrize("m, n, k", [(2048, 512, 3), (512, 2048, 32), (512, 512, 8)])
+def test_window_knn_on_scene_clouds_equals_full_scan(m, n, k):
+    # the three windowed kNN calls of a pointvector-l train step at N=2048:
+    # the decoder's 2048 -> 512 interpolation, the SA grouping of 512 FPS
+    # centers and the stride-1 VPSA neighborhood among them
+    pos = dataio.make_segmentation_dataset(num_scenes=2, num_points=2048, seed=0).positions
+    cloud = PointSetBatch(positions=pos)
+    sub = pos[np.arange(2)[:, None], farthest_point_sample(cloud, 512, geometric_start(cloud))]
+    query, ref = (pos if m == 2048 else sub), (pos if n == 2048 else sub)
+    with mock.patch.object(geometry, "_knn_window", wraps=geometry._knn_window) as win:
+        got = geometry._knn_dense(query, ref, k)
+    assert win.call_count == 2
+    assert np.array_equal(got, geometry._knn_rows(query, ref, k))
 
 
 @pytest.mark.matrix
