@@ -7,8 +7,16 @@ discrete choice).
 
 One function computes squared distances, `_sq_dist`: (qx-rx)^2 +
 (qy-ry)^2 + (qz-rz)^2, summed in that order in float64, the formula of
-`oracle.naive_knn`. One function orders neighbors, `_rank`: by (d^2,
-index), so exact ties, duplicates included, go to the lower index.
+`oracle.naive_knn`. A d^2 that overflows is +inf, without a warning. One
+function selects from a block of keys, `_first_k`: k rounds of `argmin`,
+in which the first minimum wins and each taken key is overwritten, so exact
+ties go to the lower column. Every scan lays its references out in
+increasing index order, so the lower column is the lower index: kNN takes
+the k smallest (d^2, index) keys, and ball query the first k in-radius
+points by index. `_rank` orders a candidate set by (d^2, index) with a
+lexsort. It ranks the k-d tree's candidates, the rows whose k-th d^2
+overflowed, where taken and untaken keys tie at inf, and the neighbors of
+`sort_neighbors_by_distance`.
 
 FPS and kNN both skip points by one bound. Rounding is monotone and every
 term of the sum is non-negative, so the rounded sum is at least fl(dx*dx),
@@ -25,24 +33,24 @@ x-slab the last center can reach (`_fps_slab`). Both return the same
 indices.
 
 kNN takes its candidates from one of three sources. A batch entry of at
-most `_KNN_BLOCK_PAIRS` query-reference pairs scans its whole [M,N] block:
-`argpartition` picks k+1 candidates, `_rank` orders them, and a row whose
-k-th and (k+1)-th distances are within `_RANK_MARGIN` is ranked over all
-its references. A larger entry scans, per block of queries in x order, only
-an x-window of references (`_knn_window`); a row keeps the window's answer
-when the bound shows that no point outside the window can rank in, and is
-scanned in full otherwise. A k-d tree (`scipy.spatial`) gives k+1
-candidates that are re-scored exactly and ranked, and its near-tie rows are
-re-solved densely. All three return the same indices; the choice changes
-the cost only. The tree is faster above about `_TREE_MIN_PAIRS` pairs per
-batch entry, but importing `scipy.spatial` costs about 38 MB of resident
-memory. So the tree answers a problem above `_DENSE_MAX_PAIRS` pairs,
-importing the module if need be, and a problem above `_TREE_MIN_PAIRS`
-pairs only when the process has already loaded the module; everything else
-is scanned densely. Ball query keeps scan order: the first k in-radius
-points by index. Every search checks its inputs first: an integer k, a
-finite positive radius, finite query points and center indices inside
-their cloud.
+most `_KNN_BLOCK_PAIRS` query-reference pairs scans its whole [M,N] block.
+A larger entry scans, per block of queries in x order, only an x-window of
+references (`_knn_window`), gathered back into index order; a row keeps the
+window's answer when the bound shows that no point outside the window can
+rank in, and is scanned in full, in row blocks of `_KNN_BLOCK_PAIRS` pairs,
+otherwise. A k-d tree (`scipy.spatial`) gives k+1 candidates that are
+re-scored exactly and ranked, and its near-tie rows, and those whose
+distances overflowed, are re-solved densely. All three return the same
+indices; the choice changes the cost only. The tree is faster above about
+`_TREE_MIN_PAIRS` pairs per batch entry, but importing `scipy.spatial`
+costs about 38 MB of resident memory. So the tree answers a problem above
+`_DENSE_MAX_PAIRS` pairs, importing the module if need be, and a problem
+above `_TREE_MIN_PAIRS` pairs only when the process has already loaded the
+module; everything else is scanned densely. Ball query scans each batch
+entry in the same row blocks as the full kNN scan, and keeps scan order,
+as PointNet++ does: the first k in-radius points by index. Every search
+checks its inputs first: an integer k, a finite positive radius, finite
+query points and center indices inside their cloud.
 """
 
 from __future__ import annotations
@@ -105,31 +113,66 @@ class NeighborIndex:
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between broadcastable [..., 3] point arrays: both
-    cast to float64, then (dx*dx + dy*dy) + dz*dz through one scratch buffer."""
+    cast to float64, then (dx*dx + dy*dy) + dz*dz through one scratch buffer.
+    A sum that overflows is +inf, which every selection here handles."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    d2 = np.subtract(a[..., 0], b[..., 0])
-    np.multiply(d2, d2, out=d2)
-    buf = np.empty_like(d2)
-    for j in (1, 2):
-        np.subtract(a[..., j], b[..., j], out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.add(d2, buf, out=d2)
+    with np.errstate(over="ignore"):
+        d2 = np.subtract(a[..., 0], b[..., 0])
+        np.multiply(d2, d2, out=d2)
+        buf = np.empty_like(d2)
+        for j in (1, 2):
+            np.subtract(a[..., j], b[..., j], out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.add(d2, buf, out=d2)
     return d2
+
+
+def _first_k(keys: np.ndarray, k: int):
+    """Columns [..., k] of the k smallest of keys [..., W] in each row,
+    smallest first, and their keys [..., k]; keys is left as it was.
+
+    Round j takes each row's `argmin`, whose first minimum wins, so exact
+    ties go to the lower column, and overwrites the taken key with the
+    largest key of its dtype (inf, True), which later rounds pass over. A
+    round that finds only that largest key left takes its lowest column,
+    perhaps one taken before, and reports the key it reads there: an inf
+    k-th distance or a True outside flag tells the caller so.
+    """
+    w = keys.shape[-1]
+    rows = np.ascontiguousarray(keys.reshape(-1, w))
+    flat = rows.reshape(-1)     # the same memory as rows
+    start = np.arange(0, flat.size, w)
+    cols = np.empty((k, start.size), dtype=np.int64)
+    vals = np.empty((k, start.size), dtype=keys.dtype)
+    top = True if keys.dtype == bool else np.inf
+    at = np.empty_like(start)
+    for j in range(k):
+        rows.argmin(axis=-1, out=cols[j])
+        np.add(start, cols[j], out=at)
+        flat.take(at, out=vals[j])
+        flat.put(at, top)
+    # a key that read as top was top before, or was taken in an earlier round
+    back = vals != top
+    flat[(start + cols)[back]] = vals[back]
+    shape = keys.shape[:-1] + (k,)
+    return cols.T.reshape(shape), vals.T.reshape(shape)
 
 
 def _rank(cand: np.ndarray, d2: np.ndarray, k: int):
     """The k of candidates cand [..., C] (indices, squared distances d2) with
     the smallest (d^2, index) keys, in order, and the rows [...] whose k-th
-    and (k+1)-th distances lie within `_RANK_MARGIN` (none when C == k):
-    there a source may have missed a point as close as the k-th.
+    and (k+1)-th distances lie within `_RANK_MARGIN` or are not both finite
+    (none when C == k): there a source may have missed a point as close as
+    the k-th.
     """
     order = np.lexsort((cand, d2), axis=-1)
     idx = np.take_along_axis(cand, order[..., :k], axis=-1)
     if cand.shape[-1] == k:
         return idx, np.zeros(idx.shape[:-1], dtype=bool)
     lo, hi = np.moveaxis(np.take_along_axis(d2, order[..., k - 1:k + 1], axis=-1), -1, 0)
-    return idx, hi - lo <= _RANK_MARGIN * hi
+    with np.errstate(invalid="ignore"):    # inf - inf, an overflowed k-th
+        return idx, ~(hi - lo > _RANK_MARGIN * hi)
 
 
 # Smallest cloud whose FPS runs the slab loop, one cloud at a time. Batched
@@ -298,16 +341,26 @@ def ball_query(centers: np.ndarray, cloud: PointSetBatch, radius: float,
     Up to k in-radius points per center, in scan order (the first k by
     index); short neighborhoods are padded by repeating the first hit. The
     center itself is always in radius (distance 0), so no neighborhood is
-    empty.
+    empty. Each batch entry is scanned in row blocks of at most
+    `_KNN_BLOCK_PAIRS` pairs, as `_knn_scan` does, and `_first_k` takes
+    each row's first k False entries of its outside mask; a round that
+    finds only True entries marks a pad.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ConfigError(f"ball query radius must be finite and positive, got {radius}")
     _check_k(k, cloud.num_points, "ball query")
     centers, query_xyz = _center_positions(centers, cloud)
-    outside = _sq_dist(query_xyz[:, :, None], cloud.positions[:, None]) > float(radius) ** 2
-    # a stable sort of the mask puts the in-radius points first, by index
-    idx = np.argsort(outside, axis=-1, kind="stable")[..., :k]
-    pad = np.take_along_axis(outside, idx, axis=-1)
+    with np.errstate(over="ignore"):    # a radius above about 1.3e154 squares to inf
+        r2 = np.square(np.float64(radius))
+    b, m = centers.shape
+    rows = max(1, _KNN_BLOCK_PAIRS // cloud.num_points)
+    idx = np.empty((b, m, k), dtype=np.int64)
+    pad = np.empty((b, m, k), dtype=bool)
+    for bi, ref in enumerate(cloud.positions):
+        for lo in range(0, m, rows):
+            block = slice(lo, lo + rows)
+            outside = _sq_dist(query_xyz[bi, block, None], ref) > r2
+            idx[bi, block], pad[bi, block] = _first_k(outside, k)
     idx = np.where(pad, idx[..., :1], idx)
     return NeighborIndex(indices=idx, pad_mask=pad, centers=centers)
 
@@ -322,22 +375,25 @@ _DENSE_MAX_PAIRS = 1 << 22
 # scipy.spatial is loaded: the crossover measured on scene clouds over
 # 2^12..2^17 pairs with k in {3, 8, 16}
 _TREE_MIN_PAIRS = 1 << 14
-# query-reference pairs per row block of the dense kNN scan: a 1 MB float64
-# block, which stays in cache through the eight passes of the selection. A
-# batch entry with more pairs scans x-windows instead (`_knn_window`)
+# query-reference pairs per row block of the dense kNN scan and of ball
+# query: a 1 MB float64 block, which stays in cache through the passes of
+# the distance sum and of the selection. A kNN batch entry with more pairs
+# scans x-windows instead (`_knn_window`)
 _KNN_BLOCK_PAIRS = 1 << 17
 # queries per block of the window scan, consecutive in x. Swept on the three
 # windowed calls of a pointvector-l train step (B=2, N=2048), ms per call
-# for 2048x512 k=3 / 512x2048 k=32 / 512x512 k=8, the best of 9 (2-core
-# Xeon, one BLAS thread): 32 queries 17.7/18.1/6.2, 64 13.6/15.1/4.8, 96
-# 12.2/14.8/4.5, 128 11.2/14.6/4.2, 160 11.8/15.0/4.4, 192 12.4/15.8/4.3,
-# 256 12.5/22.1/5.3; the full scan takes 33.5/30.0/8.4. Smaller blocks
-# scan narrower windows but re-solve more rows and pay more calls
+# for 2048x512 k=3 / 512x2048 k=32 / 512x512 k=8, the best of 18 (2-core
+# Xeon, one BLAS thread): 32 queries 13.9/28.8/4.3, 64 10.4/20.9/3.4, 96
+# 9.1/20.4/2.9, 128 7.4/19.1/2.8, 160 7.1/21.1/3.1, 192 7.0/23.5/3.2, 256
+# 6.3/29.8/3.7; the full scan takes 25.9/37.7/7.1. Smaller blocks scan
+# narrower windows but re-solve more rows and pay more calls; larger ones
+# pay k rounds of `_first_k` over wider windows
 _KNN_QUERY_BLOCK = 128
 # relative gap between the k-th and (k+1)-th exact distances above which
-# k+1 candidates hold every point as close as the k-th, in every kNN
-# source: the tree's own distances and pruning bounds differ from the exact
-# ones by a few ulps, and `argpartition` picks arbitrarily among exact ties
+# the k-d tree's k+1 candidates hold every point as close as the k-th: the
+# tree's own distances and pruning bounds differ from the exact ones by a
+# few ulps. The dense scans select exactly, by `_first_k`, and need no
+# margin
 _RANK_MARGIN = 1e-12
 
 
@@ -388,7 +444,7 @@ def _knn_half_width(k: int, n: int) -> int:
     """Ranks of references that a window takes beyond each end of its query
     block's x-span: ceil(sqrt(k n)) + k + 1. On a surface of n points the
     radius of k neighbors spans about 0.6 sqrt(k n) ranks of x on each side,
-    and `argpartition` needs k+1 references."""
+    and k + 1 more keep a window of more than k references."""
     return math.isqrt(k * n - 1) + 1 + k + 1
 
 
@@ -399,19 +455,20 @@ def _knn_window(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     References and queries are sorted by x once (stable); each block of
     `_KNN_QUERY_BLOCK` queries, consecutive in x, takes the references from
     `_knn_half_width` ranks left of its smallest x to as many right of its
-    largest, and `_select` ranks them by (d^2, original index), exactly
-    within the window. Every point outside the window is at least as far in
-    x, on the same side, as the nearest outside point, at rank lo-1 or hi,
-    so by the module docstring's rounding bound its d^2 is at least g, the
-    rounded square of the row's x-difference to that point. A row keeps its
-    window result when g exceeds its k-th distance, since then no outside
-    point can rank in, not even on a tie; every other row is re-solved over
-    all N points by `_knn_scan`.
+    largest, gathered back into increasing index order, so that `_select`
+    gives the smallest (d^2, index) keys, exactly within the window. Every
+    point outside the window is at least as far in x, on the same side, as
+    the nearest outside point, at rank lo-1 or hi, so by the module
+    docstring's rounding bound its d^2 is at least g, the rounded square of
+    the row's x-difference to that point. A row keeps its window result
+    when g exceeds its k-th distance, since then no outside point can rank
+    in, not even on a tie; every other row is re-solved over all N points
+    by `_knn_scan`.
     """
     m, n = query.shape[0], ref.shape[0]
     order = np.argsort(ref[:, 0], kind="stable")
-    srt = np.asfortranarray(ref[order])   # contiguous coordinate columns
-    xs = srt[:, 0]
+    xs = ref[order, 0]
+    coords = np.ascontiguousarray(ref.T)   # one row per coordinate, for the gathers
     qorder = np.argsort(query[:, 0], kind="stable")
     half = _knn_half_width(k, n)
     out = np.empty((m, k), dtype=np.int64)
@@ -422,11 +479,13 @@ def _knn_window(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
         qx = q[:, 0]
         lo = max(0, int(xs.searchsorted(qx[0], "left")) - half)
         hi = min(n, int(xs.searchsorted(qx[-1], "right")) + half)
-        out[rows], kth = _select(_sq_dist(q[:, None], srt[lo:hi]), order[lo:hi], k)
+        ids = np.sort(order[lo:hi])
+        out[rows], kth = _select(_sq_dist(q[:, None], coords[:, ids].T), ids, k)
         gap = np.full(rows.size, np.inf)
         for edge in (lo - 1, hi):
             if 0 <= edge < n:
-                np.minimum(gap, (qx - xs[edge]) ** 2, out=gap)
+                with np.errstate(over="ignore"):
+                    np.minimum(gap, (qx - xs[edge]) ** 2, out=gap)
         redo.append(rows[gap <= kth])
     redo = np.concatenate(redo)
     if redo.size:
@@ -450,31 +509,37 @@ def _knn_rows(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
 
 def _select(d2: np.ndarray, ids: np.ndarray, k: int):
     """The k smallest (d^2, id) keys of each row of d2 [..., W], as ids (the
-    references' indices [W]), and each row's k-th distance [...]: k+1
-    candidates per row from `argpartition`, ranked; near-tie rows ranked
-    over all W references."""
-    every = np.broadcast_to(np.arange(d2.shape[-1]), d2.shape)
-    cand = np.argpartition(d2, k, axis=-1)[..., :k + 1] if k < d2.shape[-1] else every
-    dc = np.take_along_axis(d2, cand, axis=-1)
-    idx, ties = _rank(ids[cand], dc, k)
-    if np.any(ties):
-        idx[ties] = _rank(ids[every[ties]], d2[ties], k)[0]
-    return idx, dc[..., :k].max(axis=-1)
+    references' indices [W], increasing), and each row's k-th distance
+    [...], by `_first_k`; a row whose k-th distance overflowed is ranked
+    over all W references by `_rank`."""
+    cols, keys = _first_k(d2, k)
+    idx, kth = ids[cols], keys[..., -1]
+    over = np.isinf(kth)
+    if np.any(over):
+        rest = d2[over]
+        idx[over] = _rank(np.broadcast_to(ids, rest.shape), rest, k)[0]
+    return idx, kth
 
 
 def _knn_tree(query: np.ndarray, ref: np.ndarray, k: int) -> np.ndarray:
     """kNN [B,M,K] from k+1 k-d tree candidates, re-scored exactly and
     ranked; near-tie rows, where the tree's rounding may have lost a point,
-    are re-solved densely."""
+    and rows that lost a candidate to an overflowed distance, are re-solved
+    densely."""
     from scipy.spatial import cKDTree
 
     b, m, _ = query.shape
-    kk = min(k + 1, ref.shape[1])
+    n = ref.shape[1]
+    kk = min(k + 1, n)
     out = np.empty((b, m, k), dtype=np.int64)
     for bi in range(b):
         cand = cKDTree(ref[bi]).query(query[bi], k=kk)[1].reshape(m, kk)
+        # the tree reports neighbors whose distance overflows as index n,
+        # after the ones it found
+        lost = cand[:, -1] == n
+        np.minimum(cand, n - 1, out=cand)
         out[bi], unsure = _rank(cand, _sq_dist(query[bi][:, None], ref[bi][cand]), k)
-        rows = np.flatnonzero(unsure)
+        rows = np.flatnonzero(unsure | lost)
         if rows.size:
             out[bi, rows] = _knn_dense(query[bi:bi + 1, rows], ref[bi:bi + 1], k)[0]
     return out

@@ -70,6 +70,36 @@ def naive_knn(query_xyz: np.ndarray, ref_xyz: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def naive_ball_query(positions: np.ndarray, centers: np.ndarray, radius: float,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive ball query: per center, the first k points by index whose
+    squared distance is at most radius^2, padded by repeating the first hit;
+    returns indices and pad mask, both [B, M, k]. Squares are Python float
+    products, which overflow to inf rather than raise."""
+    b, m = centers.shape
+    n = positions.shape[1]
+    if b * m * n > MAX_ORACLE_WORK * 100:
+        raise ContractError("naive_ball_query instance too large")
+    r2 = float(radius) * float(radius)
+    idx = np.zeros((b, m, k), dtype=np.int64)
+    pad = np.ones((b, m, k), dtype=bool)
+    for bi in range(b):
+        for qi in range(m):
+            c = positions[bi, centers[bi, qi]].astype(np.float64)
+            hits = []
+            for ri in range(n):
+                dx, dy, dz = (float(v) for v in positions[bi, ri].astype(np.float64) - c)
+                if dx * dx + dy * dy + dz * dz <= r2:
+                    hits.append(ri)
+                    if len(hits) == k:
+                        break
+            if not hits:
+                raise ContractError(f"center {qi} of batch entry {bi} has no point in radius")
+            idx[bi, qi] = hits + [hits[0]] * (k - len(hits))
+            pad[bi, qi, :len(hits)] = False
+    return idx, pad
+
+
 def naive_fps(positions: np.ndarray, m: int, start=0) -> np.ndarray:
     """Farthest point sampling [B, m], one vectorized distance pass per pick.
 

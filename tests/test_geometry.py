@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,7 @@ from pointvector.geometry import (
     geometric_start,
     knn,
 )
+from pointvector.model import Model, preset_config
 from pointvector.oracle import group_relative
 
 
@@ -220,6 +222,12 @@ ORACLE_GUARDS = {
                        "naive_knn instance too large"),
     "naive_knn_k": (lambda: oracle.naive_knn(np.zeros((1, 1, 3)), np.zeros((1, 2, 3)), 3),
                     "k=3 exceeds 2 reference points"),
+    "naive_ball_query": (lambda: oracle.naive_ball_query(
+        np.zeros((1, 1000, 3)), np.zeros((1, 1001), np.int64), 1.0, 1),
+        "naive_ball_query instance too large"),
+    "naive_ball_query_empty": (lambda: oracle.naive_ball_query(
+        np.zeros((1, 1, 3)), np.zeros((1, 1), np.int64), np.nan, 1),
+        "no point in radius"),
     "naive_fps": (lambda: oracle.naive_fps(np.zeros((1, 2, 3)), 3),
                   "requested 3 samples from 2 points"),
     "naive_interpolate": (lambda: oracle.naive_interpolate(
@@ -458,42 +466,78 @@ class TestKnnExactContract:
 
 
 class TestBallQueryContract:
-    """The layout of a ball-query neighborhood, which `setabs.pooled_sa`
-    relies on to take its max over all K slots."""
+    """`ball_query` equals `oracle.naive_ball_query`: the first k in-radius
+    points by index, then pads that repeat slot 0, the layout that
+    `setabs.pooled_sa` relies on to take its max over all K slots."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), kind=CLOUD_KINDS, n=st.integers(1, 120),
            m=st.integers(1, 40), k=st.integers(1, 20), b=st.integers(1, 2),
-           radius=st.floats(0.05, 2.0))
+           radius=st.floats(0.05, 2.0),
+           block=st.sampled_from([geometry._KNN_BLOCK_PAIRS, 0, 60, 700]))
     def test_hits_in_radius_then_pads_repeating_slot_zero(self, seed, kind, n, m, k,
-                                                          b, radius):
+                                                          b, radius, block):
+        # small pair blocks split each batch entry's rows across row blocks
         k = min(k, n)
         _, ref = _cloud_pair(seed, kind, b, n, m)
         centers = np.random.default_rng(seed).integers(0, n, (b, m))
-        nbr = ball_query(centers, PointSetBatch(positions=ref), radius, k)
+        with mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", block):
+            nbr = ball_query(centers, PointSetBatch(positions=ref), radius, k)
         idx, pad = nbr.indices, nbr.pad_mask
-        assert idx.shape == pad.shape == (b, m, k)
-        q = ref[np.arange(b)[:, None], centers]
-        diff = ref[:, None, :, :] - q[:, :, None, :]
-        d2 = (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]) \
-            + diff[..., 2] * diff[..., 2]                              # [b, m, n]
-        within = d2 <= radius * radius
-        hit_d2 = np.take_along_axis(d2, idx, axis=-1)
-        # every real hit is within the radius, distinct and in scan order
-        assert (hit_d2[~pad] <= radius * radius).all()
-        real_idx = np.where(pad, n, idx)
-        assert (np.diff(real_idx, axis=-1)[~pad[..., 1:]] > 0).all()
-        # real hits come before pads, and slot 0 is always real
+        want_idx, want_pad = oracle.naive_ball_query(ref, centers, radius, k)
+        assert np.array_equal(idx, want_idx) and np.array_equal(pad, want_pad)
+        # slot 0 is always real, real hits come before pads, pads repeat slot 0
         assert not pad[..., 0].any()
         assert not (pad[..., :-1] & ~pad[..., 1:]).any()
-        # every pad repeats slot 0
         assert (idx == np.where(pad, idx[..., :1], idx)).all()
-        # pad_mask marks exactly the pads: the real hits are the first
-        # min(k, count) in-radius points
-        count = np.minimum(within.sum(axis=-1), k)
-        assert ((~pad).sum(axis=-1) == count).all()
-        first = np.argsort(~within, axis=-1, kind="stable")[..., :k]
-        assert (np.where(pad, -1, idx) == np.where(pad, -1, first)).all()
+
+
+def _far_cloud(seed: int, b: int, n: int) -> np.ndarray:
+    """Finite points [b,n,3] in clusters about 1e160 apart and 1e152 wide:
+    squared distances within a cluster are finite, about 1e304, and those
+    across clusters overflow to inf."""
+    rng = np.random.default_rng(seed)
+    hubs = rng.uniform(-1, 1, (b, max(1, n // 6), 3)) * 1e160
+    return hubs[:, rng.integers(0, hubs.shape[1], n)] + rng.uniform(-1, 1, (b, n, 3)) * 1e152
+
+
+class TestOverflowingDistances:
+    """On finite clouds whose squared distances overflow to inf, every
+    neighborhood source equals its reference, and no numpy warning leaves
+    `geometry`."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("block", [geometry._KNN_BLOCK_PAIRS, 0, 60])
+    def test_knn_sources_equal_oracle(self, seed, block):
+        # the whole block, x-windows (block 0) and row blocks (block 60) rank
+        # rows whose k-th distance is inf; the tree reports such neighbors
+        # as index n
+        ref = _far_cloud(seed, 2, 40)
+        query = np.concatenate([ref[:, ::3], _far_cloud(seed + 100, 2, 10)], axis=1)
+        for k in (1, 4, 9, 40):
+            with np.errstate(over="ignore"):
+                want = oracle.naive_knn(query, ref, k)
+            with warnings.catch_warnings(), \
+                    mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", block), \
+                    mock.patch.object(geometry, "_KNN_QUERY_BLOCK", 7):
+                warnings.simplefilter("error")
+                assert np.array_equal(geometry._knn_dense(query, ref, k), want)
+                assert np.array_equal(geometry._knn_tree(query, ref, k), want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("block", [geometry._KNN_BLOCK_PAIRS, 0, 60])
+    @pytest.mark.parametrize("radius", [3e152, 1e155, 1e300])
+    def test_ball_query_equals_oracle(self, seed, block, radius):
+        # radii above about 1.3e154 square to inf, which holds every point
+        ref = _far_cloud(seed, 2, 40)
+        centers = np.random.default_rng(seed).integers(0, 40, (2, 15))
+        want_idx, want_pad = oracle.naive_ball_query(ref, centers, radius, 9)
+        with warnings.catch_warnings(), \
+                mock.patch.object(geometry, "_KNN_BLOCK_PAIRS", block):
+            warnings.simplefilter("error")
+            nbr = ball_query(centers, PointSetBatch(positions=ref), radius, 9)
+        assert np.array_equal(nbr.indices, want_idx)
+        assert np.array_equal(nbr.pad_mask, want_pad)
 
 
 def _fps_equals_oracle(seed, kind, n, frac, b):
@@ -561,6 +605,41 @@ def test_window_knn_on_scene_clouds_equals_full_scan(m, n, k):
         got = geometry._knn_dense(query, ref, k)
     assert win.call_count == 2
     assert np.array_equal(got, geometry._knn_rows(query, ref, k))
+
+
+@pytest.mark.matrix
+def test_toy_seg_ball_neighborhoods_on_scene_clouds_equal_oracles(monkeypatch):
+    # the four ball queries and the two decoder kNN calls of a toy-seg-ball
+    # train forward on the fit-toy-ball benchmark's batch: B=8 scene clouds
+    # of 512 points
+    data = dataio.make_segmentation_dataset(num_scenes=8, num_points=512, seed=0)
+    calls = []
+
+    def spy(name):
+        search = getattr(geometry, name)
+
+        def call(*args):
+            out = search(*args)
+            calls.append((name, args, out))
+            return out
+        monkeypatch.setattr(geometry, name, call)
+
+    spy("ball_query")
+    spy("knn_points")
+    Model(preset_config("toy-seg-ball", num_classes=data.num_classes)).forward_seg(
+        PointSetBatch(positions=data.positions), "train")
+    assert sorted(name for name, _, _ in calls) == ["ball_query"] * 4 + ["knn_points"] * 2
+    for name, args, out in calls:
+        for bi in range(8):   # one cloud at a time keeps the oracles in their regime
+            one = slice(bi, bi + 1)
+            if name == "ball_query":
+                centers, cloud, radius, k = args
+                idx, pad = oracle.naive_ball_query(cloud.positions[one], centers[one], radius, k)
+                assert np.array_equal(out.indices[one], idx)
+                assert np.array_equal(out.pad_mask[one], pad)
+            else:
+                query, cloud, k = args
+                assert np.array_equal(out[one], oracle.naive_knn(query[one], cloud.positions[one], k))
 
 
 @pytest.mark.matrix
