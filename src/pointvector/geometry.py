@@ -14,9 +14,10 @@ ties go to the lower column. Every scan lays its references out in
 increasing index order, so the lower column is the lower index: kNN takes
 the k smallest (d^2, index) keys, and ball query the first k in-radius
 points by index. `_rank` orders a candidate set by (d^2, index) with a
-lexsort. It ranks the k-d tree's candidates, the rows whose k-th d^2
-overflowed, where taken and untaken keys tie at inf, and the neighbors of
-`sort_neighbors_by_distance`.
+lexsort. It ranks the k-d tree's candidates and the rows whose k-th d^2
+overflowed, where taken and untaken keys tie at inf.
+`sort_neighbors_by_distance` ranks by (pad flag, d^2, index), so that a
+real neighbor whose d^2 overflowed still sorts ahead of the pads.
 
 FPS and kNN both skip points by one bound. Rounding is monotone and every
 term of the sum is non-negative, so the rounded sum is at least fl(dx*dx),
@@ -554,17 +555,16 @@ def knn(centers: np.ndarray, cloud: PointSetBatch, k: int) -> NeighborIndex:
 
 
 def sort_neighbors_by_distance(positions: np.ndarray, nbr: NeighborIndex) -> NeighborIndex:
-    """Reorder each neighborhood by (distance, index) with `_rank`.
+    """Reorder each neighborhood by (pad flag, distance, index).
 
     Gives slot-kernel aggregation modes a canonical neighbor order on
-    otherwise unordered sets. Padded entries take an infinite distance, so
-    they move to the end and keep their pad flag count.
+    otherwise unordered sets. Pads move to the end, ahead of no real
+    neighbor, not even one whose d^2 overflowed to inf.
     """
     batch = np.arange(positions.shape[0])[:, None]
     d2 = _sq_dist(positions[batch[..., None], nbr.indices],
                   positions[batch, nbr.centers][:, :, None])
-    d2[nbr.pad_mask] = np.inf
-    k = nbr.indices.shape[-1]
-    idx = _rank(nbr.indices, d2, k)[0]
-    pad = np.arange(k) >= k - nbr.pad_mask.sum(axis=-1, keepdims=True)
-    return NeighborIndex(indices=idx, pad_mask=pad, centers=nbr.centers)
+    order = np.lexsort((nbr.indices, d2, nbr.pad_mask), axis=-1)
+    return NeighborIndex(indices=np.take_along_axis(nbr.indices, order, axis=-1),
+                         pad_mask=np.take_along_axis(nbr.pad_mask, order, axis=-1),
+                         centers=nbr.centers)

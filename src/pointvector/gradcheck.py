@@ -277,7 +277,7 @@ def _encoder_case(rng, name, m):
                         lambda: vecenc.encode(name, fp, params, m, "train"))
 
 
-def _case_rotate_cell(rng, padded=True):
+def _case_rotate_cell(rng, padded=True, mode="train"):
     u = Tensor(rng.standard_normal((2, 6, 5)), requires_grad=True)
     ctr = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
     idx = rng.integers(0, 6, size=(2, 3, 4))
@@ -285,11 +285,14 @@ def _case_rotate_cell(rng, padded=True):
     enc.zx.bias.data = rng.uniform(-0.5, 0.5, 5)
     enc.angles.norm_gamma.data = rng.uniform(0.5, 1.5, 10)
     enc.angles.norm_beta.data = rng.uniform(0.2, 0.6, 10)
+    if mode == "eval":
+        enc.angles.running_mean = rng.standard_normal(10) * 0.1
+        enc.angles.running_var = rng.uniform(0.5, 2.0, 10)
     proj = nnops.grouped_params(rng, 5, 3)
     pad = _pad_mask(rng, (2, 3, 4)) if padded else None
     probe = rng.standard_normal((2, 3, 5))
     return _params_case([("u", u), ("ctr", ctr)], [enc, proj], probe,
-                        lambda: vecenc.rotate_cell(u, ctr, idx, pad, enc, proj))
+                        lambda: vecenc.rotate_cell(u, ctr, idx, pad, enc, proj, mode))
 
 
 def _case_softmax_ce(rng):
@@ -409,6 +412,7 @@ CASES = {
     "encode_direction": partial(_encoder_case, name="direction", m=3),
     "rotate_cell": _case_rotate_cell,
     "rotate_cell_unpadded": partial(_case_rotate_cell, padded=False),
+    "rotate_cell_eval": partial(_case_rotate_cell, mode="eval"),
     "softmax_cross_entropy": _case_softmax_ce,
     "sa_block": _case_sa_block,
     "sa_block_negative_gamma": partial(_case_sa_block, negative_gamma=True),

@@ -6,7 +6,7 @@ in double precision and are deliberately slow; size guards keep them inside
 their supported regime. The rotation formulas (`rotate3d`, `rotate2d`,
 `rotation_matrix`) are closed forms in np.sin/np.cos, independent of the
 half-angle sine and cosine the production ops use. The exceptions are
-`unfused_rotate_cell`, the reference for the default cell's fused ops,
+`unfused_rotate_cell`, the reference for the default cell's fused op,
 `composed_sa`, the set abstraction that `setabs.pooled_sa` fuses, both for
 SA blocks and for the classification head's global SA around the centroid,
 `mix_features`, the grouped form of VPSA's per-point mixing, and
@@ -425,9 +425,9 @@ def mix_features(rel_feat, rel_pos, p):
 
 def unfused_rotate_cell(u, ctr, idx: np.ndarray, pad: np.ndarray | None, p, proj,
                         mode: str = "train"):
-    """What `vecenc.rotate_cell` and `vecenc.encode_rotation_tiled` fuse, op
-    by op on the tape: the default VPSA cell's mixing, rotation encoding at
-    m=3, neighbor sum and grouped projection.
+    """What `vecenc.rotate_cell` fuses in either mode, op by op on the tape:
+    the default VPSA cell's mixing, rotation encoding at m=3, neighbor sum
+    and grouped projection.
 
     u [B,N,C] and ctr [B,M,C] are Tensors, idx [B,M,K] the neighbor indices,
     p the rotation encoder's params and proj the [C,3] grouped kernel. The

@@ -39,12 +39,9 @@ is one `nnops.linear_bn`: the mixing or the dense projection, each a
 normalized linear layer, folded into one linear in eval mode.
 
 The default cell (rotation encoder, m=3, sum_groupconv) runs mixing,
-encoding and aggregation as one op: `vecenc.rotate_cell` in train mode,
-which keeps no mixed feature for backward, and `vecenc.encode_rotation_tiled`
-in eval mode with no gradient requested (`nnops._recording` false for the
-features and the block's parameters), which never builds the neighbor
-tensors. Eval under a recording tape, and every other cell, compose tape
-ops: gather, mixing, `vecenc.encode` and `aggregation_variant`.
+encoding and aggregation as one op in every mode, `vecenc.rotate_cell`.
+Every other cell composes tape ops: gather, mixing, `vecenc.encode` and
+`aggregation_variant`.
 """
 
 from __future__ import annotations
@@ -501,12 +498,11 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     linear residual of the center feature through a ReLU; channel mixing
     and normalization are one `nnops.linear_bn`. The default cell
     (rotation encoder, m=3, sum_groupconv) runs mixing, encoding, sum and
-    projection as one op of u, the center term and the neighbor indices:
-    `vecenc.rotate_cell` in train mode, and `vecenc.encode_rotation_tiled`
-    in eval mode when no gradient is requested. Eval under a recording
-    tape, and every other cell, gather and mix with tape ops, then compose
-    `vecenc.encode` and `aggregation_variant`. Returns the centers'
-    positions and their features.
+    projection as one op of u, the center term and the neighbor indices,
+    `vecenc.rotate_cell`, in either mode; every other cell gathers and
+    mixes with tape ops, then composes `vecenc.encode` and
+    `aggregation_variant`. Returns the centers' positions and their
+    features.
 
     `nbr` is `group(x, cfg)` when the caller already holds it: stride-1
     blocks with the same k and radius on the same points share it.
@@ -536,11 +532,8 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     pad = nbr.pad_mask if nbr.pad_mask.any() else None
     default_cell = (cfg.encoder, cfg.vector_dim, cfg.aggregation) == (
         "rotation", 3, "sum_groupconv")
-    if default_cell and mode == "train":
-        main = vecenc.rotate_cell(u, ctr_u, nbr.indices, pad, p.encoder, p.proj)
-    elif default_cell and mode == "eval" and not vecenc._cell_recording(
-            u, ctr_u, p.encoder, p.proj):
-        main = vecenc.encode_rotation_tiled(u, ctr_u, nbr.indices, pad, p.encoder, p.proj)
+    if default_cell:
+        main = vecenc.rotate_cell(u, ctr_u, nbr.indices, pad, p.encoder, p.proj, mode)
     else:
         ctr_u = nnops.reshape(ctr_u, (b, centers.shape[1], 1, cin))
         fp = nnops.relu(nnops.sub(nnops.gather(u, nbr.indices), ctr_u))

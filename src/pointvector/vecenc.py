@@ -17,20 +17,11 @@ is scaled by angle-dependent factors, and the direction encoder's biases by
 the unit direction, so they learn.
 
 The default VPSA cell (rotation, m=3, sum_groupconv) runs its mixing
-relu(u_j - ctr_i), encoding, neighbor sum and [C,3] projection as one op on
-two paths; both take u, ctr, idx, pad, the encoder and the kernel, and
-build their factors per tile of centers:
-
-    rotate_cell             training: one tape op that never builds the
-                            [B,M,K,C,3] field and keeps five [B,M,K,C]
-                            arrays for backward, not the mixed features
-    encode_rotation_tiled   eval with no gradient requested (`_cell_recording`
-                            false): no [B,M,K,C] array, no backward
-
-Eval under a recording tape composes `encode_rotation` and the
-aggregation's tape ops, as every other cell does. Both fused ops take
-d out / d zx from `_zx_factor`; `rotate_cell` also builds the other factors
-its backward reads.
+relu(u_j - ctr_i), encoding, neighbor sum and [C,3] projection as one op,
+`rotate_cell`, in train and eval mode, with or without a tape: it takes u,
+ctr, idx, pad, the encoder, the kernel and the mode, never builds the
+[B,M,K,C,3] field, builds its factors per tile of centers, and builds the
+factors its backward reads only when a gradient is requested.
 
 The rotation ops take sine and cosine from the half-angle identity
 
@@ -52,7 +43,7 @@ from .errors import ConfigError, ContractError, SizeError
 from .nnops import LayerParams, Tensor, custom_op
 
 
-# bytes of one tile's [zx | angles] rows in rotate_cell and encode_rotation_tiled
+# bytes of one tile's [zx | angles] rows in rotate_cell, in either mode
 _TILE_BYTES = 1 << 19
 
 
@@ -156,14 +147,6 @@ def _zx_factor(sa: np.ndarray, ca: np.ndarray, sb: np.ndarray, cb: np.ndarray,
     return t, u
 
 
-def _cell_recording(u: Tensor, ctr: Tensor, p: RotationEncoderParams,
-                    proj: LayerParams) -> bool:
-    """Whether a gradient is requested of the default cell: an active tape
-    tracks u, ctr or a parameter of the encoder or the kernel."""
-    params = [t for layer in (p.zx, p.angles, proj) for _, t in layer.tensors()]
-    return nnops._recording([u, ctr] + params)
-
-
 def _check_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
                 proj: LayerParams) -> None:
     """Shapes and indices of the default cell's inputs: u [B,N,C], ctr
@@ -187,76 +170,111 @@ def _mixed(u: np.ndarray, ctr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
-                p: RotationEncoderParams, proj: LayerParams) -> Tensor:
+                p: RotationEncoderParams, proj: LayerParams, mode: str = "train") -> Tensor:
     """The default VPSA cell's mixing, encoding, neighbor sum and projection
-    for training, as one op; [B,M,C].
+    as one op over tiles of centers, in train or eval mode; [B,M,C].
 
-    The inputs are those of `encode_rotation_tiled`: neighbor k of center i
-    mixes to fp = relu(u_j - ctr_i) with j = idx[b,i,k], and
+    u is the per-point term [B,N,C] and ctr the center term u_i - b_pos
+    [B,M,C], so neighbor k of center i mixes to fp = relu(u_j - ctr_i) with
+    j = idx[b,i,k], and
 
         zx = fp W_zx + b_zx,   [alpha | beta] = relu(bn(fp W_ang)),
         out[b,i,c] = sum_k keep * zx * (sin(beta) t + w2 cos(beta)),
         t = w1 cos(alpha) - w0 sin(alpha),
 
-    with w the [C,3] kernel of proj and keep 0 on pad slots. The angle
+    with w the [C,3] kernel of proj and keep 0 on pad slots. The
+    [B,M,K,C,3] vector field is never built. In train mode the angle
     batchnorm takes batch statistics over all B*M*K rows, pads included,
-    and updates the running statistics, as `nnops.batchnorm` does. The
-    [B,M,K,C,3] vector field is never built.
+    and updates the running statistics, as `nnops.batchnorm` does, so zx
+    and the standardized angles x-hat [B,M,K,2C] are built for all rows
+    first. In eval mode the angle layer is `nnops.fold_norm`'s linear, whose
+    tape ops carry a gradient on to W_ang, gamma and beta, and each tile
+    gathers its own fp and runs one GEMM against [W_zx | folded W_ang], so
+    without a gradient no [B,M,K,C] array is built. A tile holds
+    _TILE_BYTES / (K 3C itemsize) centers, at least one; it takes its rows'
+    angles, sines and cosines and d out / d zx from `_zx_factor`, and
+    writes its rows of the output.
 
-    For backward the op keeps three neighbor arrays of factors,
+    When a gradient is requested (`nnops._recording` of the inputs), each
+    tile also writes its rows of three neighbor arrays of factors,
 
         d out / d zx    = sin(beta) t + w2 cos(beta), pad mask folded in
         d out / d alpha = zx sin(beta) (-w0 cos(alpha) - w1 sin(alpha))
         d out / d beta  = zx (cos(beta) t - w2 sin(beta)),
 
-    the last two times the angle ReLU's mask; the [3,B,M,C] neighbor sums
-    s = [-sum_k zx sin(beta) sin(alpha), sum_k zx sin(beta) cos(alpha),
-    sum_k zx cos(beta)], so that d out[b,i,c] / d w[c,j] = s[j,b,i,c]; and
-    the normalized angles x-hat [B,M,K,2C]. The forward standardizes the
-    angles in place, then runs over tiles of centers sized as in
-    `encode_rotation_tiled`: each tile takes its rows' angles, sines and
-    cosines, d out / d zx from `_zx_factor`, and writes its rows of the
-    factors, the sums and the output. So besides zx and the kept arrays
-    only tile-sized temporaries are alive. It does not keep fp, which both
-    linears read: backward gathers it again from u, ctr and idx, sums the
-    two linears' input gradients in one buffer, and scatters it to u and,
-    summed over the neighbors, to ctr. Each array is freed once read.
-    `oracle.unfused_rotate_cell` is the op-by-op reference.
+    the last two times the angle ReLU's mask, and of the [3,B,M,C] neighbor
+    sums s = [-sum_k zx sin(beta) sin(alpha), sum_k zx sin(beta) cos(alpha),
+    sum_k zx cos(beta)], so that d out[b,i,c] / d w[c,j] = s[j,b,i,c]; the
+    op keeps them and, in train mode, x-hat. It does not keep fp, which
+    both linears read: backward gathers it again from u, ctr and idx, sums
+    the two linears' input gradients in one buffer, and scatters it to u
+    and, summed over the neighbors, to ctr. Each array is freed once read.
+    Otherwise the op returns a plain `Tensor`. `oracle.unfused_rotate_cell`
+    is the op-by-op reference.
     """
+    if mode not in ("train", "eval"):
+        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
     _check_cell(u, ctr, idx, pad, proj)
     b, n, c = u.data.shape
     m, k = idx.shape[1:]
     ud, cd = u.data, ctr.data
-    w_zx, w_ang = p.zx.weight.data, p.angles.weight.data
-    gamma, beta = p.angles.norm_gamma, nnops._shift(p.angles)
-    g_data = gamma.data
+    w_zx = p.zx.weight.data
     w = proj.weight.data
     w0, w1, w2 = w[:, 0], w[:, 1], w[:, 2]
-    fp = _mixed(ud, cd, idx).reshape(-1, c)
-    z = fp @ w_zx
-    z += p.zx.bias.data
-    z = z.reshape(b * m, k, c)
-    pre = (fp @ w_ang).reshape(b, m, k, 2 * c)
-    del fp
-    xhat, _, inv = nnops._standardize(pre, p.angles, out=pre)
     keep = None if pad is None else (~pad).reshape(b * m, k, 1)
-    if keep is not None:
-        z *= keep
-    du, da, db = (np.empty_like(z) for _ in range(3))
-    s = np.empty((3, b * m, c), dtype=z.dtype)
-    out = np.empty((b * m, c), dtype=z.dtype)
-    rows = xhat.reshape(b * m, k, 2 * c)
-    tile = max(1, _TILE_BYTES // (k * 3 * c * z.itemsize))
+    if mode == "train":
+        gamma, beta = p.angles.norm_gamma, nnops._shift(p.angles)
+        angles = (p.angles.weight, gamma, beta)
+        g_data = gamma.data
+        fp = _mixed(ud, cd, idx).reshape(-1, c)
+        z = fp @ w_zx
+        z += p.zx.bias.data
+        z = z.reshape(b * m, k, c)
+        pre = (fp @ p.angles.weight.data).reshape(b, m, k, 2 * c)
+        del fp
+        xhat, _, inv = nnops._standardize(pre, p.angles, out=pre)
+        if keep is not None:
+            z *= keep
+        rows = xhat.reshape(b * m, k, 2 * c)
+    else:
+        folded = nnops.fold_norm(p.angles)
+        angles = (folded.weight, folded.bias)
+        w_cat = np.concatenate([w_zx, folded.weight.data], axis=1)   # [C, 3C]
+        b_cat = np.concatenate([p.zx.bias.data, folded.bias.data])
+        points, centers = ud.reshape(b * n, c), cd.reshape(b * m, c)
+        nbr_rows = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
+        xhat = None
+    w_ang = angles[0].data
+    inputs = (u, ctr, p.zx.weight, p.zx.bias) + angles + (proj.weight,)
+    record = nnops._recording(inputs)
+    dtype = np.result_type(ud, w_zx)
+    if record:
+        du, da, db = (np.empty((b * m, k, c), dtype) for _ in range(3))
+        s = np.empty((3, b * m, c), dtype)
+    out = np.empty((b * m, c), dtype)
+    tile = max(1, _TILE_BYTES // (k * 3 * c * dtype.itemsize))
     for lo in range(0, b * m, tile):
         hi = min(lo + tile, b * m)
-        zt = z[lo:hi]
-        y = rows[lo:hi] * g_data
-        y += beta.data
-        on = y > 0
-        np.maximum(y, 0, out=y)
+        if mode == "train":
+            zt = z[lo:hi]
+            y = rows[lo:hi] * g_data
+            y += beta.data
+        else:
+            fp = points[nbr_rows[lo:hi]]              # [T, K, C]
+            fp -= centers[lo:hi, None]
+            np.maximum(fp, 0, out=fp)
+            h = (fp.reshape(-1, c) @ w_cat).reshape(hi - lo, k, 3 * c)
+            h += b_cat
+            zt, y = h[..., :c], h[..., c:]
+            if keep is not None:
+                zt *= keep[lo:hi]
+        on = y > 0 if record else None
+        np.maximum(y, 0, out=y)                       # NaN stays NaN, so check_finite sees it
         (sa, sb), (ca, cb) = _angle_sincos(y, c)
         t, dut = _zx_factor(sa, ca, sb, cb, w)
         np.einsum("tkc,tkc->tc", zt, dut, out=out[lo:hi])
+        if not record:
+            continue
         np.einsum("tkc,tkc->tc", zt, cb, out=s[2, lo:hi])
         np.einsum("tkc,tkc,tkc->tc", zt, sb, sa, out=s[0, lo:hi])
         np.negative(s[0, lo:hi], out=s[0, lo:hi])
@@ -273,22 +291,30 @@ def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
         dbt *= zt
         dbt *= on[..., c:]
         np.multiply(dut, 1 if keep is None else keep[lo:hi], out=du[lo:hi])
+    out = out.reshape(b, m, c)
+    if not record:
+        return Tensor(out)
     du, da, db = (a.reshape(b, m, k, c) for a in (du, da, db))
-    s, out = s.reshape(3, b, m, c), out.reshape(b, m, c)
+    s = s.reshape(3, b, m, c)
     held = [du, da, db, xhat]   # grad_fn takes them out, to free each once read
 
     def grad_fn(g):
         du, da, db, xhat = held
         held.clear()
         g4 = g[:, :, None, :]
-        dy = np.empty(xhat.shape, dtype=xhat.dtype)
+        dy = np.empty((b, m, k, 2 * c), dtype=dtype)
         np.multiply(da, g4, out=dy[..., :c])
         np.multiply(db, g4, out=dy[..., c:])
         del da, db
         dz = np.multiply(du, g4, out=du).reshape(-1, c)
-        dx, dgamma, dbeta = nnops._standardize_grad(dy, xhat, g_data * inv, out=xhat)
+        if xhat is None:
+            dx = dy.reshape(-1, 2 * c)
+            dangles = (dx.sum(axis=0),)                       # the folded bias
+        else:
+            dx, dgamma, dbeta = nnops._standardize_grad(dy, xhat, g_data * inv, out=xhat)
+            dx = dx.reshape(-1, 2 * c)
+            dangles = (dgamma, dbeta)
         del dy, xhat
-        dx = dx.reshape(-1, 2 * c)
         fp = _mixed(ud, cd, idx).reshape(-1, c)
         on = fp > 0
         dw_zx, db_zx, dw_ang = fp.T @ dz, dz.sum(axis=0), fp.T @ dx
@@ -300,10 +326,9 @@ def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
         rows = idx + (np.arange(b) * n)[:, None, None]
         du_pts = nnops._scatter_add_rows(rows.reshape(-1), dfp, b * n)
         return (du_pts.reshape(b, n, c), -dfp.reshape(b, m, k, c).sum(axis=2), dw_zx,
-                db_zx, dw_ang, dgamma, dbeta, np.einsum("bic,jbic->cj", g, s))
+                db_zx, dw_ang) + dangles + (np.einsum("bic,jbic->cj", g, s),)
 
-    return custom_op(out, (u, ctr, p.zx.weight, p.zx.bias, p.angles.weight, gamma, beta,
-                           proj.weight), grad_fn)
+    return custom_op(out, inputs, grad_fn)
 
 
 def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
@@ -319,58 +344,6 @@ def encode_rotation(fp: Tensor, p: RotationEncoderParams, m: int,
     if m == 1:
         return nnops.reshape(zx, zx.shape + (1,))
     return rotate_field(zx, nnops.dense(fp, p.angles, mode))
-
-
-def encode_rotation_tiled(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
-                          p: RotationEncoderParams, proj: LayerParams) -> Tensor:
-    """The default VPSA cell's mixing, encoding, neighbor sum and projection
-    for inference, as one op over tiles of centers; [B,M,C].
-
-    u is the per-point term [B,N,C] and ctr the center term u_i - b_pos
-    [B,M,C], so neighbor k of center i mixes to fp = relu(u_j - ctr_i) with
-    j = idx[b,i,k]. The output is `rotate_cell`'s with the angle layer in
-    eval mode, `oracle.unfused_rotate_cell(..., "eval")`. Each tile gathers
-    its centers' K neighbors of u, runs one GEMM against [W_zx | folded
-    angle weight] (`nnops.fold_norm`), takes the angles' relu, and sums
-    zx u (u from `_zx_factor`) over the non-pad neighbors, so no [B,M,K,C]
-    tensor is built. A tile holds _TILE_BYTES / (K 3C itemsize) centers,
-    at least one, as in `rotate_cell`. The output keeps the dtype of u.
-
-    There is no backward: the op raises ContractError when an active tape
-    would record its inputs (`_cell_recording`).
-    """
-    if _cell_recording(u, ctr, p, proj):
-        raise ContractError("encode_rotation_tiled has no backward; a recording tape "
-                            "needs the composed ops")
-    _check_cell(u, ctr, idx, pad, proj)
-    b, n, c = u.data.shape
-    m, k = idx.shape[1:]
-    ang = nnops.fold_norm(p.angles)
-    w = np.concatenate([p.zx.weight.data, ang.weight.data], axis=1)   # [C, 3C]
-    bias = np.concatenate([p.zx.bias.data, ang.bias.data])
-    points = u.data.reshape(b * n, c)
-    centers = ctr.data.reshape(b * m, c)
-    rows = (idx + (np.arange(b) * n)[:, None, None]).reshape(b * m, k)
-    keep = None if pad is None else (~pad).reshape(b * m, k, 1)
-    out = np.empty((b * m, c), dtype=u.data.dtype)
-    tile = max(1, _TILE_BYTES // (k * 3 * c * u.data.itemsize))
-    for lo in range(0, b * m, tile):
-        hi = min(lo + tile, b * m)
-        fp = points[rows[lo:hi]]                  # [T, K, C]
-        fp -= centers[lo:hi, None]
-        np.maximum(fp, 0, out=fp)
-        h = fp.reshape(-1, c) @ w
-        h += bias
-        zx, ang_rows = h[:, :c], h[:, c:]
-        np.maximum(ang_rows, 0, out=ang_rows)    # NaN stays NaN, so check_finite sees it
-        (sa, sb), (ca, cb) = _angle_sincos(ang_rows, c)
-        _, vec = _zx_factor(sa, ca, sb, cb, proj.weight.data)
-        vec *= zx                                 # each neighbor's projected vector
-        vec = vec.reshape(hi - lo, k, c)
-        if keep is not None:
-            vec *= keep[lo:hi]
-        vec.sum(axis=1, out=out[lo:hi])
-    return Tensor(out.reshape(b, m, c))
 
 
 def encode_mlp(fp: Tensor, p: MLPEncoderParams, m: int, mode: str = "train") -> Tensor:

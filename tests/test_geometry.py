@@ -779,3 +779,17 @@ class TestOneDistanceOneOrder:
             assert not got.pad_mask[bi, i, :len(real)].any()
             assert got.pad_mask[bi, i, len(real):].all()
             assert (got.indices[bi, i, len(real):] == nbr.indices[bi, i, 0]).all()
+
+    @pytest.mark.parametrize("indices,pad", [([0, 3, 0, 0], [False, False, True, True]),
+                                             ([0, 0, 3, 0], [True, False, False, True])])
+    def test_sort_neighbors_keeps_an_overflowed_neighbor_ahead_of_the_pads(self, indices,
+                                                                            pad):
+        """Neighbor 3's d^2 overflows to inf, where the pads used to rank:
+        it keeps its real slot, and the pads, which repeat slot 0, stay last."""
+        pos = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [1e160, -1e160, 1e160]]])
+        nbr = NeighborIndex(indices=np.array([[indices]]), pad_mask=np.array([[pad]]),
+                            centers=np.array([[0]]))
+        got = geometry.sort_neighbors_by_distance(pos, nbr)
+        assert got.indices.tolist() == [[[0, 3, 0, 0]]]
+        assert got.pad_mask.tolist() == [[[False, False, True, True]]]

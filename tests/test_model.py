@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from pointvector import geometry, nnops, oracle, setabs
+from pointvector import geometry, nnops, oracle, setabs, vecenc
 from pointvector import model as model_mod
 from pointvector.errors import CheckpointError, ConfigError, NumericFaultError, SizeError
 from pointvector.geometry import PointSetBatch
@@ -117,12 +117,14 @@ def _spy_on_batchnorm(monkeypatch):
 
 
 class TestTapeFreeEval:
-    """Eval without a tape runs the folded dense layers and the tiled VPSA
-    encoder; under a tape the same call runs the composed ops."""
+    """Eval runs the folded dense layers and runs the default VPSA cell as
+    one op, vecenc.rotate_cell, with or without a tape."""
 
     @pytest.mark.parametrize("preset", ["pointvector-s", "pointvector-l", "toy-seg",
                                         "toy-seg-ball", "pointvector-s-cls", "toy-cls"])
     def test_equals_eval_under_a_tape(self, preset, monkeypatch):
+        """Tape-free eval and eval under a tape against the same model whose
+        cell is the op-by-op chain oracle.unfused_rotate_cell, under a tape."""
         rng = np.random.default_rng(9)
         mdl = Model(preset_config(preset, num_classes=5), seed=1)
         _random_running_stats(mdl, rng)
@@ -132,9 +134,13 @@ class TestTapeFreeEval:
         calls = _spy_on_batchnorm(monkeypatch)   # eval folds every batchnorm
         got = forward(batch, "eval").data
         with GradTape():
-            want = forward(batch, "eval").data
+            got_taped = forward(batch, "eval").data
         assert calls == []
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        monkeypatch.setattr(vecenc, "rotate_cell", oracle.unfused_rotate_cell)
+        with GradTape():
+            want = forward(batch, "eval").data
+        for g in (got, got_taped):
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_xl_eval_folds_every_batchnorm(self, monkeypatch):
         # the other presets are spied on in test_equals_eval_under_a_tape

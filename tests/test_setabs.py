@@ -8,7 +8,6 @@ import pytest
 from pointvector import geometry, nnops, oracle, setabs, vecenc
 from pointvector.errors import (
     ConfigError,
-    ContractError,
     InvalidNeighborhoodError,
     SizeError,
 )
@@ -469,8 +468,7 @@ class TestVPSAMixing:
             assert np.abs(out.data - expected).max() < 1e-10
 
     def test_equals_the_grouped_mixing(self):
-        # under a tape the block runs the composed path, which hands the mixed
-        # features to the angle layer's nnops.dense
+        # in train mode the default cell mixes every neighbor at once, in vecenc._mixed
         rng = np.random.default_rng(28)
         cloud, feats = random_cloud(rng, b=2, n=16, c=6)
         cfg = BlockConfig(in_channels=6, out_channels=6, k_neighbors=5, stride=2)
@@ -478,17 +476,18 @@ class TestVPSAMixing:
         p.pos.bias.data = rng.uniform(-0.3, 0.3, 6)
         nbr = setabs.group(cloud, cfg)
         mixed = []
-        original = nnops.dense
+        original = vecenc._mixed
 
-        def spy(x, layer, *a):
-            if layer is p.encoder.angles:
-                mixed.append(x.data)
-            return original(x, layer, *a)
+        def spy(*args):
+            fp = original(*args)
+            mixed.append(fp.copy())
+            return fp
 
-        with mock.patch.object(nnops, "dense", spy), GradTape():
-            vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
+        with mock.patch.object(vecenc, "_mixed", spy):
+            vpsa_block(cloud, Tensor(feats), cfg, p, "train")
         rel_feat, rel_pos = oracle.group_relative(cloud.positions, feats, nbr)
         want = oracle.mix_features(Tensor(rel_feat), Tensor(rel_pos), p.pos).data
+        assert len(mixed) == 1
         assert np.abs(mixed[0] - want).max() < 1e-12
 
 
@@ -507,24 +506,32 @@ def vpsa_with_statistics(rng, cfg):
     return p
 
 
-def tiled_inputs(rng, b, n, m, k, c):
-    """Arguments of vecenc.encode_rotation_tiled with random neighbor indices."""
+def tiled_inputs(rng, b, n, m, k, c, padded=False):
+    """Arguments of vecenc.rotate_cell with random neighbor indices, u and
+    ctr as parameters, and, when `padded`, pads that leave slot 0 real."""
     p = vpsa_with_statistics(rng, BlockConfig(in_channels=c, out_channels=c,
                                               k_neighbors=k))
-    u = rng.standard_normal((b, n, c))
-    ctr = rng.standard_normal((b, m, c))
+    u = nnops.parameter(rng.standard_normal((b, n, c)))
+    ctr = nnops.parameter(rng.standard_normal((b, m, c)))
     idx = rng.integers(0, n, (b, m, k))
-    return u, ctr, idx, p.encoder, p.proj
+    pad = None
+    if padded:
+        pad = rng.random((b, m, k)) < 0.3
+        pad[..., 0] = False
+    return u, ctr, idx, pad, p.encoder, p.proj
 
 
 class TestTiledInference:
-    """Tape-free eval of the default cell runs vecenc.encode_rotation_tiled;
-    under a tape the same block runs the composed ops."""
+    """The default cell in eval mode, vecenc.rotate_cell(..., "eval"): each
+    tile of centers gathers its own mixed features, with or without a tape,
+    and equals the op-by-op chain oracle.unfused_rotate_cell in eval mode."""
 
     @pytest.mark.parametrize("stride,search,offset,b", [
         (1, "knn", 0.0, 2), (2, "knn", 0.0, 2), (1, "ball", 0.0, 2),
         (2, "ball", 1e3, 2), (1, "knn", 1e3, 1), (2, "ball", 0.0, 1)])
     def test_equals_the_composed_path(self, stride, search, offset, b, monkeypatch):
+        """A tape-free eval block against the same block whose cell is the
+        composed chain."""
         rng = np.random.default_rng(40)
         cloud, feats = random_cloud(rng, b=b, n=30, c=6)
         cloud = PointSetBatch(positions=cloud.positions + offset)
@@ -533,46 +540,65 @@ class TestTiledInference:
         p = vpsa_with_statistics(rng, cfg)
         # 4 centers per tile, so the last tile of 15 or 30 centers is partial
         monkeypatch.setattr(vecenc, "_TILE_BYTES", 4 * 5 * 18 * 8)
-        with mock.patch.object(vecenc, "encode_rotation_tiled",
-                               wraps=vecenc.encode_rotation_tiled) as tiled:
+        with mock.patch.object(vecenc, "rotate_cell", wraps=vecenc.rotate_cell) as cell:
             _, got = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
-            with GradTape():
-                _, want = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
-        assert tiled.call_count == 1
+        assert cell.call_count == 1 and cell.call_args.args[6] == "eval"
         if search == "ball":
-            assert tiled.call_args.args[3] is not None   # pads reach the op
+            assert cell.call_args.args[3] is not None   # pads reach the op
+        monkeypatch.setattr(vecenc, "rotate_cell", oracle.unfused_rotate_cell)
+        _, want = vpsa_block(cloud, Tensor(feats), cfg, p, "eval")
         assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+
+    @pytest.mark.parametrize("tape", [False, True], ids=["tape_free", "under_a_tape"])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_equals_the_unfused_chain(self, padded, tape, monkeypatch):
+        """The value and, under a tape, all eight input gradients; 4 centers
+        per tile, so the last of the 2 x 7 centers' tiles is partial."""
+        rng = np.random.default_rng(44)
+        u, ctr, idx, pad, enc, proj = tiled_inputs(rng, 2, 12, 7, 5, 6, padded)
+        monkeypatch.setattr(vecenc, "_TILE_BYTES", 4 * 5 * 18 * 8)
+        probe = rng.standard_normal((2, 7, 6))
+        leaves = [u, ctr] + [t for layer in (enc.zx, enc.angles, proj)
+                             for _, t in layer.tensors()]
+        runs = []
+        for cell in (vecenc.rotate_cell, oracle.unfused_rotate_cell):
+            if not tape:
+                runs.append((cell(u, ctr, idx, pad, enc, proj, "eval").data, []))
+                continue
+            with GradTape() as t:
+                out = cell(u, ctr, idx, pad, enc, proj, "eval")
+                grads = nnops.backward(t, nnops.sum_all(nnops.mul(out, Tensor(probe))))
+            runs.append((out.data, [grads[x] for x in leaves]))
+        (got, got_grads), (want, want_grads) = runs
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(got_grads) == (8 if tape else 0)
+        for g, w in zip(got_grads, want_grads):
+            assert g.shape == w.shape and np.abs(w).max() > 0
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
     def test_single_precision(self):
         rng = np.random.default_rng(41)
-        u, ctr, idx, enc, proj = tiled_inputs(rng, 2, 40, 20, 6, 8)
-        want = vecenc.encode_rotation_tiled(Tensor(u), Tensor(ctr), idx, None, enc, proj)
+        u, ctr, idx, _, enc, proj = tiled_inputs(rng, 2, 40, 20, 6, 8)
+        want = vecenc.rotate_cell(u, ctr, idx, None, enc, proj, "eval")
         enc32, proj32 = copy.deepcopy((enc, proj))
         for layer in (enc32.zx, enc32.angles, proj32):
             for _, t in layer.tensors():
                 t.data = t.data.astype(np.float32)
         enc32.angles.running_mean = enc32.angles.running_mean.astype(np.float32)
         enc32.angles.running_var = enc32.angles.running_var.astype(np.float32)
-        got = vecenc.encode_rotation_tiled(Tensor(u.astype(np.float32)),
-                                           Tensor(ctr.astype(np.float32)), idx, None,
-                                           enc32, proj32)
+        got = vecenc.rotate_cell(Tensor(u.data.astype(np.float32)),
+                                 Tensor(ctr.data.astype(np.float32)), idx, None,
+                                 enc32, proj32, "eval")
         assert got.data.dtype == np.float32
         assert np.abs(got.data - want.data).max() <= 1e-4 * np.abs(want.data).max()
-
-    def test_refuses_a_recording_tape(self):
-        rng = np.random.default_rng(42)
-        u, ctr, idx, enc, proj = tiled_inputs(rng, 1, 10, 4, 3, 4)
-        with GradTape(), pytest.raises(ContractError, match="no backward"):
-            vecenc.encode_rotation_tiled(Tensor(u), Tensor(ctr), idx, None, enc, proj)
 
     def test_builds_no_neighbor_tensor(self):
         # one [B,M,K,C] float64 array at B=2, M=2048, K=8, C=64 is 16.8 MB
         rng = np.random.default_rng(43)
-        u, ctr, idx, enc, proj = tiled_inputs(rng, 2, 2048, 2048, 8, 64)
-        u, ctr = Tensor(u), Tensor(ctr)
+        u, ctr, idx, _, enc, proj = tiled_inputs(rng, 2, 2048, 2048, 8, 64)
         tracemalloc.start()
         try:
-            vecenc.encode_rotation_tiled(u, ctr, idx, None, enc, proj)
+            vecenc.rotate_cell(u, ctr, idx, None, enc, proj, "eval")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

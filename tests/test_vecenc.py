@@ -244,8 +244,8 @@ def _cell_params(enc, proj):
     return [t for layer in (enc.zx, enc.angles, proj) for _, t in layer.tensors()]
 
 
-def _cell_peaks(padded, b=2, m=256, k=8, c=32):
-    """(held, peak) of one `vecenc.rotate_cell` under a tape, in [B,M,K,C]
+def _cell_peaks(padded, mode="train", b=2, m=256, k=8, c=32):
+    """(held, peak) of one `vecenc.rotate_cell` in `mode` under a tape, in [B,M,K,C]
     arrays: the bytes it keeps once it returns, output aside, and the
     highest traced bytes above its inputs while it runs."""
     rng = np.random.default_rng(22)
@@ -258,7 +258,7 @@ def _cell_peaks(padded, b=2, m=256, k=8, c=32):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = vecenc.rotate_cell(u, ctr, idx, pad, enc, proj)
+            out = vecenc.rotate_cell(u, ctr, idx, pad, enc, proj, mode)
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -299,11 +299,10 @@ class TestRotateCell:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("padded", [False, True])
     def test_encoder_path_equals_unfused(self, mode, padded):
-        """The default VPSA cell under a tape, fused in train mode and composed
-        in eval mode, equals the block rebuilt around the op-by-op chain in
-        value and in the gradients of the encoder and the kernel; in eval mode
-        they reach the angle layer's W, gamma and beta through its folded
-        linear."""
+        """The default VPSA cell under a tape, one op in either mode, equals
+        the block rebuilt around the op-by-op chain in value and in the
+        gradients of the encoder and the kernel; in eval mode they reach the
+        angle layer's W, gamma and beta through its folded linear."""
         rng = np.random.default_rng(21)
         cloud = PointSetBatch(positions=rng.uniform(-1, 1, (2, 16, 3)))
         f = nnops.parameter(rng.standard_normal((2, 16, 6)))
@@ -347,6 +346,14 @@ class TestRotateCell:
         features fp that both linears read, and the ReLU masks."""
         held, _ = _cell_peaks(padded)
         assert held <= 5.5
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_eval_backward_keeps_three_factors(self, padded):
+        """In eval mode under a tape the op keeps d out / d zx, alpha and
+        beta and the small neighbor sums, but no x-hat: at most 3.5
+        [B,M,K,C] arrays, against 5.5 in train mode."""
+        held, _ = _cell_peaks(padded, "eval")
+        assert held <= 3.5
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_forward_builds_factors_per_tile(self, padded, monkeypatch):
