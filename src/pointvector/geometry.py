@@ -177,11 +177,12 @@ def _rank(cand: np.ndarray, d2: np.ndarray, k: int):
 
 
 # Smallest cloud whose FPS runs the slab loop, one cloud at a time. Batched
-# vs slab loop on scene clouds at m = N/4 (2-core Xeon, one BLAS thread): 117
-# vs 68 ms at 8192 points and 57 vs 31 ms at 4096 (B=2), but 60 vs 75 ms at
-# 2048 and 4.4 vs 11.7 ms at 512 (B=8), where the slab loop's per-iteration
-# overhead outweighs the points it skips
-_FPS_SLAB_MIN_POINTS = 4096
+# vs slab loop on scene clouds at m = N/4 (2-core Xeon, one BLAS thread), in
+# ms: at 2048 points 9.8 vs 6.3 (B=1), 16.1 vs 10.7 (B=2), 26.0 vs 21.9 (B=4)
+# and 44.1 vs 45.3 (B=8, a tie); at 1024 points 5.8 vs 5.7 (B=2) but 13.2 vs
+# 20.3 (B=8), where the slab loop's per-iteration overhead outweighs the
+# points it skips
+_FPS_SLAB_MIN_POINTS = 2048
 
 
 def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:

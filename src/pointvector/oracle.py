@@ -13,6 +13,8 @@ SA blocks and for the classification head's global SA around the centroid,
 `unfused_feature_propagate`, the decoder step in its concat-first order:
 they compose separate ops, each checked on its own by `gradcheck`, so that
 production can be compared with them in every gradient as well as in value.
+`adamw_step` is the optimizer update over whole arrays, in the parameters'
+dtype, which `train.adamw_step` must equal bit for bit while it runs in blocks.
 `concat_last`, the tape op with which `composed_sa` and
 `unfused_feature_propagate` concatenate, lives here because no production
 path builds a concatenation on the tape.
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import nnops, vecenc
 from .errors import ContractError
+from .train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 MAX_ORACLE_WORK = 10_000
 
@@ -457,3 +460,43 @@ def unfused_feature_propagate(coarse_xyz: np.ndarray, coarse_feat: np.ndarray,
     for layer in (p.mlp1, p.mlp2):
         h = nnops.relu(nnops.linear_bn(h, layer, mode))
     return h.data
+
+
+def adamw_step(params: dict, grads: dict, state, hyper) -> None:
+    """`train.adamw_step` over whole arrays: each of its element-wise
+    operations, in the same order, makes one pass over a parameter, with
+    temporaries in the gradient's dtype. No non-finite check.
+    """
+    state.step += 1
+    t = state.step
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    decay = hyper.lr * hyper.weight_decay
+    for name, p in params.items():
+        g = grads.get(p)
+        if g is None:
+            continue
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+            v = state.v[name] = np.zeros_like(p.data)
+        else:
+            v = state.v[name]
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2
+        step = (1.0 - b1) * g
+        m *= b1
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        v *= b2
+        v += step
+        # p (1 - lr wd) - lr (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=step)
+        np.sqrt(step, out=step)
+        step += ADAM_EPS
+        np.divide(m, step, out=step)
+        step *= hyper.lr / bias1
+        new = p.data * (1.0 - decay)
+        new -= step
+        p.data = new

@@ -166,13 +166,25 @@ class AdamWState:
     v: dict = field(default_factory=dict)
 
 
+# Elements per block of the AdamW update: g, m, v, p and the new array each
+# cross memory once, and the block's temporaries stay in cache. Median step
+# on the pointvector-l parameter set (4.2M float64, 2-core Xeon, one thread):
+# 55 ms unblocked; 57 ms at 2^12, 52 at 2^13, 48 at 2^14, 2^15 and 2^16, and
+# 51 at 2^17
+_ADAM_BLOCK = 2 ** 15
+
+
 def adamw_step(params: dict, grads: dict, state: AdamWState, hyper: AdamWHyper) -> None:
     """One decoupled-weight-decay Adam update of the parameter tensors.
 
     params maps name -> Tensor; grads maps Tensor -> gradient array (the map
     returned by backward). Parameters without a gradient this step are skipped.
     The moments are updated in place; each updated parameter gets a fresh
-    array, so an array a caller still holds keeps its values.
+    array, so an array a caller still holds keeps its values. The update runs
+    in blocks of `_ADAM_BLOCK` elements through one scratch buffer, with the
+    per-element operations of `oracle.adamw_step` in the same order, so the
+    result equals it bit for bit. A non-finite gradient raises before its
+    parameter, m or v changes.
     """
     state.step += 1
     t = state.step
@@ -180,6 +192,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, hyper: AdamWHyper) 
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     decay = hyper.lr * hyper.weight_decay
+    scratch = {}
     for name, p in params.items():
         g = grads.get(p)
         if g is None:
@@ -188,26 +201,36 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, hyper: AdamWHyper) 
             raise NumericFaultError(f"non-finite gradient for {name}")
         m = state.m.get(name)
         if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            v = state.v[name] = np.zeros_like(p.data)
+            # C order, so that reshape(-1) below views them
+            m = state.m[name] = np.zeros(p.data.shape, p.data.dtype)
+            v = state.v[name] = np.zeros(p.data.shape, p.data.dtype)
         else:
             v = state.v[name]
-        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2
-        step = (1.0 - b1) * g
-        m *= b1
-        m += step
-        np.multiply(g, 1.0 - b2, out=step)
-        step *= g
-        v *= b2
-        v += step
-        # p (1 - lr wd) - lr (m / bias1) / (sqrt(v / bias2) + eps)
-        np.divide(v, bias2, out=step)
-        np.sqrt(step, out=step)
-        step += ADAM_EPS
-        np.divide(m, step, out=step)
-        step *= hyper.lr / bias1
-        new = p.data * (1.0 - decay)
-        new -= step
+        new = np.empty(p.data.shape, p.data.dtype)
+        flat = [a.reshape(-1) for a in (g, m, v, p.data, new)]
+        # the oracle's temporaries take the gradient's dtype, and so does this
+        buf = scratch.get(g.dtype)
+        if buf is None:
+            buf = scratch[g.dtype] = np.empty(_ADAM_BLOCK, g.dtype)
+        for lo in range(0, new.size, _ADAM_BLOCK):
+            gb, mb, vb, pb, nb = (a[lo:lo + _ADAM_BLOCK] for a in flat)
+            step = buf[:gb.size]
+            # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2
+            np.multiply(gb, 1.0 - b1, out=step)
+            mb *= b1
+            mb += step
+            np.multiply(gb, 1.0 - b2, out=step)
+            step *= gb
+            vb *= b2
+            vb += step
+            # p (1 - lr wd) - lr (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(vb, bias2, out=step)
+            np.sqrt(step, out=step)
+            step += ADAM_EPS
+            np.divide(mb, step, out=step)
+            step *= hyper.lr / bias1
+            np.multiply(pb, 1.0 - decay, out=nb)
+            nb -= step
         p.data = new
 
 

@@ -643,14 +643,19 @@ def test_toy_seg_ball_neighborhoods_on_scene_clouds_equal_oracles(monkeypatch):
 
 
 @pytest.mark.matrix
-def test_slab_fps_on_scene_clouds_equals_batched_loop():
-    # the 8192 -> 2048 call of a pointvector-s forward pass at N=8192
+@pytest.mark.parametrize("n, m", [(8192, 2048), (2048, 512)])
+def test_slab_fps_on_scene_clouds_equals_batched_loop(n, m):
+    # the two FPS sizes that take the slab loop in a forward pass on two
+    # scene clouds: 8192 -> 2048, pointvector-s's first call at N=8192, and
+    # 2048 -> 512, its second call and pointvector-l's first at N=2048
     cloud = PointSetBatch(positions=dataio.make_segmentation_dataset(
-        num_scenes=2, num_points=8192, seed=0).positions)
+        num_scenes=2, num_points=n, seed=0).positions)
     start = geometric_start(cloud)
-    got = farthest_point_sample(cloud, 2048, start)
+    with mock.patch.object(geometry, "_fps_slab", wraps=geometry._fps_slab) as slab:
+        got = farthest_point_sample(cloud, m, start)
+    assert slab.call_count == 2
     assert np.array_equal(got, geometry._fps_batched(
-        cloud.positions.astype(np.float64), 2048, start))
+        cloud.positions.astype(np.float64), m, start))
 
 
 class TestOrderAndRotationProperties:

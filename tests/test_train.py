@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointvector import dataio, gradcheck, nnops, setabs, vecenc
+from pointvector import dataio, gradcheck, nnops, oracle, setabs, train, vecenc
 from pointvector.errors import ConfigError, DataError, NumericFaultError
 from pointvector.geometry import PointSetBatch
 from pointvector.model import Model, preset_config
@@ -77,6 +77,50 @@ class TestAdamW:
         with pytest.raises(NumericFaultError, match="w"):
             adamw_step({"w": w}, {w: np.array([0.0, np.inf, 1.0])}, AdamWState(),
                        AdamWHyper())
+
+    @pytest.mark.parametrize("kind", ["double", "single"])
+    def test_blocked_update_equals_oracle_bit_for_bit(self, kind):
+        # "big" spans two full blocks and a ragged tail; "c" gets no
+        # gradient on step 3
+        shapes = {"big": (5, train._ADAM_BLOCK // 2 + 3), "one": (1,), "c": (7, 3)}
+        rng = np.random.default_rng(1)
+        with nnops.precision(kind):
+            dtype = nnops.default_dtype()
+            init = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+            params = {n: nnops.parameter(a.copy()) for n, a in init.items()}
+            want = {n: nnops.parameter(a.copy()) for n, a in init.items()}
+        state, want_state = AdamWState(), AdamWState()
+        hyper = AdamWHyper(lr=0.05, weight_decay=0.01)
+        for t in range(1, 6):
+            g = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()
+                 if not (n == "c" and t == 3)}
+            held = {n: p.data for n, p in params.items()}
+            before = {n: a.copy() for n, a in held.items()}
+            moments = dict(state.m), dict(state.v)
+            adamw_step(params, {params[n]: a for n, a in g.items()}, state, hyper)
+            oracle.adamw_step(want, {want[n]: a for n, a in g.items()}, want_state, hyper)
+            for n in shapes:
+                assert params[n].data.dtype == dtype
+                assert np.array_equal(params[n].data, want[n].data)
+                assert np.array_equal(state.m[n], want_state.m[n])
+                assert np.array_equal(state.v[n], want_state.v[n])
+                assert np.array_equal(held[n], before[n])  # the caller's array is untouched
+                for seen, now in zip(moments, (state.m, state.v)):
+                    assert n not in seen or now[n] is seen[n]  # moments update in place
+            assert (params["c"].data is held["c"]) == (t == 3)
+
+    def test_non_finite_in_last_block_leaves_parameter_unchanged(self):
+        rng = np.random.default_rng(2)
+        w = nnops.parameter(rng.standard_normal(2 * train._ADAM_BLOCK + 9))
+        params, state, hyper = {"layer.w": w}, AdamWState(), AdamWHyper()
+        adamw_step(params, {w: rng.standard_normal(w.shape)}, state, hyper)
+        saved = w.data.copy(), state.m["layer.w"].copy(), state.v["layer.w"].copy()
+        g = rng.standard_normal(w.shape)
+        g[-3] = np.nan
+        with pytest.raises(NumericFaultError, match="layer.w"):
+            adamw_step(params, {w: g}, state, hyper)
+        for was, now in zip(saved, (w.data, state.m["layer.w"], state.v["layer.w"])):
+            assert np.array_equal(was, now)
 
 
 class TestRadiusScale:
