@@ -29,9 +29,9 @@ already decides.
 
 FPS keeps a copy of the sum in its loop, which runs m-1 times per call,
 from one of two sources: a batched loop over every point of every cloud,
-or, from `_FPS_SLAB_MIN_POINTS` points, a loop per cloud that sums only the
-x-slab the last center can reach (`_fps_slab`). Both return the same
-indices.
+or, for clouds large enough for their batch size (`_FPS_SLAB_MIN_POINTS`),
+a loop per cloud that sums only the x-slab the last center can reach
+(`_fps_slab`). Both return the same indices.
 
 kNN takes its candidates from one of three sources. A batch entry of at
 most `_KNN_BLOCK_PAIRS` query-reference pairs scans its whole [M,N] block.
@@ -176,13 +176,18 @@ def _rank(cand: np.ndarray, d2: np.ndarray, k: int):
         return idx, ~(hi - lo > _RANK_MARGIN * hi)
 
 
-# Smallest cloud whose FPS runs the slab loop, one cloud at a time. Batched
-# vs slab loop on scene clouds at m = N/4 (2-core Xeon, one BLAS thread), in
-# ms: at 2048 points 9.8 vs 6.3 (B=1), 16.1 vs 10.7 (B=2), 26.0 vs 21.9 (B=4)
-# and 44.1 vs 45.3 (B=8, a tie); at 1024 points 5.8 vs 5.7 (B=2) but 13.2 vs
-# 20.3 (B=8), where the slab loop's per-iteration overhead outweighs the
-# points it skips
-_FPS_SLAB_MIN_POINTS = 2048
+# Smallest cloud whose FPS runs the slab loop at B=1; a batch of B clouds
+# needs min(B, 4) times as many points, because the slab loop runs the
+# clouds one after another and pays its per-iteration overhead once per
+# cloud, the batched loop once per batch. Batched / slab loop on scene
+# clouds at m = N/4 (2-core Xeon, one BLAS thread), median ms:
+#
+#     N      B=1          B=2           B=4           B=8           B=16
+#     1024   6.1 / 4.5    7.6 / 8.8     10.5 / 17.0   16.1 / 35.4   28.1 / 73.2
+#     2048   14.0 / 9.2   21.6 / 18.1   30.9 / 34.4   51.1 / 75.9   101.8 / 141.8
+#     4096   31.9 / 19.6  58.9 / 37.3   95.6 / 51.8   155.7 / 100.6 397.6 / 290.5
+#     8192   88.8 / 39.3  108.7 / 70.5  201.9 / 132.3 540.5 / 261.3 1317.6 / 772.0
+_FPS_SLAB_MIN_POINTS = 1024
 
 
 def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
@@ -191,11 +196,11 @@ def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     The i-th chosen point maximizes the minimum distance to the already
     chosen set; ties and duplicate points resolve to the lowest unchosen
     index, so the output is deterministic and free of repeats. `start` is a
-    single index or one index per batch entry. Clouds of fewer than
-    `_FPS_SLAB_MIN_POINTS` points run `_fps_batched`, all clouds at once;
-    larger ones run `_fps_slab`, one cloud at a time, which updates only the
-    points the last center can reach. Both equal `oracle.naive_fps` index
-    for index; the choice changes the cost only.
+    single index or one index per batch entry. A batch of B clouds of at
+    least min(B, 4) * `_FPS_SLAB_MIN_POINTS` points runs `_fps_slab`, one
+    cloud at a time, which updates only the points the last center can
+    reach; smaller ones run `_fps_batched`, all clouds at once. Both equal
+    `oracle.naive_fps` index for index; the choice changes the cost only.
     """
     pos = cloud.positions.astype(np.float64)
     b, n, _ = pos.shape
@@ -208,7 +213,7 @@ def farthest_point_sample(cloud: PointSetBatch, m: int, start=0) -> np.ndarray:
     starts = np.broadcast_to(starts.astype(np.int64), (b,)).copy()
     if starts.min() < 0 or starts.max() >= n:
         raise SizeError(f"start index outside [0, {n})")
-    if n >= _FPS_SLAB_MIN_POINTS:
+    if n >= _FPS_SLAB_MIN_POINTS * min(b, 4):
         return np.stack([_fps_slab(p, m, s) for p, s in zip(pos, starts)])
     return _fps_batched(pos, m, starts)
 

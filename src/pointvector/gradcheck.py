@@ -308,7 +308,8 @@ def _toy_cloud(rng, n=8, c=4):
     return pos, feat
 
 
-def _case_sa_block(rng, negative_gamma=False, radius=None, layers=1, mode="train"):
+def _case_sa_block(rng, negative_gamma=False, radius=None, layers=1, mode="train",
+                   zero_first_gamma=False):
     pos, feat = _toy_cloud(rng, n=10 if radius else 8)
     f = Tensor(feat, requires_grad=True)
     cfg = BlockConfig(in_channels=4, out_channels=6, k_neighbors=4 if radius else 2,
@@ -319,6 +320,12 @@ def _case_sa_block(rng, negative_gamma=False, radius=None, layers=1, mode="train
         # half the channels take the min over the neighbors instead of the max
         last.norm_gamma.data = rng.uniform(0.5, 1.5, 6) * np.repeat([1.0, -1.0], 3)
         last.norm_beta.data = rng.uniform(0.2, 0.6, 6)
+    if zero_first_gamma:
+        # a constant first-layer channel, relu(beta) > 0, whose gamma still
+        # gets a gradient
+        first = p.mlp[0]
+        first.norm_gamma.data[0] = 0.0
+        first.norm_beta.data = rng.uniform(0.2, 0.6, 6)
     if mode == "eval":
         for layer in p.mlp:
             layer.running_mean = rng.standard_normal(6) * 0.1
@@ -422,6 +429,8 @@ CASES = {
                                     layers=2),
     "sa_block_deep_eval": partial(_case_sa_block, negative_gamma=True, layers=2,
                                   mode="eval"),
+    "sa_block_deep3_padded": partial(_case_sa_block, negative_gamma=True, radius=0.8,
+                                     layers=3, zero_first_gamma=True),
     "global_sa": _case_global_sa,
     "global_sa_eval": partial(_case_global_sa, mode="eval"),
     "vpsa_block": _case_vpsa_block,

@@ -17,7 +17,11 @@ origin exact to rounding). An SA block's first linear is then a_j - b_i
 with a = [f, p~] W per point and b = [0, p~] W per center, and the block,
 of any depth, is one op (`pooled_sa`) that takes the max before the last
 batchnorm, a min on channels whose batchnorm scale is negative: a one-layer
-block is relu(bn(max_k a_j - b_i)). A center is a position, not
+block is relu(bn(max_k a_j - b_i)). At every depth the first batchnorm's
+statistics come from per-point terms, so a deeper block folds the first
+affine into a' and b' and gathers relu(a'_j - b'_i) once, straight into
+the next linear; its last layer runs channel-major, so the max reads the K
+slots of each center from contiguous memory. A center is a position, not
 necessarily a point of the cloud: the classification head's global SA is
 the same op with one center at the centroid, so b = 0. VPSA mixes
 relu(u_j - (u_i - b_pos)) with u = f + p~ W_pos per point.
@@ -252,35 +256,81 @@ def _centered_positions(positions: np.ndarray,
     return pos - ref.mean(axis=1, keepdims=True)
 
 
-def _hidden_xhat(a: np.ndarray, bc: np.ndarray, rows: np.ndarray, layers: list,
-                 stats: list, depth: int) -> np.ndarray:
-    """The normalized pre-activation x-hat [BM,K,C] of layer `depth` of a
-    shared MLP, from the first layer's per-point and per-center terms.
+def _first_layer_norm(a: np.ndarray, bc: np.ndarray, rows: np.ndarray, q: np.ndarray,
+                      wp: np.ndarray, layer: LayerParams, mode: str) -> tuple:
+    """Layer 0's normalization of the B*M*K rows z = a_j - b_i from per-point
+    and per-center terms: (ac, mu_b, mu, inv, gathered, u).
 
-    Layer 0's input is z = a_j - b_i gathered by rows; each later layer
-    applies the previous layer's affine and ReLU, then its linear. Layer i
-    normalizes with stats[i] = (mu, inv) when given; otherwise with its
-    batch statistics (`nnops._standardize`, which updates the running
-    statistics), appended to stats. A rebuild from the same stats runs the
-    same steps on the same arrays, so it equals the first pass bit for bit.
+    ac = a - mu_a [BN,C], with mu = mu_a - mu_b and inv = 1 / sqrt(var +
+    eps). In train mode mu and var are the batch statistics over all rows,
+    pads included, and update the running ones: mu_a counts each point as
+    often as it is gathered (`np.bincount`), mu_b is b's mean, and var comes
+    from ac, b - mu_b and the terms of `_gathered_terms`; gathered is
+    (cnt [BN,1], pos_sum [BN,3]), the counts and the gathered sums of the
+    centered center positions q, and u is `_gathered_terms`' u. In eval mode
+    mu_a is the running mean, mu_b = 0, and gathered and u are None.
     """
-    x = a[rows]
-    x -= bc[:, None]
-    for i, layer in enumerate(layers[:depth + 1]):
-        if i:
-            prev = layers[i - 1]
-            x *= prev.norm_gamma.data
-            x += nnops._shift(prev).data
-            np.maximum(x, 0, out=x)
-            x = (x.reshape(-1, x.shape[-1]) @ layer.weight.data).reshape(x.shape[:2] + (-1,))
-        if i < len(stats):
-            mu, inv = stats[i]
-            x -= mu
-            x *= inv
+    if mode == "eval":
+        mu = layer.running_mean
+        return a - mu, 0.0, mu, 1.0 / np.sqrt(layer.running_var + nnops.BN_EPS), None, None
+    r, k = rows.size, rows.shape[1]
+    if r < 2:
+        raise DegenerateStatisticsError(
+            f"batchnorm train mode needs >=2 samples per channel, got {r}")
+    cnt = np.bincount(rows.reshape(-1), minlength=a.shape[0]).astype(a.dtype)[:, None]
+    mu_a = (cnt[:, 0] @ a) / r
+    mu_b = bc.mean(axis=0)
+    ac = a - mu_a
+    bcc = bc - mu_b
+    pos_sum = nnops._scatter_add_rows(rows.reshape(-1), np.repeat(q, k, axis=0), a.shape[0])
+    gathered = (cnt, pos_sum)
+    u, t = _gathered_terms(ac, wp, gathered, mu_b)
+    # r var = sum_i,k (a_j - b_i - mu)^2 = sum_j ac_j (u_j - t_j) + K sum_i bcc_i^2
+    var = (np.einsum("nc,nc->c", ac, u - t) + k * np.einsum("mc,mc->c", bcc, bcc)) / r
+    var = np.maximum(var, 0.0)
+    mu = mu_a - mu_b
+    nnops._update_running(layer, mu, var, r)
+    return ac, mu_b, mu, 1.0 / np.sqrt(var + nnops.BN_EPS), gathered, u
+
+
+def _gathered_terms(ac: np.ndarray, wp: np.ndarray, gathered: tuple,
+                    mu_b: np.ndarray) -> tuple:
+    """(u, t) per point j: t_j is the sum of b_i - mu_b over the rows (i, k)
+    that gather j, through the gathered center positions, and u_j that of
+    z - mu over the same rows, cnt_j ac_j - t_j."""
+    cnt, pos_sum = gathered
+    t = pos_sum @ wp
+    t -= cnt * mu_b
+    u = cnt * ac
+    u -= t
+    return u, t
+
+
+def _middle_layers(h: np.ndarray, layers: list, stats: list, depth: int) -> tuple:
+    """(x-hat, ReLU output) [R,C] of layer `depth` of a shared MLP, from
+    layer 0's ReLU output h [R,C0] through the middle layers 1..depth;
+    x-hat is None at depth 0.
+
+    Layer i normalizes with stats[i - 1] = (mu, inv) when given; otherwise
+    with its batch statistics (`nnops._standardize`, which updates the
+    running statistics), appended to stats. A rebuild from the same stats
+    runs the same steps on the same arrays, so it equals the first pass bit
+    for bit.
+    """
+    xhat = None
+    for i, layer in enumerate(layers[1:depth + 1], 1):
+        xhat = h @ layer.weight.data
+        if i <= len(stats):
+            mu, inv = stats[i - 1]
+            xhat -= mu
+            xhat *= inv
         else:
-            x, mu, inv = nnops._standardize(x, layer, out=x)
+            xhat, mu, inv = nnops._standardize(xhat, layer, out=xhat)
             stats.append((mu, inv))
-    return x
+        h = xhat * layer.norm_gamma.data
+        h += nnops._shift(layer).data
+        np.maximum(h, 0, out=h)
+    return xhat, h
 
 
 def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
@@ -298,9 +348,12 @@ def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
     z[i,k] = [f_j, p_j - c_i] W for j = idx[i,k], the first layer's
     linear, is split into per-point and per-center terms, a = [f, p~] W
     over the N points and b = [0, c~_i] W over the M centers (p~ and c~
-    centered on the mean of the points), so z[i,k] = a_j - b_i. Batchnorm
-    is monotone per channel, so with x the last layer's linear output the
-    block's output
+    centered on the mean of the points), so z[i,k] = a_j - b_i. At every
+    depth the first layer's batch statistics come from these terms
+    (`_first_layer_norm`): the number of times each point is gathered, the
+    gathered sum of center positions per point, and a and b centered on
+    their means. Batchnorm is monotone per channel, so with x the last
+    layer's linear output the block's output
 
         max_k relu(bn(x[i,k])) = relu(bn(max_k x[i,k]))   where gamma > 0
                                = relu(bn(min_k x[i,k]))   where gamma < 0
@@ -309,26 +362,31 @@ def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
     A layer without beta shifts by 0 (`nnops._shift`). Each channel takes
     the first arg-max of sign(gamma) x, the first slot on ties, the rule of
     `nnops.neighbor_reduce`. With one layer x = z, and the arg-max is taken
-    over the gathered a values; with more, the [B,M,K,C] block of z is
-    gathered once and the earlier layers run on it (`_hidden_xhat`), and
-    the arg-max is taken over the last layer's x-hat.
+    over the gathered a values.
+
+    With more layers, the first layer's affine folds into a' = (a - mu_a)
+    gamma inv + beta per point and b' = (b - mu_b) gamma inv per center,
+    and its ReLU output relu(a'_j - b'_i) is gathered once, [B*M*K, C0];
+    middle layers, at depth 3 and more, run on it densely
+    (`_middle_layers`). The last layer runs channel-major: sign(gamma)
+    x-hat = ((W sign(gamma))^T h^T - sign(gamma) mu) inv, [C, B*M*K], whose
+    K slots per center are contiguous for the arg-max; its statistics are
+    stored unsigned, and a channel with gamma == 0 counts as positive.
 
     Pads must repeat slot 0, as `geometry.ball_query` makes them: then the
     max and min over all K slots equal those over the real ones, and the
     first extreme slot is never a pad. Train-mode statistics cover all
-    B*M*K rows, pads included, like batchnorm on the grouped tensor. With
-    one layer the mean and variance come from a and b through the number
-    of times each point is gathered (`np.bincount`) and the gathered sum of
-    center positions per point, after centering a and b on their means.
+    B*M*K rows, pads included, like batchnorm on the grouped tensor.
 
     For backward a one-layer block keeps no [B,M,K,C] array: it scatters
-    the selected entries plus per-point statistic terms. A deeper one
-    keeps the last layer's x-hat, the selected slots and each layer's
-    (mean, inv); backward rebuilds each earlier layer's x-hat and ReLU
-    output from a and b, one layer at a time, and scatters the first
-    layer's gradient to the points and, summed over the neighbors, to the
-    centers. Gradients flow to f and to every layer's W, gamma and beta;
-    positions are constants.
+    the selected entries plus per-point statistic terms. A deeper one keeps
+    the last layer's channel-major x-hat, the selected slots, a - mu_a, the
+    gather counts and the gathered center positions; backward rebuilds a',
+    b' and each earlier layer's output one layer at a time. The first
+    layer's batchnorm backward needs no [B*M*K, C0] pass of its own: it is
+    formed from the per-point scatter sum S_j and the per-center sum T_i of
+    its masked output gradient. Gradients flow to f and to every layer's W,
+    gamma and beta; positions are constants.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
@@ -357,16 +415,65 @@ def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
     cols = np.arange(c)
     r = b * m * k
 
+    def centered_b():
+        """b - mu_b [BM,C], rebuilt from the center positions."""
+        return q @ wp - mu_b
+
+    def first_grad(da, dt, dgamma, dbeta, scale, u):
+        """d loss / d a and d loss / d W's position rows, from da, the first
+        layer's row gradients d loss / d z scattered to the points, dt, their
+        sum per center, and in train mode the statistic terms of the first
+        batchnorm's backward (dgamma, dbeta and scale = gamma inv its own),
+        summed per point for a, through u, and per center for b; b's
+        neighbor sums of ac are taken per point through pos_sum."""
+        dwp = q.T @ -dt               # b_i = [0, p~_i] W reaches W's position rows
+        if gathered is not None:
+            cnt, pos_sum = gathered
+            c0 = scale * dbeta / r
+            c2 = scale * inv0 * dgamma / r
+            bcc = centered_b()
+            da -= cnt * c0
+            da -= u * c2
+            dwp += k * (q.sum(axis=0)[:, None] * c0 - (q.T @ bcc) * c2)
+            dwp += (pos_sum.T @ ac) * c2
+        return da, dwp
+
     if len(layers) > 1:
+        # u is rebuilt in backward, not kept
+        ac, mu_b, mu0, inv0, gathered, _ = _first_layer_norm(a, bc, rows, q, wp, layers[0],
+                                                             mode)
+        sgn = np.where(gamma.data < 0, -1, 1).astype(dtype)
+        s0 = layers[0].norm_gamma.data * inv0
+        beta0 = shifts[0].data
         stats = [] if mode == "train" else [
-            (p.running_mean, 1.0 / np.sqrt(p.running_var + nnops.BN_EPS)) for p in layers]
-        xhat = _hidden_xhat(a, bc, rows, layers, stats, len(layers) - 1)
-        inv = stats[-1][1]
-        signed = xhat * np.sign(gamma.data)
-        slot = signed.argmax(axis=1)                                     # [BM, C]
-        del signed
-        xs = np.take_along_axis(xhat, slot[:, None], axis=1)[:, 0]      # selected x-hat
-        held = [xhat]   # z_grad takes it out, to reuse its buffer
+            (p.running_mean, 1.0 / np.sqrt(p.running_var + nnops.BN_EPS))
+            for p in layers[1:-1]]
+
+        def hidden(depth):
+            """Layer `depth`'s x-hat and ReLU output [R,C], from the first
+            layer's relu(a'_j - b'_i)."""
+            h = (ac * s0 + beta0)[rows]
+            h -= (centered_b() * s0)[:, None]
+            np.maximum(h, 0, out=h)
+            return _middle_layers(h.reshape(r, -1), layers, stats, depth)
+
+        # sign(gamma) x, channel-major, normalized in place
+        xt = np.matmul((last.weight.data * sgn).T, hidden(len(layers) - 2)[1].T)
+        if mode == "train":
+            mu = xt.mean(axis=1)
+            xt -= mu[:, None]
+            var = np.einsum("cr,cr->c", xt, xt) / r
+            inv = 1.0 / np.sqrt(var + nnops.BN_EPS)
+            nnops._update_running(last, mu * sgn, var, r)
+        else:
+            inv = 1.0 / np.sqrt(last.running_var + nnops.BN_EPS)
+            xt -= (last.running_mean * sgn)[:, None]
+        xt *= inv[:, None]
+        x3 = xt.reshape(c, b * m, k)
+        slot = x3.argmax(axis=2)                                          # [C, BM]
+        slot[gamma.data == 0] = 0
+        xs = np.take_along_axis(x3, slot[..., None], axis=2)[..., 0].T * sgn   # selected x-hat
+        held = [xt]   # z_grad takes it out, to reuse its buffer
 
         def z_grad(gs, dgamma, dbeta, scale):
             """d loss / d a, d loss / d W's position rows through b, and the
@@ -374,39 +481,48 @@ def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
             gamma and beta, rebuilding one layer at a time."""
             dx, = held
             held.clear()
-            # the last batchnorm's backward over all rows, in x-hat's buffer:
-            # its statistic terms everywhere, gs at the selected slots
+            # the last batchnorm's backward over all rows, channel-major in
+            # x-hat's buffer: its statistic terms everywhere, gs at the
+            # selected slots
             if mode == "train":
-                dx *= -scale * dgamma / r
-                dx -= scale * dbeta / r
+                dx *= (-scale * dgamma * sgn / r)[:, None]
+                dx -= (scale * dbeta / r)[:, None]
             else:
                 dx[...] = 0
-            dx[np.arange(b * m)[:, None], slot, cols] += gs
+            dx.reshape(c, b * m, k)[cols[:, None], np.arange(b * m), slot] += gs.T
+            dx = dx.T
             weights, norms = [None] * len(layers), [None] * len(layers)
             for i in range(len(layers) - 1, 0, -1):
-                prev = layers[i - 1]
-                xh = _hidden_xhat(a, bc, rows, layers, stats, i - 1)
-                h = xh * prev.norm_gamma.data
-                h += nnops._shift(prev).data
+                xh, h = hidden(i - 1)
                 on = h > 0
-                np.maximum(h, 0, out=h)
-                h2, dx2 = h.reshape(-1, h.shape[-1]), dx.reshape(-1, dx.shape[-1])
-                weights[i] = h2.T @ dx2
-                np.matmul(dx2, layers[i].weight.data.T, out=h2)   # h is dead: d loss / d h
-                del dx, dx2
+                weights[i] = h.T @ dx
+                np.matmul(dx, layers[i].weight.data.T, out=h)   # h is dead: d loss / d h
+                del dx
                 h *= on
-                scale_i = prev.norm_gamma.data * stats[i - 1][1]
+                if i == 1:
+                    break
+                scale_i = layers[i - 1].norm_gamma.data * stats[i - 2][1]
                 if mode == "train":
                     dx, dgam, dbet = nnops._standardize_grad(h, xh, scale_i, out=xh)
                 else:
-                    dgam = np.einsum("rc,rc->c", h2, xh.reshape(h2.shape))
-                    dbet = h2.sum(axis=0)
+                    dgam = np.einsum("rc,rc->c", h, xh)
+                    dbet = h.sum(axis=0)
                     dx = np.multiply(h, scale_i, out=xh)
                 norms[i - 1] = (dgam, dbet)
-                del h, h2, xh
-            # z = a_j - b_i: scatter to the points, and sum over the neighbors for b
-            da = nnops._scatter_add_rows(rows.reshape(-1), dx.reshape(r, -1), b * n)
-            return da, q.T @ -dx.sum(axis=1), weights, norms
+                del h, xh
+            # the first batchnorm's backward from S_j, the masked gradient
+            # scattered to the points, and T_i, its sum over the neighbors:
+            # its x-hat at row (i, k) is inv (ac_j - (b_i - mu_b))
+            sj = nnops._scatter_add_rows(rows.reshape(-1), h, b * n)
+            ti = h.reshape(b * m, k, -1).sum(axis=1)
+            del h
+            dbet = ti.sum(axis=0)
+            dgam = inv0 * (np.einsum("nc,nc->c", ac, sj)
+                           - np.einsum("mc,mc->c", centered_b(), ti))
+            norms[0] = (dgam, dbet)
+            u = None if gathered is None else _gathered_terms(ac, wp, gathered, mu_b)[0]
+            da, dwp = first_grad(sj * s0, ti * s0, dgam, dbet, s0, u)
+            return da, dwp, weights, norms
     else:
         # first extreme slot per channel: argmax over the slots of sign(gamma) * a,
         # gathered channel-major so that the K slots are contiguous; gamma == 0
@@ -414,51 +530,17 @@ def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
         signed = np.multiply(a.T, np.sign(gamma.data)[:, None], order="C")   # [C, BN]
         slot = np.take(signed, rows, axis=1).argmax(axis=2)                  # [C, BM]
         sel = np.take_along_axis(rows, slot.T, axis=1)                       # [BM, C]
-        s = a[sel, cols] - bc            # selected z, [BM, C]
-
-        if mode == "train":
-            if r < 2:
-                raise DegenerateStatisticsError(
-                    f"batchnorm train mode needs >=2 samples per channel, got {r}")
-            cnt = np.bincount(rows.reshape(-1), minlength=b * n).astype(dtype)[:, None]
-            mu_a = (cnt[:, 0] @ a) / r
-            mu_b = bc.mean(axis=0)
-            ac = a - mu_a
-            bcc = bc - mu_b
-            # per point j: the centered center positions gathered with it, and
-            # t_j = sum over the rows (i, k) that gather j of b_i - mu_b
-            pos_sum = nnops._scatter_add_rows(rows.reshape(-1), np.repeat(q, k, axis=0), b * n)
-            t = pos_sum @ wp
-            t -= cnt * mu_b
-            u = cnt * ac
-            u -= t                        # sum over the rows that gather j of z - mu
-            # r var = sum_i,k (a_j - b_i - mu)^2 = sum_j ac_j (u_j - t_j) + K sum_i bcc_i^2
-            var = (np.einsum("nc,nc->c", ac, u - t) + k * np.einsum("mc,mc->c", bcc, bcc)) / r
-            var = np.maximum(var, 0.0)
-            mu = mu_a - mu_b
-            nnops._update_running(last, mu, var, r)
-        else:
-            mu, var = last.running_mean, last.running_var
-        inv = 1.0 / np.sqrt(var + nnops.BN_EPS)
-        xs = (s - mu) * inv
+        ac, mu_b, mu0, inv0, gathered, u = _first_layer_norm(a, bc, rows, q, wp, layers[0],
+                                                             mode)
+        inv = inv0
+        xs = (a[sel, cols] - bc - mu0) * inv
 
         def z_grad(gs, dgamma, dbeta, scale):
             """d loss / d a and d loss / d W's position rows, from the selected z
             and the batch statistics."""
             da = np.bincount((sel * c + cols).reshape(-1), weights=gs.reshape(-1),
                              minlength=b * n * c).reshape(b * n, c).astype(dtype, copy=False)
-            dwp = q.T @ -gs               # b_i = [0, p~_i] W reaches W's position rows
-            if mode == "train":
-                # each row's share of the mean and variance terms of the batchnorm
-                # backward, summed per point for a and per center for b; b's
-                # neighbor sums of ac are taken per point through pos_sum
-                c0 = scale * dbeta / r
-                c2 = scale * inv * dgamma / r
-                da -= cnt * c0
-                da -= u * c2
-                dwp += k * (q.sum(axis=0)[:, None] * c0 - (q.T @ bcc) * c2)
-                dwp += (pos_sum.T @ ac) * c2
-            return da, dwp, [None], [None]
+            return first_grad(da, gs, dgamma, dbeta, scale, u) + ([None], [None])
 
     y = xs * gamma.data
     y += beta.data

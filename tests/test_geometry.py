@@ -565,7 +565,7 @@ class TestFpsExactContract:
     def test_slab_loop_equals_oracle_bit_for_bit(self, seed, kind, n, frac, b):
         # every cloud takes the slab loop; lattice and duplicate clouds reach
         # exact ties and r^2 = 0
-        with mock.patch.object(geometry, "_FPS_SLAB_MIN_POINTS", 1):
+        with mock.patch.object(geometry, "_FPS_SLAB_MIN_POINTS", 0):
             _fps_equals_oracle(seed, kind, n, frac, b)
 
     def test_slab_reaches_a_point_just_inside_its_edge(self):
@@ -581,14 +581,19 @@ class TestFpsExactContract:
                 == [[0, 1, 3, 2]]
 
     def test_slab_loop_from_its_threshold_equals_batched_loop(self):
-        n = geometry._FPS_SLAB_MIN_POINTS
-        _, ref = _cloud_pair(5, "random", 1, n, 1)
-        with mock.patch.object(geometry, "_fps_slab", wraps=geometry._fps_slab) as slab:
-            got = farthest_point_sample(PointSetBatch(positions=ref), n // 4, 7)
-            # one point fewer keeps the batched loop
-            farthest_point_sample(PointSetBatch(positions=ref[:, 1:]), 4, 7)
-        assert slab.call_count == 1
-        assert np.array_equal(got, geometry._fps_batched(ref, n // 4, np.array([7])))
+        t = geometry._FPS_SLAB_MIN_POINTS
+        # (B, N, calls of the slab loop): the threshold is min(B, 4) t, one
+        # point fewer keeps the batched loop, and so do train_loop's batches
+        # of 8 clouds of 2048 points
+        for b, n, slabs in [(1, t, 1), (1, t - 1, 0), (2, 2 * t, 2), (2, 2 * t - 1, 0),
+                            (8, 2048, 0)]:
+            _, ref = _cloud_pair(5, "random", b, n, 1)
+            starts = np.arange(7, 7 + b)
+            m = n // 4 if slabs else 4
+            with mock.patch.object(geometry, "_fps_slab", wraps=geometry._fps_slab) as slab:
+                got = farthest_point_sample(PointSetBatch(positions=ref), m, starts)
+            assert slab.call_count == slabs
+            assert np.array_equal(got, geometry._fps_batched(ref, m, starts))
 
 
 @pytest.mark.matrix

@@ -86,6 +86,16 @@ class TestNonFinite:
             mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), "train")
         assert any(path.startswith("stage0.vpsa0.") for path in mdl.layer_map())
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("param", ["stage0.sa0.mlp.0.weight", "stage0.sa0.mlp.1.weight"])
+    def test_fault_in_a_deep_sa_block_names_it(self, param, mode):
+        # the first layer of a two-layer SA block runs per point, the last
+        # channel-major; a NaN in either weight must reach the block's output
+        mdl = Model(preset_config("toy-seg-ball", num_classes=3))
+        mdl.named_params()[param].data[0, 0] = np.nan
+        with pytest.raises(NumericFaultError, match=r"in stage0\.sa0$"):
+            mdl.forward_seg(cloud(np.random.default_rng(4), 2, 40), mode)
+
     @pytest.mark.parametrize("preset,param,where", [
         ("toy-cls", "global_sa.weight", r"global_sa"),
         ("toy-seg", "head.hidden.weight", r"head\.hidden"),

@@ -5,13 +5,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from pointvector import geometry, nnops, oracle, setabs, vecenc
+from pointvector import dataio, geometry, nnops, oracle, setabs, vecenc
 from pointvector.errors import (
     ConfigError,
+    DegenerateStatisticsError,
     InvalidNeighborhoodError,
     SizeError,
 )
 from pointvector.geometry import PointSetBatch
+from pointvector.model import Model, preset_config
 from pointvector.nnops import GradTape, Tensor
 from pointvector.setabs import (
     BlockConfig,
@@ -251,10 +253,18 @@ def run_sa(fn, positions, feat, nbr, layers, mode, probe):
     """Output, the gradient of f, then per layer the gradients of W, gamma
     and beta (when the layer has one) and the running statistics, after one
     SA pass."""
+    ctr = positions[np.arange(positions.shape[0])[:, None], nbr.centers]
+    return run_pooled(fn, positions, ctr, feat, nbr.indices, nbr.pad_mask, layers, mode,
+                      probe)
+
+
+def run_pooled(fn, positions, ctr, feat, idx, pad, layers, mode, probe):
+    """`run_sa` for one call of fn, setabs.pooled_sa or oracle.composed_sa,
+    with its own arguments."""
     layers = copy.deepcopy(layers)
     f = Tensor(feat.copy(), requires_grad=True)
     with GradTape() as tape:
-        out = sa_call(fn, positions, f, nbr, layers, mode)
+        out = fn(positions, ctr, f, idx, pad, layers, mode)
         grads = nnops.backward(tape, nnops.sum_all(nnops.mul(out, Tensor(probe))))
     return [out.data, grads[f]] + [
         a for layer in layers
@@ -270,7 +280,7 @@ SA_DEPTH_CASES = [
         [mode, search, str(offset)] + ([f"depth{depth}"] if depth > 1 else [])))
     for depth in (1, 2, 3) for mode, search, offset in SA_CASES]
 TIE_CASES = [pytest.param(mode, depth, id=mode + (f"-depth{depth}" if depth > 1 else ""))
-             for depth in (1, 2) for mode in ("train", "eval")]
+             for depth in (1, 2, 3) for mode in ("train", "eval")]
 
 
 def zero_gamma_dgamma(depth):
@@ -377,6 +387,23 @@ class TestPooledSA:
         got, want = zero_gamma_dgamma(2)
         assert abs(got - want) < 1e-12
 
+    def test_zero_gamma_channel_routes_to_slot_zero_at_depth_3(self):
+        # sa_mlp zeroes channel 0's gamma in every layer, the first and the
+        # middle one included
+        got, want = zero_gamma_dgamma(3)
+        assert abs(got - want) < 1e-12
+
+    def test_deep_train_mode_needs_two_rows(self):
+        # one center with one neighbor is one row per channel: the first
+        # batchnorm of a depth-2 block has no batch statistics to take
+        rng = np.random.default_rng(27)
+        positions = rng.uniform(-1, 1, (1, 1, 3))
+        idx = np.zeros((1, 1, 1), dtype=np.int64)
+        feat = Tensor(rng.standard_normal((1, 1, 4)))
+        with pytest.raises(DegenerateStatisticsError, match=">=2 samples"):
+            setabs.pooled_sa(positions, positions, feat, idx, idx.astype(bool),
+                             sa_mlp(rng, 4, 7, 2), "train")
+
     def test_pads_must_repeat_slot_zero(self):
         rng = np.random.default_rng(24)
         positions, nbr = sa_neighborhood(rng, "ball", 0.0)
@@ -438,10 +465,50 @@ class TestPooledSA:
         assert out.data.shape == (1, 6, 6)
 
     def test_deep_op_holds_under_two_neighbor_arrays(self):
-        """The depth-2 op keeps the last layer's x-hat and no other [B,M,K,C]
-        array: at most 2.0 of them (B=2, N=256, 16 channels, stride 4, K=16,
-        C=32). The composed block, oracle.composed_sa, holds about 4."""
-        assert pooled_sa_held(setabs.pooled_sa) <= 2.0
+        """The depth-2 op keeps the last layer's channel-major x-hat and no
+        other [B,M,K,C] array, and per point only a - mu_a, the gather counts
+        and the gathered center positions: 1.62 arrays (B=2, N=256, 16
+        channels, stride 4, K=16, C=32), bounded at 1.7. Keeping a' and u per
+        point as well holds 2.12; the op that kept the first layer's a and b
+        and standardized the gathered block held 1.65, and the composed
+        block, oracle.composed_sa, holds about 4."""
+        assert pooled_sa_held(setabs.pooled_sa) <= 1.7
+
+
+@pytest.mark.matrix
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_deep_sa_on_scene_clouds_equals_composition(mode, monkeypatch):
+    # every pooled_sa call of a toy-seg-ball model with three-layer SA
+    # blocks, a first, a middle and a last layer, in a forward on the
+    # fit-toy-ball benchmark's batch: B=8 scene clouds of 512 points
+    data = dataio.make_segmentation_dataset(num_scenes=8, num_points=512, seed=0)
+    mdl = Model(preset_config("toy-seg-ball", num_classes=data.num_classes, sa_layers=3),
+                seed=1)
+    rng = np.random.default_rng(29)
+    for layer in mdl.layer_map().values():
+        if layer.running_mean is not None:
+            c = layer.running_mean.shape[0]
+            layer.running_mean = rng.standard_normal(c) * 0.1
+            layer.running_var = rng.uniform(0.5, 2.0, c)
+    calls = []
+    pooled = setabs.pooled_sa
+
+    def spy(positions, ctr, f, idx, pad, layers, mode):
+        calls.append((positions, ctr, f.data.copy(), idx, pad, copy.deepcopy(layers), mode))
+        return pooled(positions, ctr, f, idx, pad, layers, mode)
+
+    monkeypatch.setattr(setabs, "pooled_sa", spy)
+    mdl.forward_seg(PointSetBatch(positions=data.positions), mode)
+    assert len(calls) == 2 and all(len(call[5]) == 3 for call in calls)
+    assert calls[0][4].any()   # the first ball query pads
+    for call in calls:
+        probe = rng.standard_normal(call[1].shape[:2] + (call[5][-1].weight.data.shape[1],))
+        got = run_pooled(pooled, *call, probe)
+        want = run_pooled(oracle.composed_sa, *call, probe)
+        assert len(got) == len(want) == 2 + 5 * 3
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 class TestVPSAMixing:
