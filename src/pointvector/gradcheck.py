@@ -76,6 +76,15 @@ def _freeze_running(layers):
     return restore
 
 
+def _eval_running(rng, mode, layers):
+    """In eval mode, running statistics away from 0 and 1 for each layer."""
+    if mode == "eval":
+        for layer in layers:
+            c = layer.running_mean.shape[0]
+            layer.running_mean = rng.standard_normal(c) * 0.1
+            layer.running_var = rng.uniform(0.5, 2.0, c)
+
+
 def _params_case(leaves, params, probe, run):
     """A case on a params container: the given leaves plus every tensor of
     `params`, and a forward that restores its running statistics first."""
@@ -166,12 +175,6 @@ def _case_concat_reshape(rng):
     return [("a", a), ("b", b)], forward
 
 
-def _case_slice_rows(rng):
-    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
-    probe = rng.standard_normal((3, 4))
-    return [("x", x)], lambda: _loss_of(nnops.slice_rows(x, 2, 5), probe)
-
-
 def _pad_mask(rng, shape):
     pad = rng.random(shape) < 0.3
     pad[..., 0] = False
@@ -223,17 +226,12 @@ def _case_residual_fuse(rng):
             lambda: _loss_of(nnops.residual_fuse(main, skip), probe))
 
 
-def _case_gather(rng, n, idx_shape, weighted=False):
-    """gather from x [2,n,3] by indices of idx_shape; weights, which sum to
-    1 over the last index axis, reduce over it."""
+def _case_gather(rng, n, idx_shape):
+    """gather from x [2,n,3] by indices of idx_shape."""
     x = Tensor(rng.standard_normal((2, n, 3)), requires_grad=True)
     idx = rng.integers(0, n, size=idx_shape)
-    w = None
-    if weighted:
-        w = rng.uniform(0.1, 1.0, size=idx_shape)
-        w /= w.sum(axis=-1, keepdims=True)
-    probe = rng.standard_normal((idx_shape[:-1] if weighted else idx_shape) + (3,))
-    return [("x", x)], lambda: _loss_of(nnops.gather(x, idx, w), probe)
+    probe = rng.standard_normal(idx_shape + (3,))
+    return [("x", x)], lambda: _loss_of(nnops.gather(x, idx), probe)
 
 
 def _case_unit_normalize(rng):
@@ -285,9 +283,7 @@ def _case_rotate_cell(rng, padded=True, mode="train"):
     enc.zx.bias.data = rng.uniform(-0.5, 0.5, 5)
     enc.angles.norm_gamma.data = rng.uniform(0.5, 1.5, 10)
     enc.angles.norm_beta.data = rng.uniform(0.2, 0.6, 10)
-    if mode == "eval":
-        enc.angles.running_mean = rng.standard_normal(10) * 0.1
-        enc.angles.running_var = rng.uniform(0.5, 2.0, 10)
+    _eval_running(rng, mode, [enc.angles])
     proj = nnops.grouped_params(rng, 5, 3)
     pad = _pad_mask(rng, (2, 3, 4)) if padded else None
     probe = rng.standard_normal((2, 3, 5))
@@ -326,10 +322,7 @@ def _case_sa_block(rng, negative_gamma=False, radius=None, layers=1, mode="train
         first = p.mlp[0]
         first.norm_gamma.data[0] = 0.0
         first.norm_beta.data = rng.uniform(0.2, 0.6, 6)
-    if mode == "eval":
-        for layer in p.mlp:
-            layer.running_mean = rng.standard_normal(6) * 0.1
-            layer.running_var = rng.uniform(0.5, 2.0, 6)
+    _eval_running(rng, mode, p.mlp)
     m = -(-pos.shape[1] // 2)
     probe = rng.standard_normal((1, m, 6))
     return _params_case(
@@ -347,9 +340,7 @@ def _case_global_sa(rng, mode="train"):
     layer = nnops.linear_params(rng, 4 + 3, 6, norm=True)
     layer.norm_beta = None
     layer.norm_gamma.data = rng.uniform(0.5, 1.5, 6) * np.repeat([1.0, -1.0], 3)
-    if mode == "eval":
-        layer.running_mean = rng.standard_normal(6) * 0.1
-        layer.running_var = rng.uniform(0.5, 2.0, 6)
+    _eval_running(rng, mode, [layer])
     idx = np.broadcast_to(np.arange(n), (b, 1, n))
     pad = np.zeros((b, 1, n), dtype=bool)
     probe = rng.standard_normal((b, 1, 6))
@@ -375,17 +366,19 @@ def _case_vpsa_block(rng, aggregation="sum_groupconv"):
         lambda: setabs.vpsa_block(PointSetBatch(positions=pos), f, cfg, p, "train")[1])
 
 
-def _case_feature_propagate(rng):
+def _case_feature_propagate(rng, mode="train"):
+    """The decoder step; eval mode folds mlp1's bias with random running statistics."""
     coarse_pos = rng.uniform(-1, 1, size=(1, 5, 3))
     fine_pos = rng.uniform(-1, 1, size=(1, 9, 3))
     cf = Tensor(rng.standard_normal((1, 5, 4)), requires_grad=True)
     sf = Tensor(rng.standard_normal((1, 9, 3)), requires_grad=True)
     p = setabs.fp_params(rng, 4, 3, 6)
+    _eval_running(rng, mode, [p.mlp1, p.mlp2])
     probe = rng.standard_normal((1, 9, 6))
     coarse = PointSetBatch(positions=coarse_pos)
     return _params_case(
         [("coarse_f", cf), ("skip_f", sf)], p, probe,
-        lambda: setabs.feature_propagate(coarse, cf, fine_pos, sf, p, "train"))
+        lambda: setabs.feature_propagate(coarse, cf, fine_pos, sf, p, mode))
 
 
 CASES = {
@@ -396,7 +389,6 @@ CASES = {
     "relu": _case_relu,
     "add_sub_mul": _case_add_sub_mul,
     "concat_reshape": _case_concat_reshape,
-    "slice_rows": _case_slice_rows,
     "neighbor_reduce_sum": partial(_case_neighbor_reduce, mode="sum"),
     "neighbor_reduce_max": partial(_case_neighbor_reduce, mode="max"),
     "neighbor_reduce_sum_padded": partial(_case_neighbor_reduce, mode="sum", padded=True),
@@ -407,7 +399,6 @@ CASES = {
     "residual_fuse": _case_residual_fuse,
     "gather_2d": partial(_case_gather, n=6, idx_shape=(2, 4)),
     "gather_3d": partial(_case_gather, n=6, idx_shape=(2, 4, 3)),
-    "gather_weighted": partial(_case_gather, n=5, idx_shape=(2, 4, 3), weighted=True),
     "unit_normalize": _case_unit_normalize,
     "sum_all": _case_sum_all,
     "rotate_field3": partial(_case_rotate_field, m=3),
@@ -436,6 +427,7 @@ CASES = {
     "vpsa_block": _case_vpsa_block,
     "vpsa_block_conv": partial(_case_vpsa_block, aggregation="conv"),
     "feature_propagate": _case_feature_propagate,
+    "feature_propagate_eval": partial(_case_feature_propagate, mode="eval"),
 }
 
 

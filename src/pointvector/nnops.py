@@ -337,19 +337,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return custom_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start:stop of x along its first axis, a view; the gradient is
-    zero on the other rows."""
-    shape = x.data.shape
-
-    def grad_fn(g):
-        gx = np.zeros(shape, dtype=g.dtype)
-        gx[start:stop] = g
-        return (gx,)
-
-    return custom_op(x.data[start:stop], (x,), grad_fn)
-
-
 def sum_all(x: Tensor) -> Tensor:
     shape, dtype = x.data.shape, x.data.dtype
 
@@ -473,6 +460,11 @@ def relu(x: Tensor) -> Tensor:
     return custom_op(out, (x,), grad_fn)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("train", "eval"):
+        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
+
+
 def fold_norm(p: LayerParams) -> LayerParams:
     """The normalized linear layer p in eval mode, as one linear layer.
 
@@ -492,11 +484,10 @@ def linear_bn(x: Tensor, p: LayerParams, mode: str) -> Tensor:
     eval mode, with or without a tape, the one GEMM of linear(x,
     fold_norm(p)), with no normalized copy of its output.
     """
+    _check_mode(mode)
     if mode == "train":
         return batchnorm(linear(x, p), p)
-    if mode == "eval":
-        return linear(x, fold_norm(p))
-    raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
+    return linear(x, fold_norm(p))
 
 
 def relu_fresh(y: Tensor) -> Tensor:
@@ -525,18 +516,23 @@ def dense(x: Tensor, p: LayerParams, mode: str = "train") -> Tensor:
 # neighbor-structured ops
 
 
-def _pad_broadcast(pad: np.ndarray, ndim: int) -> np.ndarray:
-    return pad.reshape(pad.shape + (1,) * (ndim - pad.ndim))
-
-
 def _check_pad(pad: np.ndarray | None, shape: tuple) -> None:
-    """A pad mask must be [B,M,K] and leave every neighborhood one real entry."""
+    """A pad mask must be bool [B,M,K] and leave every neighborhood one real entry."""
     if pad is None:
         return
-    if pad.shape != shape[:3]:
-        raise SizeError(f"pad mask shape {pad.shape} != neighbor shape {shape[:3]}")
+    if pad.shape != shape[:3] or pad.dtype != bool:
+        raise SizeError(f"pad mask {pad.dtype} {pad.shape} is not a bool {shape[:3]} mask")
     if np.any(pad.all(axis=2)):
         raise InvalidNeighborhoodError("a neighborhood contains only padded entries")
+
+
+def _check_neighborhood(idx: np.ndarray, pad: np.ndarray | None, b: int, n: int) -> None:
+    """Neighbor indices must be integer [B,M,K] in [0, N); the pad mask, `_check_pad`."""
+    if idx.ndim != 3 or idx.shape[0] != b or idx.dtype.kind not in "iu":
+        raise SizeError(f"neighbor indices {idx.dtype} {idx.shape} are not integer [{b},M,K]")
+    if np.any(idx < 0) or np.any(idx >= n):
+        raise SizeError(f"neighbor index out of range [0, {n})")
+    _check_pad(pad, idx.shape)
 
 
 def neighbor_reduce(v: Tensor, mode: str, pad: np.ndarray | None = None) -> Tensor:
@@ -549,26 +545,22 @@ def neighbor_reduce(v: Tensor, mode: str, pad: np.ndarray | None = None) -> Tens
         raise SizeError(f"neighbor_reduce expects [B,M,K,...], got shape {v.data.shape}")
     _check_pad(pad, v.data.shape)
     shape = v.data.shape
+    keep = None if pad is None else (~pad).reshape(pad.shape + (1,) * (len(shape) - 3))
     if mode == "sum":
-        if pad is None:
+        if keep is None:
             out = v.data.sum(axis=2)
 
             def grad_fn(g):
                 return (np.broadcast_to(np.expand_dims(g, 2), shape).copy(),)
 
         else:
-            keep = _pad_broadcast(~pad, v.data.ndim)
             out = (v.data * keep).sum(axis=2)
 
             def grad_fn(g):
                 return (np.expand_dims(g, 2) * keep,)
 
     elif mode == "max":
-        if pad is None:
-            masked = v.data
-        else:
-            keep = _pad_broadcast(~pad, v.data.ndim)
-            masked = np.where(keep, v.data, -np.inf)
+        masked = v.data if keep is None else np.where(keep, v.data, -np.inf)
         winner = np.argmax(masked, axis=2)
         out = np.take_along_axis(masked, np.expand_dims(winner, 2), axis=2).squeeze(2)
 
@@ -639,58 +631,25 @@ def _scatter_add_rows(flat_idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndar
     return out.reshape(n, c).astype(rows.dtype, copy=False)
 
 
-def gather(x: Tensor, idx: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+def gather(x: Tensor, idx: np.ndarray) -> Tensor:
     """out[b, ...] = x[b, idx[b, ...], :] for x [B,N,C] and idx [B, M, ...].
 
-    With `weights` (the shape of idx) the gathered rows are summed over the
-    last index axis: out[b,...,:] = sum_j weights[b,...,j] x[b, idx[b,...,j], :].
-    The weighted slots are added one at a time, j = 0, 1, ..., into one
-    [B, ..., C] output, so no [B, ..., K, C] array is built. For C > 1 that
-    is the order of numpy's sum over the slot axis, and the result is
-    bit-equal to it. Indices and weights are constants; gradient flows to x
-    only, by scatter-add, and for weights one scatter of w_j g per slot, so
-    the backward builds no [B, ..., K, C] array either.
+    Indices are constants; gradient flows to x only, by scatter-add.
     """
     b, n, c = x.data.shape
-    if idx.ndim < 2 or idx.shape[0] != b:
-        raise SizeError(f"gather index of shape {idx.shape} for a batch of {b}; "
-                        "expected [B, M, ...]")
+    if idx.ndim < 2 or idx.shape[0] != b or idx.dtype.kind not in "iu":
+        raise SizeError(f"gather index {idx.dtype} {idx.shape} for a batch of {b}; "
+                        "expected integer [B, M, ...]")
     if np.any(idx < 0) or np.any(idx >= n):
         raise SizeError(f"gather index out of range [0, {n})")
-    if weights is not None and weights.shape != idx.shape:
-        raise SizeError(f"idx shape {idx.shape} != weights shape {weights.shape}")
     batch = np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1))
-    if weights is None:
-        out = x.data[batch, idx]
-    else:
-        rows, dtype = batch[..., 0], np.result_type(x.data, weights)
-
-        def slot(j):
-            term = x.data[rows, idx[..., j]].astype(dtype, copy=False)
-            term *= weights[..., j, None]
-            return term
-
-        out = slot(0)
-        for j in range(1, idx.shape[-1]):
-            out += slot(j)
     flat = batch * n + idx
 
     def grad_fn(g):
-        if weights is None:
-            gx = _scatter_add_rows(flat.reshape(-1), g.reshape(-1, c), b * n)
-        else:
-            g2 = g.reshape(-1, c)
-
-            def scatter_slot(j):
-                return _scatter_add_rows(flat[..., j].reshape(-1),
-                                         g2 * weights[..., j].reshape(-1, 1), b * n)
-
-            gx = scatter_slot(0)
-            for j in range(1, flat.shape[-1]):
-                gx += scatter_slot(j)
+        gx = _scatter_add_rows(flat.reshape(-1), g.reshape(-1, c), b * n)
         return (gx.reshape(b, n, c),)
 
-    return custom_op(out, (x,), grad_fn)
+    return custom_op(x.data[batch, idx], (x,), grad_fn)
 
 
 def unit_normalize(x: Tensor) -> Tensor:

@@ -58,7 +58,6 @@ import numpy as np
 from . import geometry, nnops, vecenc
 from .errors import (
     ConfigError,
-    ContractError,
     DegenerateStatisticsError,
     InvalidNeighborhoodError,
     SizeError,
@@ -388,8 +387,7 @@ def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
     its masked output gradient. Gradients flow to f and to every layer's W,
     gamma and beta; positions are constants.
     """
-    if mode not in ("train", "eval"):
-        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
+    nnops._check_mode(mode)
     w, last = layers[0].weight, layers[-1]
     shifts = [nnops._shift(layer) for layer in layers]
     gamma, beta = last.norm_gamma, shifts[-1]
@@ -397,6 +395,7 @@ def pooled_sa(positions: np.ndarray, ctr_positions: np.ndarray, f: Tensor,
     b, n, cin = data.shape
     if w.data.shape[0] != cin + 3:
         raise SizeError(f"expected {w.data.shape[0] - 3} input channels, got {cin}")
+    nnops._check_neighborhood(idx, pad, b, n)
     c = gamma.data.shape[0]
     m, k = idx.shape[1:]
     if ctr_positions.shape != (b, m, 3):
@@ -627,6 +626,56 @@ def vpsa_block(x: PointSetBatch, f: Tensor, cfg: BlockConfig, p: VPSABlockParams
     return PointSetBatch(positions=x.positions[batch, centers]), out
 
 
+def _interpolate_linear(coarse_f: Tensor, skip_f: Tensor, idx: np.ndarray, w: np.ndarray,
+                        layer: LayerParams) -> Tensor:
+    """The decoder's first linear as one op, h = sum_j w_j (f_j W_c) + s W_s
+    (+ b) [B,N,C_out], for coarse features f [B,N',C_coarse], skip features
+    s [B,N,C_skip] and the J coarse neighbors idx [B,N,J] of each fine point
+    with their weights w [B,N,J]; W_c = W[:C_coarse] and W_s = W[C_coarse:]
+    are row views of the weight. The slots of f W_c are added one at a time,
+    with no [B,N,J,C_out] array, bit-equal to numpy's sum over the slot axis
+    for C_out > 1; the skip product, bias included, comes last. Backward
+    scatters w_j g once per slot and writes both row blocks of W's gradient
+    into one array; idx and w are constants.
+    """
+    wd = layer.weight.data
+    (b, nc, cc), skip_shape = coarse_f.data.shape, skip_f.data.shape
+    w_c, w_s = wd[:cc], wd[cc:]
+    x_c, x_s = coarse_f.data.reshape(-1, cc), skip_f.data.reshape(-1, w_s.shape[0])
+    a = (x_c @ w_c).reshape(b, nc, -1)
+    w = w.astype(a.dtype, copy=False)
+    rows, has_bias = np.arange(b)[:, None], layer.bias is not None
+
+    def slot(j):
+        term = a[rows, idx[..., j]]
+        term *= w[..., j, None]
+        return term
+
+    h = slot(0)
+    for j in range(1, idx.shape[-1]):
+        h += slot(j)
+    skip = x_s @ w_s
+    if has_bias:
+        skip += layer.bias.data
+    h += skip.reshape(h.shape)
+    flat = idx + (np.arange(b) * nc)[:, None, None]
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, wd.shape[1])
+        # a scatter sum holds no -0.0, so 0 + the first slot is that slot
+        ga = sum(nnops._scatter_add_rows(flat[..., j].reshape(-1),
+                                         g2 * w[..., j].reshape(-1, 1), b * nc)
+                 for j in range(flat.shape[-1]))
+        dw = np.empty(wd.shape, dtype=g.dtype)
+        np.matmul(x_c.T, ga, out=dw[:cc])
+        np.matmul(x_s.T, g2, out=dw[cc:])
+        grads = ((ga @ w_c.T).reshape(b, nc, cc), (g2 @ w_s.T).reshape(skip_shape), dw)
+        return grads + (g2.sum(axis=0),) if has_bias else grads
+
+    return custom_op(h, (coarse_f, skip_f, layer.weight) + ((layer.bias,) if has_bias else ()),
+                     grad_fn)
+
+
 def feature_propagate(coarse: PointSetBatch, coarse_f: Tensor,
                       fine_positions: np.ndarray, skip_f: Tensor, p: FPParams,
                       mode: str = "train") -> Tensor:
@@ -635,18 +684,20 @@ def feature_propagate(coarse: PointSetBatch, coarse_f: Tensor,
     The PointNet++ decoder step: inverse-squared-distance weights w_j over
     the 3 nearest coarse points (eps 1e-8, normalized to sum 1), the
     interpolated features concatenated with the skip features s [B,N,C_skip],
-    then a two-layer shared MLP. mlp1's linear runs first, per point: with
-    its weight split into coarse rows W_c and skip rows W_s,
+    then a two-layer shared MLP. mlp1's linear runs first, per point, as one
+    op (`_interpolate_linear`): with its weight split into coarse rows W_c
+    and skip rows W_s,
 
         [sum_j w_j f_j, s] W = sum_j w_j (f_j W_c) + s W_s
 
     because the interpolation is linear, so the coarse features are mapped
     to C_out channels on the coarse points and only those are gathered; no
-    interpolated or concatenated tensor is built. In train mode batchnorm
-    follows the sum. In eval mode W is `nnops.fold_norm`'s folded weight
-    and its bias is added once, on the skip branch; interpolated, it would
-    come back unchanged only because the weights sum to 1. Either way the
-    result equals the concat-first order up to rounding. Then ReLU and mlp2.
+    interpolated or concatenated tensor is built. In train mode the op takes
+    p.mlp1 and batchnorm follows it. In eval mode it takes
+    `nnops.fold_norm(p.mlp1)` and adds the folded bias once, on the skip
+    branch; interpolated, it would come back unchanged only because the
+    weights sum to 1. Either way the result equals the concat-first order up
+    to rounding. Then ReLU and mlp2.
     """
     _check_features(coarse, coarse_f)
     b, _, c_coarse = coarse_f.data.shape
@@ -657,8 +708,7 @@ def feature_propagate(coarse: PointSetBatch, coarse_f: Tensor,
     if c_coarse + skip_f.data.shape[2] != fan_in:
         raise SizeError(f"coarse features {coarse_f.data.shape} and skip features "
                         f"{skip_f.data.shape} do not give mlp1's {fan_in} input channels")
-    if mode not in ("train", "eval"):
-        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
+    nnops._check_mode(mode)
     num = min(3, coarse.num_points)
     idx = geometry.knn_points(fine_positions, coarse, num)
     batch = np.arange(b)[:, None, None]
@@ -666,11 +716,7 @@ def feature_propagate(coarse: PointSetBatch, coarse_f: Tensor,
     w = 1.0 / (d2 + 1e-8)
     w = w / w.sum(axis=2, keepdims=True)
     layer = p.mlp1 if mode == "train" else nnops.fold_norm(p.mlp1)
-    w_coarse = nnops.slice_rows(layer.weight, 0, c_coarse)
-    w_skip = nnops.slice_rows(layer.weight, c_coarse, fan_in)
-    a = nnops.linear(coarse_f, LayerParams(weight=w_coarse))
-    h = nnops.add(nnops.gather(a, idx, w.astype(a.data.dtype)),
-                  nnops.linear(skip_f, LayerParams(weight=w_skip, bias=layer.bias)))
+    h = _interpolate_linear(coarse_f, skip_f, idx, w, layer)
     if mode == "train":
         h = nnops.batchnorm(h, p.mlp1)
     return nnops.dense(nnops.relu_fresh(h), p.mlp2, mode)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnops
-from .errors import ConfigError, ContractError, SizeError
+from .errors import ConfigError, SizeError
 from .nnops import LayerParams, Tensor, custom_op
 
 
@@ -147,19 +147,12 @@ def _zx_factor(sa: np.ndarray, ca: np.ndarray, sb: np.ndarray, cb: np.ndarray,
     return t, u
 
 
-def _check_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
-                proj: LayerParams) -> None:
-    """Shapes and indices of the default cell's inputs: u [B,N,C], ctr
-    [B,M,C], idx [B,M,K] in [0, N), a [C,3] kernel, and a valid pad mask."""
-    b, n, c = u.data.shape
-    if (idx.ndim != 3 or ctr.data.shape != (b, idx.shape[1], c) or idx.shape[0] != b
-            or proj.weight.data.shape != (c, 3)):
-        raise SizeError(f"the default VPSA cell expects u [B,N,C], ctr [B,M,C], idx "
-                        f"[B,M,K] and a [C,3] kernel, got {u.data.shape}, "
-                        f"{ctr.data.shape}, {idx.shape} and {proj.weight.data.shape}")
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise SizeError(f"neighbor index out of range [0, {n})")
-    nnops._check_pad(pad, idx.shape)
+def _check_cell(u: Tensor, ctr: Tensor, m: int, proj: LayerParams) -> None:
+    """Shapes of the default cell's u [B,N,C], ctr [B,M,C] and [C,3] kernel."""
+    b, _, c = u.data.shape
+    if ctr.data.shape != (b, m, c) or proj.weight.data.shape != (c, 3):
+        raise SizeError(f"the default VPSA cell expects u [B,N,C], ctr [B,{m},C] and a [C,3] "
+                        f"kernel, got {u.shape}, {ctr.shape} and {proj.weight.shape}")
 
 
 def _mixed(u: np.ndarray, ctr: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -212,10 +205,10 @@ def rotate_cell(u: Tensor, ctr: Tensor, idx: np.ndarray, pad: np.ndarray | None,
     Otherwise the op returns a plain `Tensor`. `oracle.unfused_rotate_cell`
     is the op-by-op reference.
     """
-    if mode not in ("train", "eval"):
-        raise ContractError(f"batchnorm mode must be train or eval, got {mode!r}")
-    _check_cell(u, ctr, idx, pad, proj)
+    nnops._check_mode(mode)
     b, n, c = u.data.shape
+    nnops._check_neighborhood(idx, pad, b, n)
+    _check_cell(u, ctr, idx.shape[1], proj)
     m, k = idx.shape[1:]
     ud, cd = u.data, ctr.data
     w_zx = p.zx.weight.data

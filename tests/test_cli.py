@@ -31,6 +31,7 @@ class TestGlobalFlags:
         assert (args.seed, args.quiet, args.jobs) == (7, True, 2)
 
 
+@pytest.mark.matrix
 def test_train_then_table8_eval(tmp_path):
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({

@@ -130,8 +130,9 @@ class TestTapeFreeEval:
     """Eval runs the folded dense layers and runs the default VPSA cell as
     one op, vecenc.rotate_cell, with or without a tape."""
 
-    @pytest.mark.parametrize("preset", ["pointvector-s", "pointvector-l", "toy-seg",
-                                        "toy-seg-ball", "pointvector-s-cls", "toy-cls"])
+    @pytest.mark.parametrize("preset", [
+        "pointvector-s", pytest.param("pointvector-l", marks=pytest.mark.matrix), "toy-seg",
+        "toy-seg-ball", "pointvector-s-cls", "toy-cls"])
     def test_equals_eval_under_a_tape(self, preset, monkeypatch):
         """Tape-free eval and eval under a tape against the same model whose
         cell is the op-by-op chain oracle.unfused_rotate_cell, under a tape."""
@@ -152,6 +153,7 @@ class TestTapeFreeEval:
         for g in (got, got_taped):
             assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.matrix
     def test_xl_eval_folds_every_batchnorm(self, monkeypatch):
         # the other presets are spied on in test_equals_eval_under_a_tape
         calls = _spy_on_batchnorm(monkeypatch)

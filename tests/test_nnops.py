@@ -313,15 +313,15 @@ class TestGather:
     """Index checks of nnops.gather: numpy indexing alone would read a
     negative index from the end of the cloud and broadcast a batch-1 index."""
 
-    def test_negative_weighted_index_rejected(self):
+    def test_negative_index_rejected(self):
         x = Tensor(np.arange(10.0).reshape(1, 5, 2))
         with pytest.raises(SizeError, match="out of range"):
-            nnops.gather(x, np.array([[[0, -1]]]), np.array([[[0.5, 0.5]]]))
+            nnops.gather(x, np.array([[[0, -1]]]))
 
-    def test_weighted_index_past_end_is_size_error(self):
+    def test_index_past_end_is_size_error(self):
         x = Tensor(np.zeros((1, 5, 2)))
         with pytest.raises(SizeError, match="out of range"):
-            nnops.gather(x, np.array([[[0, 5]]]), np.array([[[0.5, 0.5]]]))
+            nnops.gather(x, np.array([[[0, 5]]]))
 
     @pytest.mark.parametrize("shape", [(1, 3), (1, 3, 2)])
     def test_index_batch_must_match(self, shape):
@@ -329,37 +329,10 @@ class TestGather:
         with pytest.raises(SizeError, match="batch of 2"):
             nnops.gather(x, np.zeros(shape, dtype=np.int64))
 
-    def test_weight_shape_must_match(self):
+    def test_float_index_is_size_error(self):
         x = Tensor(np.zeros((1, 4, 3)))
-        with pytest.raises(SizeError, match="weights shape"):
-            nnops.gather(x, np.zeros((1, 2, 3), dtype=np.int64), np.ones((1, 2, 2)))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("b", [1, 2])
-    @pytest.mark.parametrize("slots", [1, 3])
-    def test_weighted_equals_sum_of_unweighted(self, slots, b, dtype):
-        # the slot-by-slot sum is bit-equal to numpy's sum over the slot axis
-        rng = np.random.default_rng(slots + 10 * b)
-        x = Tensor(rng.standard_normal((b, 40, 16)).astype(dtype))
-        idx = rng.integers(0, 40, size=(b, 64, slots))
-        w = rng.uniform(size=(b, 64, slots)).astype(dtype)
-        rows = nnops.gather(x, idx).data
-        got = nnops.gather(x, idx, w).data
-        assert got.dtype == dtype
-        assert np.array_equal(got, (rows * w[..., None]).sum(axis=-2))
-
-    def test_weighted_builds_no_slot_tensor(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 2048, 64)))
-        idx = rng.integers(0, 2048, size=(2, 8192, 3))
-        w = rng.uniform(size=(2, 8192, 3))
-        tracemalloc.start()
-        try:
-            nnops.gather(x, idx, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8192 * 3 * 64 * 8   # one [B,N,3,C] float64 array, 25 MB
+        with pytest.raises(SizeError, match="expected integer"):
+            nnops.gather(x, np.zeros((1, 2), dtype=np.float64))
 
 
 class TestBackward:

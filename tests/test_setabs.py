@@ -14,7 +14,7 @@ from pointvector.errors import (
 )
 from pointvector.geometry import PointSetBatch
 from pointvector.model import Model, preset_config
-from pointvector.nnops import GradTape, Tensor
+from pointvector.nnops import GradTape, LayerParams, Tensor
 from pointvector.setabs import (
     BlockConfig,
     aggregation_variant,
@@ -426,6 +426,32 @@ class TestPooledSA:
         with pytest.raises(SizeError, match="center positions"):
             setabs.pooled_sa(positions, ctr[:, :-1], Tensor(np.zeros((2, 24, 4))),
                              nbr.indices, nbr.pad_mask, sa_mlp(rng, 4, 7), "train")
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bad,match", [
+        ("past_end", "out of range"), ("negative", "out of range"),
+        ("float", "integer"), ("pad_shape", "pad mask")],
+        ids=["past_end", "negative", "float", "pad_shape"])
+    def test_bad_neighborhood_is_size_error(self, mode, bad, match):
+        """With B=2 and N=6, index 6 in cloud 0 would read cloud 1's first
+        point and -1 the batch's last point; float indices and a pad mask
+        of another shape would fail inside numpy."""
+        rng = np.random.default_rng(29)
+        positions = rng.uniform(-1, 1, (2, 6, 3))
+        idx = np.tile(np.arange(3), (2, 2, 1))
+        pad = np.zeros(idx.shape, dtype=bool)
+        if bad == "past_end":
+            idx[0, 1, 2] = 6
+        elif bad == "negative":
+            idx[0, 1, 2] = -1
+        elif bad == "float":
+            idx = idx.astype(np.float64)
+        else:
+            pad = pad[..., :2]
+        feat = Tensor(rng.standard_normal((2, 6, 4)))
+        with pytest.raises(SizeError, match=match):
+            setabs.pooled_sa(positions, positions[:, :2], feat, idx, pad,
+                             sa_mlp(rng, 4, 7), mode)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("depth", [1, 2])
@@ -849,15 +875,15 @@ class TestFeaturePropagate:
             coarse, coarse_feats = random_cloud(rng, n=10, c=6)
             fine_pos = rng.uniform(-1, 1, (1, 25, 3))
             skip = Tensor(np.zeros((1, 25, 2)))
-            p = setabs.fp_params(rng, 6, 2, 4)
-            # isolate the interpolation: identity-ish mlp is hard, so compare
-            # the interpolated features before the mlp via the weighted gather
+            # isolate the interpolation: the decoder's first op with
+            # W = [I; 0] gives the interpolated features alone
+            layer = LayerParams(weight=Tensor(np.vstack([np.eye(6), np.zeros((2, 6))])))
             idx = geometry.knn_points(fine_pos, coarse, 3)
             diff = (fine_pos[:, :, None, :] - coarse.positions[0][idx])
             d2 = np.einsum("bnkc,bnkc->bnk", diff, diff)
             w = 1.0 / (d2 + 1e-8)
             w = w / w.sum(-1, keepdims=True)
-            interp = nnops.gather(Tensor(coarse_feats), idx, w)
+            interp = setabs._interpolate_linear(Tensor(coarse_feats), skip, idx, w, layer)
             expected = oracle.naive_interpolate(coarse.positions, coarse_feats,
                                                 fine_pos)
             assert np.abs(interp.data - expected).max() < 1e-10
@@ -895,6 +921,23 @@ class TestFeaturePropagate:
             np.testing.assert_allclose(layer.running_mean, ref.running_mean, rtol=1e-12)
             np.testing.assert_allclose(layer.running_var, ref.running_var, rtol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_first_layer_is_one_op(self, mode):
+        """A tape records six ops for the decoder step in train mode: the
+        first linear with its interpolation, batchnorm, ReLU, and mlp2's
+        linear, batchnorm and ReLU. In eval mode it records four without
+        the batchnorms, and four small ops for each layer's fold."""
+        rng = np.random.default_rng(21)
+        coarse, coarse_feats = random_cloud(rng, n=6, c=4)
+        fine_pos = rng.uniform(-1, 1, (1, 15, 3))
+        p = setabs.fp_params(rng, 4, 3, 8)
+        with mock.patch.object(setabs, "_interpolate_linear",
+                               wraps=setabs._interpolate_linear) as first, GradTape() as tape:
+            feature_propagate(coarse, nnops.parameter(coarse_feats), fine_pos,
+                              nnops.parameter(rng.standard_normal((1, 15, 3))), p, mode)
+        assert first.call_count == 1
+        assert len(tape) == (6 if mode == "train" else 4 + 2 * 4)
+
     # a wrong N, N = 1, a wrong B (each named beside the fine positions) and
     # a wrong channel count (named beside the coarse features)
     @pytest.mark.parametrize("skip_shape,other", [
@@ -909,6 +952,49 @@ class TestFeaturePropagate:
         with pytest.raises(SizeError) as err:
             feature_propagate(coarse, Tensor(coarse_feats), fine_pos, skip, p, "eval")
         assert str(skip_shape) in str(err.value) and str(other) in str(err.value)
+
+
+class TestInterpolateLinear:
+    """setabs._interpolate_linear, the decoder's first linear as one op."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_equals_numpys_slot_sum(self, slots, b, dtype):
+        # the slot-by-slot sum is bit-equal to numpy's sum over the slot
+        # axis, with the skip product and bias added last
+        rng = np.random.default_rng(slots + 10 * b)
+        f = rng.standard_normal((b, 40, 16)).astype(dtype)
+        s = rng.standard_normal((b, 64, 5)).astype(dtype)
+        idx = rng.integers(0, 40, size=(b, 64, slots))
+        w = rng.uniform(size=(b, 64, slots)).astype(dtype)
+        with nnops.precision("single" if dtype == np.float32 else "double"):
+            layer = nnops.linear_params(rng, 21, 16)
+        layer.bias.data = rng.standard_normal(16).astype(dtype)
+        wd = layer.weight.data
+        a = (f.reshape(-1, 16) @ wd[:16]).reshape(b, 40, 16)
+        want = (a[np.arange(b)[:, None, None], idx] * w[..., None]).sum(axis=-2)
+        skip = s.reshape(-1, 5) @ wd[16:]
+        skip += layer.bias.data
+        want += skip.reshape(want.shape)
+        got = setabs._interpolate_linear(Tensor(f), Tensor(s), idx, w, layer).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+    def test_builds_no_slot_tensor(self):
+        rng = np.random.default_rng(0)
+        f = Tensor(rng.standard_normal((2, 2048, 64)))
+        s = Tensor(rng.standard_normal((2, 8192, 16)))
+        layer = nnops.linear_params(rng, 80, 64)
+        idx = rng.integers(0, 2048, size=(2, 8192, 3))
+        w = rng.uniform(size=(2, 8192, 3))
+        tracemalloc.start()
+        try:
+            setabs._interpolate_linear(f, s, idx, w, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8192 * 3 * 64 * 8   # one [B,N,3,C] float64 array, 25 MB
 
 
 class TestBlockGradients:

@@ -197,6 +197,7 @@ def train_mode_fit(preset, num_clouds, num_points, steps=40):
     return fits
 
 
+@pytest.mark.matrix
 def test_toy_seg_overfits_two_scenes():
     """40 steps on two 64-point scenes reach a train-mode loss of about
     0.009 and 100% accuracy; a sign error in the update or an untrained

@@ -364,6 +364,27 @@ class TestRotateCell:
         _, peak = _cell_peaks(padded)
         assert peak <= 7.5
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bad,match", [
+        ("past_end", "out of range"), ("negative", "out of range"),
+        ("float", "integer"), ("pad_shape", "pad mask")],
+        ids=["past_end", "negative", "float", "pad_shape"])
+    def test_bad_neighborhood_is_size_error(self, mode, bad, match):
+        """Float indices, indices outside [0, N) and a pad mask of another
+        shape are library errors, not numpy's IndexError."""
+        rng = np.random.default_rng(22)
+        u, ctr, idx, pad, enc, proj = _cell_inputs(rng, padded=True)
+        if bad == "past_end":
+            idx[0, 1, 2] = 9
+        elif bad == "negative":
+            idx[1, 0, 0] = -1
+        elif bad == "float":
+            idx = idx.astype(np.float64)
+        else:
+            pad = pad[..., 1:]
+        with pytest.raises(SizeError, match=match):
+            vecenc.rotate_cell(u, ctr, idx, pad, enc, proj, mode)
+
 
 EPS64 = np.finfo(np.float64).eps
 EPS32 = np.finfo(np.float32).eps
